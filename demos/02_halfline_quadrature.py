@@ -4,12 +4,14 @@ By unitary invariance, each integrand depends only on the single variable
 u = |z|^2 |frame|^(2n), so integrals over the surface collapse to the
 half-line.  The engine compactifies with u = t/(1-t) and integrates
 adaptively; this demo walks the standard catalog and grades the results
-against their closed forms.
+against their closed forms, and shows the symbolic normal form, which
+carries its exact mass.
 """
 
 import math
 from fractions import Fraction
 
+from hirzebruch_torsion import forms
 from hirzebruch_torsion.constants import ExactConstant, log_rational
 from hirzebruch_torsion.radial import (
     QuadratureConfig,
@@ -41,6 +43,11 @@ expected = log_rational(n + 1).scale(Fraction(n + 1, n)) - ExactConstant.rationa
 entry = compare_closed_form(h, expected, cfg)
 print(f"  closed form {expected} = {entry.expected_float:.15f}")
 print(f"  quadrature  {entry.computed:.15f}, discrepancy {entry.abs_error:.2e}")
+
+print("\nThe same integrand in symbolic normal form, with its exact mass:")
+nf = forms.log_R(n) * forms.coeff_B()
+print(f"  {nf} has mass {nf.mass}")
+print(f"  quadrature of the normal form {integrate_halfline(nf, cfg):.15f}")
 
 print("\ntanh-sinh scheme as an alternative:")
 ts = QuadratureConfig(scheme="tanh_sinh")

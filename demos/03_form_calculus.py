@@ -25,7 +25,7 @@ d = forms.ddc_potential(forms.potential_log_shift(1), n)
 print("  computed:", d.evaluate(1.0))
 print("  expanded: (n*u/(1+u), 1/(1+u)^2) =", (n * 1 / 2, 1 / 4))
 
-print("\nWedge masses (exact registered value vs quadrature):")
+print("\nWedge masses (exact value derived from the normal form vs quadrature):")
 pairs = [
     ("alpha ^ alpha", forms.wedge(al, al)),
     ("alpha ^ base", forms.wedge(al, forms.base_form(n))),

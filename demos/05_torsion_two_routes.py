@@ -18,7 +18,7 @@ print("  tau =", torsion.tau_p1(), "=", torsion.tau_p1().to_float())
 
 print("\nBoth routes for small ruling indices:")
 for n in (0, 1, 2, 3, 5):
-    res = torsion.main_theorem(n, cfg)
+    res = torsion.main_theorem(n)
     print(f"  n={n}: tau = {res.tau_float:.15f}")
     print(f"        direct route    {res.tau_rr}")
     print(f"        fibration route {res.tau_bb}")
@@ -26,11 +26,11 @@ for n in (0, 1, 2, 3, 5):
 
 print("\nThe fibration torsion form is the base-line torsion for every n:")
 for n in (0, 4, 12):
-    print(f"  n={n:<3d}: {chow.torsion_form(n, cfg)}")
+    print(f"  n={n:<3d}: {chow.torsion_form(n)}")
 
 print("\nQuadrature cross-check of the fibration route:")
 for n in (1, 4):
-    res = torsion.main_theorem(n, cfg)
+    res = torsion.main_theorem(n)
     quad = torsion.bb_quadrature_float(n, cfg)
     print(f"  n={n}: exact {res.tau_float:.12f}  quadrature-assembled {quad:.12f}  "
           f"difference {abs(res.tau_float - quad):.2e}")

@@ -13,6 +13,7 @@ from .radial import (
     DomainError,
     NonConvergence,
     QuadratureConfig,
+    Radial,
     RadialFunction,
     VerificationEntry,
     compare_closed_form,
@@ -37,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConstantAtom", "ExactConstant", "log_rational",
-    "DomainError", "NonConvergence", "QuadratureConfig", "RadialFunction",
+    "DomainError", "NonConvergence", "QuadratureConfig", "Radial", "RadialFunction",
     "VerificationEntry", "compare_closed_form", "integrate_halfline",
     "Form11", "Form22", "RadialPotential",
     "ChowClass", "PipelineInconsistency",

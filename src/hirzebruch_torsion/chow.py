@@ -5,11 +5,16 @@ A class is a polynomial in the two arithmetic generators
     xhat   (base hyperplane, curvature the base Fubini-Study form)
     ahat   (tautological class, curvature alpha)
 
-plus an analytic part: a finite list of a(coefficient * form) terms, where
-the form is a cataloged radial 0-form, an invariant (1,1)-form, or a top
-form, and the coefficient is an exact constant.  Classes live either on the
-surface model (arithmetic dimension 3) or on the base projective-line model
-(arithmetic dimension 2).
+plus an analytic part: a sum of terms a(constant * form), where the form is a
+radial 0-form, an invariant (1,1)-form, or a top form.  Classes live either
+on the surface model (arithmetic dimension 3) or on the base projective-line
+model (arithmetic dimension 2).
+
+The analytic part is held as one form per degree and constant atom, summed
+in the normal form of the coefficients, so equally assembled classes have
+equal parts whatever the order of assembly.  In top degree a(g) depends only
+on the mass of g (every exact form integrates to 0), so top-degree parts
+compare by their exact mass.
 
 The rewrite system reduces every polynomial to the normal form with
 exponents at most 1 in each generator:
@@ -19,12 +24,14 @@ exponents at most 1 in each generator:
 
 with the analytic remainder wedged against the curvature image of whatever
 monomial multiplies the relation.  Products of analytic terms use
-a(eta) * a(eta') = a(dd^c eta ^ eta'); whenever either factor has a known
-vanishing dd^c the product is taken to be zero (the representatives differ
-by im d' + im d'', which every degree map kills), and the pairing is
-flagged in the trace when it fires nontrivially.
+a(eta) * a(eta') = a(dd^c eta ^ eta') with dd^c on the lower-degree factor
+(representatives differ by im d' + im d'', which every degree map kills).
+Below top degree the product is taken to be zero when either factor has
+vanishing dd^c, and two 0-forms take the average of both placements; in top
+degree only the mass counts, which by Stokes does not depend on the
+placement.  The pairing is flagged in the trace when it fires.
 
-The degree map halves the total integral of the top-degree analytic part;
+The degree map halves the exact total mass of the top-degree analytic part;
 no finite-place contributions are modeled, because every class produced by
 the pipelines reduces to archimedean terms.
 """
@@ -33,40 +40,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from . import forms
-from .constants import ExactConstant, log_2pi
+from .constants import ConstantAtom, ExactConstant, log_2pi, log_rational
 from .forms import Form11, Form22
 from .radial import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     RADIAL_ONE,
-    RadialFunction,
+    Radial,
     integrate_halfline,
-    radial_mul,
 )
 
 SURFACE = "S_n"
 BASE = "P1"
 
 MonoT = Tuple[int, int]  # exponents of (xhat, ahat)
+SlotT = Tuple[int, ConstantAtom]  # (degree, atom) of an analytic part
 
 
 class ChowError(Exception):
     """Base error for the intersection engine."""
 
 
-class UnknownCurvature(ChowError):
-    """A product needed dd^c of a form that is not cataloged."""
-
-
 class IncompleteReduction(ChowError):
     """A top-degree class kept a non-analytic monomial after rewriting."""
-
-
-class MissingExactIntegral(ChowError):
-    """An exact pushforward hit a form with no registered closed-form mass."""
 
 
 class DegreeOverflow(ChowError):
@@ -77,53 +77,35 @@ class PipelineInconsistency(ChowError):
     """An internal identity of the pipelines failed to hold exactly."""
 
 
-@dataclass(frozen=True, eq=False)
-class BaseTopForm:
-    """The base Fubini-Study form viewed as the top form of the base model."""
-
-    n: int
-    profile: RadialFunction
-    key: Tuple = ("xP1",)
-    total_integral: Fraction = Fraction(1)
-
-    @property
-    def is_zero_form(self) -> bool:
-        return False
+@dataclass(frozen=True)
+class BaseTopForm(Form22):
+    """A top form g(u) du of the base model, in the line's own radial variable;
+    the base Fubini-Study form is g = 1/(1+u)^2, of unit mass."""
 
 
 def base_top_form(n: int) -> BaseTopForm:
-    return BaseTopForm(n=n, profile=forms.coeff_B())
+    return BaseTopForm(n, forms.coeff_B())
 
 
-FormT = Union[RadialFunction, Form11, Form22, BaseTopForm]
+FormT = Union[Radial, Form11, Form22]
+
+_DEGREES = {Form11: 2, Form22: 3, BaseTopForm: 2}
+
+
+def _form_degree(form: FormT) -> int:
+    """Arithmetic degree of a(form): 0-forms 1, (1,1)-forms 2, top forms the
+    top degree of their model."""
+    return _DEGREES.get(type(form), 1)
+
+
+def _top_degree(variety: str) -> int:
+    return 3 if variety == SURFACE else 2
 
 
 def _ec(value) -> ExactConstant:
     if isinstance(value, ExactConstant):
         return value
     return ExactConstant.rational(value)
-
-
-def _form_is_zero(form: FormT) -> bool:
-    if isinstance(form, RadialFunction):
-        return form.is_zero
-    return form.is_zero_form
-
-
-def _form_degree(form: FormT, variety: str) -> int:
-    if isinstance(form, RadialFunction):
-        return 1
-    if isinstance(form, Form11):
-        return 2
-    if isinstance(form, Form22):
-        return 3
-    if isinstance(form, BaseTopForm):
-        return 2
-    raise TypeError(f"not a catalog form: {type(form).__name__}")
-
-
-def _form_key(form: FormT) -> Tuple:
-    return form.key
 
 
 def _render_mono(mono: MonoT) -> str:
@@ -136,6 +118,22 @@ def _render_mono(mono: MonoT) -> str:
     return "*".join(bits) or "1"
 
 
+def _accumulate(slots: Dict[SlotT, FormT], coeff: ExactConstant, form) -> None:
+    """slots += a(coeff * form), split over the atoms of coeff."""
+    if not form:
+        return
+    degree = _form_degree(form)
+    for atom, q in coeff.coeffs.items():
+        term = form if q == 1 else q * form
+        prev = slots.get((degree, atom))
+        slots[(degree, atom)] = term if prev is None else prev + term
+
+
+@lru_cache(maxsize=256)
+def _atoms(a: ConstantAtom, b: ConstantAtom) -> ExactConstant:
+    return ExactConstant.atom(a) * ExactConstant.atom(b)
+
+
 # ---------------------------------------------------------------------------
 # The class type
 # ---------------------------------------------------------------------------
@@ -144,7 +142,7 @@ def _render_mono(mono: MonoT) -> str:
 class ChowClass:
     """Immutable normalized class: polynomial part plus analytic a(...) terms."""
 
-    __slots__ = ("n", "variety", "poly", "analytic")
+    __slots__ = ("n", "variety", "poly", "forms")
 
     def __init__(self, n: int, variety: str,
                  poly: Optional[Dict[MonoT, ExactConstant]] = None,
@@ -166,72 +164,81 @@ class ChowClass:
                 else:
                     norm_poly[mono] = coeff
         self.poly = {m: norm_poly[m] for m in sorted(norm_poly)}
-        merged: Dict[Tuple, Tuple[ExactConstant, FormT]] = {}
-        for coeff, form in (analytic or []):
-            coeff = _ec(coeff)
-            if coeff.is_zero or _form_is_zero(form):
-                continue
-            # expand linear-combination forms into their primitive parts, so
-            # identically assembled classes share one normal form
-            if isinstance(form, (Form11, Form22)) and form.parts is not None:
-                pieces = [(coeff * q, p) for q, p in form.parts]
-            else:
-                pieces = [(coeff, form)]
-            for piece_coeff, piece_form in pieces:
-                if piece_coeff.is_zero or _form_is_zero(piece_form):
-                    continue
-                slot = (_form_degree(piece_form, variety), _form_key(piece_form))
-                if slot in merged:
-                    prev_coeff, prev_form = merged[slot]
-                    total = prev_coeff + piece_coeff
-                    if total.is_zero:
-                        del merged[slot]
-                    else:
-                        merged[slot] = (total, prev_form)
-                else:
-                    merged[slot] = (piece_coeff, piece_form)
-        self.analytic = tuple((merged[s][0], merged[s][1])
-                              for s in sorted(merged, key=repr))
+        slots: Dict[SlotT, FormT] = {}
+        for coeff, form in analytic or ():
+            _accumulate(slots, _ec(coeff), form)
+        self.forms = _clean(slots)
 
     # -- inspection ---------------------------------------------------------
 
+    def _canonical(self) -> Dict[SlotT, object]:
+        """The analytic part with each top-degree form replaced by its mass."""
+        top = _top_degree(self.variety)
+        out: Dict[SlotT, object] = {}
+        for slot, form in self.forms.items():
+            if slot[0] != top:
+                out[slot] = form
+            elif not form.total_integral.is_zero:
+                out[slot] = form.total_integral
+        return out
+
     @property
     def is_zero(self) -> bool:
-        return not self.poly and not self.analytic
+        return not self.poly and not self._canonical()
 
-    def degrees(self) -> List[int]:
-        out = {i + j for (i, j) in self.poly}
-        out.update(_form_degree(f, self.variety) for _, f in self.analytic)
-        return sorted(out)
+    @property
+    def analytic(self) -> Tuple[Tuple[ExactConstant, FormT], ...]:
+        """The analytic part as (constant, form) pairs, one per distinct form,
+        the constant collecting every atom that carries the form; a constant
+        0-form, or a top form of nonzero rational mass, is shown as that value
+        times the unit form."""
+        merged: Dict[FormT, ExactConstant] = {}
+        for (_, atom), form in self.forms.items():
+            q = _content(form)
+            form = form if q == 1 else (1 / q) * form
+            c = ExactConstant.atom(atom, q)
+            merged[form] = merged[form] + c if form in merged else c
+        return tuple((c, f) for f, c in merged.items() if not c.is_zero)
 
     def degree_part(self, k: int) -> "ChowClass":
-        poly = {m: c for m, c in self.poly.items() if sum(m) == k}
-        analytic = [(c, f) for c, f in self.analytic
-                    if _form_degree(f, self.variety) == k]
-        return ChowClass(self.n, self.variety, poly, analytic)
-
-    def analytic_terms(self, degree: Optional[int] = None):
-        if degree is None:
-            return list(self.analytic)
-        return [(c, f) for c, f in self.analytic
-                if _form_degree(f, self.variety) == degree]
+        return _assemble(self.n, self.variety,
+                         {m: c for m, c in self.poly.items() if sum(m) == k},
+                         {s: f for s, f in self.forms.items() if s[0] == k})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChowClass):
             return NotImplemented
-        if (self.n, self.variety) != (other.n, other.variety):
-            return False
-        if self.poly != other.poly:
-            return False
-        mine = {(_form_degree(f, self.variety), _form_key(f)): c for c, f in self.analytic}
-        theirs = {(_form_degree(f, other.variety), _form_key(f)): c for c, f in other.analytic}
-        return mine == theirs
+        return ((self.n, self.variety) == (other.n, other.variety)
+                and self.poly == other.poly and self._canonical() == other._canonical())
 
     def __repr__(self) -> str:
         poly = " + ".join(f"({c})*{_render_mono(m)}" for m, c in self.poly.items())
-        ana = " + ".join(f"a(({c})*{_form_key(f)!r})" for c, f in self.analytic)
+        ana = " + ".join(f"a(({c})*{f!r})" for c, f in self.analytic)
         body = " + ".join(p for p in (poly, ana) if p) or "0"
         return f"ChowClass[{self.variety}, n={self.n}]({body})"
+
+
+def _content(form: FormT) -> Fraction:
+    if isinstance(form, Radial):
+        value = form.const_value
+    elif isinstance(form, Form22):
+        mass = form.total_integral
+        value = mass.rational_part if mass.is_rational else None
+    else:
+        value = None
+    return value or Fraction(1)
+
+
+def _clean(slots: Dict[SlotT, FormT]) -> Dict[SlotT, FormT]:
+    return {s: slots[s] for s in sorted(slots, key=lambda s: (s[0], s[1].sort_key()))
+            if slots[s]}
+
+
+def _assemble(n: int, variety: str, poly: Dict[MonoT, ExactConstant],
+              slots: Dict[SlotT, FormT]) -> ChowClass:
+    out = ChowClass(n, variety, poly)
+    out.forms = _clean(slots)
+    return out
 
 
 # -- builders ----------------------------------------------------------------
@@ -262,14 +269,22 @@ def add(a: ChowClass, b: ChowClass) -> ChowClass:
     poly = dict(a.poly)
     for m, c in b.poly.items():
         poly[m] = poly.get(m, _ec(0)) + c
-    return ChowClass(a.n, a.variety, poly, list(a.analytic) + list(b.analytic))
+    slots = dict(a.forms)
+    for s, f in b.forms.items():
+        slots[s] = slots[s] + f if s in slots else f
+    return _assemble(a.n, a.variety, poly, slots)
 
 
 def scale(q, a: ChowClass) -> ChowClass:
     q = _ec(q)
-    return ChowClass(a.n, a.variety,
-                     {m: c * q for m, c in a.poly.items()},
-                     [(c * q, f) for c, f in a.analytic])
+    if q.is_rational:
+        r = q.rational_part
+        slots = {s: r * f for s, f in a.forms.items()}
+    else:
+        slots = {}
+        for (_, atom), f in a.forms.items():
+            _accumulate(slots, ExactConstant.atom(atom) * q, f)
+    return _assemble(a.n, a.variety, {m: c * q for m, c in a.poly.items()}, slots)
 
 
 def sub(a: ChowClass, b: ChowClass) -> ChowClass:
@@ -286,68 +301,64 @@ def _check_compatible(a: ChowClass, b: ChowClass) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _wedge_forms(n: int, variety: str, f1: FormT, f2: FormT) -> Optional[FormT]:
-    """Wedge of catalog forms; None when the product vanishes or exceeds top degree."""
-    if _form_is_zero(f1) or _form_is_zero(f2):
+def _product(f: FormT, g: FormT) -> Optional[FormT]:
+    """f ^ g for analytic forms; None when it vanishes or exceeds top degree."""
+    if _form_degree(f) > _form_degree(g):
+        f, g = g, f
+    if isinstance(f, Radial):
+        out = f * g
+    elif isinstance(f, Form11) and isinstance(g, Form11):
+        out = forms.wedge(f, g)
+    else:
         return None
-    if isinstance(f1, RadialFunction) and isinstance(f2, RadialFunction):
-        out = radial_mul(f1, f2)
-        return None if out.is_zero else out
-    if isinstance(f2, RadialFunction):
-        f1, f2 = f2, f1
-    if isinstance(f1, RadialFunction):
-        if isinstance(f2, Form11):
-            out11 = forms.smul11(f1, f2)
-            return None if out11.is_zero_form else out11
-        if isinstance(f2, Form22):
-            out22 = forms.smul22(f1, f2)
-            return None if out22.is_zero_form else out22
-        if isinstance(f2, BaseTopForm):
-            if f1.const_value is None:
-                raise UnknownCurvature("non-constant 0-form on the base model")
-            if f1.const_value == 1:
-                return f2
-            return BaseTopForm(n=n, profile=radial_mul(f1, f2.profile),
-                               key=("scale_xP1", str(f1.const_value)),
-                               total_integral=f1.const_value * f2.total_integral)
-    if isinstance(f1, Form11) and isinstance(f2, Form11):
-        out = forms.wedge(f1, f2)
-        return None if out.is_zero_form else out
-    # anything past the top degree of either model vanishes
-    return None
+    return out or None
 
 
+@lru_cache(maxsize=16)
 def _mono_curvature(n: int, variety: str, mono: MonoT) -> Optional[FormT]:
     """Curvature image of a generator monomial (None when it vanishes)."""
     i, j = mono
     if variety == BASE:
-        if i == 0:
-            return RADIAL_ONE
-        if i == 1:
-            return base_top_form(n)
-        return None
+        return (RADIAL_ONE, base_top_form(n), None)[min(i, 2)]
     acc: Optional[FormT] = RADIAL_ONE
     for _ in range(i):
-        acc = None if acc is None else _wedge_forms(n, variety, acc, forms.base_form(n))
+        acc = acc and _product(acc, forms.base_form(n))
     for _ in range(j):
-        acc = None if acc is None else _wedge_forms(n, variety, acc, forms.alpha_form(n))
+        acc = acc and _product(acc, forms.alpha_form(n))
     return acc
 
 
-def _ddc_of(form: FormT, n: int) -> Optional[List[Tuple[Fraction, FormT]]]:
-    """dd^c of an analytic term's form as weighted parts.
-
-    An empty list is a known-zero dd^c; None means unknown.  Weights are kept
-    outside the form objects so keys stay canonical.
-    """
-    if isinstance(form, RadialFunction):
-        d = forms.ddc_of_radial(form, n)
-        if d is None:
-            return None
-        return [] if d.is_zero_form else [(Fraction(1), d)]
+def _ddc(form: FormT, n: int) -> Optional[FormT]:
+    """dd^c of an analytic term's form; None for top forms, where it vanishes."""
+    if isinstance(form, Radial):
+        return forms.ddc(form, n)
     if isinstance(form, Form11):
-        return forms.ddc_of_form11(form, n)
-    return []  # top forms
+        return forms.ddc_form11(form)
+    return None
+
+
+def _analytic_product(f: FormT, g: FormT, n: int, variety: str) -> Optional[FormT]:
+    """The form of a(f) * a(g) = a(dd^c f ^ g), or None when it vanishes.
+
+    dd^c falls on the lower-degree factor.  In top degree only the mass of
+    the product counts, and by Stokes it is the same whichever factor
+    carries dd^c, so it vanishes with either dd^c.  Two 0-forms give a
+    (1,1)-form: zero when either dd^c vanishes, else the average of the two
+    placements, so that the product commutes.
+    """
+    if _form_degree(f) > _form_degree(g):
+        f, g = g, f
+    if _form_degree(f) + _form_degree(g) > _top_degree(variety):
+        return None
+    df = _ddc(f, n)
+    if not df:
+        return None
+    if _form_degree(f) < _form_degree(g):
+        return _product(df, g)
+    dg = _ddc(g, n)
+    if not dg:
+        return None
+    return Fraction(1, 2) * (_product(df, g) + _product(dg, f))
 
 
 def omega_image(c: ChowClass) -> List[Tuple[ExactConstant, FormT]]:
@@ -357,18 +368,24 @@ def omega_image(c: ChowClass) -> List[Tuple[ExactConstant, FormT]]:
         form = _mono_curvature(c.n, c.variety, mono)
         if form is not None:
             out.append((coeff, form))
-    for coeff, form in c.analytic:
-        d = _ddc_of(form, c.n)
-        if d is None:
-            raise UnknownCurvature(f"dd^c of {_form_key(form)!r} is not cataloged")
-        for q, part in d:
-            out.append((coeff * q, part))
+    for (_, atom), form in c.forms.items():
+        d = _ddc(form, c.n)
+        if d:
+            out.append((ExactConstant.atom(atom), d))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Rewriting
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=16)
+def _relation_image(n: int, mono: MonoT) -> Optional[FormT]:
+    """The analytic side of the degree-2 relation times the curvature image
+    of mono."""
+    rest = _mono_curvature(n, SURFACE, mono)
+    return rest and _product(forms.degree2_relation_rhs(n), rest)
 
 
 def _trace_step(trace, rule: str, before: str, after: str) -> None:
@@ -379,20 +396,15 @@ def _trace_step(trace, rule: str, before: str, after: str) -> None:
 def reduce(c: ChowClass, trace: Optional[list] = None) -> ChowClass:
     """Normal form: exponents at most 1, relations pushed into analytic terms."""
     out_poly: Dict[MonoT, ExactConstant] = {}
-    analytic: List[Tuple[ExactConstant, FormT]] = list(c.analytic)
+    slots = dict(c.forms)
     stack: List[Tuple[MonoT, ExactConstant]] = list(c.poly.items())
-    eta2 = forms.degree2_relation_rhs(c.n) if c.variety == SURFACE else None
     while stack:
         (i, j), coeff = stack.pop()
         if coeff.is_zero:
             continue
         if c.variety == SURFACE and j >= 2:
             stack.append(((i + 1, j - 1), coeff * Fraction(c.n + 2)))
-            rest = _mono_curvature(c.n, c.variety, (i, j - 2))
-            if rest is not None:
-                w = _wedge_forms(c.n, c.variety, eta2, rest)
-                if w is not None:
-                    analytic.append((coeff, w))
+            _accumulate(slots, coeff, _relation_image(c.n, (i, j - 2)))
             _trace_step(trace, "alpha_square", _render_mono((i, j)),
                         f"({c.n}+2)*{_render_mono((i + 1, j - 1))} "
                         f"+ a(relation_rhs*{_render_mono((i, j - 2))})")
@@ -400,33 +412,13 @@ def reduce(c: ChowClass, trace: Optional[list] = None) -> ChowClass:
             rest = _mono_curvature(c.n, c.variety, (i - 2, j))
             if rest is not None:
                 base = base_top_form(c.n) if c.variety == BASE else forms.base_form(c.n)
-                w = _wedge_forms(c.n, c.variety, base, rest)
-                if w is not None:
-                    analytic.append((coeff, w))
+                _accumulate(slots, coeff, _product(base, rest))
             _trace_step(trace, "x_square", _render_mono((i, j)),
                         f"a(base*{_render_mono((i - 2, j))})")
         else:
             prev = out_poly.get((i, j))
             out_poly[(i, j)] = coeff + prev if prev else coeff
-    out = ChowClass(c.n, c.variety, out_poly, analytic)
-    # Canonicalize a(alpha ^ alpha): the degree-2 relation makes it cohomologous
-    # to (n+2) a(base ^ alpha) (the discrepancy is dd^c of the relation form,
-    # which a(.) kills), so differently associated products share a normal form.
-    # Runs after construction so parts-expanded wedges are covered too.
-    alpha_sq_key = ("wedge", ("alpha",), ("alpha",))
-    if any(isinstance(f, Form22) and f.key == alpha_sq_key for _, f in out.analytic):
-        normalized: List[Tuple[ExactConstant, FormT]] = []
-        for coeff, form in out.analytic:
-            if isinstance(form, Form22) and form.key == alpha_sq_key:
-                _trace_step(trace, "alpha_square_analytic", "a(alpha^alpha)",
-                            f"({c.n}+2)*a(base^alpha)")
-                normalized.append((coeff * Fraction(c.n + 2),
-                                   forms.wedge(forms.base_form(c.n),
-                                               forms.alpha_form(c.n))))
-            else:
-                normalized.append((coeff, form))
-        out = ChowClass(c.n, c.variety, dict(out.poly), normalized)
-    return out
+    return _assemble(c.n, c.variety, out_poly, slots)
 
 
 # ---------------------------------------------------------------------------
@@ -450,50 +442,31 @@ def mul(a: ChowClass, b: ChowClass, trace: Optional[list] = None) -> ChowClass:
                     f"exceeds the arithmetic dimension")
     a = reduce(a, trace)
     b = reduce(b, trace)
+    n, variety = a.n, a.variety
     poly: Dict[MonoT, ExactConstant] = {}
-    analytic: List[Tuple[ExactConstant, FormT]] = []
     for (i1, j1), c1 in a.poly.items():
         for (i2, j2), c2 in b.poly.items():
             mono = (i1 + i2, j1 + j2)
             coeff = c1 * c2
             prev = poly.get(mono)
             poly[mono] = coeff + prev if prev else coeff
+    slots: Dict[SlotT, FormT] = {}
     for left, right in ((a, b), (b, a)):
-        for coeff_f, form in left.analytic:
-            for mono, coeff_m in right.poly.items():
-                curv = _mono_curvature(a.n, a.variety, mono)
-                if curv is None:
-                    continue
-                w = _wedge_forms(a.n, a.variety, form, curv)
-                if w is not None:
-                    analytic.append((coeff_f * coeff_m, w))
-    for c1, f1 in a.analytic:
-        for c2, f2 in b.analytic:
-            # canonical factor order makes the representative independent of
-            # which operand carried which term
-            if repr(_form_key(f1)) > repr(_form_key(f2)):
-                g1, g2 = f2, f1
-            else:
-                g1, g2 = f1, f2
-            d1 = _ddc_of(g1, a.n)
-            d2 = _ddc_of(g2, a.n)
-            if d1 == [] or d2 == []:
-                continue  # either factor is dd^c-closed: the product class is 0
-            if d1 is not None:
-                parts = [(q, _wedge_forms(a.n, a.variety, df, g2)) for q, df in d1]
-            elif d2 is not None:
-                parts = [(q, _wedge_forms(a.n, a.variety, df, g1)) for q, df in d2]
-            else:
-                raise UnknownCurvature(
-                    f"product a({_form_key(g1)!r})*a({_form_key(g2)!r}) needs an "
-                    "uncataloged dd^c")
-            for q, w in parts:
-                if w is not None:
-                    analytic.append((c1 * c2 * q, w))
-                    _trace_step(trace, "analytic_product",
-                                f"a({_form_key(g1)!r})*a({_form_key(g2)!r})",
-                                f"a({_form_key(w)!r})")
-    return reduce(ChowClass(a.n, a.variety, poly, analytic), trace)
+        curvature: Dict[SlotT, FormT] = {}
+        for mono, coeff in right.poly.items():
+            _accumulate(curvature, coeff, _mono_curvature(n, variety, mono))
+        for (_, atom_f), form in left.forms.items():
+            for (_, atom_c), curv in curvature.items():
+                w = _product(form, curv)
+                if w:
+                    _accumulate(slots, _atoms(atom_f, atom_c), w)
+    for (_, atom1), f1 in a.forms.items():
+        for (_, atom2), f2 in b.forms.items():
+            w = _analytic_product(f1, f2, n, variety)
+            if w:
+                _accumulate(slots, _atoms(atom1, atom2), w)
+                _trace_step(trace, "analytic_product", f"a({f1!r})*a({f2!r})", f"a({w!r})")
+    return reduce(_assemble(n, variety, poly, slots), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -507,57 +480,39 @@ def pushforward_base(c: ChowClass, trace: Optional[list] = None) -> ChowClass:
         raise ChowError("pushforward_base expects a surface class")
     c = reduce(c, trace)
     poly: Dict[MonoT, ExactConstant] = {}
-    analytic: List[Tuple[ExactConstant, FormT]] = []
     for (i, j), coeff in c.poly.items():
         if j == 0:
             continue  # pullback monomials push to zero
         mono = (i, 0)  # projection formula; fiber degree of alpha is 1
         prev = poly.get(mono)
         poly[mono] = coeff + prev if prev else coeff
-    for coeff, form in c.analytic:
-        if isinstance(form, RadialFunction):
-            continue  # 0-forms push to degree -2
-        if isinstance(form, Form11):
-            if form.fiber_integral is None:
-                raise MissingExactIntegral(
-                    f"fiber integral of {_form_key(form)!r} is not registered")
-            analytic.append((coeff * form.fiber_integral, RADIAL_ONE))
-        elif isinstance(form, Form22):
-            if form.total_integral is None:
-                raise MissingExactIntegral(
-                    f"total integral of {_form_key(form)!r} is not registered")
-            analytic.append((coeff * form.total_integral, base_top_form(c.n)))
-        else:
-            raise ChowError("unexpected form on the surface model")
-    return ChowClass(c.n, BASE, poly, analytic)
-
-
-def _top_degree(variety: str) -> int:
-    return 3 if variety == SURFACE else 2
+    slots: Dict[SlotT, FormT] = {}
+    for (degree, atom), form in c.forms.items():
+        # 0-forms push to degree -2; the rest by their exact fiber masses
+        if degree == 2:
+            _accumulate(slots, ExactConstant.atom(atom) * form.fiber_integral, RADIAL_ONE)
+        elif degree == 3:
+            _accumulate(slots, ExactConstant.atom(atom) * form.total_integral,
+                        base_top_form(c.n))
+    return _assemble(c.n, BASE, poly, slots)
 
 
 def pushforward_deg(c: ChowClass, trace: Optional[list] = None) -> ExactConstant:
     """Arithmetic degree of a top-degree class: half the exact total mass.
 
-    Closed-form masses must be registered on every analytic term; there is no
-    silent numerical fallback (pushforward_deg_numeric is the quadrature
-    companion used for cross-checks).
+    pushforward_deg_numeric is the quadrature companion used for
+    cross-checks.
     """
     c = reduce(c, trace)
     top = _top_degree(c.variety)
-    if any(sum(m) != top for m in c.poly) or \
-       any(_form_degree(f, c.variety) != top for _, f in c.analytic):
+    if any(sum(m) != top for m in c.poly) or any(d != top for d, _ in c.forms):
         raise ChowError("pushforward_deg expects a homogeneous top-degree class")
     if c.poly:
         raise IncompleteReduction(
             f"non-analytic monomials {list(c.poly)} survived reduction")
     total = ExactConstant.zero()
-    for coeff, form in c.analytic:
-        mass = form.total_integral
-        if mass is None:
-            raise MissingExactIntegral(
-                f"total integral of {_form_key(form)!r} is not registered")
-        total = total + coeff * mass
+    for (_, atom), form in c.forms.items():
+        total = total + ExactConstant.atom(atom) * form.total_integral
     return total.scale(Fraction(1, 2))
 
 
@@ -568,11 +523,8 @@ def pushforward_deg_numeric(c: ChowClass,
     top = _top_degree(c.variety)
     if c.degree_part(top).poly:
         raise IncompleteReduction("non-analytic monomials at top degree")
-    total = 0.0
-    for coeff, form in c.analytic_terms(top):
-        profile = form.profile if isinstance(form, BaseTopForm) else form.g
-        total += coeff.to_float() * integrate_halfline(profile, cfg)
-    return 0.5 * total
+    return 0.5 * sum(atom.value() * integrate_halfline(form.g, cfg)
+                     for (degree, atom), form in c.forms.items() if degree == top)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +561,7 @@ def arithmetic_chern_classes(n: int) -> ChernClasses:
         poly={(1, 1): _ec(4), (2, 0): _ec(-2 * (n + 2))},
         analytic=[
             (l2pi.scale(2), forms.base_form(n)),
-            (_ec(-1), forms.smul11(log_ratio, forms.c1_rel(n))),
+            (_ec(-1), log_ratio * forms.c1_rel(n)),
             (l2pi, forms.c1_rel(n)),
             (_ec(-1), forms.bott_chern_c2(n)),
         ])
@@ -627,12 +579,12 @@ def segre_classes(n: int, trace: Optional[list] = None) -> Tuple[ChowClass, Chow
     """Pushforward Segre classes of the twisted rank-2 bundle, on the base model.
 
     Assembled from the pushed-forward degree-2 relation, with the two
-    secondary-form masses imported from the forms catalog:
+    secondary-form masses derived from the forms catalog:
     s1 = -(fiber mass of the relative Fubini-Study form) = -1, and the
     degree-2 mass  -(total of omega_rel ^ alpha) = -(n+2)/2.
     """
     s1_mass = -forms.pushforward_fiber_exact(forms.omega_form(n))
-    if s1_mass != -1:
+    if s1_mass != _ec(-1):
         raise PipelineInconsistency("fiber mass of the relative form must be 1")
     s2_mass = -forms.wedge(forms.omega_form(n), forms.alpha_form(n)).total_integral
     x = gen_x(n, BASE)
@@ -641,8 +593,8 @@ def segre_classes(n: int, trace: Optional[list] = None) -> Tuple[ChowClass, Chow
         n, BASE,
         poly={(2, 0): _ec(n * n + 3 * n + 3)},
         analytic=[
-            (_ec(-(n + 2) * s1_mass), base_top_form(n)),  # -(n+2) a(x * s1)
-            (_ec(-s2_mass), base_top_form(n)),            # -a(s2 mass * x)
+            (-s1_mass.scale(n + 2), base_top_form(n)),  # -(n+2) a(x * s1)
+            (-s2_mass, base_top_form(n)),               # -a(s2 mass * x)
         ])
     return reduce(s1p, trace), reduce(s2p, trace)
 
@@ -652,54 +604,33 @@ def height_class(n: int, trace: Optional[list] = None) -> ChowClass:
     return reduce(ChowClass(n, SURFACE, {(0, 3): _ec(1)}), trace)
 
 
+def c1c2_product_class(n: int, trace: Optional[list] = None) -> ChowClass:
+    """The ring product c1*c2 of the tangent classes."""
+    cc = arithmetic_chern_classes(n)
+    return mul(cc.c1_tangent, cc.c2_tangent, trace)
+
+
 def c1c2_pushforward(n: int, trace: Optional[list] = None) -> ExactConstant:
-    """Exact degree of the pushed-forward product c1*c2 of the tangent classes.
+    """Exact degree of the ring product c1*c2, checked against its closed form
+    (n log(n+1) + 16 - 4n + 16 log 2pi)/2 before being returned.
 
-    The polynomial part goes through the rewrite engine; the analytic masses
-    are the named closed-form integrals (torsion module) plus exact wedge
-    totals from the forms catalog.  The assembled value is checked against
-    the single closed form it must equal before being returned.
+    Its masses exist in the constant span because every top-degree term of
+    the product has only double and triple poles on its log R part (checked
+    with sympy at n = 3), so no dilogarithm appears.
     """
-    from . import torsion  # closed-form integral table; deferred to avoid a cycle
-
-    poly_part = ChowClass(n, SURFACE, {(1, 2): _ec(8), (2, 1): _ec(-8 * (n + 1))})
-    deg_poly = pushforward_deg(poly_part, trace)
-    if deg_poly != _ec(8):
-        raise PipelineInconsistency(f"polynomial contribution {deg_poly} != 8")
-
-    l2pi = log_2pi()
-    alpha_x = forms.wedge(forms.alpha_form(n), forms.base_form(n)).total_integral
-    x_c1 = forms.wedge(forms.base_form(n), forms.c1_total(n)).total_integral
-    c1_c1rel = forms.wedge(forms.c1_total(n), forms.c1_rel(n)).total_integral
-    if None in (alpha_x, x_c1, c1_c1rel):
-        raise MissingExactIntegral("catalog wedge totals for the c1*c2 assembly")
-    j1 = torsion.closed_log_ratio_fiber_mass(n)
-    i1 = torsion.closed_c1_c1rel_log_ratio(n)
-    i2 = torsion.closed_c1_bott_chern(n)
-    analytic_mass = (
-        j1.scale(-4) + l2pi.scale(8 * alpha_x)   # (2 log 2pi - log R) * 4 alpha x
-        + l2pi.scale(2 * x_c1)                   # 2 log 2pi * x ^ c1
-        - i1 + l2pi.scale(c1_c1rel)              # -(log R - log 2pi) * c1 ^ c1rel
-        - i2                                     # -c1 ^ secondary class
-    )
-    value = deg_poly + analytic_mass.scale(Fraction(1, 2))
-    expected = (torsion.log_np1(n).scale(n) + _ec(-4 * n + 16)
-                + l2pi.scale(16)).scale(Fraction(1, 2))
+    value = pushforward_deg(c1c2_product_class(n, trace), trace)
+    expected = (log_rational(n + 1).scale(n) + _ec(16 - 4 * n)
+                + log_2pi().scale(16)).scale(Fraction(1, 2))
     if value != expected:
         raise PipelineInconsistency(
             f"c1*c2 degree {value} differs from its closed form {expected}")
     return value
 
 
-def c1c2_product_class(n: int, trace: Optional[list] = None) -> ChowClass:
-    """The generic rewrite-engine product c1*c2, for quadrature cross-checks."""
-    cc = arithmetic_chern_classes(n)
-    return mul(cc.c1_tangent, cc.c2_tangent, trace)
-
-
-def torsion_form(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> ExactConstant:
+def torsion_form(n: int) -> ExactConstant:
     """Degree-0 part of the fibration torsion form, through the relative
-    Todd pushforward; raises if the degree-2 part fails to vanish exactly."""
+    Todd pushforward; raises unless the degree-2 part and the mass of the
+    squared relative class vanish exactly."""
     from . import torsion  # R-genus constant lives with the torsion data
 
     cc = arithmetic_chern_classes(n)
@@ -715,18 +646,18 @@ def torsion_form(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> ExactConstan
     if result.poly:
         raise PipelineInconsistency(
             f"torsion form kept polynomial terms {list(result.poly)}")
-    degree2 = result.analytic_terms(2)
-    if degree2:
+    degree2 = result.degree_part(2)
+    if not degree2.is_zero:
         raise PipelineInconsistency(
             f"degree-2 part of the torsion form did not vanish: {degree2}")
-    rel_sq = forms.wedge(forms.c1_rel(n), forms.c1_rel(n))
-    residue = rel_sq.integrate(cfg)
-    if abs(residue) > cfg.pass_tol:
+    rel_sq = forms.wedge(forms.c1_rel(n), forms.c1_rel(n)).total_integral
+    if not rel_sq.is_zero:
         raise PipelineInconsistency(
-            f"quadrature of the squared relative class is {residue:.3e}, not 0")
+            f"the squared relative class has mass {rel_sq}, not 0")
     value = ExactConstant.zero()
-    for coeff, form in result.analytic_terms(1):
-        if not isinstance(form, RadialFunction) or form.const_value != 1:
-            raise PipelineInconsistency("degree-1 part is not a constant multiple")
-        value = value + coeff
+    for (degree, atom), form in result.forms.items():
+        if degree == 1:
+            if form.const_value is None:
+                raise PipelineInconsistency("degree-1 part is not a constant multiple")
+            value = value + ExactConstant.atom(atom, form.const_value)
     return value

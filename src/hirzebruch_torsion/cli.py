@@ -50,7 +50,8 @@ def _parse_n_list(args) -> List[int]:
     if getattr(args, "n_list", None):
         try:
             values = [int(s) for s in args.n_list.split(",") if s != ""]
-        except ValueError:
+        except ValueError as exc:  # names the token that is not an integer
+            print(f"error: --n-list: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_CONFIG)
         if not values or any(v < 0 for v in values):
             print("error: ruling indices must be integers >= 0", file=sys.stderr)
@@ -86,10 +87,9 @@ def _quad_config(args) -> QuadratureConfig:
 
 
 def cmd_torsion(args) -> int:
-    cfg = _quad_config(args)
     rows = []
     for n in _parse_n_list(args):
-        res = torsion.main_theorem(n, cfg)
+        res = torsion.main_theorem(n)
         values = {"rr": res.tau_rr, "bb": res.tau_bb, "closed": res.tau_closed}
         routes = ["rr", "bb", "closed"] if args.route == "all" else [args.route]
         rows.append((n, res, values, routes))
@@ -239,6 +239,9 @@ def cmd_constants(args) -> int:
 
 
 def cmd_forms(args) -> int:
+    if args.n < 0:
+        print("error: --n must be >= 0", file=sys.stderr)
+        return EXIT_CONFIG
     if args.u_min <= 0 or args.u_max <= args.u_min or args.grid_points < 2:
         print("error: need 0 < u-min < u-max and at least 2 grid points",
               file=sys.stderr)
@@ -297,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expand-tau", action="store_true",
                    help="print raw atoms instead of folding tau_P1")
     add_format_flag(p)
-    add_quad_flags(p)
     p.set_defaults(func=cmd_torsion)
 
     p = sub.add_parser("height", help="exact arithmetic height")

@@ -134,12 +134,10 @@ class ExactConstant:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[ConstantAtom, RationalLike] | None = None):
-        norm: Dict[ConstantAtom, Fraction] = {}
-        for atom, c in (coeffs or {}).items():
-            q = Fraction(c)
-            if q:
-                norm[atom] = norm.get(atom, Fraction(0)) + q
-        self._coeffs = {a: q for a, q in sorted(norm.items(), key=lambda kv: kv[0].sort_key()) if q}
+        norm = {atom: Fraction(c) for atom, c in (coeffs or {}).items() if c}
+        if len(norm) > 1:
+            norm = dict(sorted(norm.items(), key=lambda kv: kv[0].sort_key()))
+        self._coeffs: Dict[ConstantAtom, Fraction] = norm
 
     # -- constructors ------------------------------------------------------
 
@@ -209,15 +207,21 @@ class ExactConstant:
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational and self.rational_part == other
         return isinstance(other, ExactConstant) and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
+        if self.is_rational:
+            return hash(self.rational_part)  # equal rationals hash alike
         return hash(tuple(self._coeffs.items()))
 
     # -- evaluation / io ----------------------------------------------------
 
     def to_float(self) -> float:
         return math.fsum(float(q) * a.value() for a, q in self._coeffs.items())
+
+    __float__ = to_float
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -264,21 +268,8 @@ class ExactConstant:
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation surface
+# Logarithms of rationals
 # ---------------------------------------------------------------------------
-
-
-def add(a: ExactConstant, b: ExactConstant) -> ExactConstant:
-    return a + b
-
-
-def scale(q: RationalLike, a: ExactConstant) -> ExactConstant:
-    return a.scale(q)
-
-
-def mul(a: ExactConstant, b: ExactConstant) -> ExactConstant:
-    """Product with at least one rational operand; anything else is rejected."""
-    return a * b
 
 
 def log_rational(q: RationalLike) -> ExactConstant:
@@ -296,10 +287,6 @@ def log_rational(q: RationalLike) -> ExactConstant:
 
 def log_2pi() -> ExactConstant:
     return log_rational(2) + ExactConstant.atom(LOG_PI)
-
-
-def to_float(a: ExactConstant) -> float:
-    return a.to_float()
 
 
 def atom_table() -> Iterable[Tuple[str, str]]:

@@ -41,7 +41,7 @@ from .radial import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     RADIAL_ONE,
-    RadialFunction,
+    Radial,
     VerificationEntry,
     integrate_halfline,
 )
@@ -126,7 +126,7 @@ def closed_height(n: int) -> Fraction:
 class NamedIntegral:
     name: str
     n: int
-    integrand: Union[Form22, RadialFunction]
+    integrand: Union[Form22, Radial]
     closed_form: ExactConstant
     quadrature_value: float
     abs_error: float
@@ -140,34 +140,38 @@ class NamedIntegral:
             passed=self.passed, tol=tol)
 
 
-def _integrand_table(n: int) -> List[Tuple[str, Union[Form22, RadialFunction], ExactConstant]]:
-    al = forms.alpha_form(n)
-    x = forms.base_form(n)
-    c1 = forms.c1_total(n)
-    c1r = forms.c1_rel(n)
-    bc = forms.bott_chern_c2(n)
+def secondary_todd_parts(n: int) -> Tuple[Form22, Form22, Form22]:
+    """The three integrands of the secondary Todd class of the two fibration
+    metrics: 4 log R alpha ^ base, c1 ^ (log R c1_rel) and c1 ^ (secondary
+    class); the secondary Todd form is their sum over 24."""
     log_ratio = forms.log_R(n)
-    inv_cube = RadialFunction(lambda u: 1 / (1 + u) ** 3, decay_order=3.0,
-                              key=("inv_cube",))
-    bb_first = forms.scale22(4, forms.smul22(log_ratio, forms.wedge(al, x)))
-    c1_c1r_logR = forms.smul22(log_ratio, forms.wedge(c1, c1r))
-    c1_bc = forms.wedge(c1, bc)
-    c1_bc_total = forms.add22(c1_bc, c1_c1r_logR)
-    todd_total = forms.scale22(Fraction(1, 24), forms.add22(bb_first, c1_bc_total))
+    c1 = forms.c1_total(n)
+    return (4 * log_ratio * forms.wedge(forms.alpha_form(n), forms.base_form(n)),
+            log_ratio * forms.wedge(c1, forms.c1_rel(n)),
+            forms.wedge(c1, forms.bott_chern_c2(n)))
+
+
+def _integrand_table(n: int) -> List[Tuple[str, Union[Form22, Radial], ExactConstant]]:
+    al = forms.alpha_form(n)
+    c1 = forms.c1_total(n)
+    bb_first, c1_c1r_logR, c1_bc = secondary_todd_parts(n)
+    c1_bc_total = c1_bc + c1_c1r_logR
     return [
-        ("halfline_inverse_cube", inv_cube, _rat(Fraction(1, 2))),
+        ("halfline_inverse_cube", Radial.term(a=1, k=3), _rat(Fraction(1, 2))),
         ("fiber_mass_relative_form", forms.omega_form(n).fphi, _rat(1)),
         ("relative_form_wedge_alpha", forms.wedge(forms.omega_form(n), al),
          _rat(Fraction(n + 2, 2))),
-        ("alpha_wedge_base", forms.wedge(al, x), _rat(1)),
+        ("alpha_wedge_base", forms.wedge(al, forms.base_form(n)), _rat(1)),
         ("surface_volume", forms.volume_form(n), _rat(Fraction(n + 2, 2))),
         ("c1_c1rel_log_ratio", c1_c1r_logR, closed_c1_c1rel_log_ratio(n)),
         ("c1_bott_chern_c2", c1_bc, closed_c1_bott_chern(n)),
         ("bb_first_term", bb_first, closed_bb_first_term(n)),
         ("c1_bott_chern_total", c1_bc_total, closed_c1_bott_chern_total(n)),
-        ("bb_todd_total", todd_total, closed_bb_todd_total(n)),
+        ("bb_todd_total", Fraction(1, 24) * (bb_first + c1_bc_total),
+         closed_bb_todd_total(n)),
         ("c1_squared", forms.wedge(c1, c1), _rat(8)),
-        ("c1rel_squared", forms.wedge(c1r, c1r), ExactConstant.zero()),
+        ("c1rel_squared", forms.wedge(forms.c1_rel(n), forms.c1_rel(n)),
+         ExactConstant.zero()),
     ]
 
 
@@ -286,8 +290,9 @@ def _chern_character_classes(cc: chow.ChernClasses, p: int,
     raise ValueError("twist degree p must be 0, 1 or 2")
 
 
-def td_ch_degree3(n: int, p: int) -> ChowClass:
-    """Degree-3 part of (arithmetic Todd) x (character of the p-th twist)."""
+def td_ch_degree3(n: int) -> List[ChowClass]:
+    """Degree-3 parts of (arithmetic Todd) x (character of the p-th twist),
+    for p = 0, 1, 2."""
     cc = chow.arithmetic_chern_classes(n)
     c1, c2 = cc.c1_tangent, cc.c2_tangent
     c1sq = chow.mul(c1, c1)
@@ -299,13 +304,14 @@ def td_ch_degree3(n: int, p: int) -> ChowClass:
         chow.scale(Fraction(1, 12), chow.add(c1sq, c2)),
         chow.scale(Fraction(1, 24), c1c2),
     ]
-    ch = _chern_character_classes(cc, p, c1sq, c13, c1c2)
-    out = chow.zero_class(n)
-    for k in range(4):
-        if td[k].is_zero or ch[3 - k].is_zero:
-            continue
-        out = chow.add(out, chow.mul(td[k], ch[3 - k]))
-    return out
+    selections = []
+    for p in range(3):
+        ch = _chern_character_classes(cc, p, c1sq, c13, c1c2)
+        out = chow.zero_class(n)
+        for k in range(4):
+            out = chow.add(out, chow.mul(td[k], ch[3 - k]))
+        selections.append(out)
+    return selections
 
 
 def tau_route_rr(n: int) -> Tuple[ExactConstant, ExactConstant, ExactConstant]:
@@ -319,13 +325,11 @@ def tau_route_rr(n: int) -> Tuple[ExactConstant, ExactConstant, ExactConstant]:
     c12 = chow.c1c2_pushforward(n)
     tau = log_rational(Fraction(n + 2, 2)) + c12.scale(Fraction(1, 12)) \
         - r_genus_pushforward(0)
-    sel1 = td_ch_degree3(n, 1)
+    sel0, sel1, sel2 = td_ch_degree3(n)
     if not sel1.is_zero:
         raise PipelineInconsistency(
             f"degree-3 selection of the middle twist did not vanish: {sel1!r}")
     tau_mid = ExactConstant.zero()
-    sel2 = td_ch_degree3(n, 2)
-    sel0 = td_ch_degree3(n, 0)
     if sel2 != chow.scale(-1, sel0):
         raise PipelineInconsistency(
             "top-twist selection is not the negative of the untwisted one")
@@ -333,32 +337,28 @@ def tau_route_rr(n: int) -> Tuple[ExactConstant, ExactConstant, ExactConstant]:
     return tau, tau_mid, tau_top
 
 
-def tau_route_bb(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> ExactConstant:
+def tau_route_bb(n: int) -> ExactConstant:
     """Torsion via the fibration route: compare the two determinant-line
     metrics through the ruling.
 
     log |sigma|^2 = tau(base) - tau(surface) + log Vol equals minus the
     fibration torsion form (times the base Todd mass 1) plus the secondary
-    Todd total; solve for the surface torsion.
+    Todd total, the exact mass of the secondary Todd form; solve for the
+    surface torsion.
     """
-    tors = chow.torsion_form(n, cfg)
+    tors = chow.torsion_form(n)
     base_todd_mass = _rat(1)
-    bc_total = closed_bb_todd_total(n)
+    first, second, third = secondary_todd_parts(n)
+    bc_total = (first + second + third).total_integral.scale(Fraction(1, 24))
     return tau_p1() + log_rational(Fraction(n + 2, 2)) \
         + tors * base_todd_mass - bc_total
 
 
 def bb_quadrature_float(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """The fibration-route value with its two integrals done by quadrature."""
-    al = forms.alpha_form(n)
-    x = forms.base_form(n)
-    log_ratio = forms.log_R(n)
-    first = forms.scale22(4, forms.smul22(log_ratio, forms.wedge(al, x)))
-    second = forms.add22(
-        forms.wedge(forms.c1_total(n), forms.bott_chern_c2(n)),
-        forms.smul22(log_ratio, forms.wedge(forms.c1_total(n), forms.c1_rel(n))))
-    bc_total = (first.integrate(cfg) + second.integrate(cfg)) / 24.0
-    tors = chow.torsion_form(n, cfg).to_float()
+    first, c1_c1r_logR, c1_bc = secondary_todd_parts(n)
+    bc_total = (first.integrate(cfg) + (c1_bc + c1_c1r_logR).integrate(cfg)) / 24.0
+    tors = chow.torsion_form(n).to_float()
     return tau_p1().to_float() + math.log((n + 2) / 2.0) + tors - bc_total
 
 
@@ -408,10 +408,10 @@ def closed_tau(n: int) -> ExactConstant:
         + log_rational(Fraction(n + 2, 2)) + closed_tau_p1().scale(2)
 
 
-def main_theorem(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> TorsionResult:
+def main_theorem(n: int) -> TorsionResult:
     """Both routes, exact equality asserted, plus the stated main identity."""
     tau_rr, tau1, tau2 = tau_route_rr(n)
-    tau_bb = tau_route_bb(n, cfg)
+    tau_bb = tau_route_bb(n)
     if tau_rr != tau_bb:
         raise PipelineInconsistency(
             f"routes disagree at n={n}: direct {tau_rr} vs fibration {tau_bb}")
@@ -437,6 +437,17 @@ def main_theorem(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> TorsionResul
 
 def default_u_grid(points: int = 50) -> np.ndarray:
     return np.logspace(-3.0, 3.0, points)
+
+
+def _entry(name: str, n: int, expected: ExactConstant, computed: float, tol: float,
+           passed: Optional[bool] = None) -> VerificationEntry:
+    """A check of computed against an exact value; by default it passes
+    within tol."""
+    target = expected.to_float()
+    err = abs(computed - target)
+    return VerificationEntry(name=name, n=n, expected=expected, expected_float=target,
+                             computed=computed, abs_error=err,
+                             passed=err <= tol if passed is None else passed, tol=tol)
 
 
 def _grid_entry(name: str, n: int, max_err, tol: float) -> VerificationEntry:
@@ -498,76 +509,44 @@ def hodge_l2_checks(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
                 abs(dstar.fphi(u) - probe.fphi(u))) for u in us)
     entries.append(_grid_entry("star_is_an_involution", n, e, 1e-10))
 
-    def num_entry(name, computed, expected_exact):
-        err = abs(computed - expected_exact.to_float())
-        return VerificationEntry(name=name, n=n, expected=expected_exact,
-                                 expected_float=expected_exact.to_float(),
-                                 computed=computed, abs_error=err,
-                                 passed=err <= tol, tol=tol)
-
-    entries.append(num_entry("norm_sq_alpha", forms.l2_inner(al, al, cfg), _rat(n + 2)))
-    entries.append(num_entry("norm_sq_harmonic_base_class",
-                             forms.l2_inner(w_h, w_h, cfg), _rat(Fraction(2, n + 2))))
-    entries.append(num_entry("norm_sq_h0_generator",
-                             forms.volume_form(n).integrate(cfg),
-                             _rat(Fraction(n + 2, 2))))
     top = forms.scale22(Fraction(1, n + 2), forms.wedge(al, al))
-    entries.append(num_entry("norm_sq_top_generator",
-                             forms.l2_inner_top(top, top, cfg),
-                             _rat(Fraction(2, n + 2))))
-    entries.append(num_entry("harmonic_base_class_squared",
-                             forms.wedge(w_h, w_h).integrate(cfg),
-                             ExactConstant.zero()))
-    primitive = forms.combine(n, [(Fraction(1), w_h),
-                                  (Fraction(-1, n + 2), al)])
-    entries.append(num_entry("primitive_part_orthogonal_to_alpha",
-                             forms.l2_inner(al, primitive, cfg),
-                             ExactConstant.zero()))
-    entries.append(num_entry("star_isometry_on_mixed_pair",
-                             forms.l2_inner(forms.hodge_star(al), forms.hodge_star(w_h), cfg)
-                             - forms.l2_inner(al, w_h, cfg),
-                             ExactConstant.zero()))
+    primitive = forms.combine(n, [(Fraction(1), w_h), (Fraction(-1, n + 2), al)])
+    zero = ExactConstant.zero()
+    for name, computed, expected in (
+            ("norm_sq_alpha", forms.l2_inner(al, al, cfg), _rat(n + 2)),
+            ("norm_sq_harmonic_base_class", forms.l2_inner(w_h, w_h, cfg),
+             _rat(Fraction(2, n + 2))),
+            ("norm_sq_h0_generator", forms.volume_form(n).integrate(cfg),
+             _rat(Fraction(n + 2, 2))),
+            ("norm_sq_top_generator", forms.l2_inner_top(top, top, cfg),
+             _rat(Fraction(2, n + 2))),
+            ("harmonic_base_class_squared", forms.wedge(w_h, w_h).integrate(cfg), zero),
+            ("primitive_part_orthogonal_to_alpha", forms.l2_inner(al, primitive, cfg), zero),
+            ("star_isometry_on_mixed_pair",
+             forms.l2_inner(forms.hodge_star(al), forms.hodge_star(w_h), cfg)
+             - forms.l2_inner(al, w_h, cfg), zero)):
+        entries.append(_entry(name, n, expected, computed, tol))
     return entries
 
 
 def route_checks(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
                  tol: float = 1e-8) -> List[VerificationEntry]:
     """Exact route agreement plus the numeric cross-checks of both pipelines."""
-    res = main_theorem(n, cfg)
-    bb_quad = bb_quadrature_float(n, cfg)
-    entries = [
-        VerificationEntry(
-            name="route_equality_exact", n=n, expected=res.tau_rr,
-            expected_float=res.tau_rr.to_float(),
-            computed=res.tau_bb.to_float(),
-            abs_error=abs(res.tau_rr.to_float() - res.tau_bb.to_float()),
-            passed=res.tau_rr == res.tau_bb, tol=0.0),
-        VerificationEntry(
-            name="fibration_route_quadrature", n=n, expected=res.tau_bb,
-            expected_float=res.tau_bb.to_float(), computed=bb_quad,
-            abs_error=abs(res.tau_bb.to_float() - bb_quad),
-            passed=abs(res.tau_bb.to_float() - bb_quad) <= tol, tol=tol),
-    ]
-    exact_c12 = chow.c1c2_pushforward(n)
-    numeric_c12 = chow.pushforward_deg_numeric(chow.c1c2_product_class(n), cfg)
-    entries.append(VerificationEntry(
-        name="c1c2_product_quadrature", n=n, expected=exact_c12,
-        expected_float=exact_c12.to_float(), computed=numeric_c12,
-        abs_error=abs(exact_c12.to_float() - numeric_c12),
-        passed=abs(exact_c12.to_float() - numeric_c12) <= tol, tol=tol))
-    tors = chow.torsion_form(n, cfg)
-    entries.append(VerificationEntry(
-        name="torsion_form_equals_base_torsion", n=n, expected=tau_p1(),
-        expected_float=tau_p1().to_float(), computed=tors.to_float(),
-        abs_error=0.0 if tors == tau_p1() else abs(tors.to_float() - tau_p1().to_float()),
-        passed=tors == tau_p1(), tol=0.0))
+    res = main_theorem(n)
+    tors = chow.torsion_form(n)
     h = height(n)
-    entries.append(VerificationEntry(
-        name="height_closed_form", n=n, expected=_rat(closed_height(n)),
-        expected_float=float(closed_height(n)), computed=float(h),
-        abs_error=abs(float(h - closed_height(n))), passed=h == closed_height(n),
-        tol=0.0))
-    return entries
+    return [
+        _entry("route_equality_exact", n, res.tau_rr, res.tau_bb.to_float(), 0.0,
+               passed=res.tau_rr == res.tau_bb),
+        _entry("fibration_route_quadrature", n, res.tau_bb,
+               bb_quadrature_float(n, cfg), tol),
+        _entry("c1c2_product_quadrature", n, chow.c1c2_pushforward(n),
+               chow.pushforward_deg_numeric(chow.c1c2_product_class(n), cfg), tol),
+        _entry("torsion_form_equals_base_torsion", n, tau_p1(), tors.to_float(), 0.0,
+               passed=tors == tau_p1()),
+        _entry("height_closed_form", n, _rat(closed_height(n)), float(h), 0.0,
+               passed=h == closed_height(n)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +617,7 @@ def table_rows(ns: Sequence[int], cfg: QuadratureConfig = DEFAULT_CONFIG) -> Lis
     """One row per ruling index: height, torsion, main value, discrepancies."""
     rows = []
     for n in ns:
-        res = main_theorem(n, cfg)
+        res = main_theorem(n)
         integrals = named_integrals(n, cfg)
         rows.append({
             "n": n,

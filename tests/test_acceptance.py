@@ -44,7 +44,7 @@ def test_criterion_1_height_closed_form():
 def test_criterion_2_main_theorem_both_routes():
     ok = True
     for n in range(0, 21):
-        res = torsion.main_theorem(n, CFG)
+        res = torsion.main_theorem(n)
         stated = torsion.log_np1(n).scale(Fraction(n, 24)) \
             + ExactConstant.rational(Fraction(-n, 6)) \
             + torsion.closed_tau_p1().scale(2)
@@ -79,7 +79,7 @@ def test_criterion_4_quadrature_vs_closed_forms():
 def test_criterion_5_torsion_form():
     ok = True
     for n in range(0, 21):
-        ok = ok and chow.torsion_form(n, CFG) == torsion.closed_tau_p1()
+        ok = ok and chow.torsion_form(n) == torsion.closed_tau_p1()
     _verdict("5 (fibration torsion form = base torsion, degree-2 part zero)", ok)
 
 

@@ -36,7 +36,7 @@ from hirzebruch_torsion.chow import (
     zero_class,
 )
 from hirzebruch_torsion.constants import ExactConstant, log_2pi, log_rational
-from hirzebruch_torsion.radial import RADIAL_ONE, QuadratureConfig
+from hirzebruch_torsion.radial import RADIAL_ONE, DomainError, QuadratureConfig, Radial
 
 CFG = QuadratureConfig()
 
@@ -123,7 +123,7 @@ class TestMul:
         assert len(out.analytic) == 1
         coeff, form = out.analytic[0]
         assert coeff == log_2pi()
-        assert form.key == ("alpha",)
+        assert form == forms.alpha_form(n)
 
     def test_commutative_on_catalog_classes(self):
         rng = random.Random(23)
@@ -133,6 +133,7 @@ class TestMul:
             a_class(n, log_2pi(), RADIAL_ONE),
             a_class(n, ec(3), forms.alpha_form(n)),
             a_class(n, ec(-2), forms.log_R(n)),
+            a_class(n, ec(1), forms.ratio_R(n)),
             arithmetic_chern_classes(n).c1_tangent,
         ]
         for _ in range(40):
@@ -164,11 +165,16 @@ class TestMul:
 
 
 class TestPushforwardDeg:
-    def test_requires_registered_mass(self):
+    def test_masses_are_derived(self):
+        # every top form carries its exact mass; one outside the constant
+        # span (a simple pole times log R needs a dilogarithm) is refused
         n = 2
-        orphan = forms.Form22(n, forms.coeff_B(), key=("orphan",))
-        with pytest.raises(chow.MissingExactIntegral):
-            pushforward_deg(a_class(n, 1, orphan))
+        unit_mass = forms.Form22(n, forms.coeff_B())
+        assert pushforward_deg(a_class(n, 1, unit_mass)) == ec(Fraction(1, 2))
+        dilog = forms.Form22(n, forms.log_R(n) * Radial.term(a=1, k=1)
+                             * Radial.term(a=n + 1, k=1))
+        with pytest.raises(DomainError):
+            pushforward_deg(a_class(n, 1, dilog))
 
     def test_rejects_mixed_degrees(self):
         n = 1
@@ -237,8 +243,8 @@ class TestChernClasses:
     @pytest.mark.parametrize("n", [0, 2])
     def test_relative_class_at_split_value(self, n):
         cc = arithmetic_chern_classes(n)
-        analytic = dict((form.key, coeff) for coeff, form in cc.c1_relative.analytic)
-        assert analytic[RADIAL_ONE.key] == log_2pi()
+        analytic = dict((form, coeff) for coeff, form in cc.c1_relative.analytic)
+        assert analytic[RADIAL_ONE] == log_2pi()
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_whitney_product_reproduces_the_tangent_classes(self, n):
@@ -330,7 +336,7 @@ class TestTorsionForm:
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
     def test_value_is_n_independent(self, n):
         from hirzebruch_torsion.constants import ZETA_M1, ZETA_PRIME_M1
-        got = torsion_form(n, CFG)
+        got = torsion_form(n)
         expected = (ec(1) + log_2pi()).scale(Fraction(1, 3)) \
             - ExactConstant.atom(ZETA_PRIME_M1, 4) - ExactConstant.atom(ZETA_M1, 2)
         assert got == expected

@@ -52,6 +52,13 @@ class TestTorsionCommand:
         assert code == 0
         assert "2*tau_P1" in out
 
+    def test_large_n_is_exact(self):
+        code, out, _ = run_cli("torsion", "--n", "20000")
+        assert code == 0
+        values = {line.split("=")[1].strip() for line in out.splitlines()
+                  if line.lstrip().startswith("tau[")}
+        assert values == {cli.format_exact(torsion.closed_tau(20000))}
+
     def test_expand_tau_flag(self):
         code, out, _ = run_cli("torsion", "--n", "1", "--route", "closed",
                                "--expand-tau")
@@ -170,8 +177,18 @@ class TestConfigErrors:
         assert code == 2
 
     def test_bad_quad_tol(self):
-        code, _, _ = run_cli("torsion", "--n", "1", "--quad-tol", "0")
+        code, _, _ = run_cli("integrals", "--n", "1", "--quad-tol", "0")
         assert code == 2
+
+    def test_forms_negative_n(self):
+        code, out, err = run_cli("forms", "--n", "-1")
+        assert code == 2
+        assert err == "error: --n must be >= 0\n" and out == ""
+
+    def test_bad_n_list_token_is_named(self):
+        code, _, err = run_cli("verify", "--n-list", "a,b")
+        assert code == 2
+        assert err.startswith("error: --n-list") and "'a'" in err
 
 
 class TestDeterminism:

@@ -1,7 +1,7 @@
 """Invariant-form calculus: coefficients, dd^c rule, wedge masses, Hodge data.
 
-Every exact fiber/total mass carried by a catalog form is re-derived here by
-quadrature, so the registered values the ring engine consumes are themselves
+Every exact fiber/total mass of a catalog form is re-derived here by
+quadrature, so the derived masses the ring engine consumes are themselves
 under test.
 """
 
@@ -245,7 +245,7 @@ class TestLambdaAndStar:
 
     def test_split_case_harmonic_class_is_the_base_form(self):
         # the correction potential vanishes identically at n = 0
-        assert omega_H(0).key == base_form(0).key
+        assert omega_H(0) == base_form(0)
 
     def test_star_fixes_alpha(self):
         for n in (0, 1, 5):
@@ -320,10 +320,9 @@ class TestDegree2RelationPointwise:
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_ddc_parts_match_relation_curvature(self, n):
-        parts = forms.ddc_of_form11(degree2_relation_rhs(n), n)
-        assert parts is not None
+        ddc_rhs = forms.ddc_form11(degree2_relation_rhs(n))
         for u in GRID:
-            total = sum(float(q) * w.g(u) for q, w in parts)
+            total = ddc_rhs.g(u)
             al = alpha_form(n)
             lhs = 2 * al.fx(u) * al.fphi(u) - (n + 2) * al.fphi(u)
             assert total == pytest.approx(lhs, abs=1e-11)
@@ -337,11 +336,11 @@ class TestQuotientMetric:
             assert entry.computed == pytest.approx(2 * math.pi, abs=1e-10)
 
     def test_zero_vector_has_zero_norm(self):
-        assert quotient_vector_norm_sq(3, 1.0, scale=0.0) == 0.0
+        assert quotient_vector_norm_sq(1.0, scale=0.0) == 0.0
 
     def test_norm_matches_projective_metric(self):
         for u in (0.0, 0.7, 2.0, 50.0):
-            assert quotient_vector_norm_sq(5, u) == pytest.approx(
+            assert quotient_vector_norm_sq(u) == pytest.approx(
                 1 / (1 + u) ** 2, rel=1e-12)
 
 

@@ -1,21 +1,29 @@
-"""Half-line quadrature: known masses, error paths, linearity properties.
+"""Radial functions: known masses, error paths, linearity properties.
 
 Oracles: the closed family du/(1+u)^k -> 1/(k-1); partial fractions for the
 rational integrands; an independent tanh-sinh integration with mpmath for the
-logarithmic ones.
+logarithmic ones; Gauss-Kronrod quadrature for the exact masses of the
+normal form.
 """
 
+import copy
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hirzebruch_torsion.constants import ExactConstant
+from hirzebruch_torsion import forms
+from hirzebruch_torsion.constants import ExactConstant, log_rational
 from hirzebruch_torsion.radial import (
+    RADIAL_ONE,
+    RADIAL_ZERO,
     DomainError,
     NonConvergence,
     QuadratureConfig,
+    Radial,
     RadialFunction,
     compare_closed_form,
     integrate_halfline,
@@ -170,3 +178,91 @@ class TestProperties:
         assert radial_mul(a, b).const_value == Fraction(3, 16)
         assert radial_scale(2, a).const_value == Fraction(3, 2)
         assert radial_mul(a, radial_const(0)).is_zero
+
+
+class TestNormalForm:
+    """The symbolic normal form: canonical keys, array evaluation, exact mass."""
+
+    def test_equal_functions_have_equal_keys(self):
+        for n in (0, 1, 7):
+            one = forms.ratio_R(n) * forms.reciprocal_R(n)
+            assert one == RADIAL_ONE and hash(one) == hash(RADIAL_ONE)
+        assert forms.log_R(0) == RADIAL_ZERO
+        # u/(1+u)^2 in partial fractions
+        assert Radial.term(j=1, a=1, k=2) == Radial.term(a=1, k=1) - Radial.term(a=1, k=2)
+
+    def test_array_and_float_evaluation_agree(self):
+        f = forms.wedge(forms.c1_total(3), forms.c1_rel(3)).g * forms.log_R(3)
+        us = np.logspace(-3, 3, 31)
+        assert f(us) == pytest.approx([f(float(u)) for u in us], rel=1e-14, abs=1e-300)
+
+    def test_known_masses(self):
+        assert Radial.term(a=1, k=3).mass == ExactConstant.rational(Fraction(1, 2))
+        # log(1+2u)/(1+u)^2 has mass 2 log 2, log R/(1+u)^2 at n = 1 has 2 log 2 - 1
+        assert Radial.term(a=1, k=2, b=2).mass == log_rational(2).scale(2)
+        assert (forms.log_R(1) * forms.coeff_B()).mass == \
+            log_rational(2).scale(2) - ExactConstant.rational(1)
+
+    def test_simple_pole_times_log_is_refused(self):
+        n = 3
+        with pytest.raises(DomainError, match="dilogarithm"):
+            (forms.log_R(n) * Radial.term(a=1, k=1)).mass
+        # integrable (the tails cancel) but its mass needs Li2; quadrature still works
+        f = forms.log_R(n) * Radial.term(a=1, k=1) * Radial.term(a=n + 1, k=1)
+        with pytest.raises(DomainError, match="dilogarithm"):
+            f.mass
+        assert math.isfinite(integrate_halfline(f, CFG))
+
+    def test_divergent_sums_are_refused(self):
+        with pytest.raises(DomainError):
+            Radial.term(a=1, k=1).mass
+        with pytest.raises(DomainError):
+            forms.ratio_R(2).mass
+        with pytest.raises(DomainError):
+            integrate_halfline(Radial.term(a=1, k=1), CFG)
+
+    def test_tanh_sinh_evaluates_in_array_calls(self):
+        f = copy.copy(forms.wedge(forms.c1_total(2), forms.c1_rel(2)).g * forms.log_R(2))
+        calls = []
+        fn = f.fn
+
+        def recording(u):
+            calls.append(u)
+            return fn(u)
+
+        f.fn = recording
+        integrate_halfline(f, TS_CFG)
+        # one call per tanh-sinh level (after scipy's one-point probe), not one per point
+        assert sum(np.size(u) for u in calls) > 20 * len(calls)
+
+
+@st.composite
+def integrands(draw, n):
+    """Integrable normal forms: pole powers >= 2 (times u and a log at most)
+    and a simple-pole pair whose 1/u tails cancel."""
+    big = n + 1
+    q = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    f = Radial()
+    for _ in range(draw(st.integers(1, 4))):
+        j = draw(st.integers(0, 1))
+        f = f + Radial.term(draw(q), j=j, a=draw(st.sampled_from((1, big))),
+                            k=j + draw(st.integers(2, 4)), b=draw(st.sampled_from((0, 1, big))))
+    return f + draw(q) * (Radial.term(a=1, k=1) - Radial.term(big, a=big, k=1))
+
+
+class TestMassProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 10**6))
+    def test_mass_is_linear(self, data, n):
+        f, g = data.draw(integrands(n)), data.draw(integrands(n))
+        p, q = (data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=7))
+                for _ in range(2))
+        assert (p * f + q * g).mass == f.mass.scale(p) + g.mass.scale(q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 100))
+    def test_mass_matches_quadrature(self, data, n):
+        f = data.draw(integrands(n))
+        size = integrate_halfline(RadialFunction(lambda u: abs(f(u)), decay_order=2.0),
+                                  QuadratureConfig(target_tol=1e-6))
+        assert abs(f.mass.to_float() - integrate_halfline(f, CFG)) <= 1e-9 * max(1.0, size)

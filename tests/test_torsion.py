@@ -14,6 +14,7 @@ from hirzebruch_torsion.constants import (
     log_2pi,
     log_rational,
 )
+from hirzebruch_torsion.forms import Form22
 from hirzebruch_torsion.radial import QuadratureConfig
 
 CFG = QuadratureConfig()
@@ -79,6 +80,14 @@ class TestNamedIntegrals:
         for m in torsion.named_integrals(2, ts):
             assert m.passed, ("tanh_sinh", m.name, m.abs_error)
 
+    def test_derived_masses_equal_the_closed_forms(self):
+        # the exact mass of each integrand, derived from its normal form,
+        # against the typed-in closed form it is graded by
+        for n in list(range(51)) + [10**3, 10**6]:
+            for name, integrand, closed in torsion._integrand_table(n):
+                profile = integrand.g if isinstance(integrand, Form22) else integrand
+                assert profile.mass == closed, (n, name)
+
     def test_names_stable(self):
         names = [m.name for m in torsion.named_integrals(1, CFG)]
         assert names == [
@@ -111,13 +120,19 @@ class TestQuillenData:
 class TestRoutes:
     @pytest.mark.parametrize("n", range(0, 21))
     def test_equality_and_main_identity(self, n):
-        res = torsion.main_theorem(n, CFG)
+        res = torsion.main_theorem(n)
         assert res.tau_rr == res.tau_bb == res.tau_closed
         stated = torsion.log_np1(n).scale(Fraction(n, 24)) \
             + ExactConstant.rational(Fraction(-n, 6)) \
             + torsion.closed_tau_p1().scale(2)
         assert res.main_theorem_value == stated
         assert res.vol == Fraction(n + 2, 2)
+
+    def test_exact_routes_at_large_n(self):
+        # the exact path runs no quadrature, so no float tolerance can block it
+        n = 10**4
+        res = torsion.main_theorem(n)
+        assert res.tau_rr == res.tau_bb == torsion.closed_tau(n)
 
     def test_duality(self):
         for n in (0, 1, 5, 12):
@@ -126,12 +141,12 @@ class TestRoutes:
             assert tau2 == -tau
 
     def test_split_case_is_twice_the_base_torsion(self):
-        res = torsion.main_theorem(0, CFG)
+        res = torsion.main_theorem(0)
         assert res.main_theorem_value == torsion.closed_tau_p1().scale(2)
         assert res.tau_rr == torsion.closed_tau_p1().scale(2)  # log(2/2) = 0
 
     def test_spot_value_n1(self):
-        res = torsion.main_theorem(1, CFG)
+        res = torsion.main_theorem(1)
         assert res.main_theorem_value == \
             log_rational(2).scale(Fraction(1, 24)) \
             + ExactConstant.rational(Fraction(-1, 6)) \
@@ -139,7 +154,7 @@ class TestRoutes:
 
     @pytest.mark.parametrize("n", [0, 1, 4, 9])
     def test_float_crosschecks(self, n):
-        res = torsion.main_theorem(n, CFG)
+        res = torsion.main_theorem(n)
         assert res.tau_rr.to_float() == res.tau_bb.to_float()
         assert torsion.bb_quadrature_float(n, CFG) == pytest.approx(
             res.tau_float, abs=1e-8)
