@@ -44,7 +44,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from . import forms
-from .constants import ConstantAtom, ExactConstant, log_2pi, log_rational
+from .constants import ZETA_M1, ZETA_PRIME_M1, ConstantAtom, ExactConstant, log_2pi
 from .forms import Form11, Form22
 from .radial import (
     DEFAULT_CONFIG,
@@ -56,6 +56,10 @@ from .radial import (
 
 SURFACE = "S_n"
 BASE = "P1"
+
+# Degree-1 coefficient of the additive genus with zeta-derivative values; both
+# torsion routes correct by it.
+R_GENUS_DEGREE1 = ExactConstant.atom(ZETA_PRIME_M1, 2) + ExactConstant.atom(ZETA_M1)
 
 MonoT = Tuple[int, int]  # exponents of (xhat, ahat)
 SlotT = Tuple[int, ConstantAtom]  # (degree, atom) of an analytic part
@@ -610,36 +614,17 @@ def c1c2_product_class(n: int, trace: Optional[list] = None) -> ChowClass:
     return mul(cc.c1_tangent, cc.c2_tangent, trace)
 
 
-def c1c2_pushforward(n: int, trace: Optional[list] = None) -> ExactConstant:
-    """Exact degree of the ring product c1*c2, checked against its closed form
-    (n log(n+1) + 16 - 4n + 16 log 2pi)/2 before being returned.
-
-    Its masses exist in the constant span because every top-degree term of
-    the product has only double and triple poles on its log R part (checked
-    with sympy at n = 3), so no dilogarithm appears.
-    """
-    value = pushforward_deg(c1c2_product_class(n, trace), trace)
-    expected = (log_rational(n + 1).scale(n) + _ec(16 - 4 * n)
-                + log_2pi().scale(16)).scale(Fraction(1, 2))
-    if value != expected:
-        raise PipelineInconsistency(
-            f"c1*c2 degree {value} differs from its closed form {expected}")
-    return value
-
-
 def torsion_form(n: int) -> ExactConstant:
     """Degree-0 part of the fibration torsion form, through the relative
     Todd pushforward; raises unless the degree-2 part and the mass of the
     squared relative class vanish exactly."""
-    from . import torsion  # R-genus constant lives with the torsion data
-
     cc = arithmetic_chern_classes(n)
     c1r = cc.c1_relative
     td = add(add(unit(n), scale(Fraction(1, 2), c1r)),
              scale(Fraction(1, 12), mul(c1r, c1r)))
     pushed = pushforward_base(td)
 
-    r_class = a_class(n, torsion.R_GENUS_DEGREE1, forms.c1_rel(n))
+    r_class = a_class(n, R_GENUS_DEGREE1, forms.c1_rel(n))
     r_pushed = pushforward_base(mul(td, r_class))
 
     result = sub(sub(pushed, r_pushed), unit(n, BASE))

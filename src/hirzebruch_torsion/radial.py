@@ -506,49 +506,56 @@ def _compactified_array(f) -> Callable:
     return g
 
 
-def integrate_halfline(f, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def integrate_halfline(f, cfg: QuadratureConfig = DEFAULT_CONFIG, name: str = "") -> float:
     """Integral of f (a Radial or a RadialFunction) over [0, inf) to within
-    cfg.target_tol (estimated)."""
+    cfg.target_tol (estimated); name labels f in a NonConvergence message."""
     if f.is_zero:
         return 0.0
     if not f.integrable:
         raise DomainError(f"{f} is not an integrable half-line function "
                           "(it must decay faster than 1/u)")
     if cfg.scheme == "tanh_sinh":
-        return _tanh_sinh(f, cfg)
-    return _gauss_kronrod(_compactified(f), f, cfg)
+        return _tanh_sinh(f, cfg, name)
+    return _gauss_kronrod(_compactified(f), f, cfg, name)
 
 
-def _gauss_kronrod(g, f, cfg: QuadratureConfig) -> float:
-    value, estimate = math.nan, math.inf
+def _stalled(f, name: str, value: float, estimate: float, cfg: QuadratureConfig,
+             reason: str) -> NonConvergence:
+    """The error of a quadrature that never returned a value, labelled by
+    name or by the start of f; when the error estimate met the target, the
+    integrator's own flag is the reason."""
+    text = str(f)
+    label = name or (text if len(text) <= 60 else text[:57] + "...")
+    if estimate <= cfg.target_tol:
+        why = f"{reason} (estimate {estimate:.1e} met the target)"
+    else:
+        why = f"stalled at estimate {estimate:.3e} (target {cfg.target_tol:.1e})"
+    return NonConvergence(f"{label}: {why}", value, estimate)
+
+
+def _gauss_kronrod(g, f, cfg: QuadratureConfig, name: str) -> float:
     for attempt in range(cfg.max_refinement):
-        limit = 50 << attempt
         out = _si.quad(g, 0.0, 1.0, epsabs=cfg.target_tol * 0.5, epsrel=1e-13,
-                       limit=limit, full_output=1)
-        value, estimate = out[0], out[1]
-        ier = 0 if len(out) == 3 else 1
-        if estimate <= cfg.target_tol and ier == 0:
-            return value
-    raise NonConvergence(
-        f"quadrature of {f} stalled at estimate {estimate:.3e} "
-        f"(target {cfg.target_tol:.1e})", value, estimate)
+                       limit=50 << attempt, full_output=1)
+        if out[1] <= cfg.target_tol and len(out) == 3:  # a fourth item means ier != 0
+            return out[0]
+    # scipy's message up to its first comma or full stop
+    reason = " ".join(out[3].split()).split(",")[0].split(".")[0] if len(out) > 3 else ""
+    raise _stalled(f, name, out[0], out[1], cfg, f"scipy quad: {reason}")
 
 
-def _tanh_sinh(f, cfg: QuadratureConfig) -> float:
+def _tanh_sinh(f, cfg: QuadratureConfig, name: str) -> float:
     if isinstance(f, Radial):
         gv = _compactified_array(f)
     else:  # an opaque integrand takes one point at a time
         gv = np.vectorize(_compactified(f), otypes=[float])
-    value, estimate = math.nan, math.inf
     for attempt in range(cfg.max_refinement):
         res = _si.tanhsinh(gv, 0.0, 1.0, atol=cfg.target_tol * 0.5,
                            maxlevel=10 + 2 * attempt)
-        value, estimate = float(res.integral), float(res.error)
-        if res.success and estimate <= cfg.target_tol:
-            return value
-    raise NonConvergence(
-        f"tanh-sinh quadrature of {f} stalled at estimate {estimate:.3e} "
-        f"(target {cfg.target_tol:.1e})", value, estimate)
+        if res.success and float(res.error) <= cfg.target_tol:
+            return float(res.integral)
+    raise _stalled(f, name, float(res.integral), float(res.error), cfg,
+                   f"scipy tanhsinh status {int(res.status)}")
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +589,20 @@ class VerificationEntry:
         }
 
 
+def graded(name: str, n: Optional[int], expected: ExactConstant, computed: float,
+           tol: float, passed: Optional[bool] = None) -> VerificationEntry:
+    """A check of computed against an exact value; by default it passes
+    within tol."""
+    target = expected.to_float()
+    err = abs(computed - target)
+    return VerificationEntry(name=name, n=n, expected=expected, expected_float=target,
+                             computed=computed, abs_error=err,
+                             passed=err <= tol if passed is None else passed, tol=tol)
+
+
 def compare_closed_form(f, expected: ExactConstant,
                         cfg: QuadratureConfig = DEFAULT_CONFIG,
                         name: str = "", n: Optional[int] = None) -> VerificationEntry:
     """Quadrature f over the half-line and grade it against an exact value."""
-    computed = integrate_halfline(f, cfg)
-    target = expected.to_float()
-    err = abs(computed - target)
-    return VerificationEntry(name=name or str(f), n=n, expected=expected,
-                             expected_float=target, computed=computed,
-                             abs_error=err, passed=err <= cfg.pass_tol,
-                             tol=cfg.pass_tol)
+    computed = integrate_halfline(f, cfg, name=name)
+    return graded(name or str(f), n, expected, computed, cfg.pass_tol)

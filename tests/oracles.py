@@ -1,0 +1,150 @@
+"""Typed-in closed forms, kept as test oracles.
+
+The package derives each of these values: the integral masses from the
+radial normal form, the genus corrections and the c1*c2 degree from the
+intersection ring, and the direct-route torsion from its determinant-line
+identities.  The functions below are the hand-written values the package
+used before it derived them; the tests check the derivations against them.
+They call no `closed_*` function of the package.
+"""
+
+from fractions import Fraction
+from typing import Dict, Tuple
+
+from hirzebruch_torsion import chow
+from hirzebruch_torsion.chow import R_GENUS_DEGREE1, PipelineInconsistency
+from hirzebruch_torsion.constants import ExactConstant, log_2pi, log_rational
+from hirzebruch_torsion.radial import RADIAL_ONE
+
+
+def _rat(q) -> ExactConstant:
+    return ExactConstant.rational(q)
+
+
+def log_np1(n: int) -> ExactConstant:
+    return log_rational(n + 1)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of the displayed integrals (limit values at n = 0)
+# ---------------------------------------------------------------------------
+
+
+def closed_log_ratio_fiber_mass(n: int) -> ExactConstant:
+    """Mass of log R against the fiber area: (1 + 1/n) log(n+1) - 1."""
+    if n == 0:
+        return ExactConstant.zero()
+    return log_np1(n).scale(Fraction(n + 1, n)) - _rat(1)
+
+
+def closed_c1_c1rel_log_ratio(n: int) -> ExactConstant:
+    """Total of c1 ^ c1_rel weighted by log R: 5n+6 - (n+6+6/n) log(n+1)."""
+    if n == 0:
+        return ExactConstant.zero()
+    return _rat(5 * n + 6) - log_np1(n).scale(Fraction(n * n + 6 * n + 6, n))
+
+
+def closed_c1_bott_chern(n: int) -> ExactConstant:
+    """Total of c1 ^ (secondary class of the two fibration metrics)."""
+    if n == 0:
+        return ExactConstant.zero()
+    return _rat(-n - 2) + log_np1(n).scale(Fraction(2 * n + 2, n))
+
+
+def closed_bb_first_term(n: int) -> ExactConstant:
+    """First transgression term: (4 + 4/n) log(n+1) - 4."""
+    if n == 0:
+        return ExactConstant.zero()
+    return log_np1(n).scale(Fraction(4 * n + 4, n)) - _rat(4)
+
+
+def closed_c1_bott_chern_total(n: int) -> ExactConstant:
+    """c1 ^ full secondary class: 4n+4 - (n+4+4/n) log(n+1)."""
+    if n == 0:
+        return ExactConstant.zero()
+    return _rat(4 * n + 4) - log_np1(n).scale(Fraction(n * n + 4 * n + 4, n))
+
+
+def closed_bb_todd_total(n: int) -> ExactConstant:
+    """Full secondary Todd mass: n/6 - n log(n+1)/24."""
+    return _rat(Fraction(n, 6)) - log_np1(n).scale(Fraction(n, 24))
+
+
+def integral_closed_forms(n: int) -> Dict[str, ExactConstant]:
+    """The typed expected value of each named integral, by name."""
+    return {
+        "halfline_inverse_cube": _rat(Fraction(1, 2)),
+        "fiber_mass_relative_form": _rat(1),
+        "relative_form_wedge_alpha": _rat(Fraction(n + 2, 2)),
+        "alpha_wedge_base": _rat(1),
+        "surface_volume": _rat(Fraction(n + 2, 2)),
+        "c1_c1rel_log_ratio": closed_c1_c1rel_log_ratio(n),
+        "c1_bott_chern_c2": closed_c1_bott_chern(n),
+        "bb_first_term": closed_bb_first_term(n),
+        "c1_bott_chern_total": closed_c1_bott_chern_total(n),
+        "bb_todd_total": closed_bb_todd_total(n),
+        "c1_squared": _rat(8),
+        "c1rel_squared": ExactConstant.zero(),
+    }
+
+
+# ---------------------------------------------------------------------------
+# The direct route as it was assembled by hand
+# ---------------------------------------------------------------------------
+
+
+def r_genus_pushforward(p: int) -> ExactConstant:
+    """Additive-genus corrections of the three twisted pipelines.
+
+    The p = 0 value is (degree-1 genus coefficient)/2 times the total of
+    c1^2, which is 8; the middle twist vanishes and the top twist flips sign.
+    """
+    base = R_GENUS_DEGREE1.scale(4)  # (2 zeta'(-1) + zeta(-1))/2 * 8
+    return {0: base, 1: ExactConstant.zero(), 2: -base}[p]
+
+
+def c1c2_pushforward(n: int, trace=None) -> ExactConstant:
+    """Exact degree of the ring product c1*c2, checked against its closed form
+    (n log(n+1) + 16 - 4n + 16 log 2pi)/2 before being returned.
+
+    Its masses exist in the constant span because every top-degree term of
+    the product has only double and triple poles on its log R part (checked
+    with sympy at n = 3), so no dilogarithm appears.
+    """
+    value = chow.pushforward_deg(chow.c1c2_product_class(n, trace), trace)
+    expected = (log_rational(n + 1).scale(n) + _rat(16 - 4 * n)
+                + log_2pi().scale(16)).scale(Fraction(1, 2))
+    if value != expected:
+        raise PipelineInconsistency(
+            f"c1*c2 degree {value} differs from its closed form {expected}")
+    return value
+
+
+def tau_p1() -> ExactConstant:
+    """Torsion of the projective line: the quadratic Todd coefficient of the
+    metrized tangent class 2*xhat + a(log 2pi), pushed to the degree map,
+    minus the additive-genus correction on the base's curvature mass 2."""
+    n = 0
+    c1 = chow.add(chow.scale(2, chow.gen_x(n, chow.BASE)),
+                  chow.a_class(n, log_2pi(), RADIAL_ONE, chow.BASE))
+    td2 = chow.scale(Fraction(1, 12), chow.mul(c1, c1))
+    deg = chow.pushforward_deg(td2)
+    base_c1_mass = 2  # total curvature mass of the base tangent bundle
+    r_term = R_GENUS_DEGREE1.scale(base_c1_mass)
+    return deg.scale(2) - r_term
+
+
+def tau_route_rr(n: int) -> Tuple[ExactConstant, ExactConstant, ExactConstant]:
+    """Torsion triple (untwisted, middle twist, top twist): log Vol plus the
+    c1*c2 pushforward over 12 minus the genus correction, with the middle
+    twist typed in as 0 and the top twist as the sign flip."""
+    c12 = c1c2_pushforward(n)
+    tau = log_rational(Fraction(n + 2, 2)) + c12.scale(Fraction(1, 12)) \
+        - r_genus_pushforward(0)
+    tau_mid = ExactConstant.zero()
+    tau_top = -tau
+    return tau, tau_mid, tau_top
+
+
+def height(n: int) -> Fraction:
+    return Fraction(2 * n * n + 9 * n + 12, 4)

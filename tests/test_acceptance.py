@@ -22,6 +22,8 @@ from hirzebruch_torsion.radial import (
     radial_scale,
 )
 
+import oracles
+
 CFG = QuadratureConfig(target_tol=1e-10)
 
 
@@ -68,7 +70,9 @@ def test_criterion_4_quadrature_vs_closed_forms():
     ok = True
     for n in range(0, 11):
         table = {m.name: m for m in torsion.named_integrals(n, CFG)}
+        closed = oracles.integral_closed_forms(n)
         for name in wanted:
+            ok = ok and table[name].closed_form == closed[name]
             err = table[name].abs_error
             worst = max(worst, err)
             ok = ok and err <= tol

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hirzebruch_torsion import cli, torsion
+from hirzebruch_torsion import cli, radial, torsion
 from hirzebruch_torsion.constants import ExactConstant, log_rational
 
 
@@ -161,6 +161,26 @@ class TestTraceAndErrors:
                                "--max-refinement", "1")
         assert code == 3
         assert "converge" in err
+
+    def test_nonconvergence_names_the_check(self, capsys):
+        # at n = 400 scipy flags round-off in a Gauss-Kronrod check
+        assert cli.main(["integrals", "--n", "400"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 160
+        assert "c1_c1rel_log_ratio, n=400" in lines[0]
+
+    def test_nonconvergence_gives_the_integrators_reason(self, capsys, monkeypatch):
+        # an estimate within the target that scipy's quad flags (ier != 0)
+        def flagged(*args, **kwargs):
+            return 0.25, 1e-12, {}, ("The occurrence of roundoff error is detected, "
+                                     "which prevents\n  the requested tolerance.")
+
+        monkeypatch.setattr(radial._si, "quad", flagged)
+        assert cli.main(["integrals", "--n", "1"]) == 3
+        assert capsys.readouterr().err == (
+            "error: quadrature did not converge: halfline_inverse_cube, n=1: "
+            "scipy quad: The occurrence of roundoff error is detected "
+            "(estimate 1.0e-12 met the target)\n")
 
 
 class TestConfigErrors:

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hirzebruch_torsion import torsion
 from hirzebruch_torsion.constants import (
@@ -17,7 +18,15 @@ from hirzebruch_torsion.constants import (
 from hirzebruch_torsion.forms import Form22
 from hirzebruch_torsion.radial import QuadratureConfig
 
+import oracles
+
 CFG = QuadratureConfig()
+
+
+def genus_terms(n):
+    """The direct route's additive-genus corrections of the three twists."""
+    c1, td, chs = torsion._surface_todd_and_characters(n)
+    return tuple(torsion._genus_term(td, ch, c1) for ch in chs)
 
 # (1 + log 2pi)/3 - 4 zeta'(-1) - 2 zeta(-1) at 40-digit precision
 TAU_P1_REFERENCE = 1.7743102636049188780
@@ -40,33 +49,36 @@ class TestTauP1:
 
 class TestClosedForms:
     def test_limit_values_at_zero(self):
-        for fn in (torsion.closed_log_ratio_fiber_mass,
-                   torsion.closed_c1_c1rel_log_ratio,
-                   torsion.closed_c1_bott_chern,
-                   torsion.closed_bb_first_term,
-                   torsion.closed_c1_bott_chern_total,
-                   torsion.closed_bb_todd_total):
+        for fn in (oracles.closed_log_ratio_fiber_mass,
+                   oracles.closed_c1_c1rel_log_ratio,
+                   oracles.closed_c1_bott_chern,
+                   oracles.closed_bb_first_term,
+                   oracles.closed_c1_bott_chern_total,
+                   oracles.closed_bb_todd_total):
             assert fn(0) == ExactConstant.zero()
 
     def test_total_is_sum_of_pieces(self):
         for n in (1, 2, 9):
-            assert torsion.closed_c1_bott_chern_total(n) == \
-                torsion.closed_c1_c1rel_log_ratio(n) + torsion.closed_c1_bott_chern(n)
-            assert torsion.closed_bb_todd_total(n) == \
-                (torsion.closed_bb_first_term(n)
-                 + torsion.closed_c1_bott_chern_total(n)).scale(Fraction(1, 24))
+            assert oracles.closed_c1_bott_chern_total(n) == \
+                oracles.closed_c1_c1rel_log_ratio(n) + oracles.closed_c1_bott_chern(n)
+            assert oracles.closed_bb_todd_total(n) == \
+                (oracles.closed_bb_first_term(n)
+                 + oracles.closed_c1_bott_chern_total(n)).scale(Fraction(1, 24))
 
     def test_spot_values_n1(self):
-        assert torsion.closed_c1_c1rel_log_ratio(1) == \
+        assert oracles.closed_c1_c1rel_log_ratio(1) == \
             ExactConstant.rational(11) - log_rational(2).scale(13)
-        assert torsion.closed_c1_bott_chern(1) == \
+        assert oracles.closed_c1_bott_chern(1) == \
             ExactConstant.rational(-3) + log_rational(2).scale(4)
 
     def test_genus_pushforward_triple(self):
         base = ExactConstant.atom(ZETA_PRIME_M1, 8) + ExactConstant.atom(ZETA_M1, 4)
-        assert torsion.r_genus_pushforward(0) == base
-        assert torsion.r_genus_pushforward(1) == ExactConstant.zero()
-        assert torsion.r_genus_pushforward(2) == -base
+        assert oracles.r_genus_pushforward(0) == base
+        assert oracles.r_genus_pushforward(1) == ExactConstant.zero()
+        assert oracles.r_genus_pushforward(2) == -base
+        for n in (0, 1, 7):  # the ring derives the same triple
+            assert genus_terms(n) == tuple(
+                oracles.r_genus_pushforward(p) for p in range(3))
 
 
 class TestNamedIntegrals:
@@ -82,11 +94,14 @@ class TestNamedIntegrals:
 
     def test_derived_masses_equal_the_closed_forms(self):
         # the exact mass of each integrand, derived from its normal form,
-        # against the typed-in closed form it is graded by
+        # against its typed-in closed form
         for n in list(range(51)) + [10**3, 10**6]:
-            for name, integrand, closed in torsion._integrand_table(n):
+            closed = oracles.integral_closed_forms(n)
+            table = torsion._integrand_table(n)
+            assert [name for name, _ in table] == list(closed)
+            for name, integrand in table:
                 profile = integrand.g if isinstance(integrand, Form22) else integrand
-                assert profile.mass == closed, (n, name)
+                assert profile.mass == closed[name], (n, name)
 
     def test_names_stable(self):
         names = [m.name for m in torsion.named_integrals(1, CFG)]
@@ -162,6 +177,33 @@ class TestRoutes:
     def test_route_check_entries_pass(self):
         for e in torsion.route_checks(2, CFG):
             assert e.passed, e
+
+
+class TestIndependence:
+    """Neither exact route, nor the base torsion, nor the height, reads the
+    package's stated closed forms."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_routes_without_the_closed_forms(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a stated closed form was consulted")
+
+        for name in ("closed_tau", "closed_tau_p1", "closed_height"):
+            monkeypatch.setattr(torsion, name, refuse)
+        want = oracles.tau_route_rr(n)
+        assert torsion.tau_route_rr(n) == want
+        assert torsion.tau_route_bb(n) == want[0]
+        assert torsion.tau_p1() == oracles.tau_p1()
+        assert torsion.height(n) == oracles.height(n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(0, 10**6))
+    def test_derived_direct_route(self, n):
+        genus = oracles.r_genus_pushforward(0)
+        assert genus == torsion.R_GENUS_DEGREE1.scale(4)
+        assert genus_terms(n) == (genus, ExactConstant.zero(), -genus)
+        tau = oracles.tau_route_rr(n)[0]
+        assert torsion.tau_route_rr(n) == (tau, ExactConstant.zero(), -tau)
 
 
 class TestHeights:
