@@ -19,7 +19,7 @@ from .radial import (
     compare_closed_form,
     integrate_halfline,
 )
-from .forms import Form11, Form22, RadialPotential
+from .forms import Form11, Form22
 from .chow import ChowClass, PipelineInconsistency
 from .torsion import (
     NamedIntegral,
@@ -40,7 +40,7 @@ __all__ = [
     "ConstantAtom", "ExactConstant", "log_rational",
     "DomainError", "NonConvergence", "QuadratureConfig", "Radial", "RadialFunction",
     "VerificationEntry", "compare_closed_form", "integrate_halfline",
-    "Form11", "Form22", "RadialPotential",
+    "Form11", "Form22",
     "ChowClass", "PipelineInconsistency",
     "NamedIntegral", "TorsionResult", "VerificationReport",
     "height", "main_theorem", "named_integrals", "tau_p1",

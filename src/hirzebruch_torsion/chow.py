@@ -587,7 +587,7 @@ def segre_classes(n: int, trace: Optional[list] = None) -> Tuple[ChowClass, Chow
     s1 = -(fiber mass of the relative Fubini-Study form) = -1, and the
     degree-2 mass  -(total of omega_rel ^ alpha) = -(n+2)/2.
     """
-    s1_mass = -forms.pushforward_fiber_exact(forms.omega_form(n))
+    s1_mass = -forms.omega_form(n).fiber_integral
     if s1_mass != _ec(-1):
         raise PipelineInconsistency("fiber mass of the relative form must be 1")
     s2_mass = -forms.wedge(forms.omega_form(n), forms.alpha_form(n)).total_integral

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .constants import ExactConstant
 from .radial import (
@@ -77,41 +77,6 @@ def reciprocal_B() -> Radial:
 def log_R(n: int) -> Radial:
     """log of the quotient-metric ratio; identically 0 in the split case n = 0."""
     return Radial.term(b=n + 1) - Radial.term(b=1)
-
-
-# ---------------------------------------------------------------------------
-# Radial potentials and dd^c
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RadialPotential:
-    """A potential h(u) with its exact first and second derivatives."""
-
-    h: Radial
-
-    @property
-    def dh(self) -> Radial:
-        return self.h.derivative()
-
-    @property
-    def d2h(self) -> Radial:
-        return self.dh.derivative()
-
-
-def potential_log_shift(a: int) -> RadialPotential:
-    """h(u) = log(1 + a u) for integer a >= 0."""
-    return RadialPotential(Radial.term(b=a) if a else RADIAL_ZERO)
-
-
-def potential_log_R(n: int) -> RadialPotential:
-    """h(u) = log R(u); the driver of all curvature corrections."""
-    return RadialPotential(log_R(n))
-
-
-def potential_R(n: int) -> RadialPotential:
-    """h(u) = R(u) itself (enters the curvature image of the degree-2 relation)."""
-    return RadialPotential(ratio_R(n))
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +155,6 @@ def ddc(h: Radial, n: int) -> Form11:
     """dd^c of a radial 0-form by the normal-frame chain rule."""
     u_dh = U * h.derivative()
     return Form11(n, n * u_dh, u_dh.derivative())
-
-
-def ddc_potential(h: RadialPotential, n: int) -> Form11:
-    return ddc(h.h, n)
 
 
 def ddc_log_R(n: int) -> Form11:
@@ -277,10 +238,6 @@ class Form22:
         return integrate_halfline(self.g, cfg)
 
 
-def scale22(c, w: Form22) -> Form22:
-    return Fraction(c) * w
-
-
 def wedge(a: Form11, b: Form11) -> Form22:
     """Wedge of invariant (1,1)-forms: g = a.fx*b.fphi + a.fphi*b.fx."""
     if a.n != b.n:
@@ -290,7 +247,7 @@ def wedge(a: Form11, b: Form11) -> Form22:
 
 def volume_form(n: int) -> Form22:
     """Volume form alpha^2 / 2; total (n+2)/2."""
-    return scale22(Fraction(1, 2), wedge(alpha_form(n), alpha_form(n)))
+    return Fraction(1, 2) * wedge(alpha_form(n), alpha_form(n))
 
 
 # ---------------------------------------------------------------------------
@@ -309,41 +266,15 @@ def hodge_star(a: Form11) -> Form11:
                          (Fraction(-1), a)])
 
 
-def l2_inner(a: Form11, b: Form11, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """L2 pairing: integral of a ^ star(b) over the surface."""
+def l2_pairing(a: Union[Form11, Form22], b: Union[Form11, Form22]) -> Form22:
+    """L2 pairing density of two (1,1)-forms, a ^ star(b), or of two top
+    forms: star of g * dV is the scalar g, so the density is
+    a.g * b.g / (R * B).  Its total integral is the exact pairing."""
     if a.n != b.n:
         raise ValueError("mixed ruling indices in inner product")
-    return wedge(a, hodge_star(b)).integrate(cfg)
-
-
-def l2_inner_top(v: Form22, w: Form22, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """L2 pairing of top forms: star of g * dV is the scalar g, so the pairing
-    is the half-line integral of v.g * w.g / (A * B)."""
-    if v.n != w.n:
-        raise ValueError("mixed ruling indices in inner product")
-    return integrate_halfline(v.g * w.g * reciprocal_R(v.n) * reciprocal_B(), cfg)
-
-
-def pushforward_fiber(obj, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Fiber pushforward by quadrature.
-
-    For a (1,1)-form: the constant value of the resulting function on the
-    base (the half-line mass of fphi).  For a top form: the coefficient c
-    with pushforward = c * base.
-    """
-    if isinstance(obj, Form11):
-        return integrate_halfline(obj.fphi, cfg)
-    if isinstance(obj, Form22):
-        return integrate_halfline(obj.g, cfg)
-    raise TypeError(f"cannot push forward {type(obj).__name__}")
-
-
-def pushforward_fiber_exact(obj) -> ExactConstant:
-    if isinstance(obj, Form11):
-        return obj.fiber_integral
-    if isinstance(obj, Form22):
-        return obj.total_integral
-    raise TypeError(f"no exact pushforward for {type(obj).__name__}")
+    if isinstance(a, Form11):
+        return wedge(a, hodge_star(b))
+    return Form22(a.n, a.g * b.g * reciprocal_R(a.n) * reciprocal_B())
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ Two independent routes produce the analytic torsion of the ruled surface:
 
   * the direct route solves, for each twist p, the determinant-line identity
     tau_p = L2_p + 2 deg([Td ch_p]_3) - R1 * mass of omega([Td ch_p]_1 c1):
-    the log of the squared L2 covolume of the harmonic generators, the
-    degree of the degree-3 Todd x Chern-character selection, and the
+    the log of the squared L2 covolume of the harmonic generators (the
+    volume, a Gram determinant and a top-degree norm, each the exact mass
+    of an L2 pairing density), the degree of the degree-3 Todd x
+    Chern-character selection, and the
     additive-genus correction, whose mass is that of the curvature image in
     the ring (the base line is the same formula one degree lower), and
 
@@ -27,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -54,6 +57,12 @@ from .radial import (
 
 def _rat(q) -> ExactConstant:
     return ExactConstant.rational(q)
+
+
+def _rational(value: ExactConstant, what: str, n: int) -> Fraction:
+    if not value.is_rational:
+        raise PipelineInconsistency(f"{what} at n={n} is not rational: {value}")
+    return value.rational_part
 
 
 def log_np1(n: int) -> ExactConstant:
@@ -162,6 +171,7 @@ def _direct_tau(l2: ExactConstant, td: Sequence[ChowClass], ch: Sequence[ChowCla
     return l2 + chow.pushforward_deg(top_part).scale(2) - _genus_term(td, ch, c1)
 
 
+@cache
 def tau_p1() -> ExactConstant:
     """Torsion of the projective line: the direct route on the base model,
     whose metrized tangent class is 2*xhat + a(log 2pi), with L2 term 0."""
@@ -182,48 +192,28 @@ def closed_tau_p1() -> ExactConstant:
 
 
 # ---------------------------------------------------------------------------
-# Harmonic-generator and determinant-line data
+# L2 covolumes of the harmonic generators
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuillenData:
-    """Exact L2 and determinant-line bookkeeping for the three twists."""
-
-    n: int
-    norm_sq_h0_generator: Fraction        # squared L2 norm of the function 1
-    norm_sq_alpha: Fraction               # squared L2 norm of alpha
-    norm_sq_omega_harmonic: Fraction      # squared L2 norm of the harmonic base class
-    norm_sq_top_generator: Fraction       # squared norm of alpha^2/(n+2)
-    orthonormal_scalar_sq: Tuple[Fraction, Fraction]  # squares of the basis scalars
-    lattice_covolume_middle: Fraction     # covolume of the middle integral lattice
-    quillen_log_norm_base: ExactConstant     # log of the Quillen norm downstairs
-    quillen_log_norm_surface: ExactConstant  # log of the Quillen norm upstairs
+def _volume(n: int) -> Fraction:
+    """The volume of the surface, the squared L2 norm of the function 1."""
+    return _rational(forms.volume_form(n).total_integral, "the volume", n)
 
 
 def _l2_covolumes_sq(n: int) -> Tuple[Fraction, Fraction, Fraction]:
-    """Squared L2 covolumes of the harmonic generators of the three twists:
-    the norm of the function 1 (the volume), the Gram determinant of
-    (harmonic base class, alpha) with entries <b,b> = 2/(n+2), <b,alpha> = 1,
-    <alpha,alpha> = n+2, and the norm of alpha^2/(n+2)."""
-    w_h = Fraction(2, n + 2)
-    return Fraction(n + 2, 2), w_h * (n + 2) - 1, Fraction(2, n + 2)
+    """Squared L2 covolumes of the harmonic generators of the three twists,
+    each from exact L2 pairings: the volume, the Gram determinant of
+    (harmonic base class, alpha), and the norm of alpha^2/(n+2)."""
+    al, w_h = forms.alpha_form(n), forms.omega_H(n)
+    top = Fraction(1, n + 2) * forms.wedge(al, al)
 
+    def pairing(a, b, what: str) -> Fraction:
+        return _rational(forms.l2_pairing(a, b).total_integral, f"L2 pairing {what}", n)
 
-def l2_quillen_data(n: int) -> QuillenData:
-    vol, covol_sq, top_sq = _l2_covolumes_sq(n)
-    tau_sn = tau_route_rr(n)[0]
-    return QuillenData(
-        n=n,
-        norm_sq_h0_generator=vol,
-        norm_sq_alpha=Fraction(n + 2),
-        norm_sq_omega_harmonic=Fraction(2, n + 2),
-        norm_sq_top_generator=top_sq,
-        orthonormal_scalar_sq=(Fraction(1, n + 2), Fraction(n + 2)),
-        lattice_covolume_middle=covol_sq,  # equals 1, so the norm itself is 1
-        quillen_log_norm_base=-tau_p1(),
-        quillen_log_norm_surface=log_rational(vol) - tau_sn,
-    )
+    gram = pairing(w_h, w_h, "<w_H, w_H>") * pairing(al, al, "<alpha, alpha>") \
+        - pairing(w_h, al, "<w_H, alpha>") ** 2
+    return _volume(n), gram, pairing(top, top, "<alpha^2/(n+2), alpha^2/(n+2)>")
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +302,17 @@ def tau_route_bb(n: int) -> ExactConstant:
     base_todd_mass = _rat(1)
     first, second, third = secondary_todd_parts(n)
     bc_total = (first + second + third).total_integral.scale(Fraction(1, 24))
-    return tau_p1() + log_rational(Fraction(n + 2, 2)) \
-        + tors * base_todd_mass - bc_total
+    return tau_p1() + log_rational(_volume(n)) + tors * base_todd_mass - bc_total
 
 
 def bb_quadrature_float(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """The fibration-route value with its two integrals done by quadrature."""
     first, c1_c1r_logR, c1_bc = secondary_todd_parts(n)
-    bc_total = (first.integrate(cfg) + (c1_bc + c1_c1r_logR).integrate(cfg)) / 24.0
+    bc_total = (integrate_halfline(first.g, cfg, name=f"bb_first_term, n={n}")
+                + integrate_halfline((c1_bc + c1_c1r_logR).g, cfg,
+                                     name=f"c1_bott_chern_total, n={n}")) / 24.0
     tors = chow.torsion_form(n).to_float()
-    return tau_p1().to_float() + math.log((n + 2) / 2.0) + tors - bc_total
+    return tau_p1().to_float() + math.log(_volume(n)) + tors - bc_total
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +323,12 @@ def bb_quadrature_float(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float
 def height(n: int) -> Fraction:
     """Arithmetic height of the polarized surface model, as an exact rational."""
     _, s2 = chow.segre_classes(n)
-    value = chow.pushforward_deg(s2)
-    if not value.is_rational:
-        raise PipelineInconsistency(f"height came out non-rational: {value}")
-    return value.rational_part
+    return _rational(chow.pushforward_deg(s2), "the height", n)
 
 
 def height_via_polarization_cube(n: int) -> Fraction:
     """Independent route: degree of the cube of the polarization class."""
-    value = chow.pushforward_deg(chow.height_class(n))
-    if not value.is_rational:
-        raise PipelineInconsistency(f"height came out non-rational: {value}")
-    return value.rational_part
+    return _rational(chow.pushforward_deg(chow.height_class(n)), "the height", n)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +365,7 @@ def main_theorem(n: int) -> TorsionResult:
     if tau_rr != closed_tau(n):
         raise PipelineInconsistency(
             f"torsion at n={n} differs from its closed form: {tau_rr}")
-    vol = Fraction(n + 2, 2)
+    vol = _volume(n)
     main_value = tau_rr - log_rational(vol)
     stated = log_np1(n).scale(Fraction(n, 24)) + _rat(Fraction(-n, 6)) \
         + closed_tau_p1().scale(2)
@@ -413,7 +398,8 @@ def appendix_grid_checks(n: int, grid: Optional[Sequence[float]] = None,
     lam_base = forms.lambda_contract(forms.base_form(n))
     lam_ddc = forms.lambda_contract(forms.ddc_log_R(n))
     lam_harm = forms.lambda_contract(forms.omega_H(n))
-    pot = forms.potential_R(n)
+    dh = forms.ratio_R(n).derivative()
+    d2h = dh.derivative()
     al = forms.alpha_form(n)
     e1 = max(abs(lam_base(u) - (1 + u) / (1 + (n + 1) * u)) for u in us)
     e2 = max(abs(lam_ddc(u) - n * (1 - u) / (1 + (n + 1) * u)) for u in us)
@@ -421,7 +407,7 @@ def appendix_grid_checks(n: int, grid: Optional[Sequence[float]] = None,
     e4 = 0.0
     for u in us:
         lhs = 2 * al.fx(u) * al.fphi(u) - (n + 2) * al.fphi(u)
-        rhs = -(pot.dh(u) + u * pot.d2h(u))
+        rhs = -(dh(u) + u * d2h(u))
         direct = n * (u - 1) / (1 + u) ** 3
         e4 = max(e4, abs(lhs - rhs), abs(lhs - direct))
     return [
@@ -458,23 +444,25 @@ def hodge_l2_checks(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
                 abs(dstar.fphi(u) - probe.fphi(u))) for u in us)
     entries.append(_grid_entry("star_is_an_involution", n, e, 1e-10))
 
-    top = forms.scale22(Fraction(1, n + 2), forms.wedge(al, al))
+    def quadrature(name: str, density: Form22) -> float:
+        return integrate_halfline(density.g, cfg, name=f"{name}, n={n}")
+
+    top = Fraction(1, n + 2) * forms.wedge(al, al)
     primitive = forms.combine(n, [(Fraction(1), w_h), (Fraction(-1, n + 2), al)])
-    zero = ExactConstant.zero()
-    for name, computed, expected in (
-            ("norm_sq_alpha", forms.l2_inner(al, al, cfg), _rat(n + 2)),
-            ("norm_sq_harmonic_base_class", forms.l2_inner(w_h, w_h, cfg),
-             _rat(Fraction(2, n + 2))),
-            ("norm_sq_h0_generator", forms.volume_form(n).integrate(cfg),
-             _rat(Fraction(n + 2, 2))),
-            ("norm_sq_top_generator", forms.l2_inner_top(top, top, cfg),
-             _rat(Fraction(2, n + 2))),
-            ("harmonic_base_class_squared", forms.wedge(w_h, w_h).integrate(cfg), zero),
-            ("primitive_part_orthogonal_to_alpha", forms.l2_inner(al, primitive, cfg), zero),
-            ("star_isometry_on_mixed_pair",
-             forms.l2_inner(forms.hodge_star(al), forms.hodge_star(w_h), cfg)
-             - forms.l2_inner(al, w_h, cfg), zero)):
-        entries.append(graded(name, n, expected, computed, tol))
+    for name, density in (
+            ("norm_sq_alpha", forms.l2_pairing(al, al)),
+            ("norm_sq_harmonic_base_class", forms.l2_pairing(w_h, w_h)),
+            ("norm_sq_h0_generator", forms.volume_form(n)),
+            ("norm_sq_top_generator", forms.l2_pairing(top, top)),
+            ("harmonic_base_class_squared", forms.wedge(w_h, w_h)),
+            ("primitive_part_orthogonal_to_alpha", forms.l2_pairing(al, primitive))):
+        entries.append(graded(name, n, density.total_integral,
+                              quadrature(name, density), tol))
+    name = "star_isometry_on_mixed_pair"
+    starred = forms.l2_pairing(forms.hodge_star(al), forms.hodge_star(w_h))
+    plain = forms.l2_pairing(al, w_h)
+    entries.append(graded(name, n, starred.total_integral - plain.total_integral,
+                          quadrature(name, starred) - quadrature(name, plain), tol))
     return entries
 
 

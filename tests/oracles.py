@@ -2,8 +2,8 @@
 
 The package derives each of these values: the integral masses from the
 radial normal form, the genus corrections and the c1*c2 degree from the
-intersection ring, and the direct-route torsion from its determinant-line
-identities.  The functions below are the hand-written values the package
+intersection ring, the direct-route torsion from its determinant-line
+identities, and the L2 norms and covolumes from exact L2 pairings.  The functions below are the hand-written values the package
 used before it derived them; the tests check the derivations against them.
 They call no `closed_*` function of the package.
 """
@@ -148,3 +148,31 @@ def tau_route_rr(n: int) -> Tuple[ExactConstant, ExactConstant, ExactConstant]:
 
 def height(n: int) -> Fraction:
     return Fraction(2 * n * n + 9 * n + 12, 4)
+
+
+# ---------------------------------------------------------------------------
+# L2 data of the harmonic generators
+# ---------------------------------------------------------------------------
+
+
+def l2_covolumes_sq(n: int) -> Tuple[Fraction, Fraction, Fraction]:
+    """Squared L2 covolumes of the harmonic generators of the three twists:
+    the norm of the function 1 (the volume), the Gram determinant of
+    (harmonic base class, alpha) with entries <b,b> = 2/(n+2), <b,alpha> = 1,
+    <alpha,alpha> = n+2, and the norm of alpha^2/(n+2)."""
+    w_h = Fraction(2, n + 2)
+    return Fraction(n + 2, 2), w_h * (n + 2) - 1, Fraction(2, n + 2)
+
+
+def hodge_l2_closed_forms(n: int) -> Dict[str, ExactConstant]:
+    """The typed expected value of each L2 row of hodge_l2_checks, by name."""
+    zero = ExactConstant.zero()
+    return {
+        "norm_sq_alpha": _rat(n + 2),
+        "norm_sq_harmonic_base_class": _rat(Fraction(2, n + 2)),
+        "norm_sq_h0_generator": _rat(Fraction(n + 2, 2)),
+        "norm_sq_top_generator": _rat(Fraction(2, n + 2)),
+        "harmonic_base_class_squared": zero,
+        "primitive_part_orthogonal_to_alpha": zero,
+        "star_isometry_on_mixed_pair": zero,
+    }

@@ -4,12 +4,14 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hirzebruch_torsion import cli, radial, torsion
 from hirzebruch_torsion.constants import ExactConstant, log_rational
 
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "hirzebruch_torsion.cli", *argv],
@@ -223,6 +225,14 @@ class TestDeterminism:
         _, out1, _ = run_cli(*args)
         _, out2, _ = run_cli(*args)
         assert out1 == out2
+
+    def test_stored_golden_outputs(self, capsys):
+        # the benchmark's stored stdout of the exact commands, byte for byte
+        golden = json.loads(GOLDEN.read_text())
+        assert len(golden) == 44
+        for argv, stdout in golden.items():
+            assert cli.main(argv.split()) == 0, argv
+            assert capsys.readouterr().out == stdout, argv
 
 
 class TestFormatExact:

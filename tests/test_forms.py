@@ -20,27 +20,28 @@ from hirzebruch_torsion.forms import (
     c1_rel,
     c1_total,
     combine,
+    ddc,
     ddc_log_R,
-    ddc_potential,
     hodge_star,
-    l2_inner,
-    l2_inner_top,
+    l2_pairing,
     lambda_contract,
     degree2_relation_rhs,
+    log_R,
     omega_H,
     omega_form,
-    potential_R,
-    potential_log_R,
-    potential_log_shift,
-    pushforward_fiber,
-    pushforward_fiber_exact,
     quotient_metric_ratio_check,
     quotient_vector_norm_sq,
+    ratio_R,
     ratio_base_form,
     volume_form,
     wedge,
 )
-from hirzebruch_torsion.radial import QuadratureConfig, integrate_halfline
+from hirzebruch_torsion.radial import (
+    RADIAL_ZERO,
+    QuadratureConfig,
+    Radial,
+    integrate_halfline,
+)
 
 CFG = QuadratureConfig()
 GRID = np.logspace(-3, 3, 40)
@@ -60,46 +61,47 @@ class TestAlphaForm:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 11])
     def test_unit_fiber_volume(self, n):
-        assert pushforward_fiber(alpha_form(n), CFG) == pytest.approx(1.0, abs=1e-10)
-        assert pushforward_fiber_exact(alpha_form(n)) == 1
+        assert integrate_halfline(alpha_form(n).fphi, CFG) == pytest.approx(1.0, abs=1e-10)
+        assert alpha_form(n).fiber_integral == 1
 
 
 class TestDdcPotential:
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_log_shift_one(self, n):
         # dd^c log(1+u): base coefficient n*u/(1+u), fiber coefficient 1/(1+u)^2
-        f = ddc_potential(potential_log_shift(1), n)
+        f = ddc(Radial.term(b=1), n)
         for u in GRID:
             assert f.fx(u) == pytest.approx(n * u / (1 + u), rel=1e-12)
             assert f.fphi(u) == pytest.approx(1 / (1 + u) ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_log_shift_n_plus_one(self, n):
-        f = ddc_potential(potential_log_shift(n + 1), n)
+        f = ddc(Radial.term(b=n + 1), n)
         for u in GRID:
             assert f.fx(u) == pytest.approx(n - n / (1 + (n + 1) * u), abs=1e-12)
             assert f.fphi(u) == pytest.approx((n + 1) / (1 + (n + 1) * u) ** 2,
                                               rel=1e-12)
 
     def test_constant_potential_gives_zero(self):
-        assert ddc_potential(potential_log_shift(0), 4).is_zero_form
+        assert ddc(RADIAL_ZERO, 4).is_zero_form
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_derivatives_consistent_with_finite_differences(self, n):
-        pot = potential_log_R(n)
+        pot = log_R(n)
+        dh = pot.derivative()
+        d2h = dh.derivative()
         h = 1e-4
         for u in (0.3, 1.0, 4.0, 20.0):
-            fd1 = (pot.h(u + h) - pot.h(u - h)) / (2 * h)
-            fd2 = (pot.h(u + h) - 2 * pot.h(u) + pot.h(u - h)) / (h * h)
-            assert pot.dh(u) == pytest.approx(fd1, abs=1e-6)
-            assert pot.d2h(u) == pytest.approx(fd2, abs=1e-6)
+            fd1 = (pot(u + h) - pot(u - h)) / (2 * h)
+            fd2 = (pot(u + h) - 2 * pot(u) + pot(u - h)) / (h * h)
+            assert dh(u) == pytest.approx(fd1, abs=1e-6)
+            assert d2h(u) == pytest.approx(fd2, abs=1e-6)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_registered_fiber_masses(self, n):
         # boundary value of u h' is the exact fiber mass of dd^c h
-        for pot in (potential_log_R(n), potential_log_shift(1),
-                    potential_log_shift(n + 1), potential_R(n)):
-            form = ddc_potential(pot, n)
+        for pot in (log_R(n), Radial.term(b=1), Radial.term(b=n + 1), ratio_R(n)):
+            form = ddc(pot, n)
             if form.is_zero_form:
                 continue
             quad = integrate_halfline(form.fphi, CFG)
@@ -162,15 +164,15 @@ class TestPushforward:
     def test_relative_form_pushes_to_one(self, n):
         om = omega_form(n)
         assert om.fx.is_zero
-        assert pushforward_fiber(om, CFG) == pytest.approx(1.0, abs=1e-10)
+        assert integrate_halfline(om.fphi, CFG) == pytest.approx(1.0, abs=1e-10)
 
     def test_base_form_pushes_to_zero(self):
-        assert pushforward_fiber(base_form(4), CFG) == 0.0
+        assert integrate_halfline(base_form(4).fphi, CFG) == 0.0
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_alpha_squared_pushes_to_rank_degree(self, n):
         w = wedge(alpha_form(n), alpha_form(n))
-        assert pushforward_fiber(w, CFG) == pytest.approx(n + 2, abs=1e-9)
+        assert integrate_halfline(w.g, CFG) == pytest.approx(n + 2, abs=1e-9)
 
 
 class TestCurvatureForms:
@@ -281,13 +283,13 @@ class TestLambdaAndStar:
 class TestL2:
     @pytest.mark.parametrize("n", [0, 1, 4, 9])
     def test_norms(self, n):
-        assert l2_inner(alpha_form(n), alpha_form(n), CFG) == pytest.approx(
+        assert l2_pairing(alpha_form(n), alpha_form(n)).integrate(CFG) == pytest.approx(
             n + 2, abs=1e-9)
-        assert l2_inner(omega_H(n), omega_H(n), CFG) == pytest.approx(
+        assert l2_pairing(omega_H(n), omega_H(n)).integrate(CFG) == pytest.approx(
             2 / (n + 2), abs=1e-9)
         assert volume_form(n).integrate(CFG) == pytest.approx((n + 2) / 2, abs=1e-9)
-        top = forms.scale22(Fraction(1, n + 2), wedge(alpha_form(n), alpha_form(n)))
-        assert l2_inner_top(top, top, CFG) == pytest.approx(2 / (n + 2), abs=1e-9)
+        top = Fraction(1, n + 2) * wedge(alpha_form(n), alpha_form(n))
+        assert l2_pairing(top, top).integrate(CFG) == pytest.approx(2 / (n + 2), abs=1e-9)
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_harmonic_base_class_pairings(self, n):
@@ -297,24 +299,25 @@ class TestL2:
             0.0, abs=1e-9)
         primitive = combine(n, [(Fraction(1), omega_H(n)),
                                 (Fraction(-1, n + 2), alpha_form(n))])
-        assert l2_inner(alpha_form(n), primitive, CFG) == pytest.approx(
+        assert l2_pairing(alpha_form(n), primitive).integrate(CFG) == pytest.approx(
             0.0, abs=1e-9)
 
     def test_star_isometry(self):
         n = 2
         a, b = alpha_form(n), omega_H(n)
-        lhs = l2_inner(hodge_star(a), hodge_star(b), CFG)
-        assert lhs == pytest.approx(l2_inner(a, b, CFG), abs=2e-9)
+        lhs = l2_pairing(hodge_star(a), hodge_star(b)).integrate(CFG)
+        assert lhs == pytest.approx(l2_pairing(a, b).integrate(CFG), abs=2e-9)
 
 
 class TestDegree2RelationPointwise:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 11])
     def test_curvature_identity_on_grid(self, n):
         al = alpha_form(n)
-        pot = potential_R(n)
+        dh = ratio_R(n).derivative()
+        d2h = dh.derivative()
         for u in GRID:
             lhs = 2 * al.fx(u) * al.fphi(u) - (n + 2) * al.fphi(u)
-            rhs = -(pot.dh(u) + u * pot.d2h(u))
+            rhs = -(dh(u) + u * d2h(u))
             assert lhs == pytest.approx(rhs, abs=1e-10)
             assert lhs == pytest.approx(n * (u - 1) / (1 + u) ** 3, abs=1e-10)
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hirzebruch_torsion import torsion
+from hirzebruch_torsion import forms, radial, torsion
+from hirzebruch_torsion.chow import PipelineInconsistency
 from hirzebruch_torsion.constants import (
     ExactConstant,
     ZETA_M1,
@@ -16,7 +17,7 @@ from hirzebruch_torsion.constants import (
     log_rational,
 )
 from hirzebruch_torsion.forms import Form22
-from hirzebruch_torsion.radial import QuadratureConfig
+from hirzebruch_torsion.radial import NonConvergence, QuadratureConfig
 
 import oracles
 
@@ -114,22 +115,39 @@ class TestNamedIntegrals:
 
 
 class TestQuillenData:
+    """The L2 covolumes of the harmonic generators, derived from exact
+    pairings, against the typed values."""
+
     @pytest.mark.parametrize("n", [0, 1, 4, 9])
     def test_exact_values(self, n):
-        q = torsion.l2_quillen_data(n)
-        assert q.norm_sq_h0_generator == Fraction(n + 2, 2)
-        assert q.norm_sq_alpha == n + 2
-        assert q.norm_sq_omega_harmonic == Fraction(2, n + 2)
-        assert q.norm_sq_top_generator == Fraction(2, n + 2)
-        assert q.orthonormal_scalar_sq == (Fraction(1, n + 2), Fraction(n + 2))
-        assert q.lattice_covolume_middle == 1
+        vol, gram, top_sq = oracles.l2_covolumes_sq(n)
+        assert torsion._l2_covolumes_sq(n) == (vol, gram, top_sq)
+        assert gram == 1
+        al, w_h = forms.alpha_form(n), forms.omega_H(n)
+        assert forms.l2_pairing(al, al).total_integral == n + 2
+        assert forms.l2_pairing(w_h, w_h).total_integral == Fraction(2, n + 2)
+        assert forms.l2_pairing(w_h, al).total_integral == 1
+        assert forms.l2_pairing(al, w_h).total_integral == 1
 
     def test_quillen_log_norms(self):
+        # log Vol - tau, the log Quillen norm upstairs, is minus the main value
         n = 3
-        q = torsion.l2_quillen_data(n)
-        assert q.quillen_log_norm_base == -torsion.tau_p1()
-        tau = torsion.tau_route_rr(n)[0]
-        assert q.quillen_log_norm_surface == log_rational(Fraction(n + 2, 2)) - tau
+        res = torsion.main_theorem(n)
+        vol = oracles.l2_covolumes_sq(n)[0]
+        assert res.vol == vol
+        assert log_rational(vol) - torsion.tau_route_rr(n)[0] == -res.main_theorem_value
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(0, 10**6))
+    def test_derived_covolumes(self, n):
+        assert torsion._l2_covolumes_sq(n) == oracles.l2_covolumes_sq(n)
+
+    def test_a_pairing_that_is_not_rational_is_refused(self, monkeypatch):
+        n = 3
+        monkeypatch.setattr(forms, "l2_pairing",
+                            lambda a, b: torsion.secondary_todd_parts(n)[0])
+        with pytest.raises(PipelineInconsistency, match="not rational"):
+            torsion._l2_covolumes_sq(n)
 
 
 class TestRoutes:
@@ -188,6 +206,7 @@ class TestIndependence:
         def refuse(*args):
             raise AssertionError("a stated closed form was consulted")
 
+        torsion.tau_p1.cache_clear()  # compute tau_p1 under the patch
         for name in ("closed_tau", "closed_tau_p1", "closed_height"):
             monkeypatch.setattr(torsion, name, refuse)
         want = oracles.tau_route_rr(n)
@@ -227,8 +246,19 @@ class TestGridAndHodgeSweeps:
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_hodge_checks(self, n):
-        for e in torsion.hodge_l2_checks(n, CFG):
+        entries = torsion.hodge_l2_checks(n, CFG)
+        for e in entries:
             assert e.passed, (n, e.name, e.abs_error)
+        closed = oracles.hodge_l2_closed_forms(n)
+        assert {e.name: e.expected for e in entries if e.name in closed} == closed
+
+    def test_quadratures_are_named(self, monkeypatch):
+        # a quadrature that never meets its target names the check and n
+        monkeypatch.setattr(radial._si, "quad", lambda *args, **kwargs: (0.0, 1.0))
+        with pytest.raises(NonConvergence, match=r"^norm_sq_alpha, n=3: "):
+            torsion.hodge_l2_checks(3, CFG)
+        with pytest.raises(NonConvergence, match=r"^bb_first_term, n=3: "):
+            torsion.bb_quadrature_float(3, CFG)
 
 
 class TestGrowthSanity:
