@@ -81,29 +81,25 @@ class PipelineInconsistency(ChowError):
     """An internal identity of the pipelines failed to hold exactly."""
 
 
-@dataclass(frozen=True)
-class BaseTopForm(Form22):
-    """A top form g(u) du of the base model, in the line's own radial variable;
-    the base Fubini-Study form is g = 1/(1+u)^2, of unit mass."""
-
-
-def base_top_form(n: int) -> BaseTopForm:
-    return BaseTopForm(n, forms.coeff_B())
+def base_top_form(n: int) -> Form22:
+    """The base Fubini-Study form as a top form of the base model, in the
+    line's own radial variable: g = 1/(1+u)^2, of unit mass."""
+    return Form22(n, forms.coeff_B())
 
 
 FormT = Union[Radial, Form11, Form22]
 
-_DEGREES = {Form11: 2, Form22: 3, BaseTopForm: 2}
-
-
-def _form_degree(form: FormT) -> int:
-    """Arithmetic degree of a(form): 0-forms 1, (1,1)-forms 2, top forms the
-    top degree of their model."""
-    return _DEGREES.get(type(form), 1)
-
 
 def _top_degree(variety: str) -> int:
     return 3 if variety == SURFACE else 2
+
+
+def _form_degree(form: FormT, variety: str) -> int:
+    """Arithmetic degree of a(form): 0-forms 1, (1,1)-forms 2, top forms the
+    top degree of their model."""
+    if isinstance(form, Radial):
+        return 1
+    return 2 if isinstance(form, Form11) else _top_degree(variety)
 
 
 def _ec(value) -> ExactConstant:
@@ -122,11 +118,12 @@ def _render_mono(mono: MonoT) -> str:
     return "*".join(bits) or "1"
 
 
-def _accumulate(slots: Dict[SlotT, FormT], coeff: ExactConstant, form) -> None:
+def _accumulate(slots: Dict[SlotT, FormT], coeff: ExactConstant, form,
+                variety: str) -> None:
     """slots += a(coeff * form), split over the atoms of coeff."""
     if not form:
         return
-    degree = _form_degree(form)
+    degree = _form_degree(form, variety)
     for atom, q in coeff.coeffs.items():
         term = form if q == 1 else q * form
         prev = slots.get((degree, atom))
@@ -170,7 +167,7 @@ class ChowClass:
         self.poly = {m: norm_poly[m] for m in sorted(norm_poly)}
         slots: Dict[SlotT, FormT] = {}
         for coeff, form in analytic or ():
-            _accumulate(slots, _ec(coeff), form)
+            _accumulate(slots, _ec(coeff), form, variety)
         self.forms = _clean(slots)
 
     # -- inspection ---------------------------------------------------------
@@ -287,7 +284,7 @@ def scale(q, a: ChowClass) -> ChowClass:
     else:
         slots = {}
         for (_, atom), f in a.forms.items():
-            _accumulate(slots, ExactConstant.atom(atom) * q, f)
+            _accumulate(slots, ExactConstant.atom(atom) * q, f, a.variety)
     return _assemble(a.n, a.variety, {m: c * q for m, c in a.poly.items()}, slots)
 
 
@@ -307,7 +304,7 @@ def _check_compatible(a: ChowClass, b: ChowClass) -> None:
 
 def _product(f: FormT, g: FormT) -> Optional[FormT]:
     """f ^ g for analytic forms; None when it vanishes or exceeds top degree."""
-    if _form_degree(f) > _form_degree(g):
+    if isinstance(g, Radial):
         f, g = g, f
     if isinstance(f, Radial):
         out = f * g
@@ -350,14 +347,15 @@ def _analytic_product(f: FormT, g: FormT, n: int, variety: str) -> Optional[Form
     (1,1)-form: zero when either dd^c vanishes, else the average of the two
     placements, so that the product commutes.
     """
-    if _form_degree(f) > _form_degree(g):
-        f, g = g, f
-    if _form_degree(f) + _form_degree(g) > _top_degree(variety):
+    deg_f, deg_g = _form_degree(f, variety), _form_degree(g, variety)
+    if deg_f > deg_g:
+        f, g, deg_f, deg_g = g, f, deg_g, deg_f
+    if deg_f + deg_g > _top_degree(variety):
         return None
     df = _ddc(f, n)
     if not df:
         return None
-    if _form_degree(f) < _form_degree(g):
+    if deg_f < deg_g:
         return _product(df, g)
     dg = _ddc(g, n)
     if not dg:
@@ -392,9 +390,9 @@ def _relation_image(n: int, mono: MonoT) -> Optional[FormT]:
     return rest and _product(forms.degree2_relation_rhs(n), rest)
 
 
-def _trace_step(trace, rule: str, before: str, after: str) -> None:
-    if trace is not None:
-        trace.append({"rule": rule, "before": before, "after": after})
+def _trace_step(trace: list, rule: str, before: str, after: str) -> None:
+    """Record a rewrite step; callers render its strings only when a trace is kept."""
+    trace.append({"rule": rule, "before": before, "after": after})
 
 
 def reduce(c: ChowClass, trace: Optional[list] = None) -> ChowClass:
@@ -408,17 +406,19 @@ def reduce(c: ChowClass, trace: Optional[list] = None) -> ChowClass:
             continue
         if c.variety == SURFACE and j >= 2:
             stack.append(((i + 1, j - 1), coeff * Fraction(c.n + 2)))
-            _accumulate(slots, coeff, _relation_image(c.n, (i, j - 2)))
-            _trace_step(trace, "alpha_square", _render_mono((i, j)),
-                        f"({c.n}+2)*{_render_mono((i + 1, j - 1))} "
-                        f"+ a(relation_rhs*{_render_mono((i, j - 2))})")
+            _accumulate(slots, coeff, _relation_image(c.n, (i, j - 2)), c.variety)
+            if trace is not None:
+                _trace_step(trace, "alpha_square", _render_mono((i, j)),
+                            f"({c.n}+2)*{_render_mono((i + 1, j - 1))} "
+                            f"+ a(relation_rhs*{_render_mono((i, j - 2))})")
         elif i >= 2:
             rest = _mono_curvature(c.n, c.variety, (i - 2, j))
             if rest is not None:
                 base = base_top_form(c.n) if c.variety == BASE else forms.base_form(c.n)
-                _accumulate(slots, coeff, _product(base, rest))
-            _trace_step(trace, "x_square", _render_mono((i, j)),
-                        f"a(base*{_render_mono((i - 2, j))})")
+                _accumulate(slots, coeff, _product(base, rest), c.variety)
+            if trace is not None:
+                _trace_step(trace, "x_square", _render_mono((i, j)),
+                            f"a(base*{_render_mono((i - 2, j))})")
         else:
             prev = out_poly.get((i, j))
             out_poly[(i, j)] = coeff + prev if prev else coeff
@@ -458,18 +458,20 @@ def mul(a: ChowClass, b: ChowClass, trace: Optional[list] = None) -> ChowClass:
     for left, right in ((a, b), (b, a)):
         curvature: Dict[SlotT, FormT] = {}
         for mono, coeff in right.poly.items():
-            _accumulate(curvature, coeff, _mono_curvature(n, variety, mono))
+            _accumulate(curvature, coeff, _mono_curvature(n, variety, mono), variety)
         for (_, atom_f), form in left.forms.items():
             for (_, atom_c), curv in curvature.items():
                 w = _product(form, curv)
                 if w:
-                    _accumulate(slots, _atoms(atom_f, atom_c), w)
+                    _accumulate(slots, _atoms(atom_f, atom_c), w, variety)
     for (_, atom1), f1 in a.forms.items():
         for (_, atom2), f2 in b.forms.items():
             w = _analytic_product(f1, f2, n, variety)
             if w:
-                _accumulate(slots, _atoms(atom1, atom2), w)
-                _trace_step(trace, "analytic_product", f"a({f1!r})*a({f2!r})", f"a({w!r})")
+                _accumulate(slots, _atoms(atom1, atom2), w, variety)
+                if trace is not None:
+                    _trace_step(trace, "analytic_product", f"a({f1!r})*a({f2!r})",
+                                f"a({w!r})")
     return reduce(_assemble(n, variety, poly, slots), trace)
 
 
@@ -494,10 +496,11 @@ def pushforward_base(c: ChowClass, trace: Optional[list] = None) -> ChowClass:
     for (degree, atom), form in c.forms.items():
         # 0-forms push to degree -2; the rest by their exact fiber masses
         if degree == 2:
-            _accumulate(slots, ExactConstant.atom(atom) * form.fiber_integral, RADIAL_ONE)
+            _accumulate(slots, ExactConstant.atom(atom) * form.fiber_integral, RADIAL_ONE,
+                        BASE)
         elif degree == 3:
             _accumulate(slots, ExactConstant.atom(atom) * form.total_integral,
-                        base_top_form(c.n))
+                        base_top_form(c.n), BASE)
     return _assemble(c.n, BASE, poly, slots)
 
 
@@ -520,14 +523,15 @@ def pushforward_deg(c: ChowClass, trace: Optional[list] = None) -> ExactConstant
     return total.scale(Fraction(1, 2))
 
 
-def pushforward_deg_numeric(c: ChowClass,
-                            cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Quadrature twin of pushforward_deg (half the numerically integrated mass)."""
+def pushforward_deg_numeric(c: ChowClass, cfg: QuadratureConfig = DEFAULT_CONFIG,
+                            name: str = "") -> float:
+    """Quadrature twin of pushforward_deg (half the numerically integrated
+    mass); name labels the quadratures in a NonConvergence message."""
     c = reduce(c)
     top = _top_degree(c.variety)
     if c.degree_part(top).poly:
         raise IncompleteReduction("non-analytic monomials at top degree")
-    return 0.5 * sum(atom.value() * integrate_halfline(form.g, cfg)
+    return 0.5 * sum(atom.value() * integrate_halfline(form.g, cfg, name=name)
                      for (degree, atom), form in c.forms.items() if degree == top)
 
 

@@ -130,17 +130,10 @@ def cmd_torsion(args) -> int:
 
 
 def cmd_height(args) -> int:
-    ns = _parse_n_list(args)
-    if args.trace:
-        trace: List[dict] = []
-        values = []
-        for n in ns:
-            _, s2 = chow.segre_classes(n, trace)
-            value = chow.pushforward_deg(s2, trace)
-            values.append((n, value.rational_part))
+    trace: Optional[List[dict]] = [] if args.trace else None
+    values = [(n, torsion.height(n, trace)) for n in _parse_n_list(args)]
+    if trace is not None:
         print(json.dumps(trace, indent=2), file=sys.stderr)
-    else:
-        values = [(n, torsion.height(n)) for n in ns]
     if args.format == "json":
         print(json.dumps([{"n": n, "height": str(h), "height_float": float(h)}
                           for n, h in values], indent=2))

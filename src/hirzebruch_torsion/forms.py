@@ -228,11 +228,11 @@ class Form22:
     def __add__(self, other: "Form22") -> "Form22":
         if self.n != other.n:
             raise ValueError("mixed ruling indices")
-        return type(self)(self.n, self.g + other.g)
+        return Form22(self.n, self.g + other.g)
 
     def __rmul__(self, c) -> "Form22":
         """Product with a rational or a radial 0-form."""
-        return type(self)(self.n, c * self.g)
+        return Form22(self.n, c * self.g)
 
     def integrate(self, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
         return integrate_halfline(self.g, cfg)

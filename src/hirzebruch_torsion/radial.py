@@ -443,6 +443,7 @@ def radial_mul(a: RadialFunction, b: RadialFunction) -> RadialFunction:
 # ---------------------------------------------------------------------------
 
 SCHEMES = ("gauss_kronrod", "tanh_sinh")
+PASS_TOL_FACTOR = 10.0  # a quadrature passes within this multiple of its target
 
 
 @dataclass(frozen=True)
@@ -450,7 +451,6 @@ class QuadratureConfig:
     target_tol: float = 1e-10
     max_refinement: int = 8
     scheme: str = "gauss_kronrod"
-    safety_factor: float = 10.0
 
     def __post_init__(self) -> None:
         if self.target_tol <= 0:
@@ -462,7 +462,7 @@ class QuadratureConfig:
 
     @property
     def pass_tol(self) -> float:
-        return self.target_tol * self.safety_factor
+        return self.target_tol * PASS_TOL_FACTOR
 
 
 DEFAULT_CONFIG = QuadratureConfig()

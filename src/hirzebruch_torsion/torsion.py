@@ -32,8 +32,6 @@ from fractions import Fraction
 from functools import cache
 from typing import List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from . import chow, forms
 from .chow import R_GENUS_DEGREE1, ChowClass, PipelineInconsistency
 from .constants import (
@@ -43,7 +41,7 @@ from .constants import (
     log_2pi,
     log_rational,
 )
-from .forms import Form22
+from .forms import Form11, Form22
 from .radial import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -320,10 +318,11 @@ def bb_quadrature_float(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float
 # ---------------------------------------------------------------------------
 
 
-def height(n: int) -> Fraction:
-    """Arithmetic height of the polarized surface model, as an exact rational."""
-    _, s2 = chow.segre_classes(n)
-    return _rational(chow.pushforward_deg(s2), "the height", n)
+def height(n: int, trace: Optional[list] = None) -> Fraction:
+    """Arithmetic height of the polarized surface model, as an exact rational;
+    the rewrite steps are appended to trace when one is given."""
+    _, s2 = chow.segre_classes(n, trace)
+    return _rational(chow.pushforward_deg(s2, trace), "the height", n)
 
 
 def height_via_polarization_cube(n: int) -> Fraction:
@@ -382,67 +381,56 @@ def main_theorem(n: int) -> TorsionResult:
 # ---------------------------------------------------------------------------
 
 
-def default_u_grid(points: int = 50) -> np.ndarray:
-    return np.logspace(-3.0, 3.0, points)
+def _identity(name: str, n: int, *sides) -> VerificationEntry:
+    """An identity of normal forms (Radial or Form11), decided exactly: it
+    holds when every side equals the first.  The residual reported is the
+    total absolute weight of the differences' terms, 0 exactly when it holds."""
+    lhs, *rest = sides
+    residual = Fraction(0)
+    for rhs in rest:
+        diff = lhs + (-1) * rhs
+        for f in (diff.fx, diff.fphi) if isinstance(diff, Form11) else (diff,):
+            residual += sum(abs(c) for _, c in f.terms)
+    return graded(name, n, ExactConstant.zero(), float(residual), 0.0,
+                  passed=all(lhs == rhs for rhs in rest))
 
 
-def _grid_entry(name: str, n: int, max_err, tol: float) -> VerificationEntry:
-    # grids are numpy-valued; keep entries pure floats
-    return graded(name, n, ExactConstant.zero(), float(max_err), tol)
-
-
-def appendix_grid_checks(n: int, grid: Optional[Sequence[float]] = None,
-                         tol: float = 1e-10) -> List[VerificationEntry]:
-    """Pointwise contraction and curvature identities on a log-spaced grid."""
-    us = default_u_grid() if grid is None else grid
-    lam_base = forms.lambda_contract(forms.base_form(n))
-    lam_ddc = forms.lambda_contract(forms.ddc_log_R(n))
-    lam_harm = forms.lambda_contract(forms.omega_H(n))
+def appendix_checks(n: int) -> List[VerificationEntry]:
+    """The contraction and curvature identities, as equalities of normal forms."""
+    u = Radial.term(j=1)
     dh = forms.ratio_R(n).derivative()
-    d2h = dh.derivative()
     al = forms.alpha_form(n)
-    e1 = max(abs(lam_base(u) - (1 + u) / (1 + (n + 1) * u)) for u in us)
-    e2 = max(abs(lam_ddc(u) - n * (1 - u) / (1 + (n + 1) * u)) for u in us)
-    e3 = max(abs((n + 2) * lam_harm(u) - 2.0) for u in us)
-    e4 = 0.0
-    for u in us:
-        lhs = 2 * al.fx(u) * al.fphi(u) - (n + 2) * al.fphi(u)
-        rhs = -(dh(u) + u * d2h(u))
-        direct = n * (u - 1) / (1 + u) ** 3
-        e4 = max(e4, abs(lhs - rhs), abs(lhs - direct))
     return [
-        _grid_entry("contraction_of_base_form", n, e1, tol),
-        _grid_entry("contraction_of_ddc_log_ratio", n, e2, tol),
-        _grid_entry("contraction_of_harmonic_combination", n, e3, tol),
-        _grid_entry("degree2_relation_pointwise", n, e4, tol),
+        _identity("contraction_of_base_form", n,
+                  forms.lambda_contract(forms.base_form(n)),
+                  Radial.term(a=n + 1, k=1) + Radial.term(j=1, a=n + 1, k=1)),
+        _identity("contraction_of_ddc_log_ratio", n,
+                  forms.lambda_contract(forms.ddc_log_R(n)),
+                  Radial.term(n, a=n + 1, k=1) - Radial.term(n, j=1, a=n + 1, k=1)),
+        _identity("contraction_of_harmonic_combination", n,
+                  (n + 2) * forms.lambda_contract(forms.omega_H(n)), Radial.term(2)),
+        _identity("degree2_relation_pointwise", n,
+                  2 * al.fx * al.fphi - (n + 2) * al.fphi,
+                  -(dh + u * dh.derivative()),
+                  Radial.term(n, a=1, k=2) - Radial.term(2 * n, a=1, k=3)),
     ]
 
 
 def hodge_l2_checks(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
                     tol: float = 1e-8) -> List[VerificationEntry]:
-    """Star operator and harmonic-generator norms against their exact values."""
-    us = default_u_grid(25)
+    """Star identities, decided exactly, and harmonic-generator norms against
+    their exact values."""
     al = forms.alpha_form(n)
     w_h = forms.omega_H(n)
-    entries: List[VerificationEntry] = []
-
-    star_alpha = forms.hodge_star(al)
-    e = max(max(abs(star_alpha.fx(u) - al.fx(u)),
-                abs(star_alpha.fphi(u) - al.fphi(u))) for u in us)
-    entries.append(_grid_entry("star_fixes_alpha", n, e, 1e-10))
-
-    star_wh = forms.hodge_star(w_h)
-    e = max(max(abs(star_wh.fx(u) - (Fraction(2, n + 2) * al.fx(u) - w_h.fx(u))),
-                abs(star_wh.fphi(u) - (Fraction(2, n + 2) * al.fphi(u) - w_h.fphi(u))))
-            for u in us)
-    entries.append(_grid_entry("star_of_harmonic_base_class", n, float(e), 1e-10))
-
     probe = forms.combine(n, [(Fraction(1, 3), al), (Fraction(-2), forms.base_form(n)),
                               (Fraction(1, 7), forms.ddc_log_R(n))])
-    dstar = forms.hodge_star(forms.hodge_star(probe))
-    e = max(max(abs(dstar.fx(u) - probe.fx(u)),
-                abs(dstar.fphi(u) - probe.fphi(u))) for u in us)
-    entries.append(_grid_entry("star_is_an_involution", n, e, 1e-10))
+    entries = [
+        _identity("star_fixes_alpha", n, forms.hodge_star(al), al),
+        _identity("star_of_harmonic_base_class", n, forms.hodge_star(w_h),
+                  forms.combine(n, [(Fraction(2, n + 2), al), (Fraction(-1), w_h)])),
+        _identity("star_is_an_involution", n,
+                  forms.hodge_star(forms.hodge_star(probe)), probe),
+    ]
 
     def quadrature(name: str, density: Form22) -> float:
         return integrate_halfline(density.g, cfg, name=f"{name}, n={n}")
@@ -479,7 +467,9 @@ def route_checks(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
         graded("fibration_route_quadrature", n, res.tau_bb,
                bb_quadrature_float(n, cfg), tol),
         graded("c1c2_product_quadrature", n, chow.pushforward_deg(c1c2),
-               chow.pushforward_deg_numeric(c1c2, cfg), tol),
+               chow.pushforward_deg_numeric(c1c2, cfg,
+                                            name=f"c1c2_product_quadrature, n={n}"),
+               tol),
         graded("torsion_form_equals_base_torsion", n, tau_p1(), tors.to_float(), 0.0,
                passed=tors == tau_p1()),
         graded("height_closed_form", n, _rat(closed_height(n)), float(h), 0.0,
@@ -531,7 +521,7 @@ def verify_all(ns: Sequence[int], cfg: QuadratureConfig = DEFAULT_CONFIG,
     entries: List[VerificationEntry] = []
     for n in ns:
         entries.extend(m.as_entry(cfg.pass_tol) for m in named_integrals(n, cfg))
-        entries.extend(appendix_grid_checks(n))
+        entries.extend(appendix_checks(n))
         entries.extend(hodge_l2_checks(n, cfg, tol))
         entries.extend(forms.quotient_metric_ratio_check(n, (0.0, 0.5, 1.0, 10.0)))
         entries.extend(route_checks(n, cfg, tol))

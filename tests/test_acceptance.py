@@ -6,7 +6,6 @@ Run with `pytest tests/test_acceptance.py -v -s` for the one-line verdicts.
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from hirzebruch_torsion import chow, forms, torsion
@@ -88,15 +87,13 @@ def test_criterion_5_torsion_form():
 
 
 def test_criterion_6_contraction_identities():
-    tol = 1e-10
-    grid = np.logspace(-3, 3, 50)
     worst = 0.0
     ok = True
     for n in (0, 1, 2, 3, 5, 10):
-        for e in torsion.appendix_grid_checks(n, grid, tol):
+        for e in torsion.appendix_checks(n):
             worst = max(worst, e.abs_error)
-            ok = ok and e.passed
-    _verdict("6 (contraction/curvature identities on 50-point grid, 1e-10)", ok,
+            ok = ok and e.passed and e.computed == e.abs_error == 0.0
+    _verdict("6 (contraction/curvature identities, exact in the normal form)", ok,
              f"max deviation {worst:.3e}")
 
 

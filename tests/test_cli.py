@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hirzebruch_torsion import cli, radial, torsion
+from hirzebruch_torsion import chow, cli, radial, torsion
 from hirzebruch_torsion.constants import ExactConstant, log_rational
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -157,6 +157,24 @@ class TestTraceAndErrors:
         steps = json.loads(err)
         assert steps and all(set(s) == {"rule", "before", "after"} for s in steps)
         assert any(s["rule"] == "x_square" for s in steps)
+
+    def test_height_trace_bytes(self):
+        code, _, err = run_cli("height", "--n", "2", "--trace")
+        assert code == 0
+        assert err == ('[\n  {\n    "rule": "x_square",\n    "before": "xhat^2",\n'
+                       '    "after": "a(base*1)"\n  }\n]\n')
+
+    def test_non_rational_height_is_refused_with_and_without_trace(self, capsys,
+                                                                   monkeypatch):
+        monkeypatch.setattr(chow, "pushforward_deg",
+                            lambda c, trace=None: log_rational(2))
+        errors = []
+        for extra in ([], ["--trace"]):
+            assert cli.main(["height", "--n", "2", *extra]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors.append(err)
+        assert errors == ["error: the height at n=2 is not rational: log(2)\n"] * 2
 
     def test_nonconvergence_exit_code(self):
         code, _, err = run_cli("integrals", "--n", "5", "--quad-tol", "1e-16",

@@ -17,7 +17,7 @@ from hirzebruch_torsion.constants import (
     log_rational,
 )
 from hirzebruch_torsion.forms import Form22
-from hirzebruch_torsion.radial import NonConvergence, QuadratureConfig
+from hirzebruch_torsion.radial import RADIAL_ZERO, NonConvergence, QuadratureConfig, Radial
 
 import oracles
 
@@ -241,8 +241,40 @@ class TestHeights:
 class TestGridAndHodgeSweeps:
     @pytest.mark.parametrize("n", [0, 1, 2, 5])
     def test_appendix_checks(self, n):
-        for e in torsion.appendix_grid_checks(n):
+        for e in torsion.appendix_checks(n):
             assert e.passed, (n, e.name, e.abs_error)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(0, 10**6))
+    def test_identities_are_exact_for_every_n(self, n):
+        for e in torsion.appendix_checks(n):
+            assert e.passed and e.computed == e.abs_error == 0.0, (n, e.name)
+        al, w_h = forms.alpha_form(n), forms.omega_H(n)
+        assert forms.hodge_star(al) == al
+        assert forms.hodge_star(w_h) == forms.combine(
+            n, [(Fraction(2, n + 2), al), (Fraction(-1), w_h)])
+        probe = forms.combine(n, [(Fraction(1, 3), al), (Fraction(-2), forms.base_form(n)),
+                                  (Fraction(1, 7), forms.ddc_log_R(n))])
+        assert forms.hodge_star(forms.hodge_star(probe)) == probe
+
+    def test_exact_rows_keep_their_names_and_order(self):
+        assert [e.name for e in torsion.appendix_checks(3)] == [
+            "contraction_of_base_form", "contraction_of_ddc_log_ratio",
+            "contraction_of_harmonic_combination", "degree2_relation_pointwise"]
+        star_rows = torsion.hodge_l2_checks(3, CFG)[:3]
+        assert [e.name for e in star_rows] == [
+            "star_fixes_alpha", "star_of_harmonic_base_class", "star_is_an_involution"]
+        assert all(e.passed and e.computed == e.abs_error == 0.0 for e in star_rows)
+
+    def test_an_identity_is_not_decided_through_a_float(self):
+        # a residual too small for a float still fails the identity
+        tiny = Radial.term(Fraction(1, 10**400), a=1, k=2)
+        e = torsion._identity("tiny", 0, tiny, RADIAL_ZERO)
+        assert not e.passed and e.computed == 0.0
+        e = torsion._identity("two_sides", 1, forms.alpha_form(1),
+                              forms.alpha_form(1), forms.base_form(1))
+        # alpha - base = (1 - 1/(1+u)) base + 1/(1+u)^2 phi: three unit weights
+        assert not e.passed and e.abs_error == 3.0
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_hodge_checks(self, n):
@@ -259,6 +291,24 @@ class TestGridAndHodgeSweeps:
             torsion.hodge_l2_checks(3, CFG)
         with pytest.raises(NonConvergence, match=r"^bb_first_term, n=3: "):
             torsion.bb_quadrature_float(3, CFG)
+        monkeypatch.setattr(torsion, "bb_quadrature_float", lambda n, cfg: 0.0)
+        with pytest.raises(NonConvergence, match=r"^c1c2_product_quadrature, n=3: "):
+            torsion.route_checks(3, CFG)
+
+
+class TestUntracedRunsRenderNothing:
+    def test_no_normal_form_is_rendered(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a normal form was rendered")
+
+        monkeypatch.setattr(Radial, "__str__", refuse)
+        monkeypatch.setattr(Radial, "__repr__", refuse)
+        torsion.tau_p1.cache_clear()
+        try:
+            assert torsion.main_theorem(3).tau_rr == torsion.closed_tau(3)
+            assert torsion.height(3) == torsion.closed_height(3)
+        finally:
+            torsion.tau_p1.cache_clear()
 
 
 class TestGrowthSanity:
