@@ -14,7 +14,8 @@ The analytic part is held as one form per degree and constant atom, summed
 in the normal form of the coefficients, so equally assembled classes have
 equal parts whatever the order of assembly.  In top degree a(g) depends only
 on the mass of g (every exact form integrates to 0), so top-degree parts
-compare by their exact mass.
+compare by their exact mass.  Classes compare, and test for zero, by
+their normal forms.
 
 The rewrite system reduces every polynomial to the normal form with
 exponents at most 1 in each generator:
@@ -29,7 +30,10 @@ a(eta) * a(eta') = a(dd^c eta ^ eta') with dd^c on the lower-degree factor
 Below top degree the product is taken to be zero when either factor has
 vanishing dd^c, and two 0-forms take the average of both placements; in top
 degree only the mass counts, which by Stokes does not depend on the
-placement.  The pairing is flagged in the trace when it fires.
+placement.  The pairing is flagged in the trace when it fires.  The ring
+is truncated at the arithmetic dimension: a product above it vanishes, so
+mixed-degree classes such as Todd classes and Chern characters multiply as
+whole classes.
 
 The degree map halves the exact total mass of the top-degree analytic part;
 no finite-place contributions are modeled, because every class produced by
@@ -73,10 +77,6 @@ class IncompleteReduction(ChowError):
     """A top-degree class kept a non-analytic monomial after rewriting."""
 
 
-class DegreeOverflow(ChowError):
-    """A polynomial product exceeded the arithmetic dimension."""
-
-
 class PipelineInconsistency(ChowError):
     """An internal identity of the pipelines failed to hold exactly."""
 
@@ -90,7 +90,8 @@ def base_top_form(n: int) -> Form22:
 FormT = Union[Radial, Form11, Form22]
 
 
-def _top_degree(variety: str) -> int:
+def top_degree(variety: str) -> int:
+    """The arithmetic dimension of a model: 3 on the surface, 2 on the base."""
     return 3 if variety == SURFACE else 2
 
 
@@ -99,7 +100,7 @@ def _form_degree(form: FormT, variety: str) -> int:
     top degree of their model."""
     if isinstance(form, Radial):
         return 1
-    return 2 if isinstance(form, Form11) else _top_degree(variety)
+    return 2 if isinstance(form, Form11) else top_degree(variety)
 
 
 def _ec(value) -> ExactConstant:
@@ -174,7 +175,7 @@ class ChowClass:
 
     def _canonical(self) -> Dict[SlotT, object]:
         """The analytic part with each top-degree form replaced by its mass."""
-        top = _top_degree(self.variety)
+        top = top_degree(self.variety)
         out: Dict[SlotT, object] = {}
         for slot, form in self.forms.items():
             if slot[0] != top:
@@ -185,7 +186,8 @@ class ChowClass:
 
     @property
     def is_zero(self) -> bool:
-        return not self.poly and not self._canonical()
+        r = reduce(self)
+        return not r.poly and not r._canonical()
 
     @property
     def analytic(self) -> Tuple[Tuple[ExactConstant, FormT], ...]:
@@ -209,8 +211,10 @@ class ChowClass:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChowClass):
             return NotImplemented
-        return ((self.n, self.variety) == (other.n, other.variety)
-                and self.poly == other.poly and self._canonical() == other._canonical())
+        if (self.n, self.variety) != (other.n, other.variety):
+            return False
+        a, b = reduce(self), reduce(other)
+        return a.poly == b.poly and a._canonical() == b._canonical()
 
     def __repr__(self) -> str:
         poly = " + ".join(f"({c})*{_render_mono(m)}" for m, c in self.poly.items())
@@ -350,7 +354,7 @@ def _analytic_product(f: FormT, g: FormT, n: int, variety: str) -> Optional[Form
     deg_f, deg_g = _form_degree(f, variety), _form_degree(g, variety)
     if deg_f > deg_g:
         f, g, deg_f, deg_g = g, f, deg_g, deg_f
-    if deg_f + deg_g > _top_degree(variety):
+    if deg_f + deg_g > top_degree(variety):
         return None
     df = _ddc(f, n)
     if not df:
@@ -433,23 +437,20 @@ def reduce(c: ChowClass, trace: Optional[list] = None) -> ChowClass:
 def mul(a: ChowClass, b: ChowClass, trace: Optional[list] = None) -> ChowClass:
     """Intersection product followed by reduction to normal form.
 
-    Monomial products beyond the arithmetic dimension are rejected up front
-    (before rewriting could silently absorb them).
+    Everything above the arithmetic dimension (3 on the surface, 2 on the
+    base line) vanishes: monomials of higher degree are dropped, and so are
+    analytic products past the top degree.
     """
     _check_compatible(a, b)
-    top = 3
-    for m1 in a.poly:
-        for m2 in b.poly:
-            if sum(m1) + sum(m2) > top:
-                raise DegreeOverflow(
-                    f"monomial {_render_mono((m1[0] + m2[0], m1[1] + m2[1]))} "
-                    f"exceeds the arithmetic dimension")
     a = reduce(a, trace)
     b = reduce(b, trace)
     n, variety = a.n, a.variety
+    top = top_degree(variety)
     poly: Dict[MonoT, ExactConstant] = {}
     for (i1, j1), c1 in a.poly.items():
         for (i2, j2), c2 in b.poly.items():
+            if i1 + j1 + i2 + j2 > top:
+                continue
             mono = (i1 + i2, j1 + j2)
             coeff = c1 * c2
             prev = poly.get(mono)
@@ -511,7 +512,7 @@ def pushforward_deg(c: ChowClass, trace: Optional[list] = None) -> ExactConstant
     cross-checks.
     """
     c = reduce(c, trace)
-    top = _top_degree(c.variety)
+    top = top_degree(c.variety)
     if any(sum(m) != top for m in c.poly) or any(d != top for d, _ in c.forms):
         raise ChowError("pushforward_deg expects a homogeneous top-degree class")
     if c.poly:
@@ -528,7 +529,7 @@ def pushforward_deg_numeric(c: ChowClass, cfg: QuadratureConfig = DEFAULT_CONFIG
     """Quadrature twin of pushforward_deg (half the numerically integrated
     mass); name labels the quadratures in a NonConvergence message."""
     c = reduce(c)
-    top = _top_degree(c.variety)
+    top = top_degree(c.variety)
     if c.degree_part(top).poly:
         raise IncompleteReduction("non-analytic monomials at top degree")
     return 0.5 * sum(atom.value() * integrate_halfline(form.g, cfg, name=name)
@@ -578,7 +579,7 @@ def arithmetic_chern_classes(n: int) -> ChernClasses:
 
 def euler_sequence_chern(n: int) -> Tuple[ChowClass, ChowClass]:
     """Chern classes of the rank-2 bundle on the base: (1+x)(1+(n+1)x) split."""
-    c1 = scale(n + 2, gen_x(n, BASE))
+    c1 = ChowClass(n, BASE, {(1, 0): _ec(n + 2)})
     c2 = ChowClass(n, BASE, {(2, 0): _ec(n + 1)})
     return c1, c2
 
@@ -586,8 +587,10 @@ def euler_sequence_chern(n: int) -> Tuple[ChowClass, ChowClass]:
 def segre_classes(n: int, trace: Optional[list] = None) -> Tuple[ChowClass, ChowClass]:
     """Pushforward Segre classes of the twisted rank-2 bundle, on the base model.
 
-    Assembled from the pushed-forward degree-2 relation, with the two
-    secondary-form masses derived from the forms catalog:
+    The polynomial parts are those of the inverse of the Euler-sequence
+    Chern class, s1 = c1 and s2 = c1^2 - c2, read off its coefficients.  The
+    analytic parts come from the pushed-forward degree-2 relation, with the
+    two secondary-form masses derived from the forms catalog:
     s1 = -(fiber mass of the relative Fubini-Study form) = -1, and the
     degree-2 mass  -(total of omega_rel ^ alpha) = -(n+2)/2.
     """
@@ -595,14 +598,15 @@ def segre_classes(n: int, trace: Optional[list] = None) -> Tuple[ChowClass, Chow
     if s1_mass != _ec(-1):
         raise PipelineInconsistency("fiber mass of the relative form must be 1")
     s2_mass = -forms.wedge(forms.omega_form(n), forms.alpha_form(n)).total_integral
-    x = gen_x(n, BASE)
-    s1p = add(scale(n + 2, x), a_class(n, -s1_mass, RADIAL_ONE, BASE))
+    c1, c2 = euler_sequence_chern(n)
+    c1_x = c1.poly[(1, 0)]
+    s1p = ChowClass(n, BASE, c1.poly, analytic=[(-s1_mass, RADIAL_ONE)])
     s2p = ChowClass(
         n, BASE,
-        poly={(2, 0): _ec(n * n + 3 * n + 3)},
+        poly={(2, 0): c1_x * c1_x - c2.poly[(2, 0)]},
         analytic=[
-            (-s1_mass.scale(n + 2), base_top_form(n)),  # -(n+2) a(x * s1)
-            (-s2_mass, base_top_form(n)),               # -a(s2 mass * x)
+            (-s1_mass * c1_x, base_top_form(n)),  # -c1 a(x * s1)
+            (-s2_mass, base_top_form(n)),         # -a(s2 mass * x)
         ])
     return reduce(s1p, trace), reduce(s2p, trace)
 
@@ -618,14 +622,20 @@ def c1c2_product_class(n: int, trace: Optional[list] = None) -> ChowClass:
     return mul(cc.c1_tangent, cc.c2_tangent, trace)
 
 
+def todd(c1: ChowClass) -> ChowClass:
+    """Arithmetic Todd class of a metrized line bundle with first Chern class
+    c1: 1 + c1/2 + c1^2/12 (the cubic coefficient of x/(1-e^-x) is 0, and
+    higher powers vanish above the arithmetic dimension)."""
+    return add(add(unit(c1.n, c1.variety), scale(Fraction(1, 2), c1)),
+               scale(Fraction(1, 12), mul(c1, c1)))
+
+
 def torsion_form(n: int) -> ExactConstant:
     """Degree-0 part of the fibration torsion form, through the relative
     Todd pushforward; raises unless the degree-2 part and the mass of the
     squared relative class vanish exactly."""
     cc = arithmetic_chern_classes(n)
-    c1r = cc.c1_relative
-    td = add(add(unit(n), scale(Fraction(1, 2), c1r)),
-             scale(Fraction(1, 12), mul(c1r, c1r)))
+    td = todd(cc.c1_relative)
     pushed = pushforward_base(td)
 
     r_class = a_class(n, R_GENUS_DEGREE1, forms.c1_rel(n))

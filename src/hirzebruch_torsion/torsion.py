@@ -140,47 +140,39 @@ def named_integrals(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> List[Name
 # ---------------------------------------------------------------------------
 
 
-def _graded_product(td: Sequence[ChowClass], ch: Sequence[ChowClass],
-                    k: int) -> ChowClass:
-    """[Td ch]_k: the degree-k part of the product of two graded classes."""
-    out = chow.zero_class(td[0].n, td[0].variety)
-    for i in range(k + 1):
-        out = chow.add(out, chow.mul(td[i], ch[k - i]))
-    return out
+def _c1_times_one(c1: ChowClass) -> ChowClass:
+    """c1 * a(1), which is a(curvature image of c1)."""
+    return chow.mul(c1, chow.a_class(c1.n, 1, RADIAL_ONE, c1.variety))
 
 
-def _genus_term(td: Sequence[ChowClass], ch: Sequence[ChowClass],
-                c1: ChowClass) -> ExactConstant:
+def _genus_term(product: ChowClass, c1_one: ChowClass) -> ExactConstant:
     """The additive-genus correction: R1 times the mass of the curvature
     image of [Td ch]_{top-2} * c1, read in the ring as twice the degree of
-    [Td ch]_{top-2} * (c1 * a(1)), since a class times a(1) is a(its image)."""
-    one = chow.a_class(c1.n, 1, RADIAL_ONE, c1.variety)
-    lower = _graded_product(td, ch, len(td) - 3)
-    return R_GENUS_DEGREE1 * chow.pushforward_deg(
-        chow.mul(lower, chow.mul(c1, one))).scale(2)
+    [Td ch]_{top-2} * (c1 * a(1)), since a class times a(1) is a(its image);
+    product is Td ch and c1_one is c1 * a(1)."""
+    lower = product.degree_part(chow.top_degree(product.variety) - 2)
+    return R_GENUS_DEGREE1 * chow.pushforward_deg(chow.mul(lower, c1_one)).scale(2)
 
 
-def _direct_tau(l2: ExactConstant, td: Sequence[ChowClass], ch: Sequence[ChowClass],
-                c1: ChowClass, top_part: ChowClass) -> ExactConstant:
+def _direct_tau(l2: ExactConstant, product: ChowClass,
+                c1_one: ChowClass) -> ExactConstant:
     """The determinant-line identity solved for the torsion:
     tau = L2 + 2 deg([Td ch]_top) - genus correction, where L2 is the log of
-    the squared L2 covolume of the harmonic generators and top_part is
-    [Td ch]_top."""
-    return l2 + chow.pushforward_deg(top_part).scale(2) - _genus_term(td, ch, c1)
+    the squared L2 covolume of the harmonic generators, product is Td ch and
+    c1_one is c1 * a(1)."""
+    top_part = product.degree_part(chow.top_degree(product.variety))
+    return l2 + chow.pushforward_deg(top_part).scale(2) - _genus_term(product, c1_one)
 
 
 @cache
 def tau_p1() -> ExactConstant:
     """Torsion of the projective line: the direct route on the base model,
-    whose metrized tangent class is 2*xhat + a(log 2pi), with L2 term 0."""
+    whose metrized tangent class is 2*xhat + a(log 2pi), with L2 term 0 and
+    the untwisted character ch = 1, so that Td ch is Td."""
     n = 0  # the base model carries no ruling index; 0 is a neutral tag
     c1 = chow.add(chow.scale(2, chow.gen_x(n, chow.BASE)),
                   chow.a_class(n, log_2pi(), RADIAL_ONE, chow.BASE))
-    unit, zero = chow.unit(n, chow.BASE), chow.zero_class(n, chow.BASE)
-    td = [unit, chow.scale(Fraction(1, 2), c1),
-          chow.scale(Fraction(1, 12), chow.mul(c1, c1))]
-    ch = [unit, zero, zero]
-    return _direct_tau(ExactConstant.zero(), td, ch, c1, _graded_product(td, ch, 2))
+    return _direct_tau(ExactConstant.zero(), chow.todd(c1), _c1_times_one(c1))
 
 
 def closed_tau_p1() -> ExactConstant:
@@ -219,52 +211,26 @@ def _l2_covolumes_sq(n: int) -> Tuple[Fraction, Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _chern_character_classes(cc: chow.ChernClasses, p: int,
-                             c1sq: ChowClass, c13: ChowClass,
-                             c1c2: ChowClass) -> List[ChowClass]:
-    """Graded pieces [ch]_0..3 of the p-th exterior power of the cotangent bundle."""
-    n = cc.n
-    c1 = cc.c1_tangent
-    c2 = cc.c2_tangent
-    unit = chow.unit(n)
-    zero = chow.zero_class(n)
-    if p == 0:
-        return [unit, zero, zero, zero]
-    if p == 1:
-        return [
-            chow.scale(2, unit),
-            chow.scale(-1, c1),
-            chow.sub(chow.scale(Fraction(1, 2), c1sq), c2),
-            chow.add(chow.scale(Fraction(-1, 6), c13),
-                     chow.scale(Fraction(1, 2), c1c2)),
-        ]
-    if p == 2:
-        return [
-            unit,
-            chow.scale(-1, c1),
-            chow.scale(Fraction(1, 2), c1sq),
-            chow.scale(Fraction(-1, 6), c13),
-        ]
-    raise ValueError("twist degree p must be 0, 1 or 2")
+def _todd_character_products(n: int) -> Tuple[ChowClass, List[ChowClass]]:
+    """c1 of the tangent bundle and the products Td ch(Lambda^p T*) of the
+    three twists, each one whole class; c1^2, c1^3 and c1*c2 are built once.
 
-
-def _surface_todd_and_characters(
-        n: int) -> Tuple[ChowClass, List[ChowClass], List[List[ChowClass]]]:
-    """c1 of the tangent bundle, the graded arithmetic Todd class [Td]_0..3
-    and the graded characters of the three twists; c1^2, c1^3 and c1*c2 are
-    built once."""
+    ch(Lambda^0) = 1, ch(Lambda^2) = e^-c1 and ch(Lambda^1) = 1 + e^-c1 - c2
+    + c1 c2 / 2, truncated at the arithmetic dimension.
+    """
     cc = chow.arithmetic_chern_classes(n)
     c1, c2 = cc.c1_tangent, cc.c2_tangent
     c1sq = chow.mul(c1, c1)
     c13 = chow.mul(c1sq, c1)
     c1c2 = chow.mul(c1, c2)
-    td = [
-        chow.unit(n),
-        chow.scale(Fraction(1, 2), c1),
-        chow.scale(Fraction(1, 12), chow.add(c1sq, c2)),
-        chow.scale(Fraction(1, 24), c1c2),
-    ]
-    return c1, td, [_chern_character_classes(cc, p, c1sq, c13, c1c2) for p in range(3)]
+    half, one = Fraction(1, 2), chow.unit(n)
+    td = chow.add(chow.add(one, chow.scale(half, c1)),
+                  chow.add(chow.scale(Fraction(1, 12), chow.add(c1sq, c2)),
+                           chow.scale(Fraction(1, 24), c1c2)))
+    exp_minus_c1 = chow.add(chow.sub(one, c1),
+                            chow.sub(chow.scale(half, c1sq), chow.scale(Fraction(1, 6), c13)))
+    ch1 = chow.add(chow.add(one, exp_minus_c1), chow.sub(chow.scale(half, c1c2), c2))
+    return c1, [td, chow.mul(td, ch1), chow.mul(td, exp_minus_c1)]
 
 
 def tau_route_rr(n: int) -> Tuple[ExactConstant, ExactConstant, ExactConstant]:
@@ -275,16 +241,17 @@ def tau_route_rr(n: int) -> Tuple[ExactConstant, ExactConstant, ExactConstant]:
     The selections are checked as well: the middle one vanishes and the top
     one is the negative of the untwisted one.
     """
-    c1, td, chs = _surface_todd_and_characters(n)
-    sel0, sel1, sel2 = selections = [_graded_product(td, ch, 3) for ch in chs]
+    c1, products = _todd_character_products(n)
+    sel0, sel1, sel2 = (p.degree_part(3) for p in products)
     if not sel1.is_zero:
         raise PipelineInconsistency(
             f"degree-3 selection of the middle twist did not vanish: {sel1!r}")
     if sel2 != chow.scale(-1, sel0):
         raise PipelineInconsistency(
             "top-twist selection is not the negative of the untwisted one")
-    return tuple(_direct_tau(log_rational(q), td, ch, c1, sel)
-                 for q, ch, sel in zip(_l2_covolumes_sq(n), chs, selections))
+    c1_one = _c1_times_one(c1)
+    return tuple(_direct_tau(log_rational(q), product, c1_one)
+                 for q, product in zip(_l2_covolumes_sq(n), products))
 
 
 def tau_route_bb(n: int) -> ExactConstant:

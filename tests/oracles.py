@@ -9,10 +9,10 @@ They call no `closed_*` function of the package.
 """
 
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from hirzebruch_torsion import chow
-from hirzebruch_torsion.chow import R_GENUS_DEGREE1, PipelineInconsistency
+from hirzebruch_torsion.chow import R_GENUS_DEGREE1, ChowClass, PipelineInconsistency
 from hirzebruch_torsion.constants import ExactConstant, log_2pi, log_rational
 from hirzebruch_torsion.radial import RADIAL_ONE
 
@@ -144,6 +144,36 @@ def tau_route_rr(n: int) -> Tuple[ExactConstant, ExactConstant, ExactConstant]:
     tau_mid = ExactConstant.zero()
     tau_top = -tau
     return tau, tau_mid, tau_top
+
+
+def graded_todd_and_characters(n: int) -> Tuple[List[ChowClass], List[List[ChowClass]]]:
+    """The graded pieces [Td]_0..3 of the surface Todd class and [ch]_0..3 of
+    the characters of Lambda^0, Lambda^1 and Lambda^2 of the cotangent
+    bundle, each piece typed from the Chern classes."""
+    cc = chow.arithmetic_chern_classes(n)
+    c1, c2 = cc.c1_tangent, cc.c2_tangent
+    c1sq = chow.mul(c1, c1)
+    c13 = chow.mul(c1sq, c1)
+    c1c2 = chow.mul(c1, c2)
+    unit, zero = chow.unit(n), chow.zero_class(n)
+    td = [unit, chow.scale(Fraction(1, 2), c1),
+          chow.scale(Fraction(1, 12), chow.add(c1sq, c2)),
+          chow.scale(Fraction(1, 24), c1c2)]
+    ch0 = [unit, zero, zero, zero]
+    ch1 = [chow.scale(2, unit), chow.scale(-1, c1),
+           chow.sub(chow.scale(Fraction(1, 2), c1sq), c2),
+           chow.add(chow.scale(Fraction(-1, 6), c13), chow.scale(Fraction(1, 2), c1c2))]
+    ch2 = [unit, chow.scale(-1, c1), chow.scale(Fraction(1, 2), c1sq),
+           chow.scale(Fraction(-1, 6), c13)]
+    return td, [ch0, ch1, ch2]
+
+
+def graded_product(td: Sequence[ChowClass], ch: Sequence[ChowClass], k: int) -> ChowClass:
+    """[Td ch]_k as the sum of the piecewise products [Td]_i [ch]_{k-i}."""
+    out = chow.zero_class(td[0].n, td[0].variety)
+    for i in range(k + 1):
+        out = chow.add(out, chow.mul(td[i], ch[k - i]))
+    return out
 
 
 def height(n: int) -> Fraction:

@@ -11,7 +11,6 @@ from hirzebruch_torsion.chow import (
     BASE,
     SURFACE,
     ChowClass,
-    DegreeOverflow,
     IncompleteReduction,
     PipelineInconsistency,
     a_class,
@@ -59,6 +58,12 @@ class TestReduce:
     def test_x_cubed_vanishes_on_base(self):
         c = ChowClass(0, BASE, {(3, 0): ec(1)})
         assert reduce(c).is_zero
+        assert c.is_zero
+
+    def test_a_class_equals_its_normal_form(self):
+        c = ChowClass(2, SURFACE, {(0, 2): ec(1)})
+        assert c == reduce(c)
+        assert c != reduce(ChowClass(2, SURFACE, {(1, 1): ec(1)}))
 
     def test_alpha_x_squared_degree(self):
         n = 4
@@ -151,18 +156,15 @@ class TestMul:
         ]
         for _ in range(25):
             a, b, c = (rng.choice(pool) for _ in range(3))
-            try:
-                left = mul(mul(a, b), c)
-                right = mul(a, mul(b, c))
-            except DegreeOverflow:
-                continue
-            assert left == right
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
-    def test_degree_overflow_errors(self):
+    def test_products_above_the_top_degree_vanish(self):
         n = 1
         quad = ChowClass(n, SURFACE, {(2, 2): ec(1)})
-        with pytest.raises(DegreeOverflow):
-            mul(quad, gen_x(n))
+        assert mul(quad, gen_x(n)).is_zero
+        x, x_sq = gen_x(n, BASE), ChowClass(n, BASE, {(2, 0): ec(1)})
+        assert mul(x_sq, x).is_zero
+        assert mul(x_sq, x_sq).is_zero
 
 
 class TestPushforwardDeg:

@@ -26,8 +26,9 @@ CFG = QuadratureConfig()
 
 def genus_terms(n):
     """The direct route's additive-genus corrections of the three twists."""
-    c1, td, chs = torsion._surface_todd_and_characters(n)
-    return tuple(torsion._genus_term(td, ch, c1) for ch in chs)
+    c1, products = torsion._todd_character_products(n)
+    c1_one = torsion._c1_times_one(c1)
+    return tuple(torsion._genus_term(product, c1_one) for product in products)
 
 # (1 + log 2pi)/3 - 4 zeta'(-1) - 2 zeta(-1) at 40-digit precision
 TAU_P1_REFERENCE = 1.7743102636049188780
@@ -80,6 +81,16 @@ class TestClosedForms:
         for n in (0, 1, 7):  # the ring derives the same triple
             assert genus_terms(n) == tuple(
                 oracles.r_genus_pushforward(p) for p in range(3))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 10**6])
+    def test_whole_products_match_the_graded_products(self, n):
+        # Td ch multiplied as whole classes against the piecewise sum of the
+        # graded pieces [Td]_i [ch]_{k-i}, in the two degrees the route reads
+        _, products = torsion._todd_character_products(n)
+        td, chs = oracles.graded_todd_and_characters(n)
+        for product, ch in zip(products, chs):
+            for k in (3, 1):
+                assert product.degree_part(k) == oracles.graded_product(td, ch, k)
 
 
 class TestNamedIntegrals:
