@@ -342,8 +342,10 @@ def _ddc(form: FormT, n: int) -> Optional[FormT]:
     return None
 
 
-def _analytic_product(f: FormT, g: FormT, n: int, variety: str) -> Optional[FormT]:
-    """The form of a(f) * a(g) = a(dd^c f ^ g), or None when it vanishes.
+def _analytic_product(f: FormT, df: Optional[FormT], g: FormT, dg: Optional[FormT],
+                      variety: str) -> Optional[FormT]:
+    """The form of a(f) * a(g) = a(dd^c f ^ g), or None when it vanishes;
+    df and dg are dd^c f and dd^c g, read only when that factor carries dd^c.
 
     dd^c falls on the lower-degree factor.  In top degree only the mass of
     the product counts, and by Stokes it is the same whichever factor
@@ -353,15 +355,11 @@ def _analytic_product(f: FormT, g: FormT, n: int, variety: str) -> Optional[Form
     """
     deg_f, deg_g = _form_degree(f, variety), _form_degree(g, variety)
     if deg_f > deg_g:
-        f, g, deg_f, deg_g = g, f, deg_g, deg_f
-    if deg_f + deg_g > top_degree(variety):
-        return None
-    df = _ddc(f, n)
-    if not df:
+        f, df, g, dg, deg_f, deg_g = g, dg, f, df, deg_g, deg_f
+    if deg_f + deg_g > top_degree(variety) or not df:
         return None
     if deg_f < deg_g:
         return _product(df, g)
-    dg = _ddc(g, n)
     if not dg:
         return None
     return Fraction(1, 2) * (_product(df, g) + _product(dg, f))
@@ -465,11 +463,15 @@ def mul(a: ChowClass, b: ChowClass, trace: Optional[list] = None) -> ChowClass:
                 w = _product(form, curv)
                 if w:
                     _accumulate(slots, _atoms(atom_f, atom_c), w, variety)
-    for (_, atom1), f1 in a.forms.items():
-        for (_, atom2), f2 in b.forms.items():
-            w = _analytic_product(f1, f2, n, variety)
+    # dd^c once per form that can carry it: a lower-degree factor of a
+    # product within the top degree, so of degree at most top / 2
+    ddc_a, ddc_b = ({slot: _ddc(f, n) for slot, f in c.forms.items() if 2 * slot[0] <= top}
+                    for c in (a, b))
+    for slot1, f1 in a.forms.items():
+        for slot2, f2 in b.forms.items():
+            w = _analytic_product(f1, ddc_a.get(slot1), f2, ddc_b.get(slot2), variety)
             if w:
-                _accumulate(slots, _atoms(atom1, atom2), w, variety)
+                _accumulate(slots, _atoms(slot1[1], slot2[1]), w, variety)
                 if trace is not None:
                     _trace_step(trace, "analytic_product", f"a({f1!r})*a({f2!r})",
                                 f"a({w!r})")

@@ -12,8 +12,6 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from . import chow, forms, torsion
 from .constants import ExactConstant, ZETA_M1, ZETA_PRIME_M1, atom_table
 from .radial import NonConvergence, QuadratureConfig
@@ -232,6 +230,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_forms(args) -> int:
+    import numpy as np  # only this command samples a grid
+
     if args.n < 0:
         print("error: --n must be >= 0", file=sys.stderr)
         return EXIT_CONFIG

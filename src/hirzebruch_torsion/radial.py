@@ -22,6 +22,10 @@ u = t / (1 - t), which maps the half-line onto (0, 1).  In the t variable an
 integrand of decay order d behaves like (1-t)^(d-2) near 1, so adaptive
 Gauss-Kronrod (and tanh-sinh as an alternative) resolve the whole catalog
 without special endpoint treatment.
+
+numpy and scipy load only where they are used: scipy.integrate when a
+quadrature runs, numpy when an array is evaluated or integrated.  The exact
+path (normal forms, masses, float evaluation) imports neither.
 """
 
 from __future__ import annotations
@@ -31,9 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, Optional, Tuple
-
-import numpy as np
-from scipy import integrate as _si
 
 from .constants import ExactConstant, log_rational
 
@@ -249,9 +250,9 @@ class Radial:
 
     # -- exact mass ---------------------------------------------------------
 
-    @property
+    @cached_property
     def mass(self) -> ExactConstant:
-        """Exact integral over [0, inf).
+        """Exact integral over [0, inf), derived once per object.
 
         Pole powers k >= 2 give 1/(a(k-1)); simple poles give sum (c/a) log a
         once their 1/u tails cancel; by parts,
@@ -287,7 +288,8 @@ class Radial:
 
     @cached_property
     def fn(self) -> Callable:
-        """Evaluator of a float or a numpy array of u values (same code)."""
+        """Evaluator of a float or a numpy array of u values (same code);
+        numpy is imported only when an array is passed."""
         return _evaluator(self.terms)
 
     def __call__(self, u):
@@ -322,7 +324,11 @@ def _evaluator(terms) -> Callable:
                       for a in bases if max(g.get(a, {0: 0})) > 1]))
 
     def fn(u):
-        log1p = np.log1p if isinstance(u, np.ndarray) else math.log1p
+        if isinstance(u, (int, float)):  # np.float64 is a float
+            log1p = math.log1p
+        else:
+            import numpy as np
+            log1p = np.log1p if isinstance(u, np.ndarray) else math.log1p
         xs = [1.0 / (1.0 + a * u) for a in bases]
         total = 0.0 * u
         for b, numerator, simple, higher in plan:
@@ -489,6 +495,8 @@ def _compactified(f) -> Callable[[float], float]:
 
 def _compactified_array(f) -> Callable:
     """The same transform on arrays: one call of f.fn for all points."""
+    import numpy as np
+
     fn = f.fn
 
     def g(t):
@@ -534,9 +542,11 @@ def _stalled(f, name: str, value: float, estimate: float, cfg: QuadratureConfig,
 
 
 def _gauss_kronrod(g, f, cfg: QuadratureConfig, name: str) -> float:
+    from scipy import integrate
+
     for attempt in range(cfg.max_refinement):
-        out = _si.quad(g, 0.0, 1.0, epsabs=cfg.target_tol * 0.5, epsrel=1e-13,
-                       limit=50 << attempt, full_output=1)
+        out = integrate.quad(g, 0.0, 1.0, epsabs=cfg.target_tol * 0.5, epsrel=1e-13,
+                             limit=50 << attempt, full_output=1)
         if out[1] <= cfg.target_tol and len(out) == 3:  # a fourth item means ier != 0
             return out[0]
     # scipy's message up to its first comma or full stop
@@ -545,13 +555,17 @@ def _gauss_kronrod(g, f, cfg: QuadratureConfig, name: str) -> float:
 
 
 def _tanh_sinh(f, cfg: QuadratureConfig, name: str) -> float:
+    from scipy import integrate
+
     if isinstance(f, Radial):
         gv = _compactified_array(f)
     else:  # an opaque integrand takes one point at a time
+        import numpy as np
+
         gv = np.vectorize(_compactified(f), otypes=[float])
     for attempt in range(cfg.max_refinement):
-        res = _si.tanhsinh(gv, 0.0, 1.0, atol=cfg.target_tol * 0.5,
-                           maxlevel=10 + 2 * attempt)
+        res = integrate.tanhsinh(gv, 0.0, 1.0, atol=cfg.target_tol * 0.5,
+                                 maxlevel=10 + 2 * attempt)
         if res.success and float(res.error) <= cfg.target_tol:
             return float(res.integral)
     raise _stalled(f, name, float(res.integral), float(res.error), cfg,

@@ -131,6 +131,17 @@ class TestMul:
         assert coeff == log_2pi()
         assert form == forms.alpha_form(n)
 
+    def test_ddc_is_taken_once_per_form(self, monkeypatch):
+        n = 2
+        calls = []
+        ddc = forms.ddc
+        monkeypatch.setattr(forms, "ddc", lambda h, m: calls.append(h) or ddc(h, m))
+        a = a_class(n, 1, forms.log_R(n))
+        b = ChowClass(n, SURFACE, analytic=[(ec(1), forms.log_R(n)),
+                                            (log_rational(3), Radial.term(a=1, k=1))])
+        assert not mul(a, b).is_zero
+        assert len(calls) == 3  # one per 0-form of a and b, not two per pair
+
     def test_commutative_on_catalog_classes(self):
         rng = random.Random(23)
         n = 2

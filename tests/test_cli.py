@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hirzebruch_torsion import chow, cli, radial, torsion
+from hirzebruch_torsion import chow, cli, torsion
 from hirzebruch_torsion.constants import ExactConstant, log_rational
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -195,12 +195,49 @@ class TestTraceAndErrors:
             return 0.25, 1e-12, {}, ("The occurrence of roundoff error is detected, "
                                      "which prevents\n  the requested tolerance.")
 
-        monkeypatch.setattr(radial._si, "quad", flagged)
+        monkeypatch.setattr("scipy.integrate.quad", flagged)
         assert cli.main(["integrals", "--n", "1"]) == 3
         assert capsys.readouterr().err == (
             "error: quadrature did not converge: halfline_inverse_cube, n=1: "
             "scipy quad: The occurrence of roundoff error is detected "
             "(estimate 1.0e-12 met the target)\n")
+
+
+def loaded_after(statement):
+    """Run statement, which sets rc, in a fresh interpreter; its exit status
+    and which of numpy, scipy and scipy.integrate it left loaded."""
+    script = ("import json, sys\n"
+              "from hirzebruch_torsion import cli, torsion\n"
+              f"{statement}\n"
+              "heavy = ('numpy', 'scipy', 'scipy.integrate')\n"
+              "print(json.dumps([m for m in heavy if m in sys.modules]), file=sys.stderr)\n"
+              "sys.exit(rc)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    return proc.returncode, json.loads(proc.stderr.splitlines()[-1])
+
+
+class TestExactPathImports:
+    """The exact path loads neither numpy nor scipy: only quadrature and
+    array evaluation import them."""
+
+    @pytest.mark.parametrize("statement", [
+        "rc = cli.main(['height', '--n', '3'])",
+        "rc = cli.main(['height', '--n-max', '50', '--format', 'csv'])",
+        "rc = cli.main(['constants'])",
+        "rc = cli.main(['torsion', '--n', '3'])",
+        "torsion.main_theorem(7); rc = 0",
+        "torsion.height(7); rc = 0",
+    ], ids=["height", "height_csv", "constants", "torsion", "main_theorem", "height_fn"])
+    def test_exact_path_loads_neither(self, statement):
+        assert loaded_after(statement) == (0, [])
+
+    def test_quadrature_loads_scipy(self):
+        code, loaded = loaded_after("rc = cli.main(['integrals', '--n', '1'])")
+        assert code == 0 and "scipy.integrate" in loaded
+
+    def test_forms_grid_loads_numpy(self):
+        code, loaded = loaded_after("rc = cli.main(['forms', '--n', '1'])")
+        assert code == 0 and "numpy" in loaded
 
 
 class TestConfigErrors:

@@ -221,6 +221,14 @@ class TestNormalForm:
         with pytest.raises(DomainError):
             integrate_halfline(Radial.term(a=1, k=1), CFG)
 
+    def test_mass_is_derived_once_and_a_refusal_every_time(self):
+        f = forms.log_R(1) * forms.coeff_B()
+        assert f.mass is f.mass
+        g = Radial.term(a=1, k=1)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                g.mass
+
     def test_tanh_sinh_evaluates_in_array_calls(self):
         f = copy.copy(forms.wedge(forms.c1_total(2), forms.c1_rel(2)).g * forms.log_R(2))
         calls = []

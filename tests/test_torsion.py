@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hirzebruch_torsion import forms, radial, torsion
+from hirzebruch_torsion import forms, torsion
 from hirzebruch_torsion.chow import PipelineInconsistency
 from hirzebruch_torsion.constants import (
     ExactConstant,
@@ -297,7 +297,7 @@ class TestGridAndHodgeSweeps:
 
     def test_quadratures_are_named(self, monkeypatch):
         # a quadrature that never meets its target names the check and n
-        monkeypatch.setattr(radial._si, "quad", lambda *args, **kwargs: (0.0, 1.0))
+        monkeypatch.setattr("scipy.integrate.quad", lambda *args, **kwargs: (0.0, 1.0))
         with pytest.raises(NonConvergence, match=r"^norm_sq_alpha, n=3: "):
             torsion.hodge_l2_checks(3, CFG)
         with pytest.raises(NonConvergence, match=r"^bb_first_term, n=3: "):
