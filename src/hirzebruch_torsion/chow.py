@@ -483,11 +483,11 @@ def mul(a: ChowClass, b: ChowClass, trace: Optional[list] = None) -> ChowClass:
 # ---------------------------------------------------------------------------
 
 
-def pushforward_base(c: ChowClass, trace: Optional[list] = None) -> ChowClass:
+def pushforward_base(c: ChowClass) -> ChowClass:
     """Pushforward along the ruling, from the surface model to the base model."""
     if c.variety != SURFACE:
         raise ChowError("pushforward_base expects a surface class")
-    c = reduce(c, trace)
+    c = reduce(c)
     poly: Dict[MonoT, ExactConstant] = {}
     for (i, j), coeff in c.poly.items():
         if j == 0:
@@ -550,7 +550,7 @@ class ChernClasses:
     n: int
     c1_relative: ChowClass     # relative tangent bundle, curvature metric
     c1_base: ChowClass         # pulled-back base tangent bundle
-    c1_tangent: ChowClass      # full tangent bundle
+    c1_tangent: ChowClass      # full tangent bundle: the sum of the two above
     c2_tangent: ChowClass
 
 
@@ -564,9 +564,7 @@ def arithmetic_chern_classes(n: int) -> ChernClasses:
     c1base = add(scale(2, x),
                  ChowClass(n, SURFACE, analytic=[(_ec(-1), log_ratio),
                                                  (l2pi, RADIAL_ONE)]))
-    c1tan = add(sub(scale(2, alpha), scale(n, x)),
-                ChowClass(n, SURFACE, analytic=[(_ec(-1), log_ratio),
-                                                (l2pi.scale(2), RADIAL_ONE)]))
+    c1tan = add(c1rel, c1base)
     c2tan = ChowClass(
         n, SURFACE,
         poly={(1, 1): _ec(4), (2, 0): _ec(-2 * (n + 2))},

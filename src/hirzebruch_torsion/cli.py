@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 from . import chow, forms, torsion
 from .constants import ExactConstant, ZETA_M1, ZETA_PRIME_M1, atom_table
-from .radial import NonConvergence, QuadratureConfig
+from .radial import DEFAULT_CONFIG, SCHEMES, NonConvergence, QuadratureConfig
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -71,9 +71,7 @@ def _parse_n_list(args) -> List[int]:
 
 def _quad_config(args) -> QuadratureConfig:
     try:
-        return QuadratureConfig(target_tol=args.quad_tol,
-                                max_refinement=args.max_refinement,
-                                scheme=args.scheme)
+        return QuadratureConfig(target_tol=args.quad_tol, scheme=args.scheme)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
@@ -271,12 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_quad_flags(p):
-        p.add_argument("--quad-tol", type=float, default=1e-10,
-                       help="quadrature target tolerance (default 1e-10)")
-        p.add_argument("--max-refinement", type=int, default=8,
-                       help="adaptive refinement budget (default 8)")
-        p.add_argument("--scheme", choices=["gauss_kronrod", "tanh_sinh"],
-                       default="gauss_kronrod", help="quadrature scheme")
+        p.add_argument("--quad-tol", type=float, default=DEFAULT_CONFIG.target_tol,
+                       help="quadrature target tolerance (default %(default)g)")
+        p.add_argument("--scheme", choices=SCHEMES, default=DEFAULT_CONFIG.scheme,
+                       help="quadrature scheme")
 
     def add_n_flags(p, with_max=False):
         p.add_argument("--n", type=int, help="ruling index")

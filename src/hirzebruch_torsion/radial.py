@@ -47,7 +47,7 @@ class DomainError(ValueError):
 
 
 class NonConvergence(RuntimeError):
-    """Error estimate still above the target after the refinement budget."""
+    """Error estimate still above the target, or flagged by the integrator."""
 
     def __init__(self, message: str, value: float, estimate: float):
         super().__init__(message)
@@ -370,14 +370,13 @@ def linear(pairs) -> Radial:
 class RadialFunction:
     """Evaluable map u in [0, inf) -> R with declared decay at infinity.
 
-    decay_order d means eval(u) = O(u^-d) as u -> inf; has_log flags an extra
-    logarithmic factor.  const_value is set when the function is a known
-    constant (enables structural zero detection downstream).
+    decay_order d means eval(u) = O(u^-d) as u -> inf.  const_value is set
+    when the function is a known constant (enables structural zero detection
+    downstream).
     """
 
     fn: Callable[[float], float]
     decay_order: float
-    has_log: bool = False
     key: KeyT = ("anon",)
     const_value: Optional[Fraction] = None
 
@@ -412,8 +411,7 @@ def radial_scale(q, f: RadialFunction) -> RadialFunction:
         return radial_const(q * f.const_value)
     c = float(q)
     g = f.fn
-    return RadialFunction(lambda u: c * g(u), f.decay_order, f.has_log,
-                          key=("scale", str(q), f.key))
+    return RadialFunction(lambda u: c * g(u), f.decay_order, key=("scale", str(q), f.key))
 
 
 def radial_add(a: RadialFunction, b: RadialFunction) -> RadialFunction:
@@ -426,7 +424,6 @@ def radial_add(a: RadialFunction, b: RadialFunction) -> RadialFunction:
     fa, fb = a.fn, b.fn
     return RadialFunction(lambda u: fa(u) + fb(u),
                           min(a.decay_order, b.decay_order),
-                          a.has_log or b.has_log,
                           key=("add", a.key, b.key))
 
 
@@ -440,7 +437,6 @@ def radial_mul(a: RadialFunction, b: RadialFunction) -> RadialFunction:
     fa, fb = a.fn, b.fn
     return RadialFunction(lambda u: fa(u) * fb(u),
                           a.decay_order + b.decay_order,
-                          a.has_log or b.has_log,
                           key=("mul", a.key, b.key))
 
 
@@ -455,14 +451,11 @@ PASS_TOL_FACTOR = 10.0  # a quadrature passes within this multiple of its target
 @dataclass(frozen=True)
 class QuadratureConfig:
     target_tol: float = 1e-10
-    max_refinement: int = 8
     scheme: str = "gauss_kronrod"
 
     def __post_init__(self) -> None:
         if self.target_tol <= 0:
             raise ValueError("target_tol must be positive")
-        if self.max_refinement < 1:
-            raise ValueError("max_refinement must be >= 1")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
 
@@ -544,11 +537,10 @@ def _stalled(f, name: str, value: float, estimate: float, cfg: QuadratureConfig,
 def _gauss_kronrod(g, f, cfg: QuadratureConfig, name: str) -> float:
     from scipy import integrate
 
-    for attempt in range(cfg.max_refinement):
-        out = integrate.quad(g, 0.0, 1.0, epsabs=cfg.target_tol * 0.5, epsrel=1e-13,
-                             limit=50 << attempt, full_output=1)
-        if out[1] <= cfg.target_tol and len(out) == 3:  # a fourth item means ier != 0
-            return out[0]
+    out = integrate.quad(g, 0.0, 1.0, epsabs=cfg.target_tol * 0.5, epsrel=1e-13,
+                         limit=50, full_output=1)
+    if out[1] <= cfg.target_tol and len(out) == 3:  # a fourth item means ier != 0
+        return out[0]
     # scipy's message up to its first comma or full stop
     reason = " ".join(out[3].split()).split(",")[0].split(".")[0] if len(out) > 3 else ""
     raise _stalled(f, name, out[0], out[1], cfg, f"scipy quad: {reason}")
@@ -563,11 +555,9 @@ def _tanh_sinh(f, cfg: QuadratureConfig, name: str) -> float:
         import numpy as np
 
         gv = np.vectorize(_compactified(f), otypes=[float])
-    for attempt in range(cfg.max_refinement):
-        res = integrate.tanhsinh(gv, 0.0, 1.0, atol=cfg.target_tol * 0.5,
-                                 maxlevel=10 + 2 * attempt)
-        if res.success and float(res.error) <= cfg.target_tol:
-            return float(res.integral)
+    res = integrate.tanhsinh(gv, 0.0, 1.0, atol=cfg.target_tol * 0.5, maxlevel=10)
+    if res.success and float(res.error) <= cfg.target_tol:
+        return float(res.integral)
     raise _stalled(f, name, float(res.integral), float(res.error), cfg,
                    f"scipy tanhsinh status {int(res.status)}")
 

@@ -80,7 +80,6 @@ def closed_height(n: int) -> Fraction:
 class NamedIntegral:
     name: str
     n: int
-    integrand: Union[Form22, Radial]
     closed_form: ExactConstant  # the exact mass derived from the normal form
     quadrature_value: float
     abs_error: float
@@ -129,9 +128,9 @@ def named_integrals(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> List[Name
         profile = integrand.g if isinstance(integrand, Form22) else integrand
         value = integrate_halfline(profile, cfg, name=f"{name}, n={n}")
         e = graded(name, n, profile.mass, value, cfg.pass_tol)
-        out.append(NamedIntegral(name=name, n=n, integrand=integrand,
-                                 closed_form=e.expected, quadrature_value=value,
-                                 abs_error=e.abs_error, passed=e.passed))
+        out.append(NamedIntegral(name=name, n=n, closed_form=e.expected,
+                                 quadrature_value=value, abs_error=e.abs_error,
+                                 passed=e.passed))
     return out
 
 

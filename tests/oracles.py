@@ -11,7 +11,7 @@ They call no `closed_*` function of the package.
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from hirzebruch_torsion import chow
+from hirzebruch_torsion import chow, forms
 from hirzebruch_torsion.chow import R_GENUS_DEGREE1, ChowClass, PipelineInconsistency
 from hirzebruch_torsion.constants import ExactConstant, log_2pi, log_rational
 from hirzebruch_torsion.radial import RADIAL_ONE
@@ -101,6 +101,15 @@ def r_genus_pushforward(p: int) -> ExactConstant:
     """
     base = R_GENUS_DEGREE1.scale(4)  # (2 zeta'(-1) + zeta(-1))/2 * 8
     return {0: base, 1: ExactConstant.zero(), 2: -base}[p]
+
+
+def c1_tangent(n: int) -> ChowClass:
+    """The first Chern class of the tangent bundle as it was typed in:
+    2 alpha - n x + a(-log R) + a(2 log 2pi)."""
+    alpha, x = chow.gen_alpha(n), chow.gen_x(n)
+    return chow.add(chow.sub(chow.scale(2, alpha), chow.scale(n, x)),
+                    ChowClass(n, chow.SURFACE, analytic=[(_rat(-1), forms.log_R(n)),
+                                                         (log_2pi().scale(2), RADIAL_ONE)]))
 
 
 def c1c2_pushforward(n: int, trace=None) -> ExactConstant:

@@ -177,8 +177,7 @@ class TestTraceAndErrors:
         assert errors == ["error: the height at n=2 is not rational: log(2)\n"] * 2
 
     def test_nonconvergence_exit_code(self):
-        code, _, err = run_cli("integrals", "--n", "5", "--quad-tol", "1e-16",
-                               "--max-refinement", "1")
+        code, _, err = run_cli("integrals", "--n", "5", "--quad-tol", "1e-16")
         assert code == 3
         assert "converge" in err
 

@@ -10,6 +10,7 @@ import copy
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ class TestKnownValues:
     def test_growing_log_flagged_integrand(self, a):
         # log(1+au)/(1+u)^2: by parts the mass is a log(a)/(a-1)
         f = RadialFunction(lambda u: math.log(1 + a * u) / (1 + u) ** 2,
-                           decay_order=2.0, has_log=True, key=("log_growth", a))
+                           decay_order=2.0, key=("log_growth", a))
         assert integrate_halfline(f, CFG) == pytest.approx(
             a * math.log(a) / (a - 1), abs=1e-10)
 
@@ -130,18 +131,34 @@ class TestErrors:
             integrate_halfline(f, CFG)
 
     def test_non_convergence_is_reported(self):
-        # wildly oscillatory integrand under a one-round budget and a tight target
+        # wildly oscillatory integrand under a tight target
         f = RadialFunction(lambda u: math.sin(u * u) / (1 + u) ** 2 * 1e3,
                            decay_order=2.0, key=("oscillatory",))
-        cfg = QuadratureConfig(target_tol=1e-14, max_refinement=1)
+        cfg = QuadratureConfig(target_tol=1e-14)
         with pytest.raises(NonConvergence):
             integrate_halfline(f, cfg)
+
+    @pytest.mark.parametrize("scheme", ["gauss_kronrod", "tanh_sinh"])
+    def test_a_failed_quadrature_is_not_retried(self, scheme, monkeypatch):
+        calls = []
+
+        def failed_quad(*args, **kwargs):
+            calls.append(kwargs)
+            return 0.5, 1.0, {}, "The maximum number of subdivisions has been achieved."
+
+        def failed_tanhsinh(*args, **kwargs):
+            calls.append(kwargs)
+            return SimpleNamespace(success=False, status=-2, integral=0.5, error=1.0)
+
+        monkeypatch.setattr("scipy.integrate.quad", failed_quad)
+        monkeypatch.setattr("scipy.integrate.tanhsinh", failed_tanhsinh)
+        with pytest.raises(NonConvergence, match="stalled at estimate 1.000e"):
+            integrate_halfline(power_integrand(3), QuadratureConfig(scheme=scheme))
+        assert len(calls) == 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(target_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_refinement=0)
         with pytest.raises(ValueError):
             QuadratureConfig(scheme="simpson")
 
