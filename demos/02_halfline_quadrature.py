@@ -35,7 +35,7 @@ for k in range(2, 7):
                        key=("pow", k))
     print(f"  k={k}: {integrate_halfline(g, cfg):.15f}  (exact {1 / (k - 1):.15f})")
 
-print("\nA logarithmic integrand (flagged, still integrable):")
+print("\nA logarithmic integrand (decay order 2):")
 n = 1
 h = RadialFunction(lambda u: math.log((1 + (n + 1) * u) / (1 + u)) / (1 + u) ** 2,
                    decay_order=2.0, key=("log_ratio",))

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .constants import ExactConstant
@@ -115,6 +116,13 @@ class Form11:
 
     def evaluate(self, u: float) -> Tuple[float, float]:
         return self.fx(u), self.fphi(u)
+
+    @cached_property
+    def star(self) -> "Form11":
+        """Hodge star on real invariant (1,1)-forms, (Lambda a) * alpha - a,
+        derived once per object."""
+        return combine(self.n, [(Fraction(1), lambda_contract(self) * alpha_form(self.n)),
+                                (Fraction(-1), self)])
 
 
 def combine(n: int, weighted: Sequence[Tuple[Fraction, Form11]]) -> Form11:
@@ -262,8 +270,7 @@ def lambda_contract(a: Form11) -> Radial:
 
 def hodge_star(a: Form11) -> Form11:
     """Star on real invariant (1,1)-forms: (Lambda a) * alpha - a."""
-    return combine(a.n, [(Fraction(1), lambda_contract(a) * alpha_form(a.n)),
-                         (Fraction(-1), a)])
+    return a.star
 
 
 def l2_pairing(a: Union[Form11, Form22], b: Union[Form11, Form22]) -> Form22:

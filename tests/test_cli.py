@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hirzebruch_torsion import chow, cli, torsion
+from hirzebruch_torsion import chow, cli, radial, torsion
 from hirzebruch_torsion.constants import ExactConstant, log_rational
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -189,16 +189,12 @@ class TestTraceAndErrors:
         assert "c1_c1rel_log_ratio, n=400" in lines[0]
 
     def test_nonconvergence_gives_the_integrators_reason(self, capsys, monkeypatch):
-        # an estimate within the target that scipy's quad flags (ier != 0)
-        def flagged(*args, **kwargs):
-            return 0.25, 1e-12, {}, ("The occurrence of roundoff error is detected, "
-                                     "which prevents\n  the requested tolerance.")
-
-        monkeypatch.setattr("scipy.integrate.quad", flagged)
+        # an estimate within the target that QAGS flags (ier 2, round-off)
+        monkeypatch.setattr(radial, "_dqagse", lambda *args: (0.25, 1e-12, 21, 2, 1))
         assert cli.main(["integrals", "--n", "1"]) == 3
         assert capsys.readouterr().err == (
             "error: quadrature did not converge: halfline_inverse_cube, n=1: "
-            "scipy quad: The occurrence of roundoff error is detected "
+            "qags: The occurrence of roundoff error is detected "
             "(estimate 1.0e-12 met the target)\n")
 
 
@@ -216,8 +212,8 @@ def loaded_after(statement):
 
 
 class TestExactPathImports:
-    """The exact path loads neither numpy nor scipy: only quadrature and
-    array evaluation import them."""
+    """The exact path and Gauss-Kronrod quadrature load neither numpy nor
+    scipy: only tanh-sinh quadrature and array evaluation import them."""
 
     @pytest.mark.parametrize("statement", [
         "rc = cli.main(['height', '--n', '3'])",
@@ -230,8 +226,18 @@ class TestExactPathImports:
     def test_exact_path_loads_neither(self, statement):
         assert loaded_after(statement) == (0, [])
 
+    @pytest.mark.parametrize("argv", [
+        ["integrals", "--n", "1"],
+        ["verify", "--n", "2"],
+        ["table", "--n-max", "2"],
+    ], ids=["integrals", "verify", "table"])
+    def test_gauss_kronrod_loads_neither(self, argv):
+        # the default scheme is QAGS in pure Python
+        assert loaded_after(f"rc = cli.main({argv!r})") == (0, [])
+
     def test_quadrature_loads_scipy(self):
-        code, loaded = loaded_after("rc = cli.main(['integrals', '--n', '1'])")
+        code, loaded = loaded_after(
+            "rc = cli.main(['integrals', '--n', '1', '--scheme', 'tanh_sinh'])")
         assert code == 0 and "scipy.integrate" in loaded
 
     def test_forms_grid_loads_numpy(self):

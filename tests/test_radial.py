@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hirzebruch_torsion import forms
+from hirzebruch_torsion import forms, radial, torsion
 from hirzebruch_torsion.constants import ExactConstant, log_rational
 from hirzebruch_torsion.radial import (
     RADIAL_ONE,
@@ -64,7 +64,7 @@ class TestKnownValues:
             assert got == pytest.approx(1.0 / (k - 1), abs=1e-12), k
 
     @pytest.mark.parametrize("a", [2, 3, 7])
-    def test_growing_log_flagged_integrand(self, a):
+    def test_growing_log_integrand(self, a):
         # log(1+au)/(1+u)^2: by parts the mass is a log(a)/(a-1)
         f = RadialFunction(lambda u: math.log(1 + a * u) / (1 + u) ** 2,
                            decay_order=2.0, key=("log_growth", a))
@@ -142,15 +142,15 @@ class TestErrors:
     def test_a_failed_quadrature_is_not_retried(self, scheme, monkeypatch):
         calls = []
 
-        def failed_quad(*args, **kwargs):
-            calls.append(kwargs)
-            return 0.5, 1.0, {}, "The maximum number of subdivisions has been achieved."
+        def failed_qags(*args):
+            calls.append(args)
+            return 0.5, 1.0, 1029, 1, 50
 
         def failed_tanhsinh(*args, **kwargs):
             calls.append(kwargs)
             return SimpleNamespace(success=False, status=-2, integral=0.5, error=1.0)
 
-        monkeypatch.setattr("scipy.integrate.quad", failed_quad)
+        monkeypatch.setattr(radial, "_dqagse", failed_qags)
         monkeypatch.setattr("scipy.integrate.tanhsinh", failed_tanhsinh)
         with pytest.raises(NonConvergence, match="stalled at estimate 1.000e"):
             integrate_halfline(power_integrand(3), QuadratureConfig(scheme=scheme))
@@ -291,3 +291,89 @@ class TestMassProperties:
         size = integrate_halfline(RadialFunction(lambda u: abs(f(u)), decay_order=2.0),
                                   QuadratureConfig(target_tol=1e-6))
         assert abs(f.mass.to_float() - integrate_halfline(f, CFG)) <= 1e-9 * max(1.0, size)
+
+
+# ---------------------------------------------------------------------------
+# The QAGS port against scipy's quad, the test oracle
+# ---------------------------------------------------------------------------
+
+# scipy's quad names its flag ier by the start of its message
+SCIPY_FLAGS = {"The maximum number of subdivisions": 1,
+               "The occurrence of roundoff error": 2,
+               "Extremely bad integrand behavior": 3,
+               "The algorithm does not converge": 4,
+               "The integral is probably divergent": 5}
+
+
+def scipy_qags(g, a, b, epsabs, limit):
+    """scipy's quad as (value, abserr, neval, ier, last) and its message up
+    to the first comma or full stop."""
+    from scipy import integrate
+
+    out = integrate.quad(g, a, b, epsabs=epsabs, epsrel=1e-13, limit=limit, full_output=1)
+    reason = " ".join(out[3].split()).split(",")[0].split(".")[0] if len(out) > 3 else ""
+    ier = next((i for start, i in SCIPY_FLAGS.items() if reason.startswith(start)), 0)
+    return (out[0], out[1], out[2]["neval"], ier, out[2]["last"]), reason
+
+
+def assert_qags_matches_scipy(g, a=0.0, b=1.0, epsabs=5e-11, limit=50) -> int:
+    """The port's five results equal scipy's bit for bit, and its reason
+    text (which names the limit) is scipy's; returns ier."""
+    got = radial._dqagse(g, a, b, epsabs, 1e-13, limit)
+    want, reason = scipy_qags(g, a, b, epsabs, limit)
+    assert got == want
+    assert radial._QAGS_REASONS[got[3]].replace("(50)", f"({limit})") == reason
+    return got[3]
+
+
+def route3_integrands(n, monkeypatch):
+    """The compactified integrand and name of every Gauss-Kronrod quadrature
+    of route 3 at n (named integrals, L2 checks, both route checks)."""
+    seen = []
+
+    def record(g, f, cfg, name):
+        seen.append((g, name))
+        return 0.0
+
+    with monkeypatch.context() as m:
+        m.setattr(radial, "_gauss_kronrod", record)
+        torsion.named_integrals(n, CFG)
+        torsion.hodge_l2_checks(n, CFG)
+        torsion.route_checks(n, CFG)
+    return seen
+
+
+class TestQagsMatchesScipy:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 20, 57, 58, 100, 266, 300, 400, 1000, 10**6])
+    def test_route3_integrands(self, n, monkeypatch):
+        seen = route3_integrands(n, monkeypatch)
+        assert len(seen) >= 15
+        for g, name in seen:
+            for target in (1e-6, 1e-10, 1e-13):
+                assert_qags_matches_scipy(g, epsabs=target * 0.5), (name, target)
+
+    @pytest.mark.parametrize("g,a,b,epsabs,limit,ier", [
+        (lambda t: math.sin(1.0 / t) if t else 0.0, 0.0, 1.0, 5e-11, 50, 1),
+        (lambda t: math.sin(1.0 / t) if t else 0.0, -1.0, 1.0, 5e-16, 20, 2),
+        (lambda t: 1.0 if t > 1e15 + 3.3 else 0.0, 1e15, 1e15 + 8.0, 5e-11, 20, 3),
+        (lambda t: 1.0 / ((t - 0.5) ** 2 + 1e-12), -1.0, 1.0, 5e-11, 50, 4),
+        (lambda t: math.cos(1000.0 * t * t), 0.0, 1.0, 5e-11, 30, 5),
+        (lambda t: math.log(t) if t else 0.0, 0.0, 1.0, 5e-11, 50, 0),
+        (lambda t: 0.0, 0.0, 1.0, 5e-11, 50, 0),
+    ], ids=["limit", "roundoff", "bad_point", "extrapolation", "divergent",
+            "extrapolated", "zero"])
+    def test_hostile_integrands(self, g, a, b, epsabs, limit, ier):
+        assert assert_qags_matches_scipy(g, a, b, epsabs, limit) == ier
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 7, 20])
+    def test_small_limits(self, limit):
+        for g in (lambda t: math.sin(1.0 / t) if t else 0.0,
+                  lambda t: 1.0 / math.sqrt(t) if t else 0.0):
+            assert_qags_matches_scipy(g, limit=limit)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 10**6),
+           target=st.sampled_from((1e-6, 1e-10, 1e-13)))
+    def test_catalog_normal_forms(self, data, n, target):
+        f = data.draw(integrands(n))
+        assert_qags_matches_scipy(radial._compactified(f), epsabs=target * 0.5)

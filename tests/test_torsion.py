@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hirzebruch_torsion import forms, torsion
+from hirzebruch_torsion import forms, radial, torsion
 from hirzebruch_torsion.chow import PipelineInconsistency
 from hirzebruch_torsion.constants import (
     ExactConstant,
@@ -295,9 +295,23 @@ class TestGridAndHodgeSweeps:
         closed = oracles.hodge_l2_closed_forms(n)
         assert {e.name: e.expected for e in entries if e.name in closed} == closed
 
+    def test_each_star_is_derived_once_per_form(self, monkeypatch):
+        # 11 stars of 6 distinct forms: alpha, the harmonic base class and
+        # its star, the probe and its star, and the primitive part
+        contractions = []
+        contract = forms.lambda_contract
+
+        def counted(a):
+            contractions.append(a)
+            return contract(a)
+
+        monkeypatch.setattr(forms, "lambda_contract", counted)
+        torsion.hodge_l2_checks(3, CFG)
+        assert len(contractions) == 6
+
     def test_quadratures_are_named(self, monkeypatch):
         # a quadrature that never meets its target names the check and n
-        monkeypatch.setattr("scipy.integrate.quad", lambda *args, **kwargs: (0.0, 1.0))
+        monkeypatch.setattr(radial, "_dqagse", lambda *args: (0.0, 1.0, 21, 0, 1))
         with pytest.raises(NonConvergence, match=r"^norm_sq_alpha, n=3: "):
             torsion.hodge_l2_checks(3, CFG)
         with pytest.raises(NonConvergence, match=r"^bb_first_term, n=3: "):
