@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -191,8 +192,8 @@ def cmd_integrals(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _quad_config(args)
-    if args.tol <= 0 or args.height_range < 0:
-        print("error: --tol must be positive and --height-range nonnegative",
+    if not 0 < args.tol < math.inf or args.height_range < 0:
+        print("error: --tol must be positive and finite and --height-range nonnegative",
               file=sys.stderr)
         return EXIT_CONFIG
     report = torsion.verify_all(_parse_n_list(args), cfg, tol=args.tol,
@@ -228,16 +229,18 @@ def cmd_constants(args) -> int:
 
 
 def cmd_forms(args) -> int:
-    import numpy as np  # only this command samples a grid
-
     if args.n < 0:
         print("error: --n must be >= 0", file=sys.stderr)
         return EXIT_CONFIG
-    if args.u_min <= 0 or args.u_max <= args.u_min or args.grid_points < 2:
-        print("error: need 0 < u-min < u-max and at least 2 grid points",
+    if not 0 < args.u_min < args.u_max < math.inf or args.grid_points < 2:
+        print("error: need 0 < u-min < u-max < inf and at least 2 grid points",
               file=sys.stderr)
         return EXIT_CONFIG
-    us = [float(u) for u in np.geomspace(args.u_min, args.u_max, args.grid_points)]
+    # a geometric grid, as numpy's geomspace: exact endpoints, 10^y between
+    lo = math.log10(args.u_min)
+    step = (math.log10(args.u_max) - lo) / (args.grid_points - 1)
+    us = ([args.u_min] + [10.0 ** (i * step + lo) for i in range(1, args.grid_points - 1)]
+          + [args.u_max])
     cat = forms.catalog(args.n)
     if args.form is not None:
         if args.form not in cat:

@@ -8,11 +8,10 @@ over u in [0, inf).  Every coefficient of the form calculus is a finite sum
 
 with rational c and positive integers a, b (1 and n+1 in the catalog).
 Radial holds such a sum in its unique partial-fraction form, so one object
-evaluates a float or a numpy array (by the same code), is its own hashable
-key, and has an exact half-line mass in the constant span: partial fractions
-integrate the rational part, and one integration by parts turns
-log(1+bu)/(1+au)^k into a rational integrand.  A simple pole times a log
-would need a dilogarithm and is refused.
+evaluates a float, is its own hashable key, and has an exact half-line mass
+in the constant span: partial fractions integrate the rational part, and one
+integration by parts turns log(1+bu)/(1+au)^k into a rational integrand.  A
+simple pole times a log would need a dilogarithm and is refused.
 
 RadialFunction is the opaque alternative for ad-hoc integrands: an evaluable
 map with a declared decay order, which can only be integrated numerically.
@@ -23,11 +22,10 @@ integrand of decay order d behaves like (1-t)^(d-2) near 1, so adaptive
 Gauss-Kronrod (and tanh-sinh as an alternative) resolve the whole catalog
 without special endpoint treatment.
 
-Gauss-Kronrod is QUADPACK's QAGS, ported here to plain Python: it returns
-the same floats as scipy.integrate.quad, bit for bit, without importing
-scipy.  numpy and scipy load only where they are used: scipy.integrate for
-tanh-sinh, numpy when an array is evaluated or integrated.  The exact path
-and Gauss-Kronrod quadrature import neither.
+Both schemes are plain Python on the same scalar integrand.  Gauss-Kronrod
+is QUADPACK's QAGS, ported here: it returns the same floats as
+scipy.integrate.quad, bit for bit.  Tanh-sinh is the double-exponential rule
+of Takahashi and Mori.  The package imports neither numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -289,9 +287,8 @@ class Radial:
     # -- evaluation ---------------------------------------------------------
 
     @cached_property
-    def fn(self) -> Callable:
-        """Evaluator of a float or a numpy array of u values (same code);
-        numpy is imported only when an array is passed."""
+    def fn(self) -> Callable[[float], float]:
+        """Evaluator of a float u."""
         return _evaluator(self.terms)
 
     def __call__(self, u):
@@ -325,14 +322,9 @@ def _evaluator(terms) -> Callable:
                      [(bases.index(a), _horner({k: c for k, c in g[a].items() if k > 1}, 2))
                       for a in bases if max(g.get(a, {0: 0})) > 1]))
 
-    def fn(u):
-        if isinstance(u, (int, float)):  # np.float64 is a float
-            log1p = math.log1p
-        else:
-            import numpy as np
-            log1p = np.log1p if isinstance(u, np.ndarray) else math.log1p
+    def fn(u: float) -> float:
         xs = [1.0 / (1.0 + a * u) for a in bases]
-        total = 0.0 * u
+        total = 0.0
         for b, numerator, simple, higher in plan:
             v = 0.0
             for c in numerator:
@@ -344,7 +336,7 @@ def _evaluator(terms) -> Callable:
                 for c in cs:
                     h = h * x + c
                 v = v + h * x * x
-            total = total + (v * log1p(b * u) if b else v)
+            total = total + (v * math.log1p(b * u) if b else v)
         return total
 
     return fn
@@ -456,8 +448,8 @@ class QuadratureConfig:
     scheme: str = "gauss_kronrod"
 
     def __post_init__(self) -> None:
-        if self.target_tol <= 0:
-            raise ValueError("target_tol must be positive")
+        if not 0 < self.target_tol < math.inf:  # nan fails too
+            raise ValueError("target_tol must be positive and finite")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
 
@@ -488,27 +480,6 @@ def _compactified(f) -> Callable[[float], float]:
     return g
 
 
-def _compactified_array(f) -> Callable:
-    """The same transform on arrays: one call of f.fn for all points."""
-    import numpy as np
-
-    fn = f.fn
-
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        s = 1.0 - t
-        inside = s > 0.0
-        s = np.where(inside, s, 1.0)
-        u = np.asarray(np.where(inside, t, 0.0) / s)
-        v = fn(u)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            raise DomainError(f"integrand {f} not finite at u={u[bad].flat[0]!r}")
-        return np.where(inside, v / (s * s), 0.0)
-
-    return g
-
-
 def integrate_halfline(f, cfg: QuadratureConfig = DEFAULT_CONFIG, name: str = "") -> float:
     """Integral of f (a Radial or a RadialFunction) over [0, inf) to within
     cfg.target_tol (estimated); name labels f in a NonConvergence message."""
@@ -517,9 +488,8 @@ def integrate_halfline(f, cfg: QuadratureConfig = DEFAULT_CONFIG, name: str = ""
     if not f.integrable:
         raise DomainError(f"{f} is not an integrable half-line function "
                           "(it must decay faster than 1/u)")
-    if cfg.scheme == "tanh_sinh":
-        return _tanh_sinh(f, cfg, name)
-    return _gauss_kronrod(_compactified(f), f, cfg, name)
+    rule = _tanh_sinh if cfg.scheme == "tanh_sinh" else _gauss_kronrod
+    return rule(_compactified(f), f, cfg, name)
 
 
 def _stalled(f, name: str, value: float, estimate: float, cfg: QuadratureConfig,
@@ -546,20 +516,34 @@ def _gauss_kronrod(g, f, cfg: QuadratureConfig, name: str) -> float:
     raise _stalled(f, name, value, estimate, cfg, f"qags: {_QAGS_REASONS[ier]}")
 
 
-def _tanh_sinh(f, cfg: QuadratureConfig, name: str) -> float:
-    from scipy import integrate
+@lru_cache(maxsize=None)
+def _ts_nodes(level: int) -> tuple:
+    """The (t, weight) pairs that a level adds to the tanh-sinh grid
+    tau = j h, h = 2^-level, |tau| <= 3.5: every j at level 0, odd j after.
+    At tau = 3.5, 1 - t is 3e-23, below float resolution next to t = 1."""
+    h = 2.0 ** -level
+    nodes = []
+    for j in range(0 if level == 0 else 1, int(3.5 / h) + 1, 1 if level == 0 else 2):
+        c = 1.0 / (1.0 + math.exp(math.pi * math.sinh(j * h)))  # t at -jh, 1 - t at jh
+        w = math.pi * math.cosh(j * h) * c * (1.0 - c)  # dt/dtau
+        nodes += [(c, w), (1.0 - c, w)] if j else [(c, w)]
+    return tuple(nodes)
 
-    if isinstance(f, Radial):
-        gv = _compactified_array(f)
-    else:  # an opaque integrand takes one point at a time
-        import numpy as np
 
-        gv = np.vectorize(_compactified(f), otypes=[float])
-    res = integrate.tanhsinh(gv, 0.0, 1.0, atol=cfg.target_tol * 0.5, maxlevel=10)
-    if res.success and float(res.error) <= cfg.target_tol:
-        return float(res.integral)
-    raise _stalled(f, name, float(res.integral), float(res.error), cfg,
-                   f"scipy tanhsinh status {int(res.status)}")
+def _tanh_sinh(g, f, cfg: QuadratureConfig, name: str) -> float:
+    """Tanh-sinh (Takahashi and Mori, Publ. RIMS 1974) on [0, 1]: the
+    trapezoidal rule in tau after t = 1 / (1 + exp(-pi sinh tau)), with the
+    step h halved from 1 up to level 10.  The error estimate is the change
+    from the previous level; as for Gauss-Kronrod, half the target ends it."""
+    total, value = 0.0, math.inf
+    for level in range(11):
+        previous = value
+        total += sum(w * g(t) for t, w in _ts_nodes(level))
+        value = total * 2.0 ** -level
+        estimate = abs(value - previous)
+        if estimate <= cfg.target_tol * 0.5:
+            return value
+    raise _stalled(f, name, value, estimate, cfg, "tanh-sinh: level 10 reached")
 
 
 # ---------------------------------------------------------------------------

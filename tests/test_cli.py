@@ -12,6 +12,7 @@ from hirzebruch_torsion import chow, cli, radial, torsion
 from hirzebruch_torsion.constants import ExactConstant, log_rational
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "hirzebruch_torsion.cli", *argv],
@@ -212,8 +213,8 @@ def loaded_after(statement):
 
 
 class TestExactPathImports:
-    """The exact path and Gauss-Kronrod quadrature load neither numpy nor
-    scipy: only tanh-sinh quadrature and array evaluation import them."""
+    """No command loads numpy or scipy: the exact path and both quadrature
+    schemes are plain Python, and so is the forms grid."""
 
     @pytest.mark.parametrize("statement", [
         "rc = cli.main(['height', '--n', '3'])",
@@ -235,14 +236,36 @@ class TestExactPathImports:
         # the default scheme is QAGS in pure Python
         assert loaded_after(f"rc = cli.main({argv!r})") == (0, [])
 
-    def test_quadrature_loads_scipy(self):
-        code, loaded = loaded_after(
-            "rc = cli.main(['integrals', '--n', '1', '--scheme', 'tanh_sinh'])")
-        assert code == 0 and "scipy.integrate" in loaded
+    @pytest.mark.parametrize("argv", [
+        ["integrals", "--n", "1", "--scheme", "tanh_sinh"],
+        ["verify", "--n", "2", "--scheme", "tanh_sinh"],
+        ["forms", "--n", "1"],
+    ], ids=["integrals_tanh_sinh", "verify_tanh_sinh", "forms"])
+    def test_tanh_sinh_and_forms_load_neither(self, argv):
+        assert loaded_after(f"rc = cli.main({argv!r})") == (0, [])
 
-    def test_forms_grid_loads_numpy(self):
-        code, loaded = loaded_after("rc = cli.main(['forms', '--n', '1'])")
-        assert code == 0 and "numpy" in loaded
+    def test_no_runtime_dependencies(self):
+        assert "\ndependencies = []\n" in PYPROJECT.read_text()
+
+
+class TestTanhSinh:
+    def test_verify_passes_where_scipy_was_wrong(self):
+        code, out, _ = run_cli("verify", "--n-list", "57,58", "--scheme", "tanh_sinh")
+        assert code == 0 and "all passed" in out
+
+
+class TestFormsGrid:
+    @pytest.mark.parametrize("u_min,u_max,points", [
+        (1e-3, 1e3, 20), (0.5, 7.0, 2), (1e-6, 1e9, 57), (2.0, 3.0, 11)])
+    def test_matches_numpy_geomspace(self, u_min, u_max, points, capsys):
+        np = pytest.importorskip("numpy")
+        assert cli.main(["forms", "--n", "1", "--form", "base_x", "--u-min", repr(u_min),
+                         "--u-max", repr(u_max), "--grid-points", str(points)]) == 0
+        us = [float(row.split(",")[0]) for row in capsys.readouterr().out.split()[1:]]
+        want = np.geomspace(u_min, u_max, points)
+        assert len(us) == points and us[0] == u_min and us[-1] == u_max
+        # numpy's power and C's pow may differ in the last bit
+        assert all(abs(u - w) <= 1e-15 * w for u, w in zip(us, want))
 
 
 class TestConfigErrors:
@@ -261,6 +284,19 @@ class TestConfigErrors:
     def test_bad_quad_tol(self):
         code, _, _ = run_cli("integrals", "--n", "1", "--quad-tol", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("integrals", "--n", "1", "--quad-tol", "nan"),
+        ("integrals", "--n", "1", "--quad-tol", "inf"),
+        ("verify", "--n", "1", "--tol", "inf"),
+        ("verify", "--n", "1", "--tol", "nan"),
+        ("forms", "--n", "1", "--u-min", "nan"),
+        ("forms", "--n", "1", "--u-max", "inf"),
+    ], ids=["quad_tol_nan", "quad_tol_inf", "tol_inf", "tol_nan", "u_min_nan", "u_max_inf"])
+    def test_non_finite_flag_values(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_forms_negative_n(self):
         code, out, err = run_cli("forms", "--n", "-1")

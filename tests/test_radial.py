@@ -6,13 +6,10 @@ logarithmic ones; Gauss-Kronrod quadrature for the exact masses of the
 normal form.
 """
 
-import copy
 import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -140,25 +137,27 @@ class TestErrors:
 
     @pytest.mark.parametrize("scheme", ["gauss_kronrod", "tanh_sinh"])
     def test_a_failed_quadrature_is_not_retried(self, scheme, monkeypatch):
-        calls = []
+        passes = []  # one per QAGS call, or per tanh-sinh pass (its first node is u = 1)
 
         def failed_qags(*args):
-            calls.append(args)
+            passes.append(args)
             return 0.5, 1.0, 1029, 1, 50
 
-        def failed_tanhsinh(*args, **kwargs):
-            calls.append(kwargs)
-            return SimpleNamespace(success=False, status=-2, integral=0.5, error=1.0)
+        def oscillating(u):  # no tanh-sinh level resolves it
+            if u == 1.0:
+                passes.append(u)
+            return math.sin(u * u) / (1 + u) ** 2 * 1e3
 
         monkeypatch.setattr(radial, "_dqagse", failed_qags)
-        monkeypatch.setattr("scipy.integrate.tanhsinh", failed_tanhsinh)
-        with pytest.raises(NonConvergence, match="stalled at estimate 1.000e"):
-            integrate_halfline(power_integrand(3), QuadratureConfig(scheme=scheme))
-        assert len(calls) == 1
+        f = RadialFunction(oscillating, decay_order=2.0, key=("oscillatory",))
+        with pytest.raises(NonConvergence, match="stalled at estimate"):
+            integrate_halfline(f, QuadratureConfig(scheme=scheme))
+        assert len(passes) == 1
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(target_tol=0.0)
+        for tol in (0.0, -1e-10, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                QuadratureConfig(target_tol=tol)
         with pytest.raises(ValueError):
             QuadratureConfig(scheme="simpson")
 
@@ -198,7 +197,7 @@ class TestProperties:
 
 
 class TestNormalForm:
-    """The symbolic normal form: canonical keys, array evaluation, exact mass."""
+    """The symbolic normal form: canonical keys, exact mass."""
 
     def test_equal_functions_have_equal_keys(self):
         for n in (0, 1, 7):
@@ -207,11 +206,6 @@ class TestNormalForm:
         assert forms.log_R(0) == RADIAL_ZERO
         # u/(1+u)^2 in partial fractions
         assert Radial.term(j=1, a=1, k=2) == Radial.term(a=1, k=1) - Radial.term(a=1, k=2)
-
-    def test_array_and_float_evaluation_agree(self):
-        f = forms.wedge(forms.c1_total(3), forms.c1_rel(3)).g * forms.log_R(3)
-        us = np.logspace(-3, 3, 31)
-        assert f(us) == pytest.approx([f(float(u)) for u in us], rel=1e-14, abs=1e-300)
 
     def test_known_masses(self):
         assert Radial.term(a=1, k=3).mass == ExactConstant.rational(Fraction(1, 2))
@@ -246,20 +240,6 @@ class TestNormalForm:
             with pytest.raises(DomainError):
                 g.mass
 
-    def test_tanh_sinh_evaluates_in_array_calls(self):
-        f = copy.copy(forms.wedge(forms.c1_total(2), forms.c1_rel(2)).g * forms.log_R(2))
-        calls = []
-        fn = f.fn
-
-        def recording(u):
-            calls.append(u)
-            return fn(u)
-
-        f.fn = recording
-        integrate_halfline(f, TS_CFG)
-        # one call per tanh-sinh level (after scipy's one-point probe), not one per point
-        assert sum(np.size(u) for u in calls) > 20 * len(calls)
-
 
 @st.composite
 def integrands(draw, n):
@@ -291,6 +271,12 @@ class TestMassProperties:
         size = integrate_halfline(RadialFunction(lambda u: abs(f(u)), decay_order=2.0),
                                   QuadratureConfig(target_tol=1e-6))
         assert abs(f.mass.to_float() - integrate_halfline(f, CFG)) <= 1e-9 * max(1.0, size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 1000))
+    def test_tanh_sinh_matches_mass(self, data, n):
+        f = data.draw(integrands(n))
+        assert abs(integrate_halfline(f, TS_CFG) - f.mass.to_float()) <= TS_CFG.pass_tol
 
 
 # ---------------------------------------------------------------------------

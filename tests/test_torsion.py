@@ -103,6 +103,12 @@ class TestNamedIntegrals:
         ts = QuadratureConfig(scheme="tanh_sinh", target_tol=1e-9)
         for m in torsion.named_integrals(2, ts):
             assert m.passed, ("tanh_sinh", m.name, m.abs_error)
+        # at the default target, the n where scipy's tanhsinh was wrong
+        ts = QuadratureConfig(scheme="tanh_sinh")
+        for n in [57, 58, *range(60, 69)]:
+            for e in (*torsion.named_integrals(n, ts), *torsion.hodge_l2_checks(n, ts),
+                      *torsion.route_checks(n, ts)):
+                assert e.passed, ("tanh_sinh", n, e.name, e.abs_error)
 
     def test_derived_masses_equal_the_closed_forms(self):
         # the exact mass of each integrand, derived from its normal form,
