@@ -26,12 +26,13 @@ for n in (0, 1, 2, 3, 5):
 
 print("\nThe fibration torsion form is the base-line torsion for every n:")
 for n in (0, 4, 12):
-    print(f"  n={n:<3d}: {chow.torsion_form(n)}")
+    c1_relative = chow.arithmetic_chern_classes(n).c1_relative
+    print(f"  n={n:<3d}: {chow.torsion_form(c1_relative)}")
 
 print("\nQuadrature cross-check of the fibration route:")
 for n in (1, 4):
     res = torsion.main_theorem(n)
-    quad = torsion.bb_quadrature_float(n, cfg)
+    quad = torsion.bb_quadrature_float(chow.arithmetic_chern_classes(n), cfg)
     print(f"  n={n}: exact {res.tau_float:.12f}  quadrature-assembled {quad:.12f}  "
           f"difference {abs(res.tau_float - quad):.2e}")
 

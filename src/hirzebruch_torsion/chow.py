@@ -551,30 +551,21 @@ class ChernClasses:
     c1_relative: ChowClass     # relative tangent bundle, curvature metric
     c1_base: ChowClass         # pulled-back base tangent bundle
     c1_tangent: ChowClass      # full tangent bundle: the sum of the two above
-    c2_tangent: ChowClass
+    c2_tangent: ChowClass      # Whitney: c1_relative * c1_base - a(bott_chern_c2)
 
 
 def arithmetic_chern_classes(n: int) -> ChernClasses:
-    l2pi = log_2pi()
-    alpha = gen_alpha(n)
-    x = gen_x(n)
-    log_ratio = forms.log_R(n)
-    c1rel = add(sub(scale(2, alpha), scale(n + 2, x)),
+    """The classes of 0 -> T_rel -> T S_n -> pi^* T_P1 -> 0: c1 and c2 of the
+    tangent bundle by the Whitney formula, corrected by the Bott-Chern class
+    of the two metrics."""
+    l2pi, x = log_2pi(), gen_x(n)
+    c1rel = add(sub(scale(2, gen_alpha(n)), scale(n + 2, x)),
                 a_class(n, l2pi, RADIAL_ONE))
     c1base = add(scale(2, x),
-                 ChowClass(n, SURFACE, analytic=[(_ec(-1), log_ratio),
+                 ChowClass(n, SURFACE, analytic=[(_ec(-1), forms.log_R(n)),
                                                  (l2pi, RADIAL_ONE)]))
-    c1tan = add(c1rel, c1base)
-    c2tan = ChowClass(
-        n, SURFACE,
-        poly={(1, 1): _ec(4), (2, 0): _ec(-2 * (n + 2))},
-        analytic=[
-            (l2pi.scale(2), forms.base_form(n)),
-            (_ec(-1), log_ratio * forms.c1_rel(n)),
-            (l2pi, forms.c1_rel(n)),
-            (_ec(-1), forms.bott_chern_c2(n)),
-        ])
-    return ChernClasses(n, c1rel, c1base, c1tan, c2tan)
+    c2tan = sub(mul(c1rel, c1base), a_class(n, 1, forms.bott_chern_c2(n)))
+    return ChernClasses(n, c1rel, c1base, add(c1rel, c1base), c2tan)
 
 
 def euler_sequence_chern(n: int) -> Tuple[ChowClass, ChowClass]:
@@ -616,12 +607,6 @@ def height_class(n: int, trace: Optional[list] = None) -> ChowClass:
     return reduce(ChowClass(n, SURFACE, {(0, 3): _ec(1)}), trace)
 
 
-def c1c2_product_class(n: int, trace: Optional[list] = None) -> ChowClass:
-    """The ring product c1*c2 of the tangent classes."""
-    cc = arithmetic_chern_classes(n)
-    return mul(cc.c1_tangent, cc.c2_tangent, trace)
-
-
 def todd(c1: ChowClass) -> ChowClass:
     """Arithmetic Todd class of a metrized line bundle with first Chern class
     c1: 1 + c1/2 + c1^2/12 (the cubic coefficient of x/(1-e^-x) is 0, and
@@ -630,12 +615,12 @@ def todd(c1: ChowClass) -> ChowClass:
                scale(Fraction(1, 12), mul(c1, c1)))
 
 
-def torsion_form(n: int) -> ExactConstant:
-    """Degree-0 part of the fibration torsion form, through the relative
-    Todd pushforward; raises unless the degree-2 part and the mass of the
-    squared relative class vanish exactly."""
-    cc = arithmetic_chern_classes(n)
-    td = todd(cc.c1_relative)
+def torsion_form(c1_relative: ChowClass) -> ExactConstant:
+    """Degree-0 part of the fibration torsion form, through the Todd
+    pushforward of the relative class c1_relative; raises unless the degree-2
+    part and the mass of the squared relative class vanish exactly."""
+    n = c1_relative.n
+    td = todd(c1_relative)
     pushed = pushforward_base(td)
 
     r_class = a_class(n, R_GENUS_DEGREE1, forms.c1_rel(n))

@@ -33,7 +33,7 @@ from functools import cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import chow, forms
-from .chow import R_GENUS_DEGREE1, ChowClass, PipelineInconsistency
+from .chow import R_GENUS_DEGREE1, ChernClasses, ChowClass, PipelineInconsistency
 from .constants import (
     ExactConstant,
     ZETA_M1,
@@ -210,19 +210,18 @@ def _l2_covolumes_sq(n: int) -> Tuple[Fraction, Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _todd_character_products(n: int) -> Tuple[ChowClass, List[ChowClass]]:
+def _todd_character_products(cc: ChernClasses) -> Tuple[ChowClass, List[ChowClass]]:
     """c1 of the tangent bundle and the products Td ch(Lambda^p T*) of the
     three twists, each one whole class; c1^2, c1^3 and c1*c2 are built once.
 
     ch(Lambda^0) = 1, ch(Lambda^2) = e^-c1 and ch(Lambda^1) = 1 + e^-c1 - c2
     + c1 c2 / 2, truncated at the arithmetic dimension.
     """
-    cc = chow.arithmetic_chern_classes(n)
     c1, c2 = cc.c1_tangent, cc.c2_tangent
     c1sq = chow.mul(c1, c1)
     c13 = chow.mul(c1sq, c1)
     c1c2 = chow.mul(c1, c2)
-    half, one = Fraction(1, 2), chow.unit(n)
+    half, one = Fraction(1, 2), chow.unit(cc.n)
     td = chow.add(chow.add(one, chow.scale(half, c1)),
                   chow.add(chow.scale(Fraction(1, 12), chow.add(c1sq, c2)),
                            chow.scale(Fraction(1, 24), c1c2)))
@@ -232,15 +231,16 @@ def _todd_character_products(n: int) -> Tuple[ChowClass, List[ChowClass]]:
     return c1, [td, chow.mul(td, ch1), chow.mul(td, exp_minus_c1)]
 
 
-def tau_route_rr(n: int) -> Tuple[ExactConstant, ExactConstant, ExactConstant]:
-    """Torsion triple (untwisted, middle twist, top twist) via the direct route.
+def tau_route_rr(cc: ChernClasses) -> Tuple[ExactConstant, ExactConstant, ExactConstant]:
+    """Torsion triple (untwisted, middle twist, top twist) via the direct
+    route, from the Chern classes cc of one ruling index.
 
     Each twist solves its determinant-line identity against its own L2
     covolume, the degree of its degree-3 selection and its genus correction.
     The selections are checked as well: the middle one vanishes and the top
     one is the negative of the untwisted one.
     """
-    c1, products = _todd_character_products(n)
+    c1, products = _todd_character_products(cc)
     sel0, sel1, sel2 = (p.degree_part(3) for p in products)
     if not sel1.is_zero:
         raise PipelineInconsistency(
@@ -250,32 +250,35 @@ def tau_route_rr(n: int) -> Tuple[ExactConstant, ExactConstant, ExactConstant]:
             "top-twist selection is not the negative of the untwisted one")
     c1_one = _c1_times_one(c1)
     return tuple(_direct_tau(log_rational(q), product, c1_one)
-                 for q, product in zip(_l2_covolumes_sq(n), products))
+                 for q, product in zip(_l2_covolumes_sq(cc.n), products))
 
 
-def tau_route_bb(n: int) -> ExactConstant:
-    """Torsion via the fibration route: compare the two determinant-line
-    metrics through the ruling.
+def tau_route_bb(cc: ChernClasses) -> ExactConstant:
+    """Torsion via the fibration route, from the Chern classes cc of one
+    ruling index: compare the two determinant-line metrics through the ruling.
 
     log |sigma|^2 = tau(base) - tau(surface) + log Vol equals minus the
     fibration torsion form (times the base Todd mass 1) plus the secondary
     Todd total, the exact mass of the secondary Todd form; solve for the
     surface torsion.
     """
-    tors = chow.torsion_form(n)
+    n = cc.n
+    tors = chow.torsion_form(cc.c1_relative)
     base_todd_mass = _rat(1)
     first, second, third = secondary_todd_parts(n)
     bc_total = (first + second + third).total_integral.scale(Fraction(1, 24))
     return tau_p1() + log_rational(_volume(n)) + tors * base_todd_mass - bc_total
 
 
-def bb_quadrature_float(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """The fibration-route value with its two integrals done by quadrature."""
+def bb_quadrature_float(cc: ChernClasses, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """The fibration-route value from the Chern classes cc, with its two
+    integrals done by quadrature."""
+    n = cc.n
     first, c1_c1r_logR, c1_bc = secondary_todd_parts(n)
     bc_total = (integrate_halfline(first.g, cfg, name=f"bb_first_term, n={n}")
                 + integrate_halfline((c1_bc + c1_c1r_logR).g, cfg,
                                      name=f"c1_bott_chern_total, n={n}")) / 24.0
-    tors = chow.torsion_form(n).to_float()
+    tors = chow.torsion_form(cc.c1_relative).to_float()
     return tau_p1().to_float() + math.log(_volume(n)) + tors - bc_total
 
 
@@ -321,13 +324,16 @@ def closed_tau(n: int) -> ExactConstant:
 
 
 def main_theorem(n: int) -> TorsionResult:
-    """Both routes, exact equality asserted, plus the stated main identity."""
-    tau_rr, tau1, tau2 = tau_route_rr(n)
-    tau_bb = tau_route_bb(n)
+    """Both routes from one build of the Chern classes, exact equality
+    asserted, plus the stated main identity."""
+    cc = chow.arithmetic_chern_classes(n)
+    tau_rr, tau1, tau2 = tau_route_rr(cc)
+    tau_bb = tau_route_bb(cc)
     if tau_rr != tau_bb:
         raise PipelineInconsistency(
             f"routes disagree at n={n}: direct {tau_rr} vs fibration {tau_bb}")
-    if tau_rr != closed_tau(n):
+    tau_closed = closed_tau(n)
+    if tau_rr != tau_closed:
         raise PipelineInconsistency(
             f"torsion at n={n} differs from its closed form: {tau_rr}")
     vol = _volume(n)
@@ -336,7 +342,7 @@ def main_theorem(n: int) -> TorsionResult:
         + closed_tau_p1().scale(2)
     if main_value != stated:
         raise PipelineInconsistency(f"main identity failed at n={n}")
-    return TorsionResult(n=n, tau_closed=closed_tau(n), tau_rr=tau_rr,
+    return TorsionResult(n=n, tau_closed=tau_closed, tau_rr=tau_rr,
                          tau_bb=tau_bb, tau_omega1=tau1, tau_omega2=tau2,
                          tau_float=tau_rr.to_float(), vol=vol,
                          main_theorem_value=main_value)
@@ -422,16 +428,18 @@ def hodge_l2_checks(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
 
 def route_checks(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
                  tol: float = 1e-8) -> List[VerificationEntry]:
-    """Exact route agreement plus the numeric cross-checks of both pipelines."""
+    """Exact route agreement plus the numeric cross-checks of both pipelines;
+    main_theorem builds its own Chern classes and the rows below one more."""
     res = main_theorem(n)
-    tors = chow.torsion_form(n)
+    cc = chow.arithmetic_chern_classes(n)
+    tors = chow.torsion_form(cc.c1_relative)
     h = height(n)
-    c1c2 = chow.c1c2_product_class(n)
+    c1c2 = chow.mul(cc.c1_tangent, cc.c2_tangent)
     return [
         graded("route_equality_exact", n, res.tau_rr, res.tau_bb.to_float(), 0.0,
                passed=res.tau_rr == res.tau_bb),
         graded("fibration_route_quadrature", n, res.tau_bb,
-               bb_quadrature_float(n, cfg), tol),
+               bb_quadrature_float(cc, cfg), tol),
         graded("c1c2_product_quadrature", n, chow.pushforward_deg(c1c2),
                chow.pushforward_deg_numeric(c1c2, cfg,
                                             name=f"c1c2_product_quadrature, n={n}"),

@@ -1,10 +1,12 @@
 """Typed-in closed forms, kept as test oracles.
 
 The package derives each of these values: the integral masses from the
-radial normal form, the genus corrections and the c1*c2 degree from the
-intersection ring, the direct-route torsion from its determinant-line
-identities, and the L2 norms and covolumes from exact L2 pairings.  The functions below are the hand-written values the package
-used before it derived them; the tests check the derivations against them.
+radial normal form, the tangent classes c1 and c2 from the relative tangent
+sequence, the genus corrections and the c1*c2 degree from the intersection
+ring, the direct-route torsion from its determinant-line identities, and the
+L2 norms and covolumes from exact L2 pairings.  The functions below are the
+hand-written values the package used before it derived them; the tests check
+the derivations against them.
 They call no `closed_*` function of the package.
 """
 
@@ -112,6 +114,22 @@ def c1_tangent(n: int) -> ChowClass:
                                                          (log_2pi().scale(2), RADIAL_ONE)]))
 
 
+def c2_tangent(n: int) -> ChowClass:
+    """The second Chern class of the tangent bundle as it was typed in:
+    4 alpha x - 2(n+2) x^2 + a(2 log 2pi base) - a(log R c1_rel)
+    + a(log 2pi c1_rel) - a(bott_chern_c2)."""
+    l2pi = log_2pi()
+    return ChowClass(
+        n, chow.SURFACE,
+        poly={(1, 1): _rat(4), (2, 0): _rat(-2 * (n + 2))},
+        analytic=[
+            (l2pi.scale(2), forms.base_form(n)),
+            (_rat(-1), forms.log_R(n) * forms.c1_rel(n)),
+            (l2pi, forms.c1_rel(n)),
+            (_rat(-1), forms.bott_chern_c2(n)),
+        ])
+
+
 def c1c2_pushforward(n: int, trace=None) -> ExactConstant:
     """Exact degree of the ring product c1*c2, checked against its closed form
     (n log(n+1) + 16 - 4n + 16 log 2pi)/2 before being returned.
@@ -120,7 +138,8 @@ def c1c2_pushforward(n: int, trace=None) -> ExactConstant:
     the product has only double and triple poles on its log R part (checked
     with sympy at n = 3), so no dilogarithm appears.
     """
-    value = chow.pushforward_deg(chow.c1c2_product_class(n, trace), trace)
+    cc = chow.arithmetic_chern_classes(n)
+    value = chow.pushforward_deg(chow.mul(cc.c1_tangent, cc.c2_tangent, trace), trace)
     expected = (log_rational(n + 1).scale(n) + _rat(16 - 4 * n)
                 + log_2pi().scale(16)).scale(Fraction(1, 2))
     if value != expected:

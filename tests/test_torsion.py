@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hirzebruch_torsion import forms, radial, torsion
+from hirzebruch_torsion import chow, forms, radial, torsion
 from hirzebruch_torsion.chow import PipelineInconsistency
 from hirzebruch_torsion.constants import (
     ExactConstant,
@@ -26,7 +26,7 @@ CFG = QuadratureConfig()
 
 def genus_terms(n):
     """The direct route's additive-genus corrections of the three twists."""
-    c1, products = torsion._todd_character_products(n)
+    c1, products = torsion._todd_character_products(chow.arithmetic_chern_classes(n))
     c1_one = torsion._c1_times_one(c1)
     return tuple(torsion._genus_term(product, c1_one) for product in products)
 
@@ -86,7 +86,7 @@ class TestClosedForms:
     def test_whole_products_match_the_graded_products(self, n):
         # Td ch multiplied as whole classes against the piecewise sum of the
         # graded pieces [Td]_i [ch]_{k-i}, in the two degrees the route reads
-        _, products = torsion._todd_character_products(n)
+        _, products = torsion._todd_character_products(chow.arithmetic_chern_classes(n))
         td, chs = oracles.graded_todd_and_characters(n)
         for product, ch in zip(products, chs):
             for k in (3, 1):
@@ -152,7 +152,8 @@ class TestQuillenData:
         res = torsion.main_theorem(n)
         vol = oracles.l2_covolumes_sq(n)[0]
         assert res.vol == vol
-        assert log_rational(vol) - torsion.tau_route_rr(n)[0] == -res.main_theorem_value
+        tau = torsion.tau_route_rr(chow.arithmetic_chern_classes(n))[0]
+        assert log_rational(vol) - tau == -res.main_theorem_value
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(0, 10**6))
@@ -186,7 +187,7 @@ class TestRoutes:
 
     def test_duality(self):
         for n in (0, 1, 5, 12):
-            tau, tau1, tau2 = torsion.tau_route_rr(n)
+            tau, tau1, tau2 = torsion.tau_route_rr(chow.arithmetic_chern_classes(n))
             assert tau1 == ExactConstant.zero()
             assert tau2 == -tau
 
@@ -206,12 +207,30 @@ class TestRoutes:
     def test_float_crosschecks(self, n):
         res = torsion.main_theorem(n)
         assert res.tau_rr.to_float() == res.tau_bb.to_float()
-        assert torsion.bb_quadrature_float(n, CFG) == pytest.approx(
+        cc = chow.arithmetic_chern_classes(n)
+        assert torsion.bb_quadrature_float(cc, CFG) == pytest.approx(
             res.tau_float, abs=1e-8)
 
     def test_route_check_entries_pass(self):
         for e in torsion.route_checks(2, CFG):
             assert e.passed, e
+
+    def test_each_n_builds_its_chern_classes_once(self, monkeypatch):
+        # main_theorem passes one build down to both routes; route_checks
+        # builds one more for its c1*c2 row and its torsion form
+        builds = []
+        build = chow.arithmetic_chern_classes
+
+        def counted(n):
+            builds.append(n)
+            return build(n)
+
+        monkeypatch.setattr(chow, "arithmetic_chern_classes", counted)
+        torsion.main_theorem(3)
+        assert builds == [3]
+        builds.clear()
+        torsion.route_checks(3, CFG)
+        assert 0 < len(builds) <= 2
 
 
 class TestIndependence:
@@ -227,8 +246,9 @@ class TestIndependence:
         for name in ("closed_tau", "closed_tau_p1", "closed_height"):
             monkeypatch.setattr(torsion, name, refuse)
         want = oracles.tau_route_rr(n)
-        assert torsion.tau_route_rr(n) == want
-        assert torsion.tau_route_bb(n) == want[0]
+        cc = chow.arithmetic_chern_classes(n)
+        assert torsion.tau_route_rr(cc) == want
+        assert torsion.tau_route_bb(cc) == want[0]
         assert torsion.tau_p1() == oracles.tau_p1()
         assert torsion.height(n) == oracles.height(n)
 
@@ -239,7 +259,8 @@ class TestIndependence:
         assert genus == torsion.R_GENUS_DEGREE1.scale(4)
         assert genus_terms(n) == (genus, ExactConstant.zero(), -genus)
         tau = oracles.tau_route_rr(n)[0]
-        assert torsion.tau_route_rr(n) == (tau, ExactConstant.zero(), -tau)
+        cc = chow.arithmetic_chern_classes(n)
+        assert torsion.tau_route_rr(cc) == (tau, ExactConstant.zero(), -tau)
 
 
 class TestHeights:
@@ -321,8 +342,8 @@ class TestGridAndHodgeSweeps:
         with pytest.raises(NonConvergence, match=r"^norm_sq_alpha, n=3: "):
             torsion.hodge_l2_checks(3, CFG)
         with pytest.raises(NonConvergence, match=r"^bb_first_term, n=3: "):
-            torsion.bb_quadrature_float(3, CFG)
-        monkeypatch.setattr(torsion, "bb_quadrature_float", lambda n, cfg: 0.0)
+            torsion.bb_quadrature_float(chow.arithmetic_chern_classes(3), CFG)
+        monkeypatch.setattr(torsion, "bb_quadrature_float", lambda cc, cfg: 0.0)
         with pytest.raises(NonConvergence, match=r"^c1c2_product_quadrature, n=3: "):
             torsion.route_checks(3, CFG)
 
