@@ -8,8 +8,6 @@ pairing density (the direct route derives its L2 covolumes from these) and
 is re-derived by quadrature.
 """
 
-import math
-
 from hirzebruch_torsion import forms
 from hirzebruch_torsion.radial import QuadratureConfig, Radial, integrate_halfline
 
@@ -55,6 +53,6 @@ for label, density in (("|harmonic base class|^2", forms.l2_pairing(wh, wh)),
 print(f"  integral of (harmonic base class)^2 = "
       f"{forms.wedge(wh, wh).integrate(cfg): .2e} (exact 0: the square is exact)")
 
-print("\nQuotient metric against the fiber part of alpha (ratio 2*pi):")
-for e in forms.quotient_metric_ratio_check(n, (0.0, 1.0, 10.0)):
-    print(f"  u in {e.name}: ratio {e.computed:.12f} vs {2 * math.pi:.12f}")
+print("\nQuotient metric from the adjoint formula, against the fiber part of alpha:")
+q = forms.quotient_metric()
+print(f"  quotient metric = {q}; equal to alpha.fphi as normal forms: {q == al.fphi}")

@@ -32,7 +32,8 @@ for n in (0, 4, 12):
 print("\nQuadrature cross-check of the fibration route:")
 for n in (1, 4):
     res = torsion.main_theorem(n)
-    quad = torsion.bb_quadrature_float(chow.arithmetic_chern_classes(n), cfg)
+    tors = chow.torsion_form(chow.arithmetic_chern_classes(n).c1_relative)
+    quad = torsion.bb_quadrature_float(n, tors, cfg)
     print(f"  n={n}: exact {res.tau_float:.12f}  quadrature-assembled {quad:.12f}  "
           f"difference {abs(res.tau_float - quad):.2e}")
 

@@ -2,7 +2,9 @@
 
 All configuration is by flags (no environment variables), and identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1 a
-verification failed, 2 bad configuration, 3 quadrature failed to converge.
+verification failed, 2 bad configuration (a ruling index whose floats
+overflow, such as --n 10**400 for forms, integrals or verify, included),
+3 quadrature failed to converge.
 """
 
 from __future__ import annotations
@@ -16,15 +18,12 @@ from typing import List, Optional, Sequence
 from . import chow, forms, torsion
 from .constants import ExactConstant, ZETA_M1, ZETA_PRIME_M1, atom_table
 from .radial import DEFAULT_CONFIG, SCHEMES, NonConvergence, QuadratureConfig
+from .torsion import _fmt
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
 
 def format_exact(c: ExactConstant, expand_tau: bool = False) -> str:
@@ -161,33 +160,21 @@ def cmd_table(args) -> int:
 
 def cmd_integrals(args) -> int:
     cfg = _quad_config(args)
-    failed = False
-    out_rows = []
-    for n in _parse_n_list(args):
-        for m in torsion.named_integrals(n, cfg):
-            failed = failed or not m.passed
-            out_rows.append({
-                "name": m.name, "n": m.n,
-                "expected": m.closed_form.to_float(),
-                "computed": m.quadrature_value,
-                "abs_error": m.abs_error, "pass": m.passed,
-                "exact": format_exact(m.closed_form, expand_tau=True),
-            })
+    report = torsion.VerificationReport(
+        [m for n in _parse_n_list(args) for m in torsion.named_integrals(n, cfg)])
     if args.format == "json":
-        print(json.dumps(out_rows, indent=2))
+        print(json.dumps([{**m.as_report_row(),
+                           "exact": format_exact(m.closed_form, expand_tau=True)}
+                          for m in report.entries], indent=2))
     elif args.format == "csv":
-        print("name,n,expected,computed,abs_error,pass")
-        for r in out_rows:
-            print(f"{r['name']},{r['n']},{_fmt(r['expected'])},"
-                  f"{_fmt(r['computed'])},{_fmt(r['abs_error'])},"
-                  f"{str(r['pass']).lower()}")
+        sys.stdout.write(report.to_csv_text())
     else:
-        for r in out_rows:
-            mark = "PASS" if r["pass"] else "FAIL"
-            print(f"{mark}  n={r['n']:<3d} {r['name']:<28s} "
-                  f"closed={r['exact']:<40s} quad={_fmt(r['computed'])} "
-                  f"err={r['abs_error']:.3e}")
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
+        for m in report.entries:
+            mark = "PASS" if m.passed else "FAIL"
+            print(f"{mark}  n={m.n:<3d} {m.name:<28s} "
+                  f"closed={format_exact(m.closed_form, expand_tau=True):<40s} "
+                  f"quad={_fmt(m.quadrature_value)} err={m.abs_error:.3e}")
+    return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
 
 def cmd_verify(args) -> int:
@@ -247,10 +234,9 @@ def cmd_forms(args) -> int:
             print(f"error: unknown form {args.form!r}; catalog: "
                   f"{', '.join(sorted(cat))}", file=sys.stderr)
             return EXIT_CONFIG
-        form = cat[args.form]
+        rows = [(u, *cat[args.form].evaluate(u)) for u in us]
         print("u,fx,fphi")
-        for u in us:
-            fx, fphi = form.evaluate(u)
+        for u, fx, fphi in rows:
             print(f"{_fmt(u)},{_fmt(fx)},{_fmt(fphi)}")
     else:
         print("form,u,fx,fphi")
@@ -350,6 +336,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except chow.ChowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
+    except OverflowError as exc:
+        print(f"error: a value is too large for floating point ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -27,11 +27,10 @@ same numbers from the same objects.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .constants import ExactConstant
 from .radial import (
@@ -40,12 +39,10 @@ from .radial import (
     RADIAL_ONE,
     RADIAL_ZERO,
     Radial,
-    VerificationEntry,
     integrate_halfline,
     linear,
 )
 
-TWO_PI = 2.0 * math.pi
 U = Radial.term(j=1)
 
 
@@ -285,46 +282,20 @@ def l2_pairing(a: Union[Form11, Form22], b: Union[Form11, Form22]) -> Form22:
 
 
 # ---------------------------------------------------------------------------
-# Quotient metric check
+# Quotient metric
 # ---------------------------------------------------------------------------
 
 
-def quotient_vector_norm_sq(u: float, scale: float = 1.0) -> float:
-    """Squared norm of the adjoint image of (scale * d/dz) in the fiber direction.
+def quotient_metric() -> Radial:
+    """Squared norm of the adjoint image of d/dz in the fiber direction.
 
-    Assembled literally from the adjoint formula at a normal-frame point:
-    the vector (-conj(z) e1 + e2)/(1+|z|^2) tensored with the dual of the
-    defining point e1 + z e2, with both frame vectors of unit length.
+    Assembled from the adjoint formula at a normal-frame point with
+    |z|^2 = u: the vector (-conj(z) e1 + e2)/(1+|z|^2), of squared norm
+    (u + 1)/(1+u)^2, tensored with the dual of the defining point e1 + z e2,
+    of squared norm 1/(1+u).  It equals the fiber coefficient of alpha, since
+    phi carries the 1/(2*pi) that relates the metric to its form.
     """
-    z = math.sqrt(u)  # unitary invariance: a real slice suffices
-    comp1, comp2 = -z * scale, 1.0 * scale
-    numerator_norm_sq = comp1 * comp1 + comp2 * comp2
-    point_norm_sq = 1.0 + z * z
-    dual_factor = 1.0 / point_norm_sq
-    return (numerator_norm_sq / point_norm_sq ** 2) * dual_factor
-
-
-def quotient_metric_ratio_check(n: int, u_values: Iterable[float],
-                                tol: float = 1e-10) -> List[VerificationEntry]:
-    """Pointwise ratio of the quotient metric to the fiber part of alpha.
-
-    The quotient metric coefficient must equal 1/(1+u)^2, i.e. 2*pi times the
-    fiber coefficient of alpha (which carries a 1/(2*pi) normalization).
-    The value 2*pi lies outside the constant span, so the entries carry no
-    exact expected value.
-    """
-    al = alpha_form(n)
-    entries = []
-    for u in u_values:
-        metric_q = quotient_vector_norm_sq(u)
-        metric_alpha = al.fphi(u) / TWO_PI
-        ratio = metric_q / metric_alpha
-        err = abs(ratio - TWO_PI)
-        entries.append(VerificationEntry(
-            name=f"quotient_metric_ratio[u={u:g}]", n=n, expected=None,
-            expected_float=TWO_PI, computed=ratio, abs_error=err,
-            passed=err <= tol, tol=tol))
-    return entries
+    return (U + RADIAL_ONE) * Radial.term(a=1, k=2) * Radial.term(a=1, k=1)
 
 
 # ---------------------------------------------------------------------------

@@ -939,18 +939,28 @@ def _dqagse(f, a: float, b: float, epsabs: float, epsrel: float,
 
 @dataclass(frozen=True)
 class VerificationEntry:
-    """One graded check.  expected is None when the exact value lies outside
-    the constant span (the 2*pi of the quotient-metric check); the grade
-    then uses expected_float alone."""
+    """One graded check of computed against an exact value; its float
+    expected value and error are derived, and by default it passes within
+    tol."""
 
     name: str
     n: Optional[int]
-    expected: Optional[ExactConstant]
-    expected_float: float
+    expected: ExactConstant
     computed: float
-    abs_error: float
-    passed: bool
     tol: float
+    passed: Optional[bool] = None
+
+    def __post_init__(self):
+        if self.passed is None:
+            object.__setattr__(self, "passed", self.abs_error <= self.tol)
+
+    @property
+    def expected_float(self) -> float:
+        return self.expected.to_float()
+
+    @property
+    def abs_error(self) -> float:
+        return abs(self.computed - self.expected_float)
 
     def as_report_row(self) -> dict:
         return {
@@ -963,20 +973,9 @@ class VerificationEntry:
         }
 
 
-def graded(name: str, n: Optional[int], expected: ExactConstant, computed: float,
-           tol: float, passed: Optional[bool] = None) -> VerificationEntry:
-    """A check of computed against an exact value; by default it passes
-    within tol."""
-    target = expected.to_float()
-    err = abs(computed - target)
-    return VerificationEntry(name=name, n=n, expected=expected, expected_float=target,
-                             computed=computed, abs_error=err,
-                             passed=err <= tol if passed is None else passed, tol=tol)
-
-
 def compare_closed_form(f, expected: ExactConstant,
                         cfg: QuadratureConfig = DEFAULT_CONFIG,
                         name: str = "", n: Optional[int] = None) -> VerificationEntry:
     """Quadrature f over the half-line and grade it against an exact value."""
     computed = integrate_halfline(f, cfg, name=name)
-    return graded(name or str(f), n, expected, computed, cfg.pass_tol)
+    return VerificationEntry(name or str(f), n, expected, computed, cfg.pass_tol)

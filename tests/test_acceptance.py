@@ -125,10 +125,10 @@ def test_criterion_7_hodge_l2_suite():
 def test_criterion_8_quotient_metric_ratio():
     ok = True
     for n in (0, 1, 2, 5, 10):
-        for e in forms.quotient_metric_ratio_check(n, (0.0, 0.5, 1.0, 10.0),
-                                                   tol=1e-10):
-            ok = ok and e.passed
-    _verdict("8 (quotient metric ratio 2*pi pointwise, 1e-10)", ok)
+        e = torsion._identity("quotient_metric_equals_alpha_fiber", n,
+                              forms.quotient_metric(), forms.alpha_form(n).fphi)
+        ok = ok and e.passed and e.computed == e.abs_error == 0.0
+    _verdict("8 (quotient metric = alpha's fiber part, exact in the normal form)", ok)
 
 
 def test_criterion_9_twisted_torsion():

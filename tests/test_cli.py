@@ -298,6 +298,17 @@ class TestConfigErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("forms", "--n", str(10**400), "--form", "alpha"),
+        ("integrals", "--n", str(10**400)),
+        ("verify", "--n", str(10**400)),
+    ], ids=["forms", "integrals", "verify"])
+    def test_n_beyond_floating_point(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "too large for floating point" in err
+        assert "Traceback" not in err
+
     def test_forms_negative_n(self):
         code, out, err = run_cli("forms", "--n", "-1")
         assert code == 2

@@ -5,7 +5,6 @@ quadrature, so the derived masses the ring engine consumes are themselves
 under test.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -29,8 +28,7 @@ from hirzebruch_torsion.forms import (
     log_R,
     omega_H,
     omega_form,
-    quotient_metric_ratio_check,
-    quotient_vector_norm_sq,
+    quotient_metric,
     ratio_R,
     ratio_base_form,
     volume_form,
@@ -332,19 +330,17 @@ class TestDegree2RelationPointwise:
 
 
 class TestQuotientMetric:
-    @pytest.mark.parametrize("n", [0, 1, 3, 8])
+    @pytest.mark.parametrize("n", [0, 1, 3, 8, 10**6, 10**9])
     def test_ratio_is_two_pi(self, n):
-        for entry in quotient_metric_ratio_check(n, (0.0, 0.5, 1.0, 10.0)):
-            assert entry.passed, entry
-            assert entry.computed == pytest.approx(2 * math.pi, abs=1e-10)
-
-    def test_zero_vector_has_zero_norm(self):
-        assert quotient_vector_norm_sq(1.0, scale=0.0) == 0.0
+        # alpha's fiber coefficient is taken against phi, which carries the
+        # 1/(2*pi) between a metric and its form: the ratio of the quotient
+        # metric to the metric of alpha is 2*pi exactly when the normal
+        # forms are equal
+        assert quotient_metric() == alpha_form(n).fphi
 
     def test_norm_matches_projective_metric(self):
         for u in (0.0, 0.7, 2.0, 50.0):
-            assert quotient_vector_norm_sq(u) == pytest.approx(
-                1 / (1 + u) ** 2, rel=1e-12)
+            assert quotient_metric()(u) == pytest.approx(1 / (1 + u) ** 2, rel=1e-12)
 
 
 class TestCatalog:

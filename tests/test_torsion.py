@@ -207,8 +207,8 @@ class TestRoutes:
     def test_float_crosschecks(self, n):
         res = torsion.main_theorem(n)
         assert res.tau_rr.to_float() == res.tau_bb.to_float()
-        cc = chow.arithmetic_chern_classes(n)
-        assert torsion.bb_quadrature_float(cc, CFG) == pytest.approx(
+        tors = chow.torsion_form(chow.arithmetic_chern_classes(n).c1_relative)
+        assert torsion.bb_quadrature_float(n, tors, CFG) == pytest.approx(
             res.tau_float, abs=1e-8)
 
     def test_route_check_entries_pass(self):
@@ -231,6 +231,20 @@ class TestRoutes:
         builds.clear()
         torsion.route_checks(3, CFG)
         assert 0 < len(builds) <= 2
+
+    def test_route_checks_derive_the_torsion_form_twice(self, monkeypatch):
+        # once in main_theorem's fibration route, once for the rows, whose
+        # quadrature value reuses it
+        derivations = []
+        derive = chow.torsion_form
+
+        def counted(c1_relative):
+            derivations.append(c1_relative.n)
+            return derive(c1_relative)
+
+        monkeypatch.setattr(chow, "torsion_form", counted)
+        torsion.route_checks(3, CFG)
+        assert derivations == [3, 3]
 
 
 class TestIndependence:
@@ -342,8 +356,8 @@ class TestGridAndHodgeSweeps:
         with pytest.raises(NonConvergence, match=r"^norm_sq_alpha, n=3: "):
             torsion.hodge_l2_checks(3, CFG)
         with pytest.raises(NonConvergence, match=r"^bb_first_term, n=3: "):
-            torsion.bb_quadrature_float(chow.arithmetic_chern_classes(3), CFG)
-        monkeypatch.setattr(torsion, "bb_quadrature_float", lambda cc, cfg: 0.0)
+            torsion.bb_quadrature_float(3, torsion.tau_p1(), CFG)
+        monkeypatch.setattr(torsion, "bb_quadrature_float", lambda n, tors, cfg: 0.0)
         with pytest.raises(NonConvergence, match=r"^c1c2_product_quadrature, n=3: "):
             torsion.route_checks(3, CFG)
 
@@ -376,6 +390,25 @@ class TestGrowthSanity:
 
 
 class TestReports:
+    def test_every_row_derives_its_error_from_an_exact_value(self):
+        rep = torsion.verify_all([0, 1, 7], CFG)
+        names = [e.name for e in rep.entries]
+        assert names.count("quotient_metric_equals_alpha_fiber") == 3
+        for e in rep.entries:
+            assert isinstance(e.expected, ExactConstant), e.name
+            assert e.expected_float == e.expected.to_float()
+            assert e.abs_error == abs(e.computed - e.expected_float), e.name
+
+    def test_a_failing_height_pipeline_shows_its_error(self, monkeypatch):
+        monkeypatch.setattr(torsion, "height_via_polarization_cube",
+                            lambda n: torsion.closed_height(n) + 1)
+        rep = torsion.verify_all([], CFG, height_range=2)
+        assert [e.name for e in rep.entries] == ["height_two_pipelines"] * 3
+        for n, e in enumerate(rep.entries):
+            assert e.n == n and not e.passed and e.abs_error == 1.0
+            assert e.computed == float(torsion.closed_height(n) + 1)
+        assert not rep.all_passed
+
     def test_verify_all_passes(self):
         rep = torsion.verify_all([1, 4], CFG, height_range=8)
         assert rep.all_passed
