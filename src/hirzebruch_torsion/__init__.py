@@ -8,42 +8,35 @@ of the standard model, and re-derives every intermediate closed-form integral
 by adaptive quadrature on the half-line.
 """
 
-from .constants import ConstantAtom, ExactConstant, log_rational
-from .radial import (
-    DomainError,
-    NonConvergence,
-    QuadratureConfig,
-    Radial,
-    RadialFunction,
-    VerificationEntry,
-    compare_closed_form,
-    integrate_halfline,
-)
-from .forms import Form11, Form22
-from .chow import ChowClass, PipelineInconsistency
-from .torsion import (
-    NamedIntegral,
-    TorsionResult,
-    VerificationReport,
-    height,
-    main_theorem,
-    named_integrals,
-    tau_p1,
-    tau_route_bb,
-    tau_route_rr,
-    verify_all,
-)
+# Each export is imported from its module on first use (PEP 562), so that a
+# process loads only the modules it runs.
+_EXPORTS = {
+    "ConstantAtom": "constants", "ExactConstant": "constants", "log_rational": "constants",
+    "DomainError": "radial", "NonConvergence": "radial", "QuadratureConfig": "radial",
+    "Radial": "radial", "RadialFunction": "radial", "VerificationEntry": "radial",
+    "compare_closed_form": "radial", "integrate_halfline": "radial",
+    "Form11": "forms", "Form22": "forms",
+    "ChowClass": "chow", "PipelineInconsistency": "chow",
+    "NamedIntegral": "torsion", "TorsionResult": "torsion", "VerificationReport": "torsion",
+    "height": "torsion", "main_theorem": "torsion", "named_integrals": "torsion",
+    "tau_p1": "torsion", "tau_route_bb": "torsion", "tau_route_rr": "torsion",
+    "verify_all": "torsion",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstantAtom", "ExactConstant", "log_rational",
-    "DomainError", "NonConvergence", "QuadratureConfig", "Radial", "RadialFunction",
-    "VerificationEntry", "compare_closed_form", "integrate_halfline",
-    "Form11", "Form22",
-    "ChowClass", "PipelineInconsistency",
-    "NamedIntegral", "TorsionResult", "VerificationReport",
-    "height", "main_theorem", "named_integrals", "tau_p1",
-    "tau_route_bb", "tau_route_rr", "verify_all",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

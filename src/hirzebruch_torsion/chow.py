@@ -42,10 +42,9 @@ the pipelines reduces to archimedean terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from . import forms
 from .constants import ZETA_M1, ZETA_PRIME_M1, ConstantAtom, ExactConstant, log_2pi
@@ -543,8 +542,7 @@ def pushforward_deg_numeric(c: ChowClass, cfg: QuadratureConfig = DEFAULT_CONFIG
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChernClasses:
+class ChernClasses(NamedTuple):
     """Arithmetic Chern classes of the metrized tangent bundles."""
 
     n: int

@@ -3,22 +3,24 @@
 All configuration is by flags (no environment variables), and identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1 a
 verification failed, 2 bad configuration (a ruling index whose floats
-overflow, such as --n 10**400 for forms, integrals or verify, included),
-3 quadrature failed to converge.
+overflow, such as --n 10**400 for forms, integrals or verify, included, and
+one whose logarithms need prime factors beyond the bounded factorization,
+such as --n 10**400 for torsion or table), 3 quadrature failed to converge.
+
+A process imports only what its command runs: constants and radial for every
+command, forms, chow and torsion where the command uses them, and json only
+where JSON is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import List, Optional, Sequence
 
-from . import chow, forms, torsion
-from .constants import ExactConstant, ZETA_M1, ZETA_PRIME_M1, atom_table
-from .radial import DEFAULT_CONFIG, SCHEMES, NonConvergence, QuadratureConfig
-from .torsion import _fmt
+from .constants import ExactConstant, FactorizationLimit, ZETA_M1, ZETA_PRIME_M1, atom_table
+from .radial import DEFAULT_CONFIG, SCHEMES, NonConvergence, QuadratureConfig, _fmt
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -30,6 +32,8 @@ def format_exact(c: ExactConstant, expand_tau: bool = False) -> str:
     """Canonical human-readable form, folding the base-line torsion when possible."""
     if expand_tau:
         return str(c)
+    from . import torsion
+
     t = torsion.closed_tau_p1()
     q = -c.coefficient(ZETA_PRIME_M1) / 4
     if q != 0:
@@ -69,6 +73,12 @@ def _parse_n_list(args) -> List[int]:
     raise SystemExit(EXIT_CONFIG)
 
 
+def _print_json(value, file=None) -> None:
+    import json
+
+    print(json.dumps(value, indent=2), file=file)
+
+
 def _quad_config(args) -> QuadratureConfig:
     try:
         return QuadratureConfig(target_tol=args.quad_tol, scheme=args.scheme)
@@ -83,6 +93,8 @@ def _quad_config(args) -> QuadratureConfig:
 
 
 def cmd_torsion(args) -> int:
+    from . import torsion
+
     rows = []
     for n in _parse_n_list(args):
         res = torsion.main_theorem(n)
@@ -103,7 +115,7 @@ def cmd_torsion(args) -> int:
                 "exact": res.main_theorem_value.to_json_dict(),
                 "float": res.main_theorem_value.to_float()}
             payload.append(entry)
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     elif args.format == "csv":
         print("n,route,value_float,value_exact")
         for n, res, values, routes in rows:
@@ -126,13 +138,15 @@ def cmd_torsion(args) -> int:
 
 
 def cmd_height(args) -> int:
+    from . import torsion
+
     trace: Optional[List[dict]] = [] if args.trace else None
     values = [(n, torsion.height(n, trace)) for n in _parse_n_list(args)]
     if trace is not None:
-        print(json.dumps(trace, indent=2), file=sys.stderr)
+        _print_json(trace, file=sys.stderr)
     if args.format == "json":
-        print(json.dumps([{"n": n, "height": str(h), "height_float": float(h)}
-                          for n, h in values], indent=2))
+        _print_json([{"n": n, "height": str(h), "height_float": float(h)}
+                     for n, h in values])
     elif args.format == "csv":
         print("n,height")
         for n, h in values:
@@ -144,10 +158,12 @@ def cmd_height(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from . import torsion
+
     cfg = _quad_config(args)
     rows = torsion.table_rows(_parse_n_list(args), cfg)
     if args.format == "json":
-        print(json.dumps([{**r, "height": str(r["height"])} for r in rows], indent=2))
+        _print_json([{**r, "height": str(r["height"])} for r in rows])
     else:
         text = torsion.table_csv(rows)
         if args.format == "csv":
@@ -159,13 +175,15 @@ def cmd_table(args) -> int:
 
 
 def cmd_integrals(args) -> int:
+    from . import torsion
+
     cfg = _quad_config(args)
     report = torsion.VerificationReport(
         [m for n in _parse_n_list(args) for m in torsion.named_integrals(n, cfg)])
     if args.format == "json":
-        print(json.dumps([{**m.as_report_row(),
-                           "exact": format_exact(m.closed_form, expand_tau=True)}
-                          for m in report.entries], indent=2))
+        _print_json([{**m.as_report_row(),
+                      "exact": format_exact(m.closed_form, expand_tau=True)}
+                     for m in report.entries])
     elif args.format == "csv":
         sys.stdout.write(report.to_csv_text())
     else:
@@ -178,6 +196,8 @@ def cmd_integrals(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import torsion
+
     cfg = _quad_config(args)
     if not 0 < args.tol < math.inf or args.height_range < 0:
         print("error: --tol must be positive and finite and --height-range nonnegative",
@@ -204,7 +224,7 @@ def cmd_verify(args) -> int:
 def cmd_constants(args) -> int:
     rows = [{"atom": label, "reference": value} for label, value in atom_table()]
     if args.format == "json":
-        print(json.dumps(rows, indent=2))
+        _print_json(rows)
     elif args.format == "csv":
         print("atom,reference")
         for r in rows:
@@ -216,6 +236,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_forms(args) -> int:
+    from . import forms
+
     if args.n < 0:
         print("error: --n must be >= 0", file=sys.stderr)
         return EXIT_CONFIG
@@ -333,12 +355,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NonConvergence as exc:
         print(f"error: quadrature did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except chow.ChowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
     except OverflowError as exc:
         print(f"error: a value is too large for floating point ({exc})", file=sys.stderr)
         return EXIT_CONFIG
+    except FactorizationLimit as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except _chow_error() as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+
+
+def _chow_error() -> type:
+    """chow.ChowError, imported only once an exception has reached main."""
+    from .chow import ChowError
+
+    return ChowError
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ Values are immutable and all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
@@ -32,6 +31,86 @@ class NonRationalProduct(ArithmeticError):
     """Product of two non-rational exact constants: a pipeline bug by contract."""
 
 
+class FactorizationLimit(ArithmeticError):
+    """An integer whose prime factors lie beyond the bounded factorization."""
+
+
+# ---------------------------------------------------------------------------
+# Primes
+# ---------------------------------------------------------------------------
+
+# Miller-Rabin to the bases 2..41 decides primality of every integer below
+# _MR_PROVEN (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 3317044064679887385961981
+# Trial division stops here: on its own it settles every integer below 2^40.
+_TRIAL_BOUND = 1 << 20
+
+
+def _strong_probable_prime(m: int) -> bool:
+    """Miller-Rabin to every base of _MR_BASES, for an odd m > 41."""
+    d, s = m - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _is_prime(p: int) -> bool:
+    """Whether p is prime; raises FactorizationLimit for a p of _MR_PROVEN or
+    more that passes every Miller-Rabin base, which no test here settles."""
+    if p < 2:
+        return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if not _strong_probable_prime(p):
+        return False
+    if p < _MR_PROVEN:
+        return True
+    raise FactorizationLimit(f"cannot prove a {p.bit_length()}-bit integer prime")
+
+
+def _factor(m: int) -> Dict[int, int]:
+    """Prime factorization of m >= 1.  After the primes 2..41, trial division
+    goes on until the cofactor is 1, has no divisor up to its square root, or
+    is proven prime by Miller-Rabin (tried each time it changes); a cofactor
+    with no divisor up to _TRIAL_BOUND that none of these settles raises
+    FactorizationLimit."""
+    out: Dict[int, int] = {}
+    whole = m
+    for p in _MR_BASES:
+        while m % p == 0:
+            m //= p
+            out[p] = out.get(p, 0) + 1
+    d = _MR_BASES[-1] + 2
+    while m > 1:
+        if d * d > m or (m < _MR_PROVEN and _strong_probable_prime(m)):
+            out[m] = 1
+            break
+        while m % d:
+            d += 2
+            if d > _TRIAL_BOUND:
+                raise FactorizationLimit(
+                    f"cannot factor a {whole.bit_length()}-bit integer: its "
+                    f"{m.bit_length()}-bit cofactor has no prime factor up to "
+                    f"{_TRIAL_BOUND} and is not proven prime")
+        while m % d == 0:
+            m //= d
+            out[d] = out.get(d, 0) + 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Atoms
 # ---------------------------------------------------------------------------
@@ -39,36 +118,35 @@ class NonRationalProduct(ArithmeticError):
 _KIND_RANK = {"one": 0, "log_pi": 1, "log_prime": 2, "zeta_prime_m1": 3, "zeta_m1": 4}
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
-@dataclass(frozen=True, order=False)
 class ConstantAtom:
-    """One basis element: the rational unit, log(pi), log(p), zeta'(-1) or zeta(-1)."""
+    """One basis element: the rational unit, log(pi), log(p), zeta'(-1) or zeta(-1).
 
-    kind: str
-    prime: int = 0
+    Immutable.  Atoms key every coefficient map, so the hash is computed once."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown atom kind {self.kind!r}")
-        if self.kind == "log_prime":
-            if not _is_prime(self.prime):
-                raise ValueError(f"log_prime atom needs a prime argument, got {self.prime}")
-        elif self.prime:
-            raise ValueError(f"{self.kind} atom carries no prime")
+    __slots__ = ("kind", "prime", "_hash")
+
+    def __init__(self, kind: str, prime: int = 0) -> None:
+        if kind not in _KIND_RANK:
+            raise ValueError(f"unknown atom kind {kind!r}")
+        if kind == "log_prime":
+            if not _is_prime(prime):
+                raise ValueError(f"log_prime atom needs a prime argument, got {prime}")
+        elif prime:
+            raise ValueError(f"{kind} atom carries no prime")
+        self.kind = kind
+        self.prime = prime
+        self._hash = hash((kind, prime))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ConstantAtom:
+            return NotImplemented
+        return self.kind == other.kind and self.prime == other.prime
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"ConstantAtom(kind={self.kind!r}, prime={self.prime!r})"
 
     def sort_key(self) -> Tuple[int, int]:
         return (_KIND_RANK[self.kind], self.prime)
@@ -104,18 +182,11 @@ def log_prime_atom(p: int) -> ConstantAtom:
     return ConstantAtom("log_prime", p)
 
 
-def _factor(m: int) -> Dict[int, int]:
-    """Prime factorization by trial division; inputs here are desk-scale."""
-    out: Dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
+def _factored_log_prime(p: int) -> ConstantAtom:
+    """log(p) for a p that _factor returned, so proven prime already."""
+    atom = ConstantAtom.__new__(ConstantAtom)
+    atom.kind, atom.prime, atom._hash = "log_prime", p, hash(("log_prime", p))
+    return atom
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +348,9 @@ def log_rational(q: RationalLike) -> ExactConstant:
     q = Fraction(q)
     if q <= 0:
         raise ValueError(f"log_rational needs a positive rational, got {q}")
-    coeffs: Dict[ConstantAtom, Fraction] = {}
-    for p, e in _factor(q.numerator).items():
-        coeffs[log_prime_atom(p)] = coeffs.get(log_prime_atom(p), Fraction(0)) + e
-    for p, e in _factor(q.denominator).items():
-        coeffs[log_prime_atom(p)] = coeffs.get(log_prime_atom(p), Fraction(0)) - e
+    # numerator and denominator are coprime: no prime is in both
+    coeffs = {_factored_log_prime(p): e for p, e in _factor(q.numerator).items()}
+    coeffs.update((_factored_log_prime(p), -e) for p, e in _factor(q.denominator).items())
     return ExactConstant(coeffs)
 
 

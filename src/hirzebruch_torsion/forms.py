@@ -27,7 +27,6 @@ same numbers from the same objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple, Union
@@ -82,13 +81,25 @@ def log_R(n: int) -> Radial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Form11:
-    """Invariant (1,1)-form: fx * base + fphi * phi at a normal-frame point."""
+    """Invariant (1,1)-form: fx * base + fphi * phi at a normal-frame point.
+    Immutable."""
 
-    n: int
-    fx: Radial
-    fphi: Radial
+    def __init__(self, n: int, fx: Radial, fphi: Radial) -> None:
+        self.n = n
+        self.fx = fx
+        self.fphi = fphi
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.fx, self.fphi) == (other.n, other.fx, other.fphi)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.fx, self.fphi))
+
+    def __repr__(self) -> str:
+        return f"Form11(n={self.n!r}, fx={self.fx!r}, fphi={self.fphi!r})"
 
     @property
     def fiber_integral(self) -> ExactConstant:
@@ -212,12 +223,24 @@ def omega_H(n: int) -> Form11:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Form22:
-    """Invariant top form g(u) * base ^ phi; total integral = half-line mass of g."""
+    """Invariant top form g(u) * base ^ phi; total integral = half-line mass of g.
+    Immutable."""
 
-    n: int
-    g: Radial
+    def __init__(self, n: int, g: Radial) -> None:
+        self.n = n
+        self.g = g
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.g) == (other.n, other.g)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.g))
+
+    def __repr__(self) -> str:
+        return f"Form22(n={self.n!r}, g={self.g!r})"
 
     @property
     def total_integral(self) -> ExactConstant:

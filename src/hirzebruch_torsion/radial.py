@@ -31,7 +31,6 @@ of Takahashi and Mori.  The package imports neither numpy nor scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, Optional, Tuple
@@ -360,19 +359,33 @@ def linear(pairs) -> Radial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RadialFunction:
     """Evaluable map u in [0, inf) -> R with declared decay at infinity.
 
     decay_order d means eval(u) = O(u^-d) as u -> inf.  const_value is set
     when the function is a known constant (enables structural zero detection
-    downstream).
+    downstream).  Immutable.
     """
 
-    fn: Callable[[float], float]
-    decay_order: float
-    key: KeyT = ("anon",)
-    const_value: Optional[Fraction] = None
+    def __init__(self, fn: Callable[[float], float], decay_order: float,
+                 key: KeyT = ("anon",), const_value: Optional[Fraction] = None) -> None:
+        self.fn = fn
+        self.decay_order = decay_order
+        self.key = key
+        self.const_value = const_value
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.fn, self.decay_order, self.key, self.const_value)
+                == (other.fn, other.decay_order, other.key, other.const_value))
+
+    def __hash__(self) -> int:
+        return hash((self.fn, self.decay_order, self.key, self.const_value))
+
+    def __repr__(self) -> str:
+        return (f"RadialFunction(fn={self.fn!r}, decay_order={self.decay_order!r}, "
+                f"key={self.key!r}, const_value={self.const_value!r})")
 
     def __call__(self, u: float) -> float:
         return self.fn(u)
@@ -442,16 +455,27 @@ SCHEMES = ("gauss_kronrod", "tanh_sinh")
 PASS_TOL_FACTOR = 10.0  # a quadrature passes within this multiple of its target
 
 
-@dataclass(frozen=True)
 class QuadratureConfig:
-    target_tol: float = 1e-10
-    scheme: str = "gauss_kronrod"
+    """Target tolerance and scheme of a half-line quadrature.  Immutable."""
 
-    def __post_init__(self) -> None:
-        if not 0 < self.target_tol < math.inf:  # nan fails too
+    def __init__(self, target_tol: float = 1e-10, scheme: str = "gauss_kronrod") -> None:
+        if not 0 < target_tol < math.inf:  # nan fails too
             raise ValueError("target_tol must be positive and finite")
-        if self.scheme not in SCHEMES:
+        if scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
+        self.target_tol = target_tol
+        self.scheme = scheme
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.target_tol, self.scheme) == (other.target_tol, other.scheme)
+
+    def __hash__(self) -> int:
+        return hash((self.target_tol, self.scheme))
+
+    def __repr__(self) -> str:
+        return f"QuadratureConfig(target_tol={self.target_tol!r}, scheme={self.scheme!r})"
 
     @property
     def pass_tol(self) -> float:
@@ -937,22 +961,34 @@ def _dqagse(f, a: float, b: float, epsabs: float, epsrel: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class VerificationEntry:
     """One graded check of computed against an exact value; its float
     expected value and error are derived, and by default it passes within
-    tol."""
+    tol.  Immutable."""
 
-    name: str
-    n: Optional[int]
-    expected: ExactConstant
-    computed: float
-    tol: float
-    passed: Optional[bool] = None
+    def __init__(self, name: str, n: Optional[int], expected: ExactConstant,
+                 computed: float, tol: float, passed: Optional[bool] = None) -> None:
+        self.name = name
+        self.n = n
+        self.expected = expected
+        self.computed = computed
+        self.tol = tol
+        self.passed = self.abs_error <= tol if passed is None else passed
 
-    def __post_init__(self):
-        if self.passed is None:
-            object.__setattr__(self, "passed", self.abs_error <= self.tol)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.n, self.expected, self.computed, self.tol, self.passed)
+                == (other.name, other.n, other.expected, other.computed, other.tol,
+                    other.passed))
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.n, self.expected, self.computed, self.tol, self.passed))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(name={self.name!r}, n={self.n!r}, "
+                f"expected={self.expected!r}, computed={self.computed!r}, "
+                f"tol={self.tol!r}, passed={self.passed!r})")
 
     @property
     def expected_float(self) -> float:
@@ -971,6 +1007,11 @@ class VerificationEntry:
             "abs_error": self.abs_error,
             "pass": self.passed,
         }
+
+
+def _fmt(x: float) -> str:
+    """A float as report text: 17 significant digits, which round-trip."""
+    return format(x, ".17g")
 
 
 def compare_closed_form(f, expected: ExactConstant,

@@ -25,12 +25,10 @@ quadrature value, discrepancy, and verdict for each.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import chow, forms
 from .chow import R_GENUS_DEGREE1, ChernClasses, ChowClass, PipelineInconsistency
@@ -48,6 +46,7 @@ from .radial import (
     RADIAL_ONE,
     Radial,
     VerificationEntry,
+    _fmt,
     integrate_halfline,
 )
 
@@ -299,8 +298,7 @@ def height_via_polarization_cube(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorsionResult:
+class TorsionResult(NamedTuple):
     n: int
     tau_closed: ExactConstant
     tau_rr: ExactConstant
@@ -453,13 +451,17 @@ def route_checks(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-@dataclass
 class VerificationReport:
-    entries: List[VerificationEntry]
+    def __init__(self, entries: List[VerificationEntry]) -> None:
+        self.entries = entries
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"VerificationReport(entries={self.entries!r})"
 
     @property
     def all_passed(self) -> bool:
@@ -473,6 +475,8 @@ class VerificationReport:
         return [e.as_report_row() for e in self.entries]
 
     def to_json_text(self) -> str:
+        import json
+
         return json.dumps({"all_passed": self.all_passed, "entries": self.rows()},
                           indent=2)
 

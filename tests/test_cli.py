@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, determinism, exit codes."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -248,6 +249,50 @@ class TestExactPathImports:
         assert "\ndependencies = []\n" in PYPROJECT.read_text()
 
 
+def modules_after(argv):
+    """Exit status and sys.modules of a fresh interpreter that imported only
+    hirzebruch_torsion.cli and ran argv (the names are printed as a Python
+    literal, so that no json import joins them)."""
+    script = ("import sys\n"
+              "import hirzebruch_torsion.cli as cli\n"
+              f"rc = cli.main({argv!r})\n"
+              "print(sorted(sys.modules), file=sys.stderr)\n"
+              "sys.exit(rc)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    return proc.returncode, set(ast.literal_eval(proc.stderr.splitlines()[-1]))
+
+
+class TestColdImports:
+    """A cold process loads only the modules its command runs."""
+
+    def test_constants_loads_no_ring_forms_or_torsion(self):
+        code, loaded = modules_after(["constants"])
+        assert code == 0
+        assert "hirzebruch_torsion.constants" in loaded
+        assert not loaded & {f"hirzebruch_torsion.{m}" for m in ("chow", "forms", "torsion")}
+
+    @pytest.mark.parametrize("argv", [["height", "--n", "3"], ["constants"]],
+                             ids=["height", "constants"])
+    def test_exact_commands_load_no_dataclasses_inspect_or_json(self, argv):
+        code, loaded = modules_after(argv)
+        assert code == 0
+        assert not loaded & {"dataclasses", "inspect", "json"}
+
+    def test_every_export_resolves(self):
+        script = ("import hirzebruch_torsion as ht\n"
+                  "from importlib import import_module\n"
+                  "from hirzebruch_torsion import *\n"
+                  "for name in ht.__all__:\n"
+                  "    assert name in globals() and name in dir(ht), name\n"
+                  "    if name != '__version__':\n"
+                  "        module = import_module(ht.__name__ + '.' + ht._EXPORTS[name])\n"
+                  "        assert getattr(ht, name) is getattr(module, name), name\n"
+                  "print(len(ht.__all__))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["26"]
+
+
 class TestTanhSinh:
     def test_verify_passes_where_scipy_was_wrong(self):
         code, out, _ = run_cli("verify", "--n-list", "57,58", "--scheme", "tanh_sinh")
@@ -307,6 +352,16 @@ class TestConfigErrors:
         code, out, err = run_cli(*argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "too large for floating point" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["torsion", "table"])
+    def test_n_beyond_the_factorization_bound(self, command):
+        # log(n + 1) needs the prime factors of 10**400 + 1
+        proc = subprocess.run([sys.executable, "-m", "hirzebruch_torsion.cli", command,
+                               "--n", str(10**400)], capture_output=True, text=True, timeout=60)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot factor") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
     def test_forms_negative_n(self):

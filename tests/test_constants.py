@@ -115,6 +115,66 @@ class TestLogRational:
             log_rational(Fraction(-3, 2))
 
 
+def trial_division(m: int) -> dict:
+    """Prime factorization by plain trial division, the reference of _factor."""
+    out, d = {}, 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+class TestFactorization:
+    def test_matches_trial_division_up_to_1e9(self):
+        rng = random.Random(11)
+        top = [p for p in range(31623, 31400, -1) if trial_division(p) == {p: 1}][:3]
+        ms = (list(range(1, 3000)) + [rng.randint(1, 10**9 + 2) for _ in range(60)]
+              + [p * q for p in top for q in top] + [10**9 + 1, 10**9 + 2, 999999937])
+        for m in ms:
+            assert C._factor(m) == trial_division(m), m
+
+    @pytest.mark.parametrize("m,expected", [
+        (999999999989, {999999999989: 1}),               # prime, about 10^12
+        (2**61 - 1, {2**61 - 1: 1}),                     # prime beyond trial division
+        (3 * 1009**10 * (2**61 - 1), {3: 1, 1009: 10, 2**61 - 1: 1}),
+        (1048573 * 1048571, {1048571: 1, 1048573: 1}),   # two primes near the bound
+    ])
+    def test_large_factors_are_proven(self, m, expected):
+        assert C._factor(m) == expected
+
+    @pytest.mark.parametrize("m", [10**400 + 1, (2**89 - 1) * 2,
+                                   10670053 * 32010157 * 3],
+                             ids=["huge", "unproven_prime", "two_large_primes"])
+    def test_what_the_bound_cannot_settle_is_refused(self, m):
+        with pytest.raises(C.FactorizationLimit, match="cannot factor"):
+            C._factor(m)
+        with pytest.raises(C.FactorizationLimit):
+            log_rational(m)
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # each is a strong pseudoprime to the first few of the bases 2..41
+        for c in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                  341550071728321, 3825123056546413051, 318665857834031151167461):
+            assert not C._is_prime(c), c
+        assert C._is_prime(999999999989) and C._is_prime(2**61 - 1)
+        with pytest.raises(C.FactorizationLimit):
+            C._is_prime(2**89 - 1)
+
+    def test_public_atoms_are_still_checked(self):
+        assert log_prime_atom(999999999989).prime == 999999999989
+        with pytest.raises(ValueError):
+            log_prime_atom(999999999987)
+
+    def test_factored_atoms_equal_public_ones(self):
+        for p in (2, 3, 41, 43, 999999999989):
+            atom = C._factored_log_prime(p)
+            assert atom == log_prime_atom(p) and hash(atom) == hash(log_prime_atom(p))
+
+
 class TestToFloat:
     def test_zero(self):
         assert ExactConstant.zero().to_float() == 0.0

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hirzebruch_torsion import chow, forms, radial, torsion
+from hirzebruch_torsion import chow, constants, forms, radial, torsion
 from hirzebruch_torsion.chow import PipelineInconsistency
 from hirzebruch_torsion.constants import (
     ExactConstant,
@@ -184,6 +184,16 @@ class TestRoutes:
         n = 10**4
         res = torsion.main_theorem(n)
         assert res.tau_rr == res.tau_bb == torsion.closed_tau(n)
+
+    def test_factored_primes_are_not_proven_again(self, monkeypatch):
+        # n + 1 = 999999999989 is prime: _factor proves it by Miller-Rabin, and
+        # the log(p) atoms built from its result take no second proof
+        n, calls = 999999999988, []
+        is_prime = constants._is_prime
+        monkeypatch.setattr(constants, "_is_prime", lambda p: calls.append(p) or is_prime(p))
+        res = torsion.main_theorem(n)
+        assert res.tau_rr == res.tau_bb == torsion.closed_tau(n)
+        assert calls.count(n + 1) == 0
 
     def test_duality(self):
         for n in (0, 1, 5, 12):
