@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 RationalLike = Union[int, Fraction]
@@ -205,7 +206,8 @@ class ExactConstant:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[ConstantAtom, RationalLike] | None = None):
-        norm = {atom: Fraction(c) for atom, c in (coeffs or {}).items() if c}
+        norm = {atom: c if type(c) is Fraction else Fraction(c)
+                for atom, c in (coeffs or {}).items() if c}
         if len(norm) > 1:
             norm = dict(sorted(norm.items(), key=lambda kv: kv[0].sort_key()))
         self._coeffs: Dict[ConstantAtom, Fraction] = norm
@@ -343,14 +345,21 @@ class ExactConstant:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _prime_logs(m: int) -> Tuple[Tuple[ConstantAtom, int], ...]:
+    """log(m) for an integer m >= 1 as (log(p), exponent) pairs; each m is
+    factored once while it stays among the recent ones."""
+    return tuple((_factored_log_prime(p), e) for p, e in _factor(m).items())
+
+
 def log_rational(q: RationalLike) -> ExactConstant:
     """Decompose log(q) for q > 0 into prime-log atoms."""
     q = Fraction(q)
     if q <= 0:
         raise ValueError(f"log_rational needs a positive rational, got {q}")
     # numerator and denominator are coprime: no prime is in both
-    coeffs = {_factored_log_prime(p): e for p, e in _factor(q.numerator).items()}
-    coeffs.update((_factored_log_prime(p), -e) for p, e in _factor(q.denominator).items())
+    coeffs = dict(_prime_logs(q.numerator))
+    coeffs.update((atom, -e) for atom, e in _prime_logs(q.denominator))
     return ExactConstant(coeffs)
 
 

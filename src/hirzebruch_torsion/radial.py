@@ -39,6 +39,7 @@ from .constants import ExactConstant, log_rational
 
 KeyT = Tuple
 TermKey = Tuple[int, int, int, int]  # (b, j, a, k): u^j (1+au)^-k log(1+bu)^[b > 0]
+_CONST: TermKey = (0, 0, 0, 0)
 
 
 class DomainError(ValueError):
@@ -66,20 +67,25 @@ def _add_to(acc: dict, key, weight) -> None:
         acc[key] = weight
 
 
+def _weighted(pairs) -> tuple:
+    """(key, weight) pairs without the zero weights, integral ones as int."""
+    return tuple((key, w.numerator if w.denominator == 1 else w) for key, w in pairs if w)
+
+
 @lru_cache(maxsize=256)
 def _poles(a: int, k: int, b: int, q: int) -> tuple:
     """(1+au)^-k (1+bu)^-q for a != b as ((base, power), weight) pairs,
     from 1 = (b (1+au) - a (1+bu)) / (b - a)."""
     if k == 0:
-        return (((b, q), Fraction(1)),)
+        return (((b, q), 1),)
     if q == 0:
-        return (((a, k), Fraction(1)),)
+        return (((a, k), 1),)
     acc: dict = {}
     for key, w in _poles(a, k - 1, b, q):
         _add_to(acc, key, w * Fraction(b, b - a))
     for key, w in _poles(a, k, b, q - 1):
         _add_to(acc, key, w * Fraction(-a, b - a))
-    return tuple((key, w) for key, w in acc.items() if w)
+    return _weighted(acc.items())
 
 
 @lru_cache(maxsize=256)
@@ -87,15 +93,15 @@ def _u_pole(j: int, a: int, k: int) -> tuple:
     """u^j (1+au)^-k as canonical ((j, a, k), weight) pairs, from
     u = ((1+au) - 1) / a."""
     if k == 0:
-        return (((j, 0, 0), Fraction(1)),)
+        return (((j, 0, 0), 1),)
     if j == 0:
-        return (((0, a, k), Fraction(1)),)
+        return (((0, a, k), 1),)
     acc: dict = {}
     for key, w in _u_pole(j - 1, a, k - 1):
-        _add_to(acc, key, w / a)
+        _add_to(acc, key, Fraction(w) / a)
     for key, w in _u_pole(j - 1, a, k):
-        _add_to(acc, key, -w / a)
-    return tuple((key, w) for key, w in acc.items() if w)
+        _add_to(acc, key, -Fraction(w) / a)
+    return _weighted(acc.items())
 
 
 @lru_cache(maxsize=256)
@@ -112,7 +118,7 @@ def _times(t1: Tuple[int, int, int], t2: Tuple[int, int, int]) -> tuple:
     for (a, k), w in poles:
         for key, v in _u_pole(j1 + j2, a, k):
             _add_to(acc, key, w * v)
-    return tuple((key, w) for key, w in acc.items() if w)
+    return _weighted(acc.items())
 
 
 # ---------------------------------------------------------------------------
@@ -138,17 +144,16 @@ class Radial:
     """A radial function in normal form: a sum of weighted terms
     u^j (1+au)^-k log(1+bu)^[b > 0], keyed by (b, j, a, k).
 
-    Canonical: rational weights, none zero; every term is a power of u
-    (k = 0, stored with a = 0) or a pole power (j = 0, k >= 1); b = 0 means
-    no log factor.  Partial fractions over distinct pole bases are unique,
+    Canonical: rational weights, none zero, the integral ones held as int;
+    every term is a power of u (k = 0, stored with a = 0) or a pole power
+    (j = 0, k >= 1); b = 0 means no log factor.  Partial fractions over distinct pole bases are unique,
     so equal functions have equal terms, and the terms are the key.
     """
 
     def __init__(self, terms=()):
         """terms: a mapping or pairs from canonical keys to weights."""
         items = terms.items() if isinstance(terms, dict) else terms
-        self.terms: Tuple[Tuple[TermKey, Fraction], ...] = tuple(
-            sorted((key, c) for key, c in items if c))
+        self.terms: Tuple[Tuple[TermKey, Fraction], ...] = tuple(sorted(_weighted(items)))
 
     @staticmethod
     def term(c=1, j: int = 0, a: int = 0, k: int = 0, b: int = 0) -> "Radial":
@@ -168,7 +173,7 @@ class Radial:
     def const_value(self) -> Optional[Fraction]:
         if not self.terms:
             return Fraction(0)
-        if len(self.terms) == 1 and self.terms[0][0] == (0, 0, 0, 0):
+        if len(self.terms) == 1 and self.terms[0][0] == _CONST:
             return Fraction(self.terms[0][1])
         return None
 
@@ -217,7 +222,13 @@ class Radial:
         return self + (-other)
 
     def __mul__(self, other):
-        """Product with a rational or with another normal form."""
+        """Product with a rational or with another normal form; a constant
+        normal form multiplies as its rational."""
+        if isinstance(other, Radial):
+            if len(other.terms) == 1 and other.terms[0][0] == _CONST:
+                other = other.terms[0][1]
+            elif len(self.terms) == 1 and self.terms[0][0] == _CONST:
+                self, other = other, self.terms[0][1]
         if isinstance(other, (int, Fraction)):
             return self if other == 1 else Radial((key, c * other) for key, c in self.terms)
         if not isinstance(other, Radial):
@@ -230,7 +241,8 @@ class Radial:
                                       "the normal form (one log factor at most)")
                 b, c = b1 or b2, c1 * c2
                 for (j, a, k), w in _times((j1, a1, k1), (j2, a2, k2)):
-                    _add_to(acc, (b, j, a, k), c if w == 1 else c * w)
+                    key, v = (b, j, a, k), c if w == 1 else c * w
+                    acc[key] = acc[key] + v if key in acc else v
         return Radial(acc)
 
     __rmul__ = __mul__

@@ -185,9 +185,9 @@ def _volume(n: int) -> Fraction:
     return _rational(forms.volume_form(n).total_integral, "the volume", n)
 
 
-def _l2_covolumes_sq(n: int) -> Tuple[Fraction, Fraction, Fraction]:
+def _l2_covolumes_sq(n: int, vol: Fraction) -> Tuple[Fraction, Fraction, Fraction]:
     """Squared L2 covolumes of the harmonic generators of the three twists,
-    each from exact L2 pairings: the volume, the Gram determinant of
+    each from exact L2 pairings: the volume vol, the Gram determinant of
     (harmonic base class, alpha), and the norm of alpha^2/(n+2)."""
     al, w_h = forms.alpha_form(n), forms.omega_H(n)
     top = Fraction(1, n + 2) * forms.wedge(al, al)
@@ -197,7 +197,7 @@ def _l2_covolumes_sq(n: int) -> Tuple[Fraction, Fraction, Fraction]:
 
     gram = pairing(w_h, w_h, "<w_H, w_H>") * pairing(al, al, "<alpha, alpha>") \
         - pairing(w_h, al, "<w_H, alpha>") ** 2
-    return _volume(n), gram, pairing(top, top, "<alpha^2/(n+2), alpha^2/(n+2)>")
+    return vol, gram, pairing(top, top, "<alpha^2/(n+2), alpha^2/(n+2)>")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,9 @@ def _todd_character_products(cc: ChernClasses) -> Tuple[ChowClass, List[ChowClas
     three twists, each one whole class; c1^2, c1^3 and c1*c2 are built once.
 
     ch(Lambda^0) = 1, ch(Lambda^2) = e^-c1 and ch(Lambda^1) = 1 + e^-c1 - c2
-    + c1 c2 / 2, truncated at the arithmetic dimension.
+    + c1 c2 / 2, truncated at the arithmetic dimension.  The product is
+    bilinear, so the middle twist is Td + Td e^-c1 + Td (c1 c2 / 2 - c2):
+    it reuses the top twist's product, and its own factor starts in degree 2.
     """
     c1, c2 = cc.c1_tangent, cc.c2_tangent
     c1sq = chow.mul(c1, c1)
@@ -222,13 +224,15 @@ def _todd_character_products(cc: ChernClasses) -> Tuple[ChowClass, List[ChowClas
                            chow.scale(Fraction(1, 24), c1c2)))
     exp_minus_c1 = chow.add(chow.sub(one, c1),
                             chow.sub(chow.scale(half, c1sq), chow.scale(Fraction(1, 6), c13)))
-    ch1 = chow.add(chow.add(one, exp_minus_c1), chow.sub(chow.scale(half, c1c2), c2))
-    return c1, [td, chow.mul(td, ch1), chow.mul(td, exp_minus_c1)]
+    top = chow.mul(td, exp_minus_c1)
+    middle = chow.add(chow.add(td, top), chow.mul(td, chow.sub(chow.scale(half, c1c2), c2)))
+    return c1, [td, middle, top]
 
 
-def tau_route_rr(cc: ChernClasses) -> Tuple[ExactConstant, ExactConstant, ExactConstant]:
+def tau_route_rr(cc: ChernClasses,
+                 vol: Fraction) -> Tuple[ExactConstant, ExactConstant, ExactConstant]:
     """Torsion triple (untwisted, middle twist, top twist) via the direct
-    route, from the Chern classes cc of one ruling index.
+    route, from the Chern classes cc of one ruling index and its volume vol.
 
     Each twist solves its determinant-line identity against its own L2
     covolume, the degree of its degree-3 selection and its genus correction.
@@ -240,17 +244,18 @@ def tau_route_rr(cc: ChernClasses) -> Tuple[ExactConstant, ExactConstant, ExactC
     if not sel1.is_zero:
         raise PipelineInconsistency(
             f"degree-3 selection of the middle twist did not vanish: {sel1!r}")
-    if sel2 != chow.scale(-1, sel0):
+    if not chow.add(sel2, sel0).is_zero:
         raise PipelineInconsistency(
             "top-twist selection is not the negative of the untwisted one")
     c1_one = _c1_times_one(c1)
     return tuple(_direct_tau(log_rational(q), product, c1_one)
-                 for q, product in zip(_l2_covolumes_sq(cc.n), products))
+                 for q, product in zip(_l2_covolumes_sq(cc.n, vol), products))
 
 
-def tau_route_bb(cc: ChernClasses) -> ExactConstant:
+def tau_route_bb(cc: ChernClasses, vol: Fraction) -> ExactConstant:
     """Torsion via the fibration route, from the Chern classes cc of one
-    ruling index: compare the two determinant-line metrics through the ruling.
+    ruling index and its volume vol: compare the two determinant-line
+    metrics through the ruling.
 
     log |sigma|^2 = tau(base) - tau(surface) + log Vol equals minus the
     fibration torsion form (times the base Todd mass 1) plus the secondary
@@ -262,7 +267,7 @@ def tau_route_bb(cc: ChernClasses) -> ExactConstant:
     base_todd_mass = _rat(1)
     first, second, third = secondary_todd_parts(n)
     bc_total = (first + second + third).total_integral.scale(Fraction(1, 24))
-    return tau_p1() + log_rational(_volume(n)) + tors * base_todd_mass - bc_total
+    return tau_p1() + log_rational(vol) + tors * base_todd_mass - bc_total
 
 
 def bb_quadrature_float(n: int, tors: ExactConstant,
@@ -317,11 +322,11 @@ def closed_tau(n: int) -> ExactConstant:
 
 
 def main_theorem(n: int) -> TorsionResult:
-    """Both routes from one build of the Chern classes, exact equality
-    asserted, plus the stated main identity."""
-    cc = chow.arithmetic_chern_classes(n)
-    tau_rr, tau1, tau2 = tau_route_rr(cc)
-    tau_bb = tau_route_bb(cc)
+    """Both routes from one build of the Chern classes and one derivation of
+    the volume, exact equality asserted, plus the stated main identity."""
+    cc, vol = chow.arithmetic_chern_classes(n), _volume(n)
+    tau_rr, tau1, tau2 = tau_route_rr(cc, vol)
+    tau_bb = tau_route_bb(cc, vol)
     if tau_rr != tau_bb:
         raise PipelineInconsistency(
             f"routes disagree at n={n}: direct {tau_rr} vs fibration {tau_bb}")
@@ -329,7 +334,6 @@ def main_theorem(n: int) -> TorsionResult:
     if tau_rr != tau_closed:
         raise PipelineInconsistency(
             f"torsion at n={n} differs from its closed form: {tau_rr}")
-    vol = _volume(n)
     main_value = tau_rr - log_rational(vol)
     stated = log_np1(n).scale(Fraction(n, 24)) + _rat(Fraction(-n, 6)) \
         + closed_tau_p1().scale(2)

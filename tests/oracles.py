@@ -196,6 +196,24 @@ def graded_todd_and_characters(n: int) -> Tuple[List[ChowClass], List[List[ChowC
     return td, [ch0, ch1, ch2]
 
 
+def whole_middle_twist_product(n: int) -> ChowClass:
+    """Td ch(Lambda^1 T*) as one product of whole classes, the Todd class
+    times 1 + e^-c1 - c2 + c1 c2 / 2."""
+    cc = chow.arithmetic_chern_classes(n)
+    c1, c2 = cc.c1_tangent, cc.c2_tangent
+    c1sq = chow.mul(c1, c1)
+    c13 = chow.mul(c1sq, c1)
+    c1c2 = chow.mul(c1, c2)
+    half, one = Fraction(1, 2), chow.unit(n)
+    td = chow.add(chow.add(one, chow.scale(half, c1)),
+                  chow.add(chow.scale(Fraction(1, 12), chow.add(c1sq, c2)),
+                           chow.scale(Fraction(1, 24), c1c2)))
+    exp_minus_c1 = chow.add(chow.sub(one, c1),
+                            chow.sub(chow.scale(half, c1sq), chow.scale(Fraction(1, 6), c13)))
+    ch1 = chow.add(chow.add(one, exp_minus_c1), chow.sub(chow.scale(half, c1c2), c2))
+    return chow.mul(td, ch1)
+
+
 def graded_product(td: Sequence[ChowClass], ch: Sequence[ChowClass], k: int) -> ChowClass:
     """[Td ch]_k as the sum of the piecewise products [Td]_i [ch]_{k-i}."""
     out = chow.zero_class(td[0].n, td[0].variety)

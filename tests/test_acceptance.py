@@ -134,7 +134,8 @@ def test_criterion_8_quotient_metric_ratio():
 def test_criterion_9_twisted_torsion():
     ok = True
     for n in (0, 1, 2, 5, 10, 20):
-        tau, tau1, tau2 = torsion.tau_route_rr(chow.arithmetic_chern_classes(n))
+        tau, tau1, tau2 = torsion.tau_route_rr(chow.arithmetic_chern_classes(n),
+                                               torsion._volume(n))
         ok = ok and tau1 == ExactConstant.zero() and tau2 == -tau
     _verdict("9 (middle twist zero, top twist sign-flipped, exact)", ok)
 

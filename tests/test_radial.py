@@ -279,6 +279,92 @@ class TestMassProperties:
         assert abs(integrate_halfline(f, TS_CFG) - f.mass.to_float()) <= TS_CFG.pass_tol
 
 
+def _reference_canon(j, poles):
+    """u^j prod (1+au)^-k over the (a, k) of poles as canonical {(j, a, k):
+    Fraction}, by the two identities of the normal form in plain Fractions:
+    1 = (b (1+au) - a (1+bu)) / (b - a) and u = ((1+au) - 1) / a."""
+    poles = {a: k for a, k in poles.items() if k}
+    if not poles:
+        return {(j, 0, 0): Fraction(1)}
+    out = {}
+    if len(poles) > 1:
+        (a, k), (b, q) = sorted(poles.items())[:2]
+        parts = ((Fraction(b, b - a), j, {**poles, a: k - 1}),
+                 (Fraction(-a, b - a), j, {**poles, b: q - 1}))
+    elif j:
+        ((a, k),) = poles.items()
+        parts = ((Fraction(1, a), j - 1, {a: k - 1}), (Fraction(-1, a), j - 1, {a: k}))
+    else:
+        ((a, k),) = poles.items()
+        return {(0, a, k): Fraction(1)}
+    for w, jj, pp in parts:
+        for key, v in _reference_canon(jj, pp).items():
+            out[key] = out.get(key, 0) + w * v
+    return out
+
+
+def _reference_terms(acc):
+    return tuple(sorted((key, Fraction(c)) for key, c in acc.items() if c))
+
+
+def _reference_product(f, g):
+    acc = {}
+    for (b1, j1, a1, k1), c1 in f.terms:
+        for (b2, j2, a2, k2), c2 in g.terms:
+            poles = {a1: k1}
+            poles[a2] = poles.get(a2, 0) + k2
+            for (j, a, k), w in _reference_canon(j1 + j2, poles).items():
+                key = (b1 or b2, j, a, k)
+                acc[key] = acc.get(key, 0) + Fraction(c1) * Fraction(c2) * w
+    return _reference_terms(acc)
+
+
+@st.composite
+def normal_forms(draw, bases, logs):
+    """Canonical sums with integral and fractional weights over the pole
+    bases, and with log(1+bu) factors for b in logs."""
+    weight = st.one_of(st.integers(-6, 6).map(Fraction),
+                       st.fractions(min_value=-6, max_value=6, max_denominator=9))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        b = draw(st.sampled_from((0,) + logs))
+        if draw(st.booleans()):
+            key = (b, draw(st.integers(0, 3)), 0, 0)
+        else:
+            key = (b, 0, draw(st.sampled_from(bases)), draw(st.integers(1, 3)))
+        terms[key] = draw(weight)
+    return Radial(terms)
+
+
+class TestIntegralWeights:
+    """Sums and products hold integral weights as int, and equal the
+    Fraction-only reference in terms, hash and text."""
+
+    @staticmethod
+    def check(got, want):
+        assert got.terms == want
+        assert hash(got) == hash(want)
+        text = " + ".join(radial._term_str(key, c) for key, c in want) or "0"
+        assert str(got) == text.replace("+ -", "- ")
+        for _, c in got.terms:
+            assert type(c) is (int if c.denominator == 1 else Fraction), got.terms
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 10**6), c=st.fractions(-4, 4, max_denominator=3))
+    def test_against_fraction_reference(self, data, n, c):
+        bases = (1, 2, n + 1)
+        f = data.draw(normal_forms(bases, (1, n + 1)))
+        g = data.draw(normal_forms(bases, ()))
+        const = Radial({(0, 0, 0, 0): c})  # a one-term constant factor
+        for x, y in ((f, g), (g, f), (f, const), (const, f), (g, g)):
+            self.check(x * y, _reference_product(x, y))
+            acc = {}
+            for key, w in x.terms + y.terms:
+                acc[key] = acc.get(key, 0) + Fraction(w)
+            self.check(x + y, _reference_terms(acc))
+        self.check(f * c, _reference_product(f, const))
+
+
 # ---------------------------------------------------------------------------
 # The QAGS port against scipy's quad, the test oracle
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hirzebruch_torsion import chow, constants, forms, radial, torsion
 from hirzebruch_torsion.chow import PipelineInconsistency
@@ -93,6 +93,20 @@ class TestClosedForms:
                 assert product.degree_part(k) == oracles.graded_product(td, ch, k)
 
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(0, 10**9))
+    @example(n=0)
+    @example(n=1)
+    @example(n=57)
+    def test_middle_twist_by_linearity(self, n):
+        # Td + Td e^-c1 + Td (c1 c2 / 2 - c2) against the whole-class product
+        # Td ch(Lambda^1), in the two degrees the route reads
+        _, products = torsion._todd_character_products(chow.arithmetic_chern_classes(n))
+        whole = oracles.whole_middle_twist_product(n)
+        for k in (1, 3):
+            assert products[1].degree_part(k) == whole.degree_part(k)
+
+
 class TestNamedIntegrals:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 10])
     def test_all_pass(self, n):
@@ -138,7 +152,7 @@ class TestQuillenData:
     @pytest.mark.parametrize("n", [0, 1, 4, 9])
     def test_exact_values(self, n):
         vol, gram, top_sq = oracles.l2_covolumes_sq(n)
-        assert torsion._l2_covolumes_sq(n) == (vol, gram, top_sq)
+        assert torsion._l2_covolumes_sq(n, torsion._volume(n)) == (vol, gram, top_sq)
         assert gram == 1
         al, w_h = forms.alpha_form(n), forms.omega_H(n)
         assert forms.l2_pairing(al, al).total_integral == n + 2
@@ -152,20 +166,20 @@ class TestQuillenData:
         res = torsion.main_theorem(n)
         vol = oracles.l2_covolumes_sq(n)[0]
         assert res.vol == vol
-        tau = torsion.tau_route_rr(chow.arithmetic_chern_classes(n))[0]
+        tau = torsion.tau_route_rr(chow.arithmetic_chern_classes(n), torsion._volume(n))[0]
         assert log_rational(vol) - tau == -res.main_theorem_value
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(0, 10**6))
     def test_derived_covolumes(self, n):
-        assert torsion._l2_covolumes_sq(n) == oracles.l2_covolumes_sq(n)
+        assert torsion._l2_covolumes_sq(n, torsion._volume(n)) == oracles.l2_covolumes_sq(n)
 
     def test_a_pairing_that_is_not_rational_is_refused(self, monkeypatch):
         n = 3
         monkeypatch.setattr(forms, "l2_pairing",
                             lambda a, b: torsion.secondary_todd_parts(n)[0])
         with pytest.raises(PipelineInconsistency, match="not rational"):
-            torsion._l2_covolumes_sq(n)
+            torsion._l2_covolumes_sq(n, Fraction(n + 2, 2))
 
 
 class TestRoutes:
@@ -195,9 +209,23 @@ class TestRoutes:
         assert res.tau_rr == res.tau_bb == torsion.closed_tau(n)
         assert calls.count(n + 1) == 0
 
+    def test_each_integer_is_factored_once(self, monkeypatch):
+        # the prime logs of each integer are kept, so one main_theorem factors
+        # n + 1 and (n + 2)/2 = 3^2 * 5 * 21649 * 513239 once, though the
+        # latter is the numerator of the volume and the denominator of the
+        # top twist's covolume
+        n, calls = 999999999988, []
+        factor = constants._factor
+        monkeypatch.setattr(constants, "_factor", lambda m: calls.append(m) or factor(m))
+        constants._prime_logs.cache_clear()
+        torsion.main_theorem(n)
+        assert n + 1 in calls and (n + 2) // 2 in calls
+        assert all(calls.count(m) == 1 for m in calls), sorted(calls)
+
     def test_duality(self):
         for n in (0, 1, 5, 12):
-            tau, tau1, tau2 = torsion.tau_route_rr(chow.arithmetic_chern_classes(n))
+            tau, tau1, tau2 = torsion.tau_route_rr(chow.arithmetic_chern_classes(n),
+                                                   torsion._volume(n))
             assert tau1 == ExactConstant.zero()
             assert tau2 == -tau
 
@@ -270,9 +298,9 @@ class TestIndependence:
         for name in ("closed_tau", "closed_tau_p1", "closed_height"):
             monkeypatch.setattr(torsion, name, refuse)
         want = oracles.tau_route_rr(n)
-        cc = chow.arithmetic_chern_classes(n)
-        assert torsion.tau_route_rr(cc) == want
-        assert torsion.tau_route_bb(cc) == want[0]
+        cc, vol = chow.arithmetic_chern_classes(n), torsion._volume(n)
+        assert torsion.tau_route_rr(cc, vol) == want
+        assert torsion.tau_route_bb(cc, vol) == want[0]
         assert torsion.tau_p1() == oracles.tau_p1()
         assert torsion.height(n) == oracles.height(n)
 
@@ -284,7 +312,7 @@ class TestIndependence:
         assert genus_terms(n) == (genus, ExactConstant.zero(), -genus)
         tau = oracles.tau_route_rr(n)[0]
         cc = chow.arithmetic_chern_classes(n)
-        assert torsion.tau_route_rr(cc) == (tau, ExactConstant.zero(), -tau)
+        assert torsion.tau_route_rr(cc, torsion._volume(n)) == (tau, ExactConstant.zero(), -tau)
 
 
 class TestHeights:
