@@ -13,8 +13,7 @@ by adaptive quadrature on the half-line.
 _EXPORTS = {
     "ConstantAtom": "constants", "ExactConstant": "constants", "log_rational": "constants",
     "DomainError": "radial", "NonConvergence": "radial", "QuadratureConfig": "radial",
-    "Radial": "radial", "RadialFunction": "radial", "VerificationEntry": "radial",
-    "compare_closed_form": "radial", "integrate_halfline": "radial",
+    "Radial": "radial", "VerificationEntry": "torsion", "integrate_halfline": "radial",
     "Form11": "forms", "Form22": "forms",
     "ChowClass": "chow", "PipelineInconsistency": "chow",
     "NamedIntegral": "torsion", "TorsionResult": "torsion", "VerificationReport": "torsion",

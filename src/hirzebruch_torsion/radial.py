@@ -13,10 +13,7 @@ in the constant span: partial fractions integrate the rational part, and one
 integration by parts turns log(1+bu)/(1+au)^k into a rational integrand.  A
 simple pole times a log would need a dilogarithm and is refused.
 
-RadialFunction is the opaque alternative for ad-hoc integrands: an evaluable
-map with a declared decay order, which can only be integrated numerically.
-
-Both are integrated numerically after the compactifying substitution
+A Radial is integrated numerically after the compactifying substitution
 u = t / (1 - t), which maps the half-line onto (0, 1).  In the t variable an
 integrand of decay order d behaves like (1-t)^(d-2) near 1, so adaptive
 Gauss-Kronrod (and tanh-sinh as an alternative) resolve the whole catalog
@@ -37,7 +34,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .constants import ExactConstant, log_rational
 
-KeyT = Tuple
 TermKey = Tuple[int, int, int, int]  # (b, j, a, k): u^j (1+au)^-k log(1+bu)^[b > 0]
 _CONST: TermKey = (0, 0, 0, 0)
 
@@ -367,99 +363,6 @@ def linear(pairs) -> Radial:
 
 
 # ---------------------------------------------------------------------------
-# Opaque radial functions (quadrature only)
-# ---------------------------------------------------------------------------
-
-
-class RadialFunction:
-    """Evaluable map u in [0, inf) -> R with declared decay at infinity.
-
-    decay_order d means eval(u) = O(u^-d) as u -> inf.  const_value is set
-    when the function is a known constant (enables structural zero detection
-    downstream).  Immutable.
-    """
-
-    def __init__(self, fn: Callable[[float], float], decay_order: float,
-                 key: KeyT = ("anon",), const_value: Optional[Fraction] = None) -> None:
-        self.fn = fn
-        self.decay_order = decay_order
-        self.key = key
-        self.const_value = const_value
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.fn, self.decay_order, self.key, self.const_value)
-                == (other.fn, other.decay_order, other.key, other.const_value))
-
-    def __hash__(self) -> int:
-        return hash((self.fn, self.decay_order, self.key, self.const_value))
-
-    def __repr__(self) -> str:
-        return (f"RadialFunction(fn={self.fn!r}, decay_order={self.decay_order!r}, "
-                f"key={self.key!r}, const_value={self.const_value!r})")
-
-    def __call__(self, u: float) -> float:
-        return self.fn(u)
-
-    def __str__(self) -> str:
-        return repr(self.key)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.const_value == 0
-
-    @property
-    def integrable(self) -> bool:
-        return self.is_zero or self.decay_order > 1
-
-
-def radial_const(q) -> RadialFunction:
-    q = Fraction(q)
-    c = float(q)
-    return RadialFunction(lambda u: c, decay_order=0.0, key=("const", str(q)), const_value=q)
-
-
-def radial_scale(q, f: RadialFunction) -> RadialFunction:
-    q = Fraction(q)
-    if q == 0 or f.is_zero:
-        return radial_const(0)
-    if q == 1:
-        return f
-    if f.const_value is not None:
-        return radial_const(q * f.const_value)
-    c = float(q)
-    g = f.fn
-    return RadialFunction(lambda u: c * g(u), f.decay_order, key=("scale", str(q), f.key))
-
-
-def radial_add(a: RadialFunction, b: RadialFunction) -> RadialFunction:
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    if a.const_value is not None and b.const_value is not None:
-        return radial_const(a.const_value + b.const_value)
-    fa, fb = a.fn, b.fn
-    return RadialFunction(lambda u: fa(u) + fb(u),
-                          min(a.decay_order, b.decay_order),
-                          key=("add", a.key, b.key))
-
-
-def radial_mul(a: RadialFunction, b: RadialFunction) -> RadialFunction:
-    if a.is_zero or b.is_zero:
-        return radial_const(0)
-    if a.const_value is not None:
-        return radial_scale(a.const_value, b)
-    if b.const_value is not None:
-        return radial_scale(b.const_value, a)
-    fa, fb = a.fn, b.fn
-    return RadialFunction(lambda u: fa(u) * fb(u),
-                          a.decay_order + b.decay_order,
-                          key=("mul", a.key, b.key))
-
-
-# ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
 
@@ -497,7 +400,7 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def _compactified(f) -> Callable[[float], float]:
+def _compactified(f: Radial, name: str = "") -> Callable[[float], float]:
     fn = f.fn
 
     def g(t: float) -> float:
@@ -510,36 +413,42 @@ def _compactified(f) -> Callable[[float], float]:
         u = t / s
         v = fn(u)
         if not math.isfinite(v):
-            raise DomainError(f"integrand {f} not finite at u={u!r}")
+            raise DomainError(f"{_label(f, name)}: integrand not finite at u={u!r}")
         return v / (s * s)
 
     return g
 
 
-def integrate_halfline(f, cfg: QuadratureConfig = DEFAULT_CONFIG, name: str = "") -> float:
-    """Integral of f (a Radial or a RadialFunction) over [0, inf) to within
-    cfg.target_tol (estimated); name labels f in a NonConvergence message."""
+def integrate_halfline(f: Radial, cfg: QuadratureConfig = DEFAULT_CONFIG,
+                       name: str = "") -> float:
+    """Integral of f over [0, inf) to within cfg.target_tol (estimated);
+    name labels f in the message of a DomainError or NonConvergence."""
     if f.is_zero:
         return 0.0
     if not f.integrable:
         raise DomainError(f"{f} is not an integrable half-line function "
                           "(it must decay faster than 1/u)")
     rule = _tanh_sinh if cfg.scheme == "tanh_sinh" else _gauss_kronrod
-    return rule(_compactified(f), f, cfg, name)
+    return rule(_compactified(f, name), f, cfg, name)
 
 
-def _stalled(f, name: str, value: float, estimate: float, cfg: QuadratureConfig,
-             reason: str) -> NonConvergence:
-    """The error of a quadrature that never returned a value, labelled by
-    name or by the start of f; when the error estimate met the target, the
-    integrator's own flag is the reason."""
+def _label(f: Radial, name: str) -> str:
+    """The label of f in an error message: name, or the start of f."""
+    if name:
+        return name
     text = str(f)
-    label = name or (text if len(text) <= 60 else text[:57] + "...")
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _stalled(f: Radial, name: str, value: float, estimate: float, cfg: QuadratureConfig,
+             reason: str) -> NonConvergence:
+    """The error of a quadrature that never returned a value; when the error
+    estimate met the target, the integrator's own flag is the reason."""
     if estimate <= cfg.target_tol:
         why = f"{reason} (estimate {estimate:.1e} met the target)"
     else:
         why = f"stalled at estimate {estimate:.3e} (target {cfg.target_tol:.1e})"
-    return NonConvergence(f"{label}: {why}", value, estimate)
+    return NonConvergence(f"{_label(f, name)}: {why}", value, estimate)
 
 
 def _gauss_kronrod(g, f, cfg: QuadratureConfig, name: str) -> float:
@@ -580,6 +489,11 @@ def _tanh_sinh(g, f, cfg: QuadratureConfig, name: str) -> float:
         if estimate <= cfg.target_tol * 0.5:
             return value
     raise _stalled(f, name, value, estimate, cfg, "tanh-sinh: level 10 reached")
+
+
+def _fmt(x: float) -> str:
+    """A float as report text: 17 significant digits, which round-trip."""
+    return format(x, ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -966,69 +880,3 @@ def _dqagse(f, a: float, b: float, epsabs: float, epsrel: float,
     if ier > 2:
         ier -= 1
     return result, abserr, 42 * last - 21, ier, last
-
-
-# ---------------------------------------------------------------------------
-# Closed form vs quadrature comparison records
-# ---------------------------------------------------------------------------
-
-
-class VerificationEntry:
-    """One graded check of computed against an exact value; its float
-    expected value and error are derived, and by default it passes within
-    tol.  Immutable."""
-
-    def __init__(self, name: str, n: Optional[int], expected: ExactConstant,
-                 computed: float, tol: float, passed: Optional[bool] = None) -> None:
-        self.name = name
-        self.n = n
-        self.expected = expected
-        self.computed = computed
-        self.tol = tol
-        self.passed = self.abs_error <= tol if passed is None else passed
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.n, self.expected, self.computed, self.tol, self.passed)
-                == (other.name, other.n, other.expected, other.computed, other.tol,
-                    other.passed))
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.n, self.expected, self.computed, self.tol, self.passed))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(name={self.name!r}, n={self.n!r}, "
-                f"expected={self.expected!r}, computed={self.computed!r}, "
-                f"tol={self.tol!r}, passed={self.passed!r})")
-
-    @property
-    def expected_float(self) -> float:
-        return self.expected.to_float()
-
-    @property
-    def abs_error(self) -> float:
-        return abs(self.computed - self.expected_float)
-
-    def as_report_row(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "expected": self.expected_float,
-            "computed": self.computed,
-            "abs_error": self.abs_error,
-            "pass": self.passed,
-        }
-
-
-def _fmt(x: float) -> str:
-    """A float as report text: 17 significant digits, which round-trip."""
-    return format(x, ".17g")
-
-
-def compare_closed_form(f, expected: ExactConstant,
-                        cfg: QuadratureConfig = DEFAULT_CONFIG,
-                        name: str = "", n: Optional[int] = None) -> VerificationEntry:
-    """Quadrature f over the half-line and grade it against an exact value."""
-    computed = integrate_halfline(f, cfg, name=name)
-    return VerificationEntry(name or str(f), n, expected, computed, cfg.pass_tol)

@@ -45,7 +45,6 @@ from .radial import (
     QuadratureConfig,
     RADIAL_ONE,
     Radial,
-    VerificationEntry,
     _fmt,
     integrate_halfline,
 )
@@ -70,8 +69,56 @@ def closed_height(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Named integrals
+# Checks and named integrals
 # ---------------------------------------------------------------------------
+
+
+class VerificationEntry:
+    """One graded check of computed against an exact value; its float
+    expected value and error are derived, and by default it passes within
+    tol.  Immutable."""
+
+    def __init__(self, name: str, n: Optional[int], expected: ExactConstant,
+                 computed: float, tol: float, passed: Optional[bool] = None) -> None:
+        self.name = name
+        self.n = n
+        self.expected = expected
+        self.computed = computed
+        self.tol = tol
+        self.passed = self.abs_error <= tol if passed is None else passed
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.n, self.expected, self.computed, self.tol, self.passed)
+                == (other.name, other.n, other.expected, other.computed, other.tol,
+                    other.passed))
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.n, self.expected, self.computed, self.tol, self.passed))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(name={self.name!r}, n={self.n!r}, "
+                f"expected={self.expected!r}, computed={self.computed!r}, "
+                f"tol={self.tol!r}, passed={self.passed!r})")
+
+    @property
+    def expected_float(self) -> float:
+        return self.expected.to_float()
+
+    @property
+    def abs_error(self) -> float:
+        return abs(self.computed - self.expected_float)
+
+    def as_report_row(self) -> dict:
+        return {
+            "name": self.name,
+            "n": self.n,
+            "expected": self.expected_float,
+            "computed": self.computed,
+            "abs_error": self.abs_error,
+            "pass": self.passed,
+        }
 
 
 class NamedIntegral(VerificationEntry):

@@ -13,13 +13,7 @@ from hirzebruch_torsion.constants import (
     ExactConstant,
     log_rational,
 )
-from hirzebruch_torsion.radial import (
-    QuadratureConfig,
-    RadialFunction,
-    integrate_halfline,
-    radial_add,
-    radial_scale,
-)
+from hirzebruch_torsion.radial import QuadratureConfig, Radial, integrate_halfline
 
 import oracles
 
@@ -172,14 +166,13 @@ def test_criterion_10_property_suites():
         ok = ok and chow.reduce(once) == once
 
     # quadrature linearity, 100 cases
-    pool = [RadialFunction(lambda u, k=k: 1 / (1 + u) ** k, decay_order=float(k),
-                           key=("pow", k)) for k in (2, 3, 4)]
+    pool = [Radial.term(a=1, k=k) for k in (2, 3, 4)]
     masses = [integrate_halfline(f, CFG) for f in pool]
     for _ in range(100):
         i, j = rng.sample(range(len(pool)), 2)
         a = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
         b = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-        combo = radial_add(radial_scale(a, pool[i]), radial_scale(b, pool[j]))
+        combo = a * pool[i] + b * pool[j]
         lhs = integrate_halfline(combo, CFG)
         ok = ok and abs(lhs - (float(a) * masses[i] + float(b) * masses[j])) \
             <= 2 * CFG.target_tol

@@ -290,7 +290,7 @@ class TestColdImports:
                   "print(len(ht.__all__))\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["26"]
+        assert proc.stdout.split() == ["24"]
 
 
 class TestTanhSinh:

@@ -22,22 +22,16 @@ from hirzebruch_torsion.radial import (
     NonConvergence,
     QuadratureConfig,
     Radial,
-    RadialFunction,
-    compare_closed_form,
     integrate_halfline,
-    radial_add,
-    radial_const,
-    radial_mul,
-    radial_scale,
 )
+from hirzebruch_torsion.torsion import VerificationEntry
 
 CFG = QuadratureConfig()
 TS_CFG = QuadratureConfig(scheme="tanh_sinh")
 
 
-def power_integrand(k: int) -> RadialFunction:
-    return RadialFunction(lambda u: 1 / (1 + u) ** k, decay_order=float(k),
-                          key=("power", k))
+def power_integrand(k: int) -> Radial:
+    return Radial.term(a=1, k=k)
 
 
 class TestKnownValues:
@@ -46,12 +40,11 @@ class TestKnownValues:
             0.5, abs=1e-12)
 
     def test_zero_function(self):
-        assert integrate_halfline(radial_const(0), CFG) == 0.0
+        assert integrate_halfline(RADIAL_ZERO, CFG) == 0.0
 
     def test_log_ratio_integrand(self):
         # log((1+2u)/(1+u))/(1+u)^2 has mass 2 log 2 - 1
-        f = RadialFunction(lambda u: math.log((1 + 2 * u) / (1 + u)) / (1 + u) ** 2,
-                           decay_order=2.0, key=("log_ratio_n1",))
+        f = forms.log_R(1) * forms.coeff_B()
         assert integrate_halfline(f, CFG) == pytest.approx(2 * math.log(2) - 1,
                                                            abs=1e-11)
 
@@ -63,8 +56,7 @@ class TestKnownValues:
     @pytest.mark.parametrize("a", [2, 3, 7])
     def test_growing_log_integrand(self, a):
         # log(1+au)/(1+u)^2: by parts the mass is a log(a)/(a-1)
-        f = RadialFunction(lambda u: math.log(1 + a * u) / (1 + u) ** 2,
-                           decay_order=2.0, key=("log_growth", a))
+        f = Radial.term(b=a, a=1, k=2)
         assert integrate_halfline(f, CFG) == pytest.approx(
             a * math.log(a) / (a - 1), abs=1e-10)
 
@@ -72,9 +64,7 @@ class TestKnownValues:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         n = 3
-        f = RadialFunction(
-            lambda u: math.log((1 + (n + 1) * u) / (1 + u)) / (1 + u) ** 2,
-            decay_order=2.0, key=("oracle_probe",))
+        f = forms.log_R(n) * forms.coeff_B()
         oracle = float(mp.quad(
             lambda u: mp.log((1 + (n + 1) * u) / (1 + u)) / (1 + u) ** 2,
             [0, 1, mp.inf]))
@@ -88,14 +78,16 @@ class TestKnownValues:
 
 
 class TestCompareClosedForm:
+    """A closed form graded against quadrature as a VerificationEntry."""
+
     def test_inverse_cube_entry(self):
-        entry = compare_closed_form(power_integrand(3),
-                                    ExactConstant.rational(Fraction(1, 2)), CFG,
-                                    name="inverse_cube")
+        entry = VerificationEntry("inverse_cube", None, ExactConstant.rational(Fraction(1, 2)),
+                                  integrate_halfline(power_integrand(3), CFG), CFG.pass_tol)
         assert entry.passed and entry.abs_error < 1e-11
 
     def test_zero_entry(self):
-        entry = compare_closed_form(radial_const(0), ExactConstant.zero(), CFG)
+        entry = VerificationEntry("zero", None, ExactConstant.zero(),
+                                  integrate_halfline(RADIAL_ZERO, CFG), CFG.pass_tol)
         assert entry.passed and entry.abs_error == 0.0
 
     def test_partial_fraction_oracle(self):
@@ -104,54 +96,69 @@ class TestCompareClosedForm:
         n = 2
         oracle = Fraction(n + 1) - Fraction(n, 2)
         assert oracle == 2
-        f = RadialFunction(lambda u: (1 + (n + 1) * u) / (1 + u) ** 3,
-                           decay_order=2.0, key=("mixed", n))
-        entry = compare_closed_form(f, ExactConstant.rational(oracle), CFG)
+        f = Radial.term(a=1, k=3) + Radial.term(n + 1, j=1, a=1, k=3)
+        entry = VerificationEntry("mixed", n, ExactConstant.rational(oracle),
+                                  integrate_halfline(f, CFG), CFG.pass_tol)
         assert entry.passed
 
     def test_report_row_schema(self):
-        row = compare_closed_form(power_integrand(2), ExactConstant.rational(1),
-                                  CFG, name="p2", n=4).as_report_row()
+        row = VerificationEntry("p2", 4, ExactConstant.rational(1),
+                                integrate_halfline(power_integrand(2), CFG),
+                                CFG.pass_tol).as_report_row()
         assert set(row) == {"name", "n", "expected", "computed", "abs_error", "pass"}
 
 
 class TestErrors:
     def test_domain_error_on_non_finite(self):
-        f = RadialFunction(lambda u: float("nan") if u > 5 else 1 / (1 + u) ** 3,
-                           decay_order=3.0, key=("poisoned",))
-        with pytest.raises(DomainError):
-            integrate_halfline(f, CFG)
+        # each term is finite, but their sum overflows near u = 0; the error
+        # names the check, or the start of the integrand, as a stall does
+        c = Fraction(3, 2) * 10**308
+        f = Radial.term(c, a=1, k=2) + Radial.term(c, a=2, k=2)
+        assert len(str(f)) > 300
+        for scheme in radial.SCHEMES:
+            cfg = QuadratureConfig(scheme=scheme)
+            with pytest.raises(DomainError) as err:
+                integrate_halfline(f, cfg)
+            assert str(err.value).startswith(str(f)[:57] + "...: integrand not finite at u=")
+            assert len(str(err.value)) < 120
+            with pytest.raises(DomainError, match=r"^big_sum: integrand not finite at u="):
+                integrate_halfline(f, cfg, name="big_sum")
 
     def test_declared_decay_must_be_integrable(self):
-        f = RadialFunction(lambda u: 1 / (1 + u), decay_order=1.0, key=("slow",))
+        # 1/(1+u) decays too slowly to be integrated
         with pytest.raises(DomainError):
-            integrate_halfline(f, CFG)
+            integrate_halfline(Radial.term(a=1, k=1), CFG)
 
     def test_non_convergence_is_reported(self):
-        # wildly oscillatory integrand under a tight target
-        f = RadialFunction(lambda u: math.sin(u * u) / (1 + u) ** 2 * 1e3,
-                           decay_order=2.0, key=("oscillatory",))
-        cfg = QuadratureConfig(target_tol=1e-14)
-        with pytest.raises(NonConvergence):
-            integrate_halfline(f, cfg)
+        # a target below what double precision reaches
+        cfg = QuadratureConfig(target_tol=1e-17)
+        with pytest.raises(NonConvergence, match="stalled at estimate 5.551e-15"):
+            integrate_halfline(Radial.term(a=1, k=3), cfg)
 
     @pytest.mark.parametrize("scheme", ["gauss_kronrod", "tanh_sinh"])
     def test_a_failed_quadrature_is_not_retried(self, scheme, monkeypatch):
-        passes = []  # one per QAGS call, or per tanh-sinh pass (its first node is u = 1)
+        passes = []  # one per QAGS call, or per tanh-sinh pass (its first node is t = 1/2)
+        compactified = radial._compactified
 
         def failed_qags(*args):
             passes.append(args)
             return 0.5, 1.0, 1029, 1, 50
 
-        def oscillating(u):  # no tanh-sinh level resolves it
-            if u == 1.0:
-                passes.append(u)
-            return math.sin(u * u) / (1 + u) ** 2 * 1e3
+        def counted(f, name=""):
+            g = compactified(f, name)
+
+            def h(t):
+                if t == 0.5:
+                    passes.append(t)
+                return g(t)
+
+            return h
 
         monkeypatch.setattr(radial, "_dqagse", failed_qags)
-        f = RadialFunction(oscillating, decay_order=2.0, key=("oscillatory",))
+        monkeypatch.setattr(radial, "_compactified", counted)
+        f = Radial.term(j=1, a=1, k=3)  # no tanh-sinh level meets the target
         with pytest.raises(NonConvergence, match="stalled at estimate"):
-            integrate_halfline(f, QuadratureConfig(scheme=scheme))
+            integrate_halfline(f, QuadratureConfig(target_tol=1e-17, scheme=scheme))
         assert len(passes) == 1
 
     def test_config_validation(self):
@@ -166,34 +173,26 @@ class TestProperties:
     def test_linearity_100_cases(self):
         rng = random.Random(11)
         catalog = [power_integrand(2), power_integrand(3), power_integrand(4),
-                   RadialFunction(lambda u: u / (1 + u) ** 3, 2.0, key=("u_over_cube",))]
-        masses = {f.key: integrate_halfline(f, CFG) for f in catalog}
+                   Radial.term(j=1, a=1, k=3)]
+        masses = {f: integrate_halfline(f, CFG) for f in catalog}
         for _ in range(100):
             f, g = rng.sample(catalog, 2)
             a = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
             b = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-            combo = radial_add(radial_scale(a, f), radial_scale(b, g))
+            combo = a * f + b * g
             lhs = integrate_halfline(combo, CFG)
-            rhs = float(a) * masses[f.key] + float(b) * masses[g.key]
+            rhs = float(a) * masses[f] + float(b) * masses[g]
             assert lhs == pytest.approx(rhs, abs=2 * CFG.target_tol)
 
     def test_substitution_invariance(self):
+        # a f(a u) for f = 1/(1+u)^3
         rng = random.Random(13)
+        f = power_integrand(3)
         for _ in range(20):
-            c = rng.uniform(0.2, 5.0)
-            f = power_integrand(3)
-            scaled = RadialFunction(lambda u, c=c: f(u / c) / c, decay_order=3.0,
-                                    key=("subst", c))
+            a = rng.randint(2, 50)
+            scaled = Radial.term(a, a=a, k=3)
             assert integrate_halfline(scaled, CFG) == pytest.approx(
                 integrate_halfline(f, CFG), abs=2 * CFG.target_tol)
-
-    def test_const_propagation(self):
-        a = radial_const(Fraction(3, 4))
-        b = radial_const(Fraction(1, 4))
-        assert radial_add(a, b).const_value == 1
-        assert radial_mul(a, b).const_value == Fraction(3, 16)
-        assert radial_scale(2, a).const_value == Fraction(3, 2)
-        assert radial_mul(a, radial_const(0)).is_zero
 
 
 class TestNormalForm:
@@ -268,8 +267,8 @@ class TestMassProperties:
     @given(data=st.data(), n=st.integers(0, 100))
     def test_mass_matches_quadrature(self, data, n):
         f = data.draw(integrands(n))
-        size = integrate_halfline(RadialFunction(lambda u: abs(f(u)), decay_order=2.0),
-                                  QuadratureConfig(target_tol=1e-6))
+        g = radial._compactified(f)
+        size = radial._dqagse(lambda t: abs(g(t)), 0.0, 1.0, 0.5e-6, 1e-13, 50)[0]
         assert abs(f.mass.to_float() - integrate_halfline(f, CFG)) <= 1e-9 * max(1.0, size)
 
     @settings(max_examples=60, deadline=None)
