@@ -17,7 +17,7 @@ _EXPORTS = {
     "Form11": "forms", "Form22": "forms",
     "ChowClass": "chow", "PipelineInconsistency": "chow",
     "NamedIntegral": "torsion", "TorsionResult": "torsion", "VerificationReport": "torsion",
-    "height": "torsion", "main_theorem": "torsion", "named_integrals": "torsion",
+    "height": "chow", "main_theorem": "torsion", "named_integrals": "torsion",
     "tau_p1": "torsion", "tau_route_bb": "torsion", "tau_route_rr": "torsion",
     "verify_all": "torsion",
 }

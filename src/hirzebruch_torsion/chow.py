@@ -37,7 +37,8 @@ whole classes.
 
 The degree map halves the exact total mass of the top-degree analytic part;
 no finite-place contributions are modeled, because every class produced by
-the pipelines reduces to archimedean terms.
+the pipelines reduces to archimedean terms.  The height is such a degree,
+by two pipelines: of the second Segre class, and of the polarization cube.
 """
 
 from __future__ import annotations
@@ -603,6 +604,24 @@ def segre_classes(n: int, trace: Optional[list] = None) -> Tuple[ChowClass, Chow
 def height_class(n: int, trace: Optional[list] = None) -> ChowClass:
     """alpha-hat cubed, the polarization cube whose degree is the height."""
     return reduce(ChowClass(n, SURFACE, {(0, 3): _ec(1)}), trace)
+
+
+def _rational(value: ExactConstant, what: str, n: int) -> Fraction:
+    if not value.is_rational:
+        raise PipelineInconsistency(f"{what} at n={n} is not rational: {value}")
+    return value.rational_part
+
+
+def height(n: int, trace: Optional[list] = None) -> Fraction:
+    """Arithmetic height of the polarized surface model, as an exact rational;
+    the rewrite steps are appended to trace when one is given."""
+    _, s2 = segre_classes(n, trace)
+    return _rational(pushforward_deg(s2, trace), "the height", n)
+
+
+def height_via_polarization_cube(n: int) -> Fraction:
+    """Independent route: degree of the cube of the polarization class."""
+    return _rational(pushforward_deg(height_class(n)), "the height", n)
 
 
 def todd(c1: ChowClass) -> ChowClass:

@@ -7,9 +7,11 @@ overflow, such as --n 10**400 for forms, integrals or verify, included, and
 one whose logarithms need prime factors beyond the bounded factorization,
 such as --n 10**400 for torsion or table), 3 quadrature failed to converge.
 
-A process imports only what its command runs: constants and radial for every
-command, forms, chow and torsion where the command uses them, and json only
-where JSON is written.
+A process imports only what its command runs: constants and radial (the
+normal form and the quadrature settings, not the rules) for every command;
+forms, chow and torsion where the command uses them (height needs the ring
+but not torsion); the quadrature rules only where something is integrated;
+and json only where JSON is written.
 """
 
 from __future__ import annotations
@@ -138,10 +140,10 @@ def cmd_torsion(args) -> int:
 
 
 def cmd_height(args) -> int:
-    from . import torsion
+    from . import chow
 
     trace: Optional[List[dict]] = [] if args.trace else None
-    values = [(n, torsion.height(n, trace)) for n in _parse_n_list(args)]
+    values = [(n, chow.height(n, trace)) for n in _parse_n_list(args)]
     if trace is not None:
         _print_json(trace, file=sys.stderr)
     if args.format == "json":

@@ -1,4 +1,4 @@
-"""End-to-end pipelines: torsion values, heights, named integrals, reports.
+"""End-to-end pipelines: torsion values, named integrals, reports.
 
 Two independent routes produce the analytic torsion of the ruled surface:
 
@@ -20,7 +20,9 @@ neither reads a stated closed form (closed_tau, closed_tau_p1 and
 closed_height are the headline identities they are checked against).  Every
 named integral's exact mass, derived from its normal form, is re-derived by
 half-line quadrature; the report machinery records name, exact value,
-quadrature value, discrepancy, and verdict for each.
+quadrature value, discrepancy, and verdict for each.  The height pipelines
+live in chow, which the height command loads without this module; height
+is bound here by import.
 """
 
 from __future__ import annotations
@@ -31,7 +33,15 @@ from functools import cache
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import chow, forms
-from .chow import R_GENUS_DEGREE1, ChernClasses, ChowClass, PipelineInconsistency
+from .chow import (
+    R_GENUS_DEGREE1,
+    ChernClasses,
+    ChowClass,
+    PipelineInconsistency,
+    _rational,
+    height,
+    height_via_polarization_cube,
+)
 from .constants import (
     ExactConstant,
     ZETA_M1,
@@ -52,12 +62,6 @@ from .radial import (
 
 def _rat(q) -> ExactConstant:
     return ExactConstant.rational(q)
-
-
-def _rational(value: ExactConstant, what: str, n: int) -> Fraction:
-    if not value.is_rational:
-        raise PipelineInconsistency(f"{what} at n={n} is not rational: {value}")
-    return value.rational_part
 
 
 def log_np1(n: int) -> ExactConstant:
@@ -326,23 +330,6 @@ def bb_quadrature_float(n: int, tors: ExactConstant,
                 + integrate_halfline((c1_bc + c1_c1r_logR).g, cfg,
                                      name=f"c1_bott_chern_total, n={n}")) / 24.0
     return tau_p1().to_float() + math.log(_volume(n)) + tors.to_float() - bc_total
-
-
-# ---------------------------------------------------------------------------
-# Height
-# ---------------------------------------------------------------------------
-
-
-def height(n: int, trace: Optional[list] = None) -> Fraction:
-    """Arithmetic height of the polarized surface model, as an exact rational;
-    the rewrite steps are appended to trace when one is given."""
-    _, s2 = chow.segre_classes(n, trace)
-    return _rational(chow.pushforward_deg(s2, trace), "the height", n)
-
-
-def height_via_polarization_cube(n: int) -> Fraction:
-    """Independent route: degree of the cube of the polarization class."""
-    return _rational(chow.pushforward_deg(chow.height_class(n)), "the height", n)
 
 
 # ---------------------------------------------------------------------------

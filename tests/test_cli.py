@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hirzebruch_torsion import chow, cli, radial, torsion
+from hirzebruch_torsion import chow, cli, quadrature, torsion
 from hirzebruch_torsion.constants import ExactConstant, log_rational
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -192,7 +192,7 @@ class TestTraceAndErrors:
 
     def test_nonconvergence_gives_the_integrators_reason(self, capsys, monkeypatch):
         # an estimate within the target that QAGS flags (ier 2, round-off)
-        monkeypatch.setattr(radial, "_dqagse", lambda *args: (0.25, 1e-12, 21, 2, 1))
+        monkeypatch.setattr(quadrature, "_dqagse", lambda *args: (0.25, 1e-12, 21, 2, 1))
         assert cli.main(["integrals", "--n", "1"]) == 3
         assert capsys.readouterr().err == (
             "error: quadrature did not converge: halfline_inverse_cube, n=1: "
@@ -277,6 +277,25 @@ class TestColdImports:
         code, loaded = modules_after(argv)
         assert code == 0
         assert not loaded & {"dataclasses", "inspect", "json"}
+
+    @pytest.mark.parametrize("argv", [["height", "--n", "3"],
+                                      ["height", "--n-max", "50", "--format", "csv"]],
+                             ids=["height", "height_csv"])
+    def test_height_loads_neither_torsion_nor_quadrature(self, argv):
+        code, loaded = modules_after(argv)
+        assert code == 0 and "hirzebruch_torsion.chow" in loaded
+        assert not loaded & {"hirzebruch_torsion.torsion", "hirzebruch_torsion.quadrature"}
+
+    @pytest.mark.parametrize("argv", [["constants"], ["torsion", "--n", "3"]],
+                             ids=["constants", "torsion"])
+    def test_exact_commands_load_no_quadrature(self, argv):
+        code, loaded = modules_after(argv)
+        assert code == 0
+        assert "hirzebruch_torsion.quadrature" not in loaded
+
+    def test_integrating_command_loads_quadrature(self):
+        code, loaded = modules_after(["integrals", "--n", "1"])
+        assert code == 0 and "hirzebruch_torsion.quadrature" in loaded
 
     def test_every_export_resolves(self):
         script = ("import hirzebruch_torsion as ht\n"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hirzebruch_torsion import chow, constants, forms, radial, torsion
+from hirzebruch_torsion import chow, constants, forms, quadrature, torsion
 from hirzebruch_torsion.chow import PipelineInconsistency
 from hirzebruch_torsion.constants import (
     ExactConstant,
@@ -390,7 +390,7 @@ class TestGridAndHodgeSweeps:
 
     def test_quadratures_are_named(self, monkeypatch):
         # a quadrature that never meets its target names the check and n
-        monkeypatch.setattr(radial, "_dqagse", lambda *args: (0.0, 1.0, 21, 0, 1))
+        monkeypatch.setattr(quadrature, "_dqagse", lambda *args: (0.0, 1.0, 21, 0, 1))
         with pytest.raises(NonConvergence, match=r"^norm_sq_alpha, n=3: "):
             torsion.hodge_l2_checks(3, CFG)
         with pytest.raises(NonConvergence, match=r"^bb_first_term, n=3: "):
