@@ -159,12 +159,7 @@ class ChowClass:
             if variety == BASE and mono[1]:
                 raise ValueError("the base model has no tautological generator")
             if not coeff.is_zero:
-                prev = norm_poly.get(mono)
-                coeff = coeff + prev if prev else coeff
-                if coeff.is_zero:
-                    norm_poly.pop(mono, None)
-                else:
-                    norm_poly[mono] = coeff
+                norm_poly[mono] = coeff
         self.poly = {m: norm_poly[m] for m in sorted(norm_poly)}
         slots: Dict[SlotT, FormT] = {}
         for coeff, form in analytic or ():
@@ -507,12 +502,9 @@ def pushforward_base(c: ChowClass) -> ChowClass:
     return _assemble(c.n, BASE, poly, slots)
 
 
-def pushforward_deg(c: ChowClass, trace: Optional[list] = None) -> ExactConstant:
-    """Arithmetic degree of a top-degree class: half the exact total mass.
-
-    pushforward_deg_numeric is the quadrature companion used for
-    cross-checks.
-    """
+def _top_slots(c: ChowClass, trace: Optional[list] = None):
+    """The (slot, form) items of the reduced class, all of top degree; a class
+    with any other part, or with a monomial that reduction left, is refused."""
     c = reduce(c, trace)
     top = top_degree(c.variety)
     if any(sum(m) != top for m in c.poly) or any(d != top for d, _ in c.forms):
@@ -520,8 +512,17 @@ def pushforward_deg(c: ChowClass, trace: Optional[list] = None) -> ExactConstant
     if c.poly:
         raise IncompleteReduction(
             f"non-analytic monomials {list(c.poly)} survived reduction")
+    return c.forms.items()
+
+
+def pushforward_deg(c: ChowClass, trace: Optional[list] = None) -> ExactConstant:
+    """Arithmetic degree of a top-degree class: half the exact total mass.
+
+    pushforward_deg_numeric is the quadrature companion used for
+    cross-checks.
+    """
     total = ExactConstant.zero()
-    for (_, atom), form in c.forms.items():
+    for (_, atom), form in _top_slots(c, trace):
         total = total + ExactConstant.atom(atom) * form.total_integral
     return total.scale(Fraction(1, 2))
 
@@ -530,12 +531,8 @@ def pushforward_deg_numeric(c: ChowClass, cfg: QuadratureConfig = DEFAULT_CONFIG
                             name: str = "") -> float:
     """Quadrature twin of pushforward_deg (half the numerically integrated
     mass); name labels the quadratures in a NonConvergence message."""
-    c = reduce(c)
-    top = top_degree(c.variety)
-    if c.degree_part(top).poly:
-        raise IncompleteReduction("non-analytic monomials at top degree")
     return 0.5 * sum(atom.value() * integrate_halfline(form.g, cfg, name=name)
-                     for (degree, atom), form in c.forms.items() if degree == top)
+                     for (_, atom), form in _top_slots(c))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ over u in [0, inf).  Every coefficient of the form calculus is a finite sum
 with rational c and positive integers a, b (1 and n+1 in the catalog).
 Radial holds such a sum in its unique partial-fraction form, so one object
 evaluates a float, is its own hashable key, and has an exact half-line mass
-in the constant span: partial fractions integrate the rational part, and one
-integration by parts turns log(1+bu)/(1+au)^k into a rational integrand.  A
-simple pole times a log would need a dilogarithm and is refused.
+in the constant span.  One rule, _split, puts every term, product,
+derivative and by-parts integrand in that form; partial fractions then
+integrate the rational part, and one integration by parts turns
+log(1+bu)/(1+au)^k into a rational integrand.  A simple pole times a log
+would need a dilogarithm and is refused.
 
 integrate_halfline integrates a Radial numerically after the compactifying
 substitution u = t / (1 - t), which maps the half-line onto (0, 1).  In the t
@@ -50,7 +52,7 @@ class NonConvergence(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Partial fractions of products of basis terms
+# The partial-fraction rule
 # ---------------------------------------------------------------------------
 
 
@@ -67,50 +69,24 @@ def _weighted(pairs) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _poles(a: int, k: int, b: int, q: int) -> tuple:
-    """(1+au)^-k (1+bu)^-q for a != b as ((base, power), weight) pairs,
-    from 1 = (b (1+au) - a (1+bu)) / (b - a)."""
-    if k == 0:
-        return (((b, q), 1),)
-    if q == 0:
-        return (((a, k), 1),)
-    acc: dict = {}
-    for key, w in _poles(a, k - 1, b, q):
-        _add_to(acc, key, w * Fraction(b, b - a))
-    for key, w in _poles(a, k, b, q - 1):
-        _add_to(acc, key, w * Fraction(-a, b - a))
-    return _weighted(acc.items())
+def _split(j: int, a: int, k: int, b: int = 0, q: int = 0) -> tuple:
+    """u^j (1+au)^-k (1+bu)^-q as canonical ((j, a, k), weight) pairs.
 
-
-@lru_cache(maxsize=256)
-def _u_pole(j: int, a: int, k: int) -> tuple:
-    """u^j (1+au)^-k as canonical ((j, a, k), weight) pairs, from
+    Equal bases merge; while two distinct poles remain, one exponent drops
+    by 1 = (b (1+au) - a (1+bu)) / (b - a); then j drops by
     u = ((1+au) - 1) / a."""
-    if k == 0:
-        return (((j, 0, 0), 1),)
-    if j == 0:
-        return (((0, a, k), 1),)
-    acc: dict = {}
-    for key, w in _u_pole(j - 1, a, k - 1):
-        _add_to(acc, key, Fraction(w) / a)
-    for key, w in _u_pole(j - 1, a, k):
-        _add_to(acc, key, -Fraction(w) / a)
-    return _weighted(acc.items())
-
-
-@lru_cache(maxsize=256)
-def _times(t1: Tuple[int, int, int], t2: Tuple[int, int, int]) -> tuple:
-    """Product of two canonical rational terms (j, a, k) as canonical terms."""
-    (j1, a1, k1), (j2, a2, k2) = t1, t2
-    if not k1 or not k2:
-        poles = (((a1 or a2, k1 or k2), 1),)
-    elif a1 == a2:
-        poles = (((a1, k1 + k2), 1),)
+    if q and (not k or a == b):
+        a, k, q = b, k + q, 0
+    if q:
+        parts = ((Fraction(b, b - a), (j, a, k - 1, b, q)),
+                 (Fraction(-a, b - a), (j, a, k, b, q - 1)))
+    elif j and k:
+        parts = ((Fraction(1, a), (j - 1, a, k - 1)), (Fraction(-1, a), (j - 1, a, k)))
     else:
-        poles = _poles(a1, k1, a2, k2)
+        return (((j, a, k) if k else (j, 0, 0), 1),)
     acc: dict = {}
-    for (a, k), w in poles:
-        for key, v in _u_pole(j1 + j2, a, k):
+    for w, args in parts:
+        for key, v in _split(*args):
             _add_to(acc, key, w * v)
     return _weighted(acc.items())
 
@@ -152,7 +128,7 @@ class Radial:
     @staticmethod
     def term(c=1, j: int = 0, a: int = 0, k: int = 0, b: int = 0) -> "Radial":
         """The single term c u^j (1+au)^-k log(1+bu)^[b > 0] (a > 0 when k > 0)."""
-        return Radial({(b,) + key: c * w for key, w in _u_pole(j, a, k)})
+        return Radial({(b,) + key: c * w for key, w in _split(j, a, k)})
 
     # -- inspection ---------------------------------------------------------
 
@@ -234,7 +210,7 @@ class Radial:
                     raise DomainError(f"log(1+{_lin(b1)})*log(1+{_lin(b2)}) lies outside "
                                       "the normal form (one log factor at most)")
                 b, c = b1 or b2, c1 * c2
-                for (j, a, k), w in _times((j1, a1, k1), (j2, a2, k2)):
+                for (j, a, k), w in _split(j1 + j2, a1, k1, a2, k2):
                     key, v = (b, j, a, k), c if w == 1 else c * w
                     acc[key] = acc[key] + v if key in acc else v
         return Radial(acc)
@@ -249,7 +225,7 @@ class Radial:
             elif j:
                 _add_to(acc, (b, j - 1, 0, 0), j * c)
             if b:  # d log(1+bu) = b (1+bu)^-1
-                for (jj, aa, kk), w in _times((j, a, k), (0, b, 1)):
+                for (jj, aa, kk), w in _split(j, a, k, b, 1):
                     _add_to(acc, (0, jj, aa, kk), b * c * w)
         return Radial(acc)
 
@@ -274,7 +250,7 @@ class Radial:
                 raise DomainError(f"{_term_str(key, c)}: a simple pole times a log has no "
                                   "mass in the constant span (it needs a dilogarithm)")
             else:
-                for (_, aa, kk), w in _times((0, b, 1), (0, a, k - 1)):
+                for (_, aa, kk), w in _split(0, a, k - 1, b, 1):
                     _add_to(rational, (aa, kk), c * w * Fraction(b, a * (k - 1)))
         value, logs = Fraction(0), {}
         for (a, k), c in rational.items():

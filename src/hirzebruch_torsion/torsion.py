@@ -16,13 +16,13 @@ Two independent routes produce the analytic torsion of the ruled surface:
     Todd transgression of the two fibration metrics.
 
 Both land on exact constants and must agree coefficient-by-coefficient;
-neither reads a stated closed form (closed_tau, closed_tau_p1 and
-closed_height are the headline identities they are checked against).  Every
-named integral's exact mass, derived from its normal form, is re-derived by
-half-line quadrature; the report machinery records name, exact value,
-quadrature value, discrepancy, and verdict for each.  The height pipelines
-live in chow, which the height command loads without this module; height
-is bound here by import.
+neither reads a stated closed form (closed_tau, closed_main_value,
+closed_tau_p1 and closed_height are the headline identities they are checked
+against).  Every named integral's exact mass, derived from its normal form,
+is re-derived by half-line quadrature; the report machinery records name,
+exact value, quadrature value, discrepancy, and verdict for each.  The
+height pipelines live in chow, which the height command loads without this
+module; height is bound here by import.
 """
 
 from __future__ import annotations
@@ -349,10 +349,17 @@ class TorsionResult(NamedTuple):
     main_theorem_value: ExactConstant  # tau - log Vol
 
 
-def closed_tau(n: int) -> ExactConstant:
-    """n log(n+1)/24 - n/6 + log((n+2)/2) + 2 tau(base line)."""
+def closed_main_value(n: int) -> ExactConstant:
+    """tau - log Vol = n log(n+1)/24 - n/6 + 2 tau(base line), the stated
+    main identity."""
     return log_np1(n).scale(Fraction(n, 24)) + _rat(Fraction(-n, 6)) \
-        + log_rational(Fraction(n + 2, 2)) + closed_tau_p1().scale(2)
+        + closed_tau_p1().scale(2)
+
+
+def closed_tau(n: int) -> ExactConstant:
+    """n log(n+1)/24 - n/6 + log((n+2)/2) + 2 tau(base line): the main
+    identity plus log Vol, with Vol = (n+2)/2."""
+    return closed_main_value(n) + log_rational(Fraction(n + 2, 2))
 
 
 def main_theorem(n: int) -> TorsionResult:
@@ -369,9 +376,7 @@ def main_theorem(n: int) -> TorsionResult:
         raise PipelineInconsistency(
             f"torsion at n={n} differs from its closed form: {tau_rr}")
     main_value = tau_rr - log_rational(vol)
-    stated = log_np1(n).scale(Fraction(n, 24)) + _rat(Fraction(-n, 6)) \
-        + closed_tau_p1().scale(2)
-    if main_value != stated:
+    if main_value != closed_main_value(n):
         raise PipelineInconsistency(f"main identity failed at n={n}")
     return TorsionResult(n=n, tau_closed=tau_closed, tau_rr=tau_rr,
                          tau_bb=tau_bb, tau_omega1=tau1, tau_omega2=tau2,

@@ -191,8 +191,9 @@ class TestPushforwardDeg:
 
     def test_rejects_mixed_degrees(self):
         n = 1
-        with pytest.raises(chow.ChowError):
-            pushforward_deg(add(gen_x(n), ChowClass(n, SURFACE, {(1, 2): ec(1)})))
+        for degree_map in (pushforward_deg, pushforward_deg_numeric):
+            with pytest.raises(chow.ChowError):
+                degree_map(add(gen_x(n), ChowClass(n, SURFACE, {(1, 2): ec(1)})))
 
     def test_numeric_route_matches_exact(self):
         n = 3

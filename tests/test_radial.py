@@ -373,6 +373,37 @@ class TestIntegralWeights:
             self.check(x + y, _reference_terms(acc))
         self.check(f * c, _reference_product(f, const))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 10**6), c=st.fractions(-4, 4, max_denominator=3))
+    def test_term_against_fraction_reference(self, data, n, c):
+        # u^j (1+au)^-k with j, k >= 1: the power of u divided out alone
+        j, k = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        a, b = data.draw(st.sampled_from((1, 2, n + 1))), data.draw(st.sampled_from((0, 1, n + 1)))
+        want = {(b,) + key: c * w for key, w in _reference_canon(j, {a: k}).items()}
+        self.check(Radial.term(c, j, a, k, b), _reference_terms(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 10**6))
+    def test_derivative_against_fraction_reference(self, data, n):
+        # the product rule, with d log(1+bu) = b (1+bu)^-1 split by the reference
+        bases, logs = (1, 2, n + 1), (1, n + 1)
+        f = data.draw(normal_forms(bases, logs)) + data.draw(normal_forms(bases, logs))
+        f = f + Radial.term(data.draw(st.integers(1, 6)), a=data.draw(st.sampled_from(bases)),
+                            k=data.draw(st.integers(1, 3)), b=data.draw(st.sampled_from(logs)))
+        acc = {}
+        for (b, j, a, k), c in f.terms:
+            c = Fraction(c)
+            if k:
+                acc[(b, 0, a, k + 1)] = acc.get((b, 0, a, k + 1), 0) - k * a * c
+            elif j:
+                acc[(b, j - 1, 0, 0)] = acc.get((b, j - 1, 0, 0), 0) + j * c
+            if b:
+                poles = {a: k}
+                poles[b] = poles.get(b, 0) + 1
+                for key, w in _reference_canon(j, poles).items():
+                    acc[(0,) + key] = acc.get((0,) + key, 0) + b * c * w
+        self.check(f.derivative(), _reference_terms(acc))
+
 
 # ---------------------------------------------------------------------------
 # The QAGS port against scipy's quad, the test oracle

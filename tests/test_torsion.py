@@ -295,7 +295,7 @@ class TestIndependence:
             raise AssertionError("a stated closed form was consulted")
 
         torsion.tau_p1.cache_clear()  # compute tau_p1 under the patch
-        for name in ("closed_tau", "closed_tau_p1", "closed_height"):
+        for name in ("closed_tau", "closed_main_value", "closed_tau_p1", "closed_height"):
             monkeypatch.setattr(torsion, name, refuse)
         want = oracles.tau_route_rr(n)
         cc, vol = chow.arithmetic_chern_classes(n), torsion._volume(n)
