@@ -33,7 +33,7 @@ degree only the mass counts, which by Stokes does not depend on the
 placement.  The pairing is flagged in the trace when it fires.  The ring
 is truncated at the arithmetic dimension: a product above it vanishes, so
 mixed-degree classes such as Todd classes and Chern characters multiply as
-whole classes.
+whole classes, and a product can be asked for in chosen degrees only.
 
 The degree map halves the exact total mass of the top-degree analytic part;
 no finite-place contributions are modeled, because every class produced by
@@ -329,9 +329,10 @@ def _mono_curvature(n: int, variety: str, mono: MonoT) -> Optional[FormT]:
 
 
 def _ddc(form: FormT, n: int) -> Optional[FormT]:
-    """dd^c of an analytic term's form; None for top forms, where it vanishes."""
+    """dd^c of an analytic term's form; None for constant 0-forms and top
+    forms, where it vanishes."""
     if isinstance(form, Radial):
-        return forms.ddc(form, n)
+        return None if form.const_value is not None else forms.ddc(form, n)
     if isinstance(form, Form11):
         return forms.ddc_form11(form)
     return None
@@ -393,7 +394,11 @@ def _trace_step(trace: list, rule: str, before: str, after: str) -> None:
 
 
 def reduce(c: ChowClass, trace: Optional[list] = None) -> ChowClass:
-    """Normal form: exponents at most 1, relations pushed into analytic terms."""
+    """Normal form: exponents at most 1, relations pushed into analytic terms.
+    A class already in normal form is returned as it is (classes are
+    immutable), with nothing added to the trace."""
+    if all(i <= 1 and j <= 1 for i, j in c.poly):
+        return c
     out_poly: Dict[MonoT, ExactConstant] = {}
     slots = dict(c.forms)
     stack: List[Tuple[MonoT, ExactConstant]] = list(c.poly.items())
@@ -427,22 +432,29 @@ def reduce(c: ChowClass, trace: Optional[list] = None) -> ChowClass:
 # ---------------------------------------------------------------------------
 
 
-def mul(a: ChowClass, b: ChowClass, trace: Optional[list] = None) -> ChowClass:
-    """Intersection product followed by reduction to normal form.
+def mul(a: ChowClass, b: ChowClass, trace: Optional[list] = None,
+        degrees: Optional[Iterable[int]] = None) -> ChowClass:
+    """Intersection product in the given degrees, reduced to normal form.
 
-    Everything above the arithmetic dimension (3 on the surface, 2 on the
-    base line) vanishes: monomials of higher degree are dropped, and so are
-    analytic products past the top degree.
+    degrees defaults to every degree up to the arithmetic dimension (3 on the
+    surface, 2 on the base line), above which everything vanishes.  Only the
+    parts of the asked degrees are formed: monomials by the sum of their
+    exponents, a form times a curvature image, and two analytic terms, by the
+    degree of the result.  Reduction keeps degrees, so the product equals
+    those degree parts of the whole product.  A square mul(c, c) reduces c
+    and takes its dd^c once.
     """
     _check_compatible(a, b)
+    same = a is b
     a = reduce(a, trace)
-    b = reduce(b, trace)
+    b = a if same else reduce(b, trace)
     n, variety = a.n, a.variety
     top = top_degree(variety)
+    keep = range(top + 1) if degrees is None else tuple(degrees)
     poly: Dict[MonoT, ExactConstant] = {}
     for (i1, j1), c1 in a.poly.items():
         for (i2, j2), c2 in b.poly.items():
-            if i1 + j1 + i2 + j2 > top:
+            if i1 + j1 + i2 + j2 not in keep:
                 continue
             mono = (i1 + i2, j1 + j2)
             coeff = c1 * c2
@@ -453,17 +465,23 @@ def mul(a: ChowClass, b: ChowClass, trace: Optional[list] = None) -> ChowClass:
         curvature: Dict[SlotT, FormT] = {}
         for mono, coeff in right.poly.items():
             _accumulate(curvature, coeff, _mono_curvature(n, variety, mono), variety)
-        for (_, atom_f), form in left.forms.items():
-            for (_, atom_c), curv in curvature.items():
+        for (deg_f, atom_f), form in left.forms.items():
+            for (deg_c, atom_c), curv in curvature.items():
+                # a curvature image in slot degree d is a (d-1, d-1)-form
+                if deg_f + deg_c - 1 not in keep:
+                    continue
                 w = _product(form, curv)
                 if w:
                     _accumulate(slots, _atoms(atom_f, atom_c), w, variety)
     # dd^c once per form that can carry it: a lower-degree factor of a
     # product within the top degree, so of degree at most top / 2
-    ddc_a, ddc_b = ({slot: _ddc(f, n) for slot, f in c.forms.items() if 2 * slot[0] <= top}
-                    for c in (a, b))
+    ddc_a = {slot: _ddc(f, n) for slot, f in a.forms.items() if 2 * slot[0] <= top}
+    ddc_b = ddc_a if same else {slot: _ddc(f, n) for slot, f in b.forms.items()
+                                if 2 * slot[0] <= top}
     for slot1, f1 in a.forms.items():
         for slot2, f2 in b.forms.items():
+            if slot1[0] + slot2[0] not in keep:
+                continue
             w = _analytic_product(f1, ddc_a.get(slot1), f2, ddc_b.get(slot2), variety)
             if w:
                 _accumulate(slots, _atoms(slot1[1], slot2[1]), w, variety)
@@ -531,8 +549,10 @@ def pushforward_deg_numeric(c: ChowClass, cfg: QuadratureConfig = DEFAULT_CONFIG
                             name: str = "") -> float:
     """Quadrature twin of pushforward_deg (half the numerically integrated
     mass); name labels the quadratures in a NonConvergence message."""
-    return 0.5 * sum(atom.value() * integrate_halfline(form.g, cfg, name=name)
-                     for (_, atom), form in _top_slots(c))
+    total = 0.0  # a plain left fold: sum() compensates floats from Python 3.12
+    for (_, atom), form in _top_slots(c):
+        total += atom.value() * integrate_halfline(form.g, cfg, name=name)
+    return 0.5 * total
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ invocations produce byte-identical output.  Exit codes: 0 success, 1 a
 verification failed, 2 bad configuration (a ruling index whose floats
 overflow, such as --n 10**400 for forms, integrals or verify, included, and
 one whose logarithms need prime factors beyond the bounded factorization,
-such as --n 10**400 for torsion or table), 3 quadrature failed to converge.
+such as --n 10**400 for torsion or table), 3 quadrature failed to converge,
+141 the reader closed standard output early (128 + SIGPIPE, as a shell
+reports for a tool stopped by a closed pipe; nothing is printed then).
 
 A process imports only what its command runs: constants and radial (the
 normal form and the quadrature settings, not the rules) for every command;
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -28,6 +31,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def format_exact(c: ExactConstant, expand_tau: bool = False) -> str:
@@ -353,7 +357,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the recipe of the signal module's documentation: later flushes,
+        # at exit included, go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except NonConvergence as exc:
         print(f"error: quadrature did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

@@ -258,12 +258,16 @@ def _l2_covolumes_sq(n: int, vol: Fraction) -> Tuple[Fraction, Fraction, Fractio
 
 def _todd_character_products(cc: ChernClasses) -> Tuple[ChowClass, List[ChowClass]]:
     """c1 of the tangent bundle and the products Td ch(Lambda^p T*) of the
-    three twists, each one whole class; c1^2, c1^3 and c1*c2 are built once.
+    three twists, exact in degrees 1 and 3, the two the direct route reads
+    (top - 2 and top); c1^2, c1^3 and c1*c2 are built once.
 
     ch(Lambda^0) = 1, ch(Lambda^2) = e^-c1 and ch(Lambda^1) = 1 + e^-c1 - c2
-    + c1 c2 / 2, truncated at the arithmetic dimension.  The product is
-    bilinear, so the middle twist is Td + Td e^-c1 + Td (c1 c2 / 2 - c2):
-    it reuses the top twist's product, and its own factor starts in degree 2.
+    + c1 c2 / 2, truncated at the arithmetic dimension.  The untwisted
+    product is Td itself.  The twisted ones multiply only in degrees 1 and
+    3, and the middle one keeps Td's other degrees, which are not read.  The
+    product is bilinear, so the middle twist is Td + Td e^-c1 + Td (c1 c2 / 2
+    - c2): it reuses the top twist's product, and its own factor starts in
+    degree 2.
     """
     c1, c2 = cc.c1_tangent, cc.c2_tangent
     c1sq = chow.mul(c1, c1)
@@ -275,8 +279,9 @@ def _todd_character_products(cc: ChernClasses) -> Tuple[ChowClass, List[ChowClas
                            chow.scale(Fraction(1, 24), c1c2)))
     exp_minus_c1 = chow.add(chow.sub(one, c1),
                             chow.sub(chow.scale(half, c1sq), chow.scale(Fraction(1, 6), c13)))
-    top = chow.mul(td, exp_minus_c1)
-    middle = chow.add(chow.add(td, top), chow.mul(td, chow.sub(chow.scale(half, c1c2), c2)))
+    top = chow.mul(td, exp_minus_c1, degrees=(1, 3))
+    middle = chow.add(chow.add(td, top), chow.mul(td, chow.sub(chow.scale(half, c1c2), c2),
+                                                  degrees=(1, 3)))
     return c1, [td, middle, top]
 
 

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hirzebruch_torsion import chow, forms
 from hirzebruch_torsion.chow import (
@@ -96,6 +97,17 @@ class TestReduce:
             once = reduce(c)
             assert reduce(once) == once
 
+    def test_a_normal_form_is_returned_as_it_is(self):
+        n = 3
+        c = ChowClass(n, SURFACE, {(1, 1): ec(2), (0, 1): ec(-1), (1, 0): ec(5)},
+                      [(log_2pi(), RADIAL_ONE), (ec(1), forms.alpha_form(n))])
+        trace = []
+        assert reduce(c, trace) is c
+        assert trace == []
+        line = ChowClass(n, BASE, {(1, 0): ec(1)}, [(ec(1), chow.base_top_form(n))])
+        assert reduce(line, trace) is line
+        assert trace == []
+
     def test_trace_records_rewrites(self):
         trace = []
         reduce(ChowClass(2, SURFACE, {(1, 2): ec(1)}), trace)
@@ -141,6 +153,22 @@ class TestMul:
         assert not mul(a, b).is_zero
         assert len(calls) == 3  # one per 0-form of a and b, not two per pair
 
+    def test_a_square_equals_the_product_of_equal_classes(self, monkeypatch):
+        for n in (0, 1, 7):
+            cc = arithmetic_chern_classes(n)
+            for c in (*cc[1:], ChowClass(n, SURFACE, {(0, 2): ec(1), (1, 0): ec(3)},
+                                         [(ec(1), forms.log_R(n))])):
+                twin = ChowClass(n, SURFACE, c.poly, c.analytic)
+                assert twin is not c and twin == c
+                assert mul(c, c) == mul(c, twin)
+        # a square takes dd^c once per 0-form, and none of a constant
+        calls = []
+        ddc = forms.ddc
+        monkeypatch.setattr(forms, "ddc", lambda h, m: calls.append(h) or ddc(h, m))
+        c = ChowClass(2, SURFACE, analytic=[(ec(1), forms.log_R(2)), (log_2pi(), RADIAL_ONE)])
+        assert not mul(c, c).is_zero
+        assert calls == [forms.log_R(2)]
+
     def test_commutative_on_catalog_classes(self):
         rng = random.Random(23)
         n = 2
@@ -175,6 +203,56 @@ class TestMul:
         x, x_sq = gen_x(n, BASE), ChowClass(n, BASE, {(2, 0): ec(1)})
         assert mul(x_sq, x).is_zero
         assert mul(x_sq, x_sq).is_zero
+
+
+RULING_INDICES = [0, 1, 7, 57, 10**6, 10**9]
+
+
+def in_degrees(c, degrees):
+    """The sum of the degree parts of c in the given degrees."""
+    out = zero_class(c.n, c.variety)
+    for k in degrees:
+        out = add(out, c.degree_part(k))
+    return out
+
+
+@st.composite
+def mixed_classes(draw, n, transcendental=False):
+    """A surface class with monomials of degree 0 to 3 and analytic terms of
+    every degree, not necessarily in normal form; its analytic terms carry
+    log 2pi when transcendental (the span is linear in such atoms, so only
+    one factor of a product may)."""
+    al = forms.alpha_form(n)
+    pool = [RADIAL_ONE, forms.log_R(n), forms.ratio_R(n), al,
+            forms.bott_chern_c2(n), forms.wedge(al, forms.base_form(n))]
+    coeffs = st.fractions(-6, 6, max_denominator=4).map(ec)
+    monos = st.sampled_from([(i, j) for i in range(4) for j in range(4) if i + j <= 3])
+    poly = draw(st.dictionaries(monos, coeffs, max_size=4))
+    if transcendental:
+        coeffs = st.one_of(coeffs, st.just(log_2pi()))
+    analytic = draw(st.lists(st.tuples(coeffs, st.sampled_from(pool)), max_size=4))
+    return ChowClass(n, SURFACE, poly, analytic)
+
+
+class TestMulInDegrees:
+    @pytest.mark.parametrize("n", RULING_INDICES)
+    def test_twist_products_in_degrees_one_and_three(self, n):
+        # the two products of the direct route: Td e^-c1 and Td (c1 c2 / 2 - c2)
+        cc = arithmetic_chern_classes(n)
+        td_pieces, (_, _, exp_pieces) = oracles.graded_todd_and_characters(n)
+        td, exp_minus_c1 = (add(add(p[0], p[1]), add(p[2], p[3]))
+                            for p in (td_pieces, exp_pieces))
+        middle = sub(scale(Fraction(1, 2), mul(cc.c1_tangent, cc.c2_tangent)), cc.c2_tangent)
+        for factor in (exp_minus_c1, middle):
+            assert mul(td, factor, degrees=(1, 3)) == in_degrees(mul(td, factor), (1, 3))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.sampled_from(RULING_INDICES),
+           degrees=st.sets(st.integers(0, 3)))
+    def test_mixed_degree_pairs(self, data, n, degrees):
+        a, b = data.draw(mixed_classes(n, transcendental=True)), data.draw(mixed_classes(n))
+        assert mul(a, b, degrees=degrees) == in_degrees(mul(a, b), degrees)
+        assert mul(a, b, degrees=(1, 3)) == in_degrees(mul(a, b), (1, 3))
 
 
 class TestPushforwardDeg:
