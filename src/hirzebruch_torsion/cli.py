@@ -12,8 +12,9 @@ reports for a tool stopped by a closed pipe; nothing is printed then).
 A process imports only what its command runs: constants and radial (the
 normal form and the quadrature settings, not the rules) for every command;
 forms, chow and torsion where the command uses them (height needs the ring
-but not torsion); the quadrature rules only where something is integrated;
-and json only where JSON is written.
+but not torsion); the quadrature module (the rules and the evaluation
+kernels) only where something is integrated or evaluated in floats (table,
+integrals, verify and forms); and json only where JSON is written.
 """
 
 from __future__ import annotations

@@ -1,23 +1,31 @@
-"""The numeric rules behind half-line quadrature: QUADPACK's QAGS and tanh-sinh.
+"""The numeric rules behind half-line quadrature, and the integrand kernels.
 
-Each rule integrates a scalar function g over [0, 1] toward a target
-tolerance and returns (value, estimate, reason), where reason is empty
-unless the rule itself flagged the result.  radial.integrate_halfline maps
-a half-line integrand onto [0, 1], picks the rule and decides pass or stall;
-this module imports nothing from the package, and only a process that
-integrates loads it.
+Each rule integrates a function g over [0, 1] toward a target tolerance and
+returns (value, estimate, reason), where reason is empty unless the rule
+itself flagged the result.  g takes a panel, the list of nodes the rule
+needs next, and returns their values in node order: the 21 nodes of one
+Gauss-Kronrod interval, or the nodes one tanh-sinh level adds.
+radial.integrate_halfline maps a half-line integrand onto [0, 1], picks the
+rule and decides pass or stall; this module imports nothing from the
+package, and only a process that integrates or evaluates a radial function
+loads it.
 
 Both rules are plain Python.  Gauss-Kronrod is QUADPACK's QAGS, ported here:
 it returns the same floats as scipy.integrate.quad, bit for bit.  Tanh-sinh
 is the double-exponential rule of Takahashi and Mori.  Neither loads numpy
 or scipy.
+
+kernel turns the float plan of a radial function (radial.Radial.plan) into
+its panel evaluator: straight-line Python generated once per shape of plan
+and bound to the plan's numbers, doing the float operations of the plan in
+its order.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 Result = Tuple[float, float, str]  # value, error estimate, the rule's flag ("" if none)
 
@@ -31,17 +39,19 @@ def gauss_kronrod(g, target: float) -> Result:
 
 
 @lru_cache(maxsize=None)
-def _ts_nodes(level: int) -> tuple:
-    """The (t, weight) pairs that a level adds to the tanh-sinh grid
-    tau = j h, h = 2^-level, |tau| <= 3.5: every j at level 0, odd j after.
-    At tau = 3.5, 1 - t is 3e-23, below float resolution next to t = 1."""
+def _ts_nodes(level: int) -> Tuple[tuple, tuple]:
+    """The nodes t that a level adds to the tanh-sinh grid tau = j h,
+    h = 2^-level, |tau| <= 3.5 (every j at level 0, odd j after), and their
+    weights.  At tau = 3.5, 1 - t is 3e-23, below float resolution next to
+    t = 1."""
     h = 2.0 ** -level
-    nodes = []
+    ts, ws = [], []
     for j in range(0 if level == 0 else 1, int(3.5 / h) + 1, 1 if level == 0 else 2):
         c = 1.0 / (1.0 + math.exp(math.pi * math.sinh(j * h)))  # t at -jh, 1 - t at jh
         w = math.pi * math.cosh(j * h) * c * (1.0 - c)  # dt/dtau
-        nodes += [(c, w), (1.0 - c, w)] if j else [(c, w)]
-    return tuple(nodes)
+        ts += (c, 1.0 - c) if j else (c,)
+        ws += (w, w) if j else (w,)
+    return tuple(ts), tuple(ws)
 
 
 def tanh_sinh(g, target: float) -> Result:
@@ -52,9 +62,10 @@ def tanh_sinh(g, target: float) -> Result:
     total, value = 0.0, math.inf
     for level in range(11):
         previous = value
+        ts, ws = _ts_nodes(level)
         level_sum = 0.0  # a plain left fold: sum() compensates floats from 3.12
-        for t, w in _ts_nodes(level):
-            level_sum += w * g(t)
+        for w, v in zip(ws, g(ts)):
+            level_sum += w * v
         total += level_sum
         value = total * 2.0 ** -level
         estimate = abs(value - previous)
@@ -95,6 +106,11 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
        0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
        0.295524224714752870173892994651338)
 
+# the _XGK indices in QUADPACK's order of evaluation, and the position in a
+# panel of each index's left node (its right node follows it)
+_XGK_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+_XGK_LEFT = tuple(1 + 2 * _XGK_ORDER.index(j) for j in range(10))
+
 # scipy's message for each flag, up to its first comma or full stop
 _QAGS_REASONS = ("",
                  "The maximum number of subdivisions (50) has been achieved",
@@ -107,40 +123,41 @@ _QAGS_REASONS = ("",
 
 def _dqk21(f, a: float, b: float) -> Tuple[float, float, float, float]:
     """21-point Gauss-Kronrod rule on [a, b]: (result, abserr, resabs,
-    resasc), the last two the integrals of |f| and of |f - mean|."""
+    resasc), the last two the integrals of |f| and of |f - mean|.  f gets the
+    21 nodes in QUADPACK's order: the centre, the Gauss pairs, the Kronrod
+    pairs (each pair left node first)."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     dhlgth = abs(hlgth)
-    fv1 = [0.0] * 10
-    fv2 = [0.0] * 10
+    nodes = [centr]
+    for j in _XGK_ORDER:
+        absc = hlgth * _XGK[j]
+        nodes.append(centr - absc)
+        nodes.append(centr + absc)
+    fv = f(nodes)
     resg = 0.0
-    fc = f(centr)
+    fc = fv[0]
     resk = _WGK[10] * fc
     resabs = abs(resk)
-    for j in range(5):  # the Gauss nodes, whose sums also enter the Kronrod sums
+    for j in range(5):  # the Gauss pairs, whose sums also enter the Kronrod sums
         jtw = 2 * j + 1
-        absc = hlgth * _XGK[jtw]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[jtw] = fval1
-        fv2[jtw] = fval2
+        fval1 = fv[jtw]
+        fval2 = fv[jtw + 1]
         fsum = fval1 + fval2
         resg = resg + _WG[j] * fsum
         resk = resk + _WGK[jtw] * fsum
         resabs = resabs + _WGK[jtw] * (abs(fval1) + abs(fval2))
     for jtwm1 in range(0, 10, 2):
-        absc = hlgth * _XGK[jtwm1]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[jtwm1] = fval1
-        fv2[jtwm1] = fval2
+        fval1 = fv[11 + jtwm1]
+        fval2 = fv[12 + jtwm1]
         fsum = fval1 + fval2
         resk = resk + _WGK[jtwm1] * fsum
         resabs = resabs + _WGK[jtwm1] * (abs(fval1) + abs(fval2))
     reskh = resk * 0.5
     resasc = _WGK[10] * abs(fc - reskh)
     for j in range(10):
-        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+        left = _XGK_LEFT[j]
+        resasc = resasc + _WGK[j] * (abs(fv[left] - reskh) + abs(fv[left + 1] - reskh))
     result = resk * hlgth
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth
@@ -447,3 +464,106 @@ def _dqagse(f, a: float, b: float, epsabs: float, epsrel: float,
     if ier > 2:
         ier -= 1
     return result, abserr, 42 * last - 21, ier, last
+
+
+# ---------------------------------------------------------------------------
+# The integrand kernels
+# ---------------------------------------------------------------------------
+#
+# A plan is (bases, groups): the float pole bases a, and per log factor
+# log(1+bu) (b = 0.0 for none) a group (b, numerator, simple, higher).  The
+# group's value is the Horner sum of numerator in u, times 1/(1+au) for each
+# base index in simple, plus, for each (index, coefficients) in higher, a
+# Horner sum h in x = 1/(1+au) times x*x; the function is the sum of the
+# groups, each times log1p(b u) when b is not 0.  A kernel does these float
+# operations in this order, so it returns the floats of the loop that reads
+# the plan term by term.
+
+Plan = Tuple[tuple, tuple]
+Kernel = Callable[[Sequence[float], Optional[Callable[[float], Exception]]], List[float]]
+
+_KERNEL_SHAPES = 64  # sources kept; route 3 needs 8 shapes up to n = 100, the forms 6 more
+
+_KERNEL = '''def bind({params}):
+    def kernel(points, bad):
+        out = []
+        for t in points:
+            if bad:
+                s = 1.0 - t
+                if s <= 0.0:
+                    out.append(0.0)
+                    continue
+                u = t / s
+            else:
+                u = t
+{body}
+            if bad:
+                if not isfinite(w):
+                    raise bad(u)
+                w = w / (s * s)
+            out.append(w)
+        return out
+    return kernel
+'''
+
+
+def kernel(plan: Plan) -> Kernel:
+    """The panel evaluator kernel(points, bad) -> values of a plan.
+
+    With bad None, the points are values of u and the values are f(u).
+    Otherwise the points are t in [0, 1], the compactified variable
+    u = t / (1 - t), and the values are f(u) / (1 - t)^2, and 0.0 at t = 1,
+    where the half-line integrand carries no weight; the first point whose
+    f(u) is not finite raises bad(u)."""
+    bases, groups = plan
+    shape = (len(bases), tuple((bool(b), len(numerator), simple,
+                                tuple((i, len(cs)) for i, cs in higher))
+                               for b, numerator, simple, higher in groups))
+    values = list(bases)
+    for b, numerator, _, higher in groups:
+        if b:
+            values.append(b)
+        values += numerator
+        for _, cs in higher:
+            values += cs
+    return _binder(shape)(*values)
+
+
+@lru_cache(maxsize=_KERNEL_SHAPES)
+def _binder(shape: tuple) -> Callable[..., Kernel]:
+    """Compile the kernel source of a plan shape; the plan's numbers are the
+    arguments of the returned binder, in the order kernel lists them."""
+    nbases, groups = shape
+    params: List[str] = []
+
+    def param() -> str:
+        params.append(f"k{len(params)}")
+        return params[-1]
+
+    lines = [f"x{i} = 1.0 / (1.0 + {param()} * u)" for i in range(nbases)]
+    w = "0.0"
+    for log, terms, simple, higher in groups:
+        b = param() if log else ""
+        v = "0.0"
+        for _ in range(terms):
+            lines.append(f"v = {v} * u + {param()}")
+            v = "v"
+        for i in simple:
+            lines.append(f"v = {v} * x{i}")
+            v = "v"
+        for i, length in higher:
+            h = "0.0"
+            for _ in range(length):
+                lines.append(f"h = {h} * x{i} + {param()}")
+                h = "h"
+            lines.append(f"v = {v} + {h} * x{i} * x{i}")
+            v = "v"
+        lines.append(f"w = {w} + {v} * log1p({b} * u)" if log else f"w = {w} + {v}")
+        w = "w"
+    if w != "w":
+        lines.append(f"w = {w}")
+    source = _KERNEL.format(params=", ".join(params),
+                            body="\n".join(" " * 12 + line for line in lines))
+    namespace = {"isfinite": math.isfinite, "log1p": math.log1p}
+    exec(compile(source, "<radial kernel>", "exec"), namespace)
+    return namespace["bind"]

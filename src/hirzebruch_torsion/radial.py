@@ -15,12 +15,19 @@ integrate the rational part, and one integration by parts turns
 log(1+bu)/(1+au)^k into a rational integrand.  A simple pole times a log
 would need a dilogarithm and is refused.
 
+A Radial evaluates floats through its plan, the exact-to-float set-up of
+Horner sums per log factor, which the quadrature module compiles into a
+kernel: straight-line Python generated once per shape of plan.  The kernel
+evaluates a panel, a list of points, in one call; Radial.fn is a one-point
+panel.
+
 integrate_halfline integrates a Radial numerically after the compactifying
 substitution u = t / (1 - t), which maps the half-line onto (0, 1).  In the t
 variable an integrand of decay order d behaves like (1-t)^(d-2) near 1, so
 adaptive Gauss-Kronrod (and tanh-sinh as an alternative) resolve the whole
-catalog without special endpoint treatment.  The rules themselves live in
-the quadrature module, which is imported on the first integration, so a
+catalog without special endpoint treatment; each rule hands the kernel its
+nodes a panel at a time.  The rules and the kernels live in the quadrature
+module, which is imported on the first integration or evaluation, so a
 process that only computes exactly never compiles them; this module keeps
 the configuration and decides whether a result passed or stalled.
 """
@@ -30,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .constants import ExactConstant, log_rational
 
@@ -268,59 +275,46 @@ class Radial:
     # -- evaluation ---------------------------------------------------------
 
     @cached_property
+    def plan(self) -> tuple:
+        """The float plan of evaluation, (bases, groups), as quadrature.kernel
+        reads it.  Per log factor b: the powers of u and the simple poles over
+        their common denominator prod (1+au), and a Horner sum in each
+        1/(1+au) for the higher poles.  Cancellations that are exact in the
+        terms (a zero at u = 0, tails that cancel at large u) then stay exact
+        in floating point."""
+        groups: Dict[int, Dict[int, Dict[int, Fraction]]] = {}
+        for (b, j, a, k), c in self.terms:
+            groups.setdefault(b, {}).setdefault(a, {})[k or j] = c
+        bases = sorted({a for g in groups.values() for a in g if a})
+        plan = []
+        for b, g in sorted(groups.items()):
+            simple = [a for a in bases if 1 in g.get(a, {})]
+            numerator = Radial({**{(0, j, 0, 0): c for j, c in g.get(0, {}).items()},
+                                **{(0, 0, a, 1): g[a][1] for a in simple}})
+            for a in simple:  # times prod (1 + au): a polynomial
+                numerator = numerator * Radial({(0, 0, 0, 0): 1, (0, 1, 0, 0): a})
+            higher = tuple((bases.index(a), _horner({k: c for k, c in g[a].items() if k > 1}, 2))
+                           for a in bases if max(g.get(a, {0: 0})) > 1)
+            plan.append((float(b), _horner({j: c for (_, j, _, _), c in numerator.terms}, 0),
+                         tuple(bases.index(a) for a in simple), higher))
+        return tuple(float(a) for a in bases), tuple(plan)
+
+    @cached_property
     def fn(self) -> Callable[[float], float]:
-        """Evaluator of a float u."""
-        return _evaluator(self.terms)
+        """Evaluator of a float u: a one-point panel of the kernel."""
+        from . import quadrature
+
+        kernel = quadrature.kernel(self.plan)
+        return lambda u: kernel((u,), None)[0]
 
     def __call__(self, u):
         return self.fn(u)
 
 
-def _horner(weights: Dict[int, Fraction], low: int) -> list:
+def _horner(weights: Dict[int, Fraction], low: int) -> tuple:
     """Float coefficients of the powers low..max, highest first."""
     top = max(weights, default=low - 1)
-    return [float(weights.get(p, 0)) for p in range(top, low - 1, -1)]
-
-
-def _evaluator(terms) -> Callable:
-    """Per log factor b: the powers of u and the simple poles over their
-    common denominator prod (1+au), and a Horner sum in each 1/(1+au) for the
-    higher poles.  Cancellations that are exact in the terms (a zero at
-    u = 0, tails that cancel at large u) then stay exact in floating point."""
-    groups: Dict[int, Dict[int, Dict[int, Fraction]]] = {}
-    for (b, j, a, k), c in terms:
-        groups.setdefault(b, {}).setdefault(a, {})[k or j] = c
-    bases = sorted({a for g in groups.values() for a in g if a})
-    plan = []
-    for b, g in sorted(groups.items()):
-        simple = [a for a in bases if 1 in g.get(a, {})]
-        numerator = Radial({**{(0, j, 0, 0): c for j, c in g.get(0, {}).items()},
-                            **{(0, 0, a, 1): g[a][1] for a in simple}})
-        for a in simple:  # times prod (1 + au): a polynomial
-            numerator = numerator * Radial({(0, 0, 0, 0): 1, (0, 1, 0, 0): a})
-        plan.append((b, _horner({j: c for (_, j, _, _), c in numerator.terms}, 0),
-                     [bases.index(a) for a in simple],
-                     [(bases.index(a), _horner({k: c for k, c in g[a].items() if k > 1}, 2))
-                      for a in bases if max(g.get(a, {0: 0})) > 1]))
-
-    def fn(u: float) -> float:
-        xs = [1.0 / (1.0 + a * u) for a in bases]
-        total = 0.0
-        for b, numerator, simple, higher in plan:
-            v = 0.0
-            for c in numerator:
-                v = v * u + c
-            for i in simple:
-                v = v * xs[i]
-            for i, cs in higher:
-                x, h = xs[i], 0.0
-                for c in cs:
-                    h = h * x + c
-                v = v + h * x * x
-            total = total + (v * math.log1p(b * u) if b else v)
-        return total
-
-    return fn
+    return tuple(float(weights.get(p, 0)) for p in range(top, low - 1, -1))
 
 
 RADIAL_ZERO = Radial()
@@ -374,23 +368,19 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def _compactified(f: Radial, name: str = "") -> Callable[[float], float]:
-    fn = f.fn
+def _compactified(f: Radial, name: str = "") -> Callable[[Sequence[float]], List[float]]:
+    """The integrand of f after u = t / (1 - t), on a panel of nodes t: the
+    exact endpoint t = 1 (u = inf) carries no quadrature weight, for the
+    transformed integrand tends to 0 for decay > 2 and stays bounded
+    (integrably log-singular at worst) at decay 2."""
+    from . import quadrature
 
-    def g(t: float) -> float:
-        s = 1.0 - t
-        if s <= 0.0:
-            # the exact endpoint u = inf carries no quadrature weight; the
-            # transformed integrand tends to 0 for decay > 2 and stays
-            # bounded (integrably log-singular at worst) at decay 2
-            return 0.0
-        u = t / s
-        v = fn(u)
-        if not math.isfinite(v):
-            raise DomainError(f"{_label(f, name)}: integrand not finite at u={u!r}")
-        return v / (s * s)
+    kernel = quadrature.kernel(f.plan)
 
-    return g
+    def bad(u: float) -> DomainError:
+        return DomainError(f"{_label(f, name)}: integrand not finite at u={u!r}")
+
+    return lambda ts: kernel(ts, bad)
 
 
 def integrate_halfline(f: Radial, cfg: QuadratureConfig = DEFAULT_CONFIG,

@@ -8,15 +8,20 @@ L2 norms and covolumes from exact L2 pairings.  The functions below are the
 hand-written values the package used before it derived them; the tests check
 the derivations against them.
 They call no `closed_*` function of the package.
+
+The interpretive evaluator at the end is the loop that read a radial
+function's float plan term by term before the package generated a kernel
+per plan shape; the generated kernels must return its floats, bit for bit.
 """
 
+import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from hirzebruch_torsion import chow, forms
 from hirzebruch_torsion.chow import R_GENUS_DEGREE1, ChowClass, PipelineInconsistency
 from hirzebruch_torsion.constants import ExactConstant, log_2pi, log_rational
-from hirzebruch_torsion.radial import RADIAL_ONE
+from hirzebruch_torsion.radial import RADIAL_ONE, DomainError, Radial, _label
 
 
 def _rat(q) -> ExactConstant:
@@ -252,3 +257,72 @@ def hodge_l2_closed_forms(n: int) -> Dict[str, ExactConstant]:
         "primitive_part_orthogonal_to_alpha": zero,
         "star_isometry_on_mixed_pair": zero,
     }
+
+
+# ---------------------------------------------------------------------------
+# The interpretive evaluator of a radial function
+# ---------------------------------------------------------------------------
+
+
+def _horner(weights: Dict[int, Fraction], low: int) -> list:
+    """Float coefficients of the powers low..max, highest first."""
+    top = max(weights, default=low - 1)
+    return [float(weights.get(p, 0)) for p in range(top, low - 1, -1)]
+
+
+def interpretive_evaluator(terms) -> Callable[[float], float]:
+    """Per log factor b: the powers of u and the simple poles over their
+    common denominator prod (1+au), and a Horner sum in each 1/(1+au) for the
+    higher poles, read by a loop at every point."""
+    groups: Dict[int, Dict[int, Dict[int, Fraction]]] = {}
+    for (b, j, a, k), c in terms:
+        groups.setdefault(b, {}).setdefault(a, {})[k or j] = c
+    bases = sorted({a for g in groups.values() for a in g if a})
+    plan = []
+    for b, g in sorted(groups.items()):
+        simple = [a for a in bases if 1 in g.get(a, {})]
+        numerator = Radial({**{(0, j, 0, 0): c for j, c in g.get(0, {}).items()},
+                            **{(0, 0, a, 1): g[a][1] for a in simple}})
+        for a in simple:  # times prod (1 + au): a polynomial
+            numerator = numerator * Radial({(0, 0, 0, 0): 1, (0, 1, 0, 0): a})
+        plan.append((b, _horner({j: c for (_, j, _, _), c in numerator.terms}, 0),
+                     [bases.index(a) for a in simple],
+                     [(bases.index(a), _horner({k: c for k, c in g[a].items() if k > 1}, 2))
+                      for a in bases if max(g.get(a, {0: 0})) > 1]))
+
+    def fn(u: float) -> float:
+        xs = [1.0 / (1.0 + a * u) for a in bases]
+        total = 0.0
+        for b, numerator, simple, higher in plan:
+            v = 0.0
+            for c in numerator:
+                v = v * u + c
+            for i in simple:
+                v = v * xs[i]
+            for i, cs in higher:
+                x, h = xs[i], 0.0
+                for c in cs:
+                    h = h * x + c
+                v = v + h * x * x
+            total = total + (v * math.log1p(b * u) if b else v)
+        return total
+
+    return fn
+
+
+def interpretive_compactified(f: Radial, name: str = "") -> Callable[[float], float]:
+    """The half-line integrand of f after u = t / (1 - t), one node t at a
+    time, with the message of a non-finite value."""
+    fn = interpretive_evaluator(f.terms)
+
+    def g(t: float) -> float:
+        s = 1.0 - t
+        if s <= 0.0:
+            return 0.0
+        u = t / s
+        v = fn(u)
+        if not math.isfinite(v):
+            raise DomainError(f"{_label(f, name)}: integrand not finite at u={u!r}")
+        return v / (s * s)
+
+    return g

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from hirzebruch_torsion import forms, quadrature, radial, torsion
 from hirzebruch_torsion.constants import ExactConstant, log_rational
 from hirzebruch_torsion.radial import (
@@ -147,7 +148,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("scheme", ["gauss_kronrod", "tanh_sinh"])
     def test_a_failed_quadrature_is_not_retried(self, scheme, monkeypatch):
-        passes = []  # one per QAGS call, or per tanh-sinh pass (its first node is t = 1/2)
+        passes = []  # one per QAGS call, or per tanh-sinh pass (its first panel holds t = 1/2)
         compactified = radial._compactified
 
         def failed_qags(*args):
@@ -157,10 +158,10 @@ class TestErrors:
         def counted(f, name=""):
             g = compactified(f, name)
 
-            def h(t):
-                if t == 0.5:
-                    passes.append(t)
-                return g(t)
+            def h(ts):
+                if 0.5 in ts:
+                    passes.append(ts)
+                return g(ts)
 
             return h
 
@@ -177,6 +178,65 @@ class TestErrors:
                 QuadratureConfig(target_tol=tol)
         with pytest.raises(ValueError):
             QuadratureConfig(scheme="simpson")
+
+
+def catalog_radials(n):
+    """(name, radial function) of the catalog's form coefficients and of the
+    route-3 integrands at n."""
+    out = [(f"{name}.{part}", getattr(form, part))
+           for name, form in forms.catalog(n).items() for part in ("fx", "fphi")]
+    for name, integrand in torsion._integrand_table(n):
+        out.append((name, integrand if isinstance(integrand, Radial) else integrand.g))
+    return out
+
+
+class TestKernels:
+    """The generated kernels against the interpretive evaluator they replace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 10**6))
+    def test_kernels_match_the_interpretive_evaluator(self, data, n):
+        name, f = data.draw(st.sampled_from(catalog_radials(n)))
+        ts = [0.0, 1.0, 1.0 - 2.0**-53] + data.draw(
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=21))
+        g = oracles.interpretive_compactified(f, name)
+        assert [v.hex() for v in radial._compactified(f, name)(ts)] == [g(t).hex() for t in ts]
+        fn = oracles.interpretive_evaluator(f.terms)
+        us = ts + [t / (1.0 - t) for t in ts if t < 1.0] + [math.inf]
+        assert [f.fn(u).hex() for u in us] == [fn(u).hex() for u in us]
+
+    def test_a_fresh_n_generates_no_kernel(self):
+        # the kernels are keyed on the plan's shape, which n does not change
+        quadrature._binder.cache_clear()
+        for n in range(101):
+            torsion.named_integrals(n, CFG)
+            torsion.hodge_l2_checks(n, CFG)
+            torsion.route_checks(n, CFG)
+        swept = quadrature._binder.cache_info()
+        torsion.named_integrals(250, CFG)
+        torsion.hodge_l2_checks(250, CFG)
+        torsion.route_checks(250, CFG)
+        fresh = quadrature._binder.cache_info()
+        assert fresh.misses == swept.misses == swept.currsize <= 16
+        assert fresh.hits > swept.hits
+        assert fresh.currsize <= fresh.maxsize == quadrature._KERNEL_SHAPES
+
+    @pytest.mark.parametrize("scheme, u", [("gauss_kronrod", "0.013219203192174487"),
+                                           ("tanh_sinh", "0.024922022305701886")])
+    def test_the_first_non_finite_node_is_named(self, scheme, u):
+        # the first node in evaluation order whose value overflows: a Gauss
+        # node before the Kronrod nodes nearer u = 0, and the first pair of
+        # tanh-sinh's first level
+        c = Fraction(3, 2) * 10**308
+        f = Radial.term(c, a=1, k=2) + Radial.term(c, a=2, k=2)
+        cfg = QuadratureConfig(scheme=scheme)
+        with pytest.raises(DomainError) as err:
+            integrate_halfline(f, cfg, name="big_sum")
+        assert str(err.value) == f"big_sum: integrand not finite at u={u}"
+        rule = quadrature.tanh_sinh if scheme == "tanh_sinh" else quadrature.gauss_kronrod
+        with pytest.raises(DomainError) as want:
+            rule(panel(oracles.interpretive_compactified(f, "big_sum")), cfg.target_tol)
+        assert str(want.value) == str(err.value)
 
 
 class TestProperties:
@@ -278,7 +338,8 @@ class TestMassProperties:
     def test_mass_matches_quadrature(self, data, n):
         f = data.draw(integrands(n))
         g = radial._compactified(f)
-        size = quadrature._dqagse(lambda t: abs(g(t)), 0.0, 1.0, 0.5e-6, 1e-13, 50)[0]
+        size = quadrature._dqagse(lambda ts: [abs(v) for v in g(ts)], 0.0, 1.0, 0.5e-6, 1e-13,
+                                  50)[0]
         assert abs(f.mass.to_float() - integrate_halfline(f, CFG)) <= 1e-9 * max(1.0, size)
 
     @settings(max_examples=60, deadline=None)
@@ -417,20 +478,28 @@ SCIPY_FLAGS = {"The maximum number of subdivisions": 1,
                "The integral is probably divergent": 5}
 
 
+def panel(g):
+    """The panel function of a scalar g."""
+    return lambda ts: [g(t) for t in ts]
+
+
 def scipy_qags(g, a, b, epsabs, limit):
-    """scipy's quad as (value, abserr, neval, ier, last) and its message up
-    to the first comma or full stop."""
+    """scipy's quad of the panel function g, one node a panel, as (value,
+    abserr, neval, ier, last) and its message up to the first comma or full
+    stop."""
     from scipy import integrate
 
-    out = integrate.quad(g, a, b, epsabs=epsabs, epsrel=1e-13, limit=limit, full_output=1)
+    out = integrate.quad(lambda t: g([t])[0], a, b, epsabs=epsabs, epsrel=1e-13, limit=limit,
+                         full_output=1)
     reason = " ".join(out[3].split()).split(",")[0].split(".")[0] if len(out) > 3 else ""
     ier = next((i for start, i in SCIPY_FLAGS.items() if reason.startswith(start)), 0)
     return (out[0], out[1], out[2]["neval"], ier, out[2]["last"]), reason
 
 
 def assert_qags_matches_scipy(g, a=0.0, b=1.0, epsabs=5e-11, limit=50) -> int:
-    """The port's five results equal scipy's bit for bit, and its reason
-    text (which names the limit) is scipy's; returns ier."""
+    """On the panel function g, the port's five results equal scipy's bit
+    for bit, and its reason text (which names the limit) is scipy's; returns
+    ier."""
     got = quadrature._dqagse(g, a, b, epsabs, 1e-13, limit)
     want, reason = scipy_qags(g, a, b, epsabs, limit)
     assert got == want
@@ -478,13 +547,13 @@ class TestQagsMatchesScipy:
     ], ids=["limit", "roundoff", "bad_point", "extrapolation", "divergent",
             "extrapolated", "zero"])
     def test_hostile_integrands(self, g, a, b, epsabs, limit, ier):
-        assert assert_qags_matches_scipy(g, a, b, epsabs, limit) == ier
+        assert assert_qags_matches_scipy(panel(g), a, b, epsabs, limit) == ier
 
     @pytest.mark.parametrize("limit", [1, 2, 3, 7, 20])
     def test_small_limits(self, limit):
         for g in (lambda t: math.sin(1.0 / t) if t else 0.0,
                   lambda t: 1.0 / math.sqrt(t) if t else 0.0):
-            assert_qags_matches_scipy(g, limit=limit)
+            assert_qags_matches_scipy(panel(g), limit=limit)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(0, 10**6),
