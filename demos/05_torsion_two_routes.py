@@ -8,7 +8,7 @@ constant, and the closed-form integrals they consume are re-derived
 numerically.
 """
 
-from hirzebruch_torsion import chow, torsion
+from hirzebruch_torsion import torsion
 from hirzebruch_torsion.radial import QuadratureConfig
 
 cfg = QuadratureConfig()
@@ -26,14 +26,13 @@ for n in (0, 1, 2, 3, 5):
 
 print("\nThe fibration torsion form is the base-line torsion for every n:")
 for n in (0, 4, 12):
-    c1_relative = chow.arithmetic_chern_classes(n).c1_relative
-    print(f"  n={n:<3d}: {chow.torsion_form(c1_relative)}")
+    print(f"  n={n:<3d}: {torsion.Surface(n).torsion_form}")
 
 print("\nQuadrature cross-check of the fibration route:")
 for n in (1, 4):
-    res = torsion.main_theorem(n)
-    tors = chow.torsion_form(chow.arithmetic_chern_classes(n).c1_relative)
-    quad = torsion.bb_quadrature_float(n, tors, cfg)
+    surface = torsion.Surface(n)
+    res = torsion.main_theorem(surface)
+    quad = torsion.bb_quadrature_float(surface, cfg)
     print(f"  n={n}: exact {res.tau_float:.12f}  quadrature-assembled {quad:.12f}  "
           f"difference {abs(res.tau_float - quad):.2e}")
 

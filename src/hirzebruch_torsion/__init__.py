@@ -19,7 +19,7 @@ _EXPORTS = {
     "NamedIntegral": "torsion", "TorsionResult": "torsion", "VerificationReport": "torsion",
     "height": "chow", "main_theorem": "torsion", "named_integrals": "torsion",
     "tau_p1": "torsion", "tau_route_bb": "torsion", "tau_route_rr": "torsion",
-    "verify_all": "torsion",
+    "Surface": "torsion", "verify_all": "torsion",
 }
 
 __version__ = "0.1.0"

@@ -361,20 +361,6 @@ def _analytic_product(f: FormT, df: Optional[FormT], g: FormT, dg: Optional[Form
     return Fraction(1, 2) * (_product(df, g) + _product(dg, f))
 
 
-def omega_image(c: ChowClass) -> List[Tuple[ExactConstant, FormT]]:
-    """Curvature image of a class: generator curvatures plus dd^c of a-parts."""
-    out: List[Tuple[ExactConstant, FormT]] = []
-    for mono, coeff in c.poly.items():
-        form = _mono_curvature(c.n, c.variety, mono)
-        if form is not None:
-            out.append((coeff, form))
-    for (_, atom), form in c.forms.items():
-        d = _ddc(form, c.n)
-        if d:
-            out.append((ExactConstant.atom(atom), d))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Rewriting
 # ---------------------------------------------------------------------------

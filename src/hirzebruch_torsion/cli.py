@@ -293,10 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="quadrature scheme")
 
     def add_n_flags(p, with_max=False):
-        p.add_argument("--n", type=int, help="ruling index")
-        p.add_argument("--n-list", help="comma-separated ruling indices")
+        group = p.add_mutually_exclusive_group()  # a conflict exits 2
+        group.add_argument("--n", type=int, help="ruling index")
+        group.add_argument("--n-list", help="comma-separated ruling indices")
         if with_max:
-            p.add_argument("--n-max", type=int, help="iterate n = 0..n-max")
+            group.add_argument("--n-max", type=int, help="iterate n = 0..n-max")
 
     def add_format_flag(p, default="text"):
         p.add_argument("--format", choices=["text", "csv", "json"], default=default)

@@ -22,14 +22,15 @@ against).  Every named integral's exact mass, derived from its normal form,
 is re-derived by half-line quadrature; the report machinery records name,
 exact value, quadrature value, discrepancy, and verdict for each.  The
 height pipelines live in chow, which the height command loads without this
-module; height is bound here by import.
+module; height is bound here by import.  Each check takes a ruling index
+or its Surface record, and every check of one index reads one record.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import chow, forms
@@ -64,12 +65,48 @@ def _rat(q) -> ExactConstant:
     return ExactConstant.rational(q)
 
 
-def log_np1(n: int) -> ExactConstant:
-    return log_rational(n + 1)
-
-
 def closed_height(n: int) -> Fraction:
     return Fraction(2 * n * n + 9 * n + 12, 4)
+
+
+class Surface:
+    """What the checks of one ruling index n read, each derived once: the
+    forms, the top generator alpha^2/(n+2) and the volume (the squared L2
+    norm of 1) on construction; the classes, the torsion form and the
+    secondary Todd parts on first use.  No record outlives its call."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.alpha = forms.alpha_form(n)
+        self.base = forms.base_form(n)
+        self.omega_h = forms.omega_H(n)
+        self.c1 = forms.c1_total(n)
+        self.c1_rel = forms.c1_rel(n)
+        self.volume_form = Fraction(1, 2) * forms.wedge(self.alpha, self.alpha)
+        self.top = Fraction(2, n + 2) * self.volume_form
+        self.vol = _rational(self.volume_form.total_integral, "the volume", n)
+
+    @cached_property
+    def chern_classes(self) -> ChernClasses:
+        return chow.arithmetic_chern_classes(self.n)
+
+    @cached_property
+    def torsion_form(self) -> ExactConstant:
+        return chow.torsion_form(self.chern_classes.c1_relative)
+
+    @cached_property
+    def secondary_todd_parts(self) -> Tuple[Form22, Form22, Form22]:
+        """The three integrands of the secondary Todd class of the two
+        fibration metrics: 4 log R alpha ^ base, c1 ^ (log R c1_rel) and
+        c1 ^ (secondary class); the secondary Todd form is their sum over 24."""
+        log_ratio = forms.log_R(self.n)
+        return (4 * log_ratio * forms.wedge(self.alpha, self.base),
+                log_ratio * forms.wedge(self.c1, self.c1_rel),
+                forms.wedge(self.c1, forms.bott_chern_c2(self.n)))
+
+
+def _surface(n: Union[int, Surface]) -> Surface:
+    return n if isinstance(n, Surface) else Surface(n)
 
 
 # ---------------------------------------------------------------------------
@@ -138,45 +175,29 @@ class NamedIntegral(VerificationEntry):
         return self.computed
 
 
-def secondary_todd_parts(n: int) -> Tuple[Form22, Form22, Form22]:
-    """The three integrands of the secondary Todd class of the two fibration
-    metrics: 4 log R alpha ^ base, c1 ^ (log R c1_rel) and c1 ^ (secondary
-    class); the secondary Todd form is their sum over 24."""
-    log_ratio = forms.log_R(n)
-    c1 = forms.c1_total(n)
-    return (4 * log_ratio * forms.wedge(forms.alpha_form(n), forms.base_form(n)),
-            log_ratio * forms.wedge(c1, forms.c1_rel(n)),
-            forms.wedge(c1, forms.bott_chern_c2(n)))
-
-
-def _integrand_table(n: int) -> List[Tuple[str, Union[Form22, Radial]]]:
-    al = forms.alpha_form(n)
-    c1 = forms.c1_total(n)
-    bb_first, c1_c1r_logR, c1_bc = secondary_todd_parts(n)
-    c1_bc_total = c1_bc + c1_c1r_logR
-    return [
-        ("halfline_inverse_cube", Radial.term(a=1, k=3)),
-        ("fiber_mass_relative_form", forms.omega_form(n).fphi),
-        ("relative_form_wedge_alpha", forms.wedge(forms.omega_form(n), al)),
-        ("alpha_wedge_base", forms.wedge(al, forms.base_form(n))),
-        ("surface_volume", forms.volume_form(n)),
-        ("c1_c1rel_log_ratio", c1_c1r_logR),
-        ("c1_bott_chern_c2", c1_bc),
-        ("bb_first_term", bb_first),
-        ("c1_bott_chern_total", c1_bc_total),
-        ("bb_todd_total", Fraction(1, 24) * (bb_first + c1_bc_total)),
-        ("c1_squared", forms.wedge(c1, c1)),
-        ("c1rel_squared", forms.wedge(forms.c1_rel(n), forms.c1_rel(n))),
-    ]
-
-
-def named_integrals(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> List[NamedIntegral]:
+def named_integrals(n: Union[int, Surface],
+                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> List[NamedIntegral]:
     """Quadrature every displayed integral against its exact mass."""
+    s = _surface(n)
+    n, al = s.n, s.alpha
+    bb_first, c1_c1r_logR, c1_bc = s.secondary_todd_parts
+    c1_bc_total = c1_bc + c1_c1r_logR
     out = []
-    for name, integrand in _integrand_table(n):
-        profile = integrand.g if isinstance(integrand, Form22) else integrand
-        value = integrate_halfline(profile, cfg, name=f"{name}, n={n}")
-        out.append(NamedIntegral(name, n, profile.mass, value, cfg.pass_tol))
+    for name, integrand in (
+            ("halfline_inverse_cube", Radial.term(a=1, k=3)),
+            ("fiber_mass_relative_form", forms.omega_form(n).fphi),
+            ("relative_form_wedge_alpha", forms.wedge(forms.omega_form(n), al).g),
+            ("alpha_wedge_base", forms.wedge(al, s.base).g),
+            ("surface_volume", s.volume_form.g),
+            ("c1_c1rel_log_ratio", c1_c1r_logR.g),
+            ("c1_bott_chern_c2", c1_bc.g),
+            ("bb_first_term", bb_first.g),
+            ("c1_bott_chern_total", c1_bc_total.g),
+            ("bb_todd_total", Fraction(1, 24) * (bb_first + c1_bc_total).g),
+            ("c1_squared", forms.wedge(s.c1, s.c1).g),
+            ("c1rel_squared", forms.wedge(s.c1_rel, s.c1_rel).g)):
+        value = integrate_halfline(integrand, cfg, name=f"{name}, n={n}")
+        out.append(NamedIntegral(name, n, integrand.mass, value, cfg.pass_tol))
     return out
 
 
@@ -226,29 +247,18 @@ def closed_tau_p1() -> ExactConstant:
         - ExactConstant.atom(ZETA_PRIME_M1, 4) - ExactConstant.atom(ZETA_M1, 2)
 
 
-# ---------------------------------------------------------------------------
-# L2 covolumes of the harmonic generators
-# ---------------------------------------------------------------------------
-
-
-def _volume(n: int) -> Fraction:
-    """The volume of the surface, the squared L2 norm of the function 1."""
-    return _rational(forms.volume_form(n).total_integral, "the volume", n)
-
-
-def _l2_covolumes_sq(n: int, vol: Fraction) -> Tuple[Fraction, Fraction, Fraction]:
+def _l2_covolumes_sq(s: Surface) -> Tuple[Fraction, Fraction, Fraction]:
     """Squared L2 covolumes of the harmonic generators of the three twists,
-    each from exact L2 pairings: the volume vol, the Gram determinant of
+    each from exact L2 pairings: the volume, the Gram determinant of
     (harmonic base class, alpha), and the norm of alpha^2/(n+2)."""
-    al, w_h = forms.alpha_form(n), forms.omega_H(n)
-    top = Fraction(1, n + 2) * forms.wedge(al, al)
+    al, w_h = s.alpha, s.omega_h
 
     def pairing(a, b, what: str) -> Fraction:
-        return _rational(forms.l2_pairing(a, b).total_integral, f"L2 pairing {what}", n)
+        return _rational(forms.l2_pairing(a, b).total_integral, f"L2 pairing {what}", s.n)
 
     gram = pairing(w_h, w_h, "<w_H, w_H>") * pairing(al, al, "<alpha, alpha>") \
         - pairing(w_h, al, "<w_H, alpha>") ** 2
-    return vol, gram, pairing(top, top, "<alpha^2/(n+2), alpha^2/(n+2)>")
+    return s.vol, gram, pairing(s.top, s.top, "<alpha^2/(n+2), alpha^2/(n+2)>")
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +295,17 @@ def _todd_character_products(cc: ChernClasses) -> Tuple[ChowClass, List[ChowClas
     return c1, [td, middle, top]
 
 
-def tau_route_rr(cc: ChernClasses,
-                 vol: Fraction) -> Tuple[ExactConstant, ExactConstant, ExactConstant]:
+def tau_route_rr(n: Union[int, Surface]) -> Tuple[ExactConstant, ExactConstant, ExactConstant]:
     """Torsion triple (untwisted, middle twist, top twist) via the direct
-    route, from the Chern classes cc of one ruling index and its volume vol.
+    route, from the Chern classes and the volume of one ruling index.
 
     Each twist solves its determinant-line identity against its own L2
     covolume, the degree of its degree-3 selection and its genus correction.
     The selections are checked as well: the middle one vanishes and the top
     one is the negative of the untwisted one.
     """
-    c1, products = _todd_character_products(cc)
+    s = _surface(n)
+    c1, products = _todd_character_products(s.chern_classes)
     sel0, sel1, sel2 = (p.degree_part(3) for p in products)
     if not sel1.is_zero:
         raise PipelineInconsistency(
@@ -305,12 +315,12 @@ def tau_route_rr(cc: ChernClasses,
             "top-twist selection is not the negative of the untwisted one")
     c1_one = _c1_times_one(c1)
     return tuple(_direct_tau(log_rational(q), product, c1_one)
-                 for q, product in zip(_l2_covolumes_sq(cc.n, vol), products))
+                 for q, product in zip(_l2_covolumes_sq(s), products))
 
 
-def tau_route_bb(cc: ChernClasses, vol: Fraction) -> ExactConstant:
-    """Torsion via the fibration route, from the Chern classes cc of one
-    ruling index and its volume vol: compare the two determinant-line
+def tau_route_bb(n: Union[int, Surface]) -> ExactConstant:
+    """Torsion via the fibration route, from the fibration torsion form and
+    the volume of one ruling index: compare the two determinant-line
     metrics through the ruling.
 
     log |sigma|^2 = tau(base) - tau(surface) + log Vol equals minus the
@@ -318,23 +328,22 @@ def tau_route_bb(cc: ChernClasses, vol: Fraction) -> ExactConstant:
     Todd total, the exact mass of the secondary Todd form; solve for the
     surface torsion.
     """
-    n = cc.n
-    tors = chow.torsion_form(cc.c1_relative)
+    s = _surface(n)
     base_todd_mass = _rat(1)
-    first, second, third = secondary_todd_parts(n)
+    first, second, third = s.secondary_todd_parts
     bc_total = (first + second + third).total_integral.scale(Fraction(1, 24))
-    return tau_p1() + log_rational(vol) + tors * base_todd_mass - bc_total
+    return tau_p1() + log_rational(s.vol) + s.torsion_form * base_todd_mass - bc_total
 
 
-def bb_quadrature_float(n: int, tors: ExactConstant,
+def bb_quadrature_float(n: Union[int, Surface],
                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """The fibration-route value from the fibration torsion form tors of the
-    ruling index n, with its two integrals done by quadrature."""
-    first, c1_c1r_logR, c1_bc = secondary_todd_parts(n)
-    bc_total = (integrate_halfline(first.g, cfg, name=f"bb_first_term, n={n}")
+    """The fibration-route value with its two integrals done by quadrature."""
+    s = _surface(n)
+    first, c1_c1r_logR, c1_bc = s.secondary_todd_parts
+    bc_total = (integrate_halfline(first.g, cfg, name=f"bb_first_term, n={s.n}")
                 + integrate_halfline((c1_bc + c1_c1r_logR).g, cfg,
-                                     name=f"c1_bott_chern_total, n={n}")) / 24.0
-    return tau_p1().to_float() + math.log(_volume(n)) + tors.to_float() - bc_total
+                                     name=f"c1_bott_chern_total, n={s.n}")) / 24.0
+    return tau_p1().to_float() + math.log(s.vol) + s.torsion_form.to_float() - bc_total
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +366,7 @@ class TorsionResult(NamedTuple):
 def closed_main_value(n: int) -> ExactConstant:
     """tau - log Vol = n log(n+1)/24 - n/6 + 2 tau(base line), the stated
     main identity."""
-    return log_np1(n).scale(Fraction(n, 24)) + _rat(Fraction(-n, 6)) \
+    return log_rational(n + 1).scale(Fraction(n, 24)) + _rat(Fraction(-n, 6)) \
         + closed_tau_p1().scale(2)
 
 
@@ -367,12 +376,13 @@ def closed_tau(n: int) -> ExactConstant:
     return closed_main_value(n) + log_rational(Fraction(n + 2, 2))
 
 
-def main_theorem(n: int) -> TorsionResult:
-    """Both routes from one build of the Chern classes and one derivation of
-    the volume, exact equality asserted, plus the stated main identity."""
-    cc, vol = chow.arithmetic_chern_classes(n), _volume(n)
-    tau_rr, tau1, tau2 = tau_route_rr(cc, vol)
-    tau_bb = tau_route_bb(cc, vol)
+def main_theorem(n: Union[int, Surface]) -> TorsionResult:
+    """Both routes from one record, so from one build of the Chern classes
+    and one volume, exact equality asserted, plus the stated main identity."""
+    s = _surface(n)
+    n = s.n
+    tau_rr, tau1, tau2 = tau_route_rr(s)
+    tau_bb = tau_route_bb(s)
     if tau_rr != tau_bb:
         raise PipelineInconsistency(
             f"routes disagree at n={n}: direct {tau_rr} vs fibration {tau_bb}")
@@ -380,12 +390,12 @@ def main_theorem(n: int) -> TorsionResult:
     if tau_rr != tau_closed:
         raise PipelineInconsistency(
             f"torsion at n={n} differs from its closed form: {tau_rr}")
-    main_value = tau_rr - log_rational(vol)
+    main_value = tau_rr - log_rational(s.vol)
     if main_value != closed_main_value(n):
         raise PipelineInconsistency(f"main identity failed at n={n}")
     return TorsionResult(n=n, tau_closed=tau_closed, tau_rr=tau_rr,
                          tau_bb=tau_bb, tau_omega1=tau1, tau_omega2=tau2,
-                         tau_float=tau_rr.to_float(), vol=vol,
+                         tau_float=tau_rr.to_float(), vol=s.vol,
                          main_theorem_value=main_value)
 
 
@@ -408,20 +418,21 @@ def _identity(name: str, n: int, *sides) -> VerificationEntry:
                              passed=all(lhs == rhs for rhs in rest))
 
 
-def appendix_checks(n: int) -> List[VerificationEntry]:
+def appendix_checks(n: Union[int, Surface]) -> List[VerificationEntry]:
     """The contraction and curvature identities, as equalities of normal forms."""
+    s = _surface(n)
+    n, al = s.n, s.alpha
     u = Radial.term(j=1)
     dh = forms.ratio_R(n).derivative()
-    al = forms.alpha_form(n)
     return [
         _identity("contraction_of_base_form", n,
-                  forms.lambda_contract(forms.base_form(n)),
+                  forms.lambda_contract(s.base),
                   Radial.term(a=n + 1, k=1) + Radial.term(j=1, a=n + 1, k=1)),
         _identity("contraction_of_ddc_log_ratio", n,
                   forms.lambda_contract(forms.ddc_log_R(n)),
                   Radial.term(n, a=n + 1, k=1) - Radial.term(n, j=1, a=n + 1, k=1)),
         _identity("contraction_of_harmonic_combination", n,
-                  (n + 2) * forms.lambda_contract(forms.omega_H(n)), Radial.term(2)),
+                  (n + 2) * forms.lambda_contract(s.omega_h), Radial.term(2)),
         _identity("degree2_relation_pointwise", n,
                   2 * al.fx * al.fphi - (n + 2) * al.fphi,
                   -(dh + u * dh.derivative()),
@@ -429,13 +440,13 @@ def appendix_checks(n: int) -> List[VerificationEntry]:
     ]
 
 
-def hodge_l2_checks(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
+def hodge_l2_checks(n: Union[int, Surface], cfg: QuadratureConfig = DEFAULT_CONFIG,
                     tol: float = 1e-8) -> List[VerificationEntry]:
     """Star identities, decided exactly, and harmonic-generator norms against
     their exact values."""
-    al = forms.alpha_form(n)
-    w_h = forms.omega_H(n)
-    probe = forms.combine(n, [(Fraction(1, 3), al), (Fraction(-2), forms.base_form(n)),
+    s = _surface(n)
+    n, al, w_h = s.n, s.alpha, s.omega_h
+    probe = forms.combine(n, [(Fraction(1, 3), al), (Fraction(-2), s.base),
                               (Fraction(1, 7), forms.ddc_log_R(n))])
     entries = [
         _identity("star_fixes_alpha", n, forms.hodge_star(al), al),
@@ -448,13 +459,12 @@ def hodge_l2_checks(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
     def quadrature(name: str, density: Form22) -> float:
         return integrate_halfline(density.g, cfg, name=f"{name}, n={n}")
 
-    top = Fraction(1, n + 2) * forms.wedge(al, al)
     primitive = forms.combine(n, [(Fraction(1), w_h), (Fraction(-1, n + 2), al)])
     for name, density in (
             ("norm_sq_alpha", forms.l2_pairing(al, al)),
             ("norm_sq_harmonic_base_class", forms.l2_pairing(w_h, w_h)),
-            ("norm_sq_h0_generator", forms.volume_form(n)),
-            ("norm_sq_top_generator", forms.l2_pairing(top, top)),
+            ("norm_sq_h0_generator", s.volume_form),
+            ("norm_sq_top_generator", forms.l2_pairing(s.top, s.top)),
             ("harmonic_base_class_squared", forms.wedge(w_h, w_h)),
             ("primitive_part_orthogonal_to_alpha", forms.l2_pairing(al, primitive))):
         entries.append(VerificationEntry(name, n, density.total_integral,
@@ -468,21 +478,20 @@ def hodge_l2_checks(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
     return entries
 
 
-def route_checks(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
+def route_checks(n: Union[int, Surface], cfg: QuadratureConfig = DEFAULT_CONFIG,
                  tol: float = 1e-8) -> List[VerificationEntry]:
-    """Exact route agreement plus the numeric cross-checks of both pipelines;
-    main_theorem builds its own Chern classes and the rows below one more,
-    whose torsion form serves both its exact row and the quadrature row."""
-    res = main_theorem(n)
-    cc = chow.arithmetic_chern_classes(n)
-    tors = chow.torsion_form(cc.c1_relative)
+    """Exact route agreement plus the numeric cross-checks of both pipelines,
+    from the record that main_theorem reads: its Chern classes serve the
+    c1*c2 row, and its torsion form the exact row and the quadrature row."""
+    s = _surface(n)
+    n, res, tors = s.n, main_theorem(s), s.torsion_form
     h = height(n)
-    c1c2 = chow.mul(cc.c1_tangent, cc.c2_tangent)
+    c1c2 = chow.mul(s.chern_classes.c1_tangent, s.chern_classes.c2_tangent)
     return [
         VerificationEntry("route_equality_exact", n, res.tau_rr, res.tau_bb.to_float(),
                           0.0, passed=res.tau_rr == res.tau_bb),
         VerificationEntry("fibration_route_quadrature", n, res.tau_bb,
-                          bb_quadrature_float(n, tors, cfg), tol),
+                          bb_quadrature_float(s, cfg), tol),
         VerificationEntry("c1c2_product_quadrature", n, chow.pushforward_deg(c1c2),
                           chow.pushforward_deg_numeric(
                               c1c2, cfg, name=f"c1c2_product_quadrature, n={n}"),
@@ -540,15 +549,16 @@ class VerificationReport:
 
 def verify_all(ns: Sequence[int], cfg: QuadratureConfig = DEFAULT_CONFIG,
                tol: float = 1e-8, height_range: int = 20) -> VerificationReport:
-    """The full invariant suite over a list of ruling indices."""
+    """The full invariant suite over a list of ruling indices, one record each."""
     entries: List[VerificationEntry] = []
     for n in ns:
-        entries.extend(named_integrals(n, cfg))
-        entries.extend(appendix_checks(n))
-        entries.extend(hodge_l2_checks(n, cfg, tol))
+        s = Surface(n)
+        entries.extend(named_integrals(s, cfg))
+        entries.extend(appendix_checks(s))
+        entries.extend(hodge_l2_checks(s, cfg, tol))
         entries.append(_identity("quotient_metric_equals_alpha_fiber", n,
-                                 forms.quotient_metric(), forms.alpha_form(n).fphi))
-        entries.extend(route_checks(n, cfg, tol))
+                                 forms.quotient_metric(), s.alpha.fphi))
+        entries.extend(route_checks(s, cfg, tol))
     for n in range(height_range + 1):
         target = closed_height(n)
         # the pipeline farther from the target (the first on a tie) is shown
@@ -568,8 +578,9 @@ def table_rows(ns: Sequence[int], cfg: QuadratureConfig = DEFAULT_CONFIG) -> Lis
     """One row per ruling index: height, torsion, main value, discrepancies."""
     rows = []
     for n in ns:
-        res = main_theorem(n)
-        integrals = named_integrals(n, cfg)
+        s = Surface(n)
+        res = main_theorem(s)
+        integrals = named_integrals(s, cfg)
         rows.append({
             "n": n,
             "height": height(n),

@@ -7,7 +7,8 @@ ring, the direct-route torsion from its determinant-line identities, and the
 L2 norms and covolumes from exact L2 pairings.  The functions below are the
 hand-written values the package used before it derived them; the tests check
 the derivations against them.
-They call no `closed_*` function of the package.
+They call no `closed_*` function of the package.  The curvature image of a
+class, which only the tests read, lives here too.
 
 The interpretive evaluator at the end is the loop that read a radial
 function's float plan term by term before the package generated a kernel
@@ -229,6 +230,25 @@ def graded_product(td: Sequence[ChowClass], ch: Sequence[ChowClass], k: int) -> 
 
 def height(n: int) -> Fraction:
     return Fraction(2 * n * n + 9 * n + 12, 4)
+
+
+# ---------------------------------------------------------------------------
+# Curvature images
+# ---------------------------------------------------------------------------
+
+
+def omega_image(c: ChowClass) -> List[Tuple[ExactConstant, chow.FormT]]:
+    """Curvature image of a class: generator curvatures plus dd^c of a-parts."""
+    out: List[Tuple[ExactConstant, chow.FormT]] = []
+    for mono, coeff in c.poly.items():
+        form = chow._mono_curvature(c.n, c.variety, mono)
+        if form is not None:
+            out.append((coeff, form))
+    for (_, atom), form in c.forms.items():
+        d = chow._ddc(form, c.n)
+        if d:
+            out.append((ExactConstant.atom(atom), d))
+    return out
 
 
 # ---------------------------------------------------------------------------

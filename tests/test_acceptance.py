@@ -40,7 +40,7 @@ def test_criterion_2_main_theorem_both_routes():
     ok = True
     for n in range(0, 21):
         res = torsion.main_theorem(n)
-        stated = torsion.log_np1(n).scale(Fraction(n, 24)) \
+        stated = log_rational(n + 1).scale(Fraction(n, 24)) \
             + ExactConstant.rational(Fraction(-n, 6)) \
             + torsion.closed_tau_p1().scale(2)
         ok = ok and res.tau_rr == res.tau_bb
@@ -128,8 +128,7 @@ def test_criterion_8_quotient_metric_ratio():
 def test_criterion_9_twisted_torsion():
     ok = True
     for n in (0, 1, 2, 5, 10, 20):
-        tau, tau1, tau2 = torsion.tau_route_rr(chow.arithmetic_chern_classes(n),
-                                               torsion._volume(n))
+        tau, tau1, tau2 = torsion.tau_route_rr(n)
         ok = ok and tau1 == ExactConstant.zero() and tau2 == -tau
     _verdict("9 (middle twist zero, top twist sign-flipped, exact)", ok)
 

@@ -21,7 +21,6 @@ from hirzebruch_torsion.chow import (
     gen_alpha,
     gen_x,
     mul,
-    omega_image,
     pushforward_base,
     pushforward_deg,
     pushforward_deg_numeric,
@@ -308,8 +307,8 @@ class TestOmegaCompatibility:
         lhs = sub(ChowClass(n, SURFACE, {(0, 2): ec(1)}),
                   scale(n + 2, ChowClass(n, SURFACE, {(1, 1): ec(1)})))
         rhs = a_class(n, 1, forms.degree2_relation_rhs(n))
-        lhs_forms = omega_image(lhs)
-        rhs_forms = omega_image(rhs)
+        lhs_forms = oracles.omega_image(lhs)
+        rhs_forms = oracles.omega_image(rhs)
 
         def eval_22(terms, u):
             total = 0.0

@@ -321,7 +321,7 @@ class TestColdImports:
                   "print(len(ht.__all__))\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["24"]
+        assert proc.stdout.split() == ["25"]
 
 
 class TestTanhSinh:
@@ -352,6 +352,19 @@ class TestConfigErrors:
     def test_negative_n(self):
         code, _, _ = run_cli("height", "--n", "-3")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("torsion", "--n", "3", "--n-list", "4"),
+        ("height", "--n", "3", "--n-list", "4"),
+        ("height", "--n", "3", "--n-max", "1"),
+        ("verify", "--n-list", "1,2", "--n-max", "1"),
+        ("table", "--n", "0", "--n-max", "1"),
+    ], ids=["torsion", "height_list", "height_max", "verify", "table"])
+    def test_ruling_index_flags_exclude_each_other(self, argv):
+        # one flag must not silently override another
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert "not allowed with argument" in err and "Traceback" not in err
 
     def test_bad_subcommand(self):
         code, _, _ = run_cli("frobnicate")

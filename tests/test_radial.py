@@ -9,6 +9,7 @@ normal form.
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,8 +186,9 @@ def catalog_radials(n):
     route-3 integrands at n."""
     out = [(f"{name}.{part}", getattr(form, part))
            for name, form in forms.catalog(n).items() for part in ("fx", "fphi")]
-    for name, integrand in torsion._integrand_table(n):
-        out.append((name, integrand if isinstance(integrand, Radial) else integrand.g))
+    with mock.patch.object(torsion, "integrate_halfline",
+                           lambda f, cfg, name: out.append((name, f)) or 0.0):
+        torsion.named_integrals(n)
     return out
 
 

@@ -16,7 +16,6 @@ from hirzebruch_torsion.constants import (
     log_2pi,
     log_rational,
 )
-from hirzebruch_torsion.forms import Form22
 from hirzebruch_torsion.radial import RADIAL_ZERO, NonConvergence, QuadratureConfig, Radial
 
 import oracles
@@ -124,16 +123,16 @@ class TestNamedIntegrals:
                       *torsion.route_checks(n, ts)):
                 assert e.passed, ("tanh_sinh", n, e.name, e.abs_error)
 
-    def test_derived_masses_equal_the_closed_forms(self):
+    def test_derived_masses_equal_the_closed_forms(self, monkeypatch):
         # the exact mass of each integrand, derived from its normal form,
-        # against its typed-in closed form
+        # against its typed-in closed form; no quadrature is run
+        monkeypatch.setattr(torsion, "integrate_halfline", lambda f, cfg, name: 0.0)
         for n in list(range(51)) + [10**3, 10**6]:
             closed = oracles.integral_closed_forms(n)
-            table = torsion._integrand_table(n)
-            assert [name for name, _ in table] == list(closed)
-            for name, integrand in table:
-                profile = integrand.g if isinstance(integrand, Form22) else integrand
-                assert profile.mass == closed[name], (n, name)
+            table = torsion.named_integrals(n, CFG)
+            assert [m.name for m in table] == list(closed)
+            for m in table:
+                assert m.expected == closed[m.name], (n, m.name)
 
     def test_names_stable(self):
         names = [m.name for m in torsion.named_integrals(1, CFG)]
@@ -152,7 +151,7 @@ class TestQuillenData:
     @pytest.mark.parametrize("n", [0, 1, 4, 9])
     def test_exact_values(self, n):
         vol, gram, top_sq = oracles.l2_covolumes_sq(n)
-        assert torsion._l2_covolumes_sq(n, torsion._volume(n)) == (vol, gram, top_sq)
+        assert torsion._l2_covolumes_sq(torsion.Surface(n)) == (vol, gram, top_sq)
         assert gram == 1
         al, w_h = forms.alpha_form(n), forms.omega_H(n)
         assert forms.l2_pairing(al, al).total_integral == n + 2
@@ -166,20 +165,19 @@ class TestQuillenData:
         res = torsion.main_theorem(n)
         vol = oracles.l2_covolumes_sq(n)[0]
         assert res.vol == vol
-        tau = torsion.tau_route_rr(chow.arithmetic_chern_classes(n), torsion._volume(n))[0]
+        tau = torsion.tau_route_rr(n)[0]
         assert log_rational(vol) - tau == -res.main_theorem_value
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(0, 10**6))
     def test_derived_covolumes(self, n):
-        assert torsion._l2_covolumes_sq(n, torsion._volume(n)) == oracles.l2_covolumes_sq(n)
+        assert torsion._l2_covolumes_sq(torsion.Surface(n)) == oracles.l2_covolumes_sq(n)
 
     def test_a_pairing_that_is_not_rational_is_refused(self, monkeypatch):
-        n = 3
-        monkeypatch.setattr(forms, "l2_pairing",
-                            lambda a, b: torsion.secondary_todd_parts(n)[0])
+        s = torsion.Surface(3)
+        monkeypatch.setattr(forms, "l2_pairing", lambda a, b: s.secondary_todd_parts[0])
         with pytest.raises(PipelineInconsistency, match="not rational"):
-            torsion._l2_covolumes_sq(n, Fraction(n + 2, 2))
+            torsion._l2_covolumes_sq(s)
 
 
 class TestRoutes:
@@ -187,7 +185,7 @@ class TestRoutes:
     def test_equality_and_main_identity(self, n):
         res = torsion.main_theorem(n)
         assert res.tau_rr == res.tau_bb == res.tau_closed
-        stated = torsion.log_np1(n).scale(Fraction(n, 24)) \
+        stated = log_rational(n + 1).scale(Fraction(n, 24)) \
             + ExactConstant.rational(Fraction(-n, 6)) \
             + torsion.closed_tau_p1().scale(2)
         assert res.main_theorem_value == stated
@@ -224,8 +222,7 @@ class TestRoutes:
 
     def test_duality(self):
         for n in (0, 1, 5, 12):
-            tau, tau1, tau2 = torsion.tau_route_rr(chow.arithmetic_chern_classes(n),
-                                                   torsion._volume(n))
+            tau, tau1, tau2 = torsion.tau_route_rr(n)
             assert tau1 == ExactConstant.zero()
             assert tau2 == -tau
 
@@ -245,8 +242,7 @@ class TestRoutes:
     def test_float_crosschecks(self, n):
         res = torsion.main_theorem(n)
         assert res.tau_rr.to_float() == res.tau_bb.to_float()
-        tors = chow.torsion_form(chow.arithmetic_chern_classes(n).c1_relative)
-        assert torsion.bb_quadrature_float(n, tors, CFG) == pytest.approx(
+        assert torsion.bb_quadrature_float(n, CFG) == pytest.approx(
             res.tau_float, abs=1e-8)
 
     def test_route_check_entries_pass(self):
@@ -255,7 +251,7 @@ class TestRoutes:
 
     def test_each_n_builds_its_chern_classes_once(self, monkeypatch):
         # main_theorem passes one build down to both routes; route_checks
-        # builds one more for its c1*c2 row and its torsion form
+        # reads the same record for its c1*c2 row and its torsion form
         builds = []
         build = chow.arithmetic_chern_classes
 
@@ -268,11 +264,11 @@ class TestRoutes:
         assert builds == [3]
         builds.clear()
         torsion.route_checks(3, CFG)
-        assert 0 < len(builds) <= 2
+        assert builds == [3]
 
-    def test_route_checks_derive_the_torsion_form_twice(self, monkeypatch):
-        # once in main_theorem's fibration route, once for the rows, whose
-        # quadrature value reuses it
+    def test_route_checks_derive_the_torsion_form_once(self, monkeypatch):
+        # in main_theorem's fibration route, and the rows read it from the
+        # same record, their quadrature value included
         derivations = []
         derive = chow.torsion_form
 
@@ -282,7 +278,27 @@ class TestRoutes:
 
         monkeypatch.setattr(chow, "torsion_form", counted)
         torsion.route_checks(3, CFG)
-        assert derivations == [3, 3]
+        assert derivations == [3]
+
+    @pytest.mark.parametrize("n", [0, 7, 57])
+    def test_verify_derives_each_n_once(self, n, monkeypatch):
+        # every check of n reads one record: one build of the classes, the
+        # torsion form, c1 and the harmonic base class; alpha is built 48
+        # times when each check derives n again
+        calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: calls.append(name) or fn(*args))
+
+        for name in ("arithmetic_chern_classes", "torsion_form"):
+            counted(chow, name)
+        for name in ("c1_total", "omega_H", "alpha_form"):
+            counted(forms, name)
+        torsion.verify_all([n], CFG, height_range=0)
+        for name in ("arithmetic_chern_classes", "torsion_form", "c1_total", "omega_H"):
+            assert calls.count(name) == 1, (name, calls.count(name))
+        assert calls.count("alpha_form") < 24
 
 
 class TestIndependence:
@@ -298,9 +314,9 @@ class TestIndependence:
         for name in ("closed_tau", "closed_main_value", "closed_tau_p1", "closed_height"):
             monkeypatch.setattr(torsion, name, refuse)
         want = oracles.tau_route_rr(n)
-        cc, vol = chow.arithmetic_chern_classes(n), torsion._volume(n)
-        assert torsion.tau_route_rr(cc, vol) == want
-        assert torsion.tau_route_bb(cc, vol) == want[0]
+        s = torsion.Surface(n)
+        assert torsion.tau_route_rr(s) == want
+        assert torsion.tau_route_bb(s) == want[0]
         assert torsion.tau_p1() == oracles.tau_p1()
         assert torsion.height(n) == oracles.height(n)
 
@@ -311,8 +327,7 @@ class TestIndependence:
         assert genus == torsion.R_GENUS_DEGREE1.scale(4)
         assert genus_terms(n) == (genus, ExactConstant.zero(), -genus)
         tau = oracles.tau_route_rr(n)[0]
-        cc = chow.arithmetic_chern_classes(n)
-        assert torsion.tau_route_rr(cc, torsion._volume(n)) == (tau, ExactConstant.zero(), -tau)
+        assert torsion.tau_route_rr(n) == (tau, ExactConstant.zero(), -tau)
 
 
 class TestHeights:
@@ -394,8 +409,8 @@ class TestGridAndHodgeSweeps:
         with pytest.raises(NonConvergence, match=r"^norm_sq_alpha, n=3: "):
             torsion.hodge_l2_checks(3, CFG)
         with pytest.raises(NonConvergence, match=r"^bb_first_term, n=3: "):
-            torsion.bb_quadrature_float(3, torsion.tau_p1(), CFG)
-        monkeypatch.setattr(torsion, "bb_quadrature_float", lambda n, tors, cfg: 0.0)
+            torsion.bb_quadrature_float(3, CFG)
+        monkeypatch.setattr(torsion, "bb_quadrature_float", lambda s, cfg: 0.0)
         with pytest.raises(NonConvergence, match=r"^c1c2_product_quadrature, n=3: "):
             torsion.route_checks(3, CFG)
 
