@@ -12,7 +12,7 @@ by adaptive quadrature on the half-line.
 # process loads only the modules it runs.
 _EXPORTS = {
     "ConstantAtom": "constants", "ExactConstant": "constants", "log_rational": "constants",
-    "DomainError": "radial", "NonConvergence": "radial", "QuadratureConfig": "radial",
+    "DomainError": "radial", "NonConvergence": "settings", "QuadratureConfig": "settings",
     "Radial": "radial", "VerificationEntry": "torsion", "integrate_halfline": "radial",
     "Form11": "forms", "Form22": "forms",
     "ChowClass": "chow", "PipelineInconsistency": "chow",

@@ -12,10 +12,11 @@ model (arithmetic dimension 2).
 
 The analytic part is held as one form per degree and constant atom, summed
 in the normal form of the coefficients, so equally assembled classes have
-equal parts whatever the order of assembly.  In top degree a(g) depends only
-on the mass of g (every exact form integrates to 0), so top-degree parts
-compare by their exact mass.  Classes compare, and test for zero, by
-their normal forms.
+equal parts whatever the order of assembly; a product sums each slot in the
+integer pairs of radial._mul_into and builds its form once.  In top degree
+a(g) depends only on the mass of g (every exact form integrates to 0), so
+top-degree parts compare by their exact mass.  Classes compare, and test
+for zero, by their normal forms.
 
 The rewrite system reduces every polynomial to the normal form with
 exponents at most 1 in each generator:
@@ -47,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from . import forms
+from . import forms, radial
 from .constants import ZETA_M1, ZETA_PRIME_M1, ConstantAtom, ExactConstant, log_2pi
 from .forms import Form11, Form22
 from .radial import (
@@ -301,17 +302,30 @@ def _check_compatible(a: ChowClass, b: ChowClass) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _product(f: FormT, g: FormT) -> Optional[FormT]:
-    """f ^ g for analytic forms; None when it vanishes or exceeds top degree."""
+def _wedge_into(sums: dict, slot, f: FormT, g: FormT, q) -> None:
+    """sums[slot] += q * (f ^ g) within the top degree (see mul for sums)."""
     if isinstance(g, Radial):
         f, g = g, f
-    if isinstance(f, Radial):
-        out = f * g
-    elif isinstance(f, Form11) and isinstance(g, Form11):
-        out = forms.wedge(f, g)
-    else:
-        return None
-    return out or None
+    if isinstance(f, Form11) and isinstance(g, Form11):
+        forms.wedge_into(sums.setdefault(slot, (Form22, [{}]))[1][0], f, g, q)
+    elif isinstance(f, Radial):
+        parts = ((g,) if isinstance(g, Radial) else (g.fx, g.fphi) if isinstance(g, Form11)
+                 else (g.g,))
+        for m, part in zip(sums.setdefault(slot, (type(g), [{} for _ in parts]))[1], parts):
+            radial._mul_into(m, f.terms, part.terms, q)
+
+
+def _built(n: int, kind, maps) -> FormT:
+    parts = [radial.built(m) for m in maps]
+    return parts[0] if kind is Radial else kind(n, *parts)
+
+
+def _product(n: int, *pieces) -> Optional[FormT]:
+    """The form sum q * (f ^ g) over the (f, g, q) pieces, or None when it vanishes."""
+    sums: dict = {}
+    for f, g, q in pieces:
+        _wedge_into(sums, None, f, g, q)
+    return (sums and _built(n, *sums[None])) or None
 
 
 @lru_cache(maxsize=16)
@@ -322,9 +336,9 @@ def _mono_curvature(n: int, variety: str, mono: MonoT) -> Optional[FormT]:
         return (RADIAL_ONE, base_top_form(n), None)[min(i, 2)]
     acc: Optional[FormT] = RADIAL_ONE
     for _ in range(i):
-        acc = acc and _product(acc, forms.base_form(n))
+        acc = acc and _product(n, (acc, forms.base_form(n), 1))
     for _ in range(j):
-        acc = acc and _product(acc, forms.alpha_form(n))
+        acc = acc and _product(n, (acc, forms.alpha_form(n), 1))
     return acc
 
 
@@ -338,27 +352,19 @@ def _ddc(form: FormT, n: int) -> Optional[FormT]:
     return None
 
 
-def _analytic_product(f: FormT, df: Optional[FormT], g: FormT, dg: Optional[FormT],
-                      variety: str) -> Optional[FormT]:
-    """The form of a(f) * a(g) = a(dd^c f ^ g), or None when it vanishes;
-    df and dg are dd^c f and dd^c g, read only when that factor carries dd^c.
-
-    dd^c falls on the lower-degree factor.  In top degree only the mass of
-    the product counts, and by Stokes it is the same whichever factor
-    carries dd^c, so it vanishes with either dd^c.  Two 0-forms give a
-    (1,1)-form: zero when either dd^c vanishes, else the average of the two
-    placements, so that the product commutes.
-    """
-    deg_f, deg_g = _form_degree(f, variety), _form_degree(g, variety)
+def _ddc_wedges(deg_f: int, f: FormT, df: Optional[FormT],
+                deg_g: int, g: FormT, dg: Optional[FormT]) -> tuple:
+    """The (dd^c form, form, weight) wedges that sum to the form of
+    a(f) * a(g) = a(dd^c f ^ g); df and dg are dd^c f and dd^c g, read only
+    when that factor carries dd^c.  dd^c falls on the lower-degree factor:
+    in top degree only the mass counts, by Stokes the same wherever dd^c
+    falls.  Two 0-forms take the mean of both placements (zero unless both
+    carry dd^c), so that the product commutes."""
     if deg_f > deg_g:
         f, df, g, dg, deg_f, deg_g = g, dg, f, df, deg_g, deg_f
-    if deg_f + deg_g > top_degree(variety) or not df:
-        return None
     if deg_f < deg_g:
-        return _product(df, g)
-    if not dg:
-        return None
-    return Fraction(1, 2) * (_product(df, g) + _product(dg, f))
+        return ((df, g, 1),) if df else ()
+    return ((df, g, Fraction(1, 2)), (dg, f, Fraction(1, 2))) if df and dg else ()
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +377,7 @@ def _relation_image(n: int, mono: MonoT) -> Optional[FormT]:
     """The analytic side of the degree-2 relation times the curvature image
     of mono."""
     rest = _mono_curvature(n, SURFACE, mono)
-    return rest and _product(forms.degree2_relation_rhs(n), rest)
+    return rest and _product(n, (forms.degree2_relation_rhs(n), rest, 1))
 
 
 def _trace_step(trace: list, rule: str, before: str, after: str) -> None:
@@ -400,10 +406,8 @@ def reduce(c: ChowClass, trace: Optional[list] = None) -> ChowClass:
                             f"({c.n}+2)*{_render_mono((i + 1, j - 1))} "
                             f"+ a(relation_rhs*{_render_mono((i, j - 2))})")
         elif i >= 2:
-            rest = _mono_curvature(c.n, c.variety, (i - 2, j))
-            if rest is not None:
-                base = base_top_form(c.n) if c.variety == BASE else forms.base_form(c.n)
-                _accumulate(slots, coeff, _product(base, rest), c.variety)
+            # a(base form ^ the image of x^(i-2) a^j), the image of x^(i-1) a^j
+            _accumulate(slots, coeff, _mono_curvature(c.n, c.variety, (i - 1, j)), c.variety)
             if trace is not None:
                 _trace_step(trace, "x_square", _render_mono((i, j)),
                             f"a(base*{_render_mono((i - 2, j))})")
@@ -446,7 +450,9 @@ def mul(a: ChowClass, b: ChowClass, trace: Optional[list] = None,
             coeff = c1 * c2
             prev = poly.get(mono)
             poly[mono] = coeff + prev if prev else coeff
-    slots: Dict[SlotT, FormT] = {}
+    # sums: (degree, atom, atom) -> (form type, one radial._mul_into map per
+    # radial coefficient); the atoms multiply once the form is nonzero
+    sums: dict = {}
     for left, right in ((a, b), (b, a)):
         curvature: Dict[SlotT, FormT] = {}
         for mono, coeff in right.poly.items():
@@ -454,11 +460,8 @@ def mul(a: ChowClass, b: ChowClass, trace: Optional[list] = None,
         for (deg_f, atom_f), form in left.forms.items():
             for (deg_c, atom_c), curv in curvature.items():
                 # a curvature image in slot degree d is a (d-1, d-1)-form
-                if deg_f + deg_c - 1 not in keep:
-                    continue
-                w = _product(form, curv)
-                if w:
-                    _accumulate(slots, _atoms(atom_f, atom_c), w, variety)
+                if deg_f + deg_c - 1 in keep:
+                    _wedge_into(sums, (deg_f + deg_c - 1, atom_f, atom_c), form, curv, 1)
     # dd^c once per form that can carry it: a lower-degree factor of a
     # product within the top degree, so of degree at most top / 2
     ddc_a = {slot: _ddc(f, n) for slot, f in a.forms.items() if 2 * slot[0] <= top}
@@ -468,12 +471,16 @@ def mul(a: ChowClass, b: ChowClass, trace: Optional[list] = None,
         for slot2, f2 in b.forms.items():
             if slot1[0] + slot2[0] not in keep:
                 continue
-            w = _analytic_product(f1, ddc_a.get(slot1), f2, ddc_b.get(slot2), variety)
+            pieces = _ddc_wedges(slot1[0], f1, ddc_a.get(slot1), slot2[0], f2, ddc_b.get(slot2))
+            for f, g, q in pieces:
+                _wedge_into(sums, (slot1[0] + slot2[0], slot1[1], slot2[1]), f, g, q)
+            w = trace is not None and _product(n, *pieces)
             if w:
-                _accumulate(slots, _atoms(slot1[1], slot2[1]), w, variety)
-                if trace is not None:
-                    _trace_step(trace, "analytic_product", f"a({f1!r})*a({f2!r})",
-                                f"a({w!r})")
+                _trace_step(trace, "analytic_product", f"a({f1!r})*a({f2!r})", f"a({w!r})")
+    slots: Dict[SlotT, FormT] = {}
+    for (_, atom_f, atom_g), acc in sums.items():
+        form = _built(n, *acc)
+        _accumulate(slots, form and _atoms(atom_f, atom_g), form, variety)
     return reduce(_assemble(n, variety, poly, slots), trace)
 
 
@@ -643,7 +650,8 @@ def torsion_form(c1_relative: ChowClass) -> ExactConstant:
     td = todd(c1_relative)
     pushed = pushforward_base(td)
 
-    r_class = a_class(n, R_GENUS_DEGREE1, forms.c1_rel(n))
+    rel = forms.c1_rel(n)
+    r_class = a_class(n, R_GENUS_DEGREE1, rel)
     r_pushed = pushforward_base(mul(td, r_class))
 
     result = sub(sub(pushed, r_pushed), unit(n, BASE))
@@ -654,7 +662,7 @@ def torsion_form(c1_relative: ChowClass) -> ExactConstant:
     if not degree2.is_zero:
         raise PipelineInconsistency(
             f"degree-2 part of the torsion form did not vanish: {degree2}")
-    rel_sq = forms.wedge(forms.c1_rel(n), forms.c1_rel(n)).total_integral
+    rel_sq = forms.wedge(rel, rel).total_integral
     if not rel_sq.is_zero:
         raise PipelineInconsistency(
             f"the squared relative class has mass {rel_sq}, not 0")

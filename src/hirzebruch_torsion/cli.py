@@ -9,10 +9,10 @@ such as --n 10**400 for torsion or table), 3 quadrature failed to converge,
 141 the reader closed standard output early (128 + SIGPIPE, as a shell
 reports for a tool stopped by a closed pipe; nothing is printed then).
 
-A process imports only what its command runs: constants and radial (the
-normal form and the quadrature settings, not the rules) for every command;
-forms, chow and torsion where the command uses them (height needs the ring
-but not torsion); the quadrature module (the rules and the evaluation
+A process imports only what its command runs: constants and settings (the
+quadrature settings and the report text of a float) for every command;
+radial, forms, chow and torsion where the command uses them (height needs
+the ring but not torsion); the quadrature module (the rules and the evaluation
 kernels) only where something is integrated or evaluated in floats (table,
 integrals, verify and forms); and json only where JSON is written.
 """
@@ -26,7 +26,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from .constants import ExactConstant, FactorizationLimit, ZETA_M1, ZETA_PRIME_M1, atom_table
-from .radial import DEFAULT_CONFIG, SCHEMES, NonConvergence, QuadratureConfig, _fmt
+from .settings import DEFAULT_CONFIG, SCHEMES, NonConvergence, QuadratureConfig, _fmt
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1

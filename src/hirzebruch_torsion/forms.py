@@ -38,6 +38,8 @@ from .radial import (
     RADIAL_ONE,
     RADIAL_ZERO,
     Radial,
+    _mul_into,
+    built,
     integrate_halfline,
     linear,
 )
@@ -266,11 +268,17 @@ class Form22:
         return integrate_halfline(self.g, cfg)
 
 
+def wedge_into(acc: dict, a: Form11, b: Form11, q=1) -> dict:
+    """acc += q * g of a ^ b, g = a.fx*b.fphi + a.fphi*b.fx, as _mul_into pairs."""
+    _mul_into(acc, a.fx.terms, b.fphi.terms, q)
+    return _mul_into(acc, a.fphi.terms, b.fx.terms, q)
+
+
 def wedge(a: Form11, b: Form11) -> Form22:
-    """Wedge of invariant (1,1)-forms: g = a.fx*b.fphi + a.fphi*b.fx."""
+    """Wedge of invariant (1,1)-forms, both products summed in one map."""
     if a.n != b.n:
         raise ValueError(f"wedge of forms with different ruling indices {a.n} != {b.n}")
-    return Form22(a.n, a.fx * b.fphi + a.fphi * b.fx)
+    return Form22(a.n, built(wedge_into({}, a, b)))
 
 
 def volume_form(n: int) -> Form22:

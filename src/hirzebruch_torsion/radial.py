@@ -15,6 +15,10 @@ integrate the rational part, and one integration by parts turns
 log(1+bu)/(1+au)^k into a rational integrand.  A simple pole times a log
 would need a dilogarithm and is refused.
 
+Every product sums unreduced integer (numerator, denominator) pairs per key
+in one kernel, _mul_into, and built makes the Radial once, one gcd per key;
+Fraction stays in terms, mass and plan, and in sums and scalar products.
+
 A Radial evaluates floats through its plan, the exact-to-float set-up of
 Horner sums per log factor, which the quadrature module compiles into a
 kernel: straight-line Python generated once per shape of plan.  The kernel
@@ -28,18 +32,19 @@ adaptive Gauss-Kronrod (and tanh-sinh as an alternative) resolve the whole
 catalog without special endpoint treatment; each rule hands the kernel its
 nodes a panel at a time.  The rules and the kernels live in the quadrature
 module, which is imported on the first integration or evaluation, so a
-process that only computes exactly never compiles them; this module keeps
-the configuration and decides whether a result passed or stalled.
+process that only computes exactly never compiles them; this module decides
+whether a result passed or stalled under the settings module's configuration.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .constants import ExactConstant, log_rational
+from .settings import (DEFAULT_CONFIG, PASS_TOL_FACTOR, SCHEMES,  # noqa: F401 (re-exported)
+                       NonConvergence, QuadratureConfig, _fmt)
 
 TermKey = Tuple[int, int, int, int]  # (b, j, a, k): u^j (1+au)^-k log(1+bu)^[b > 0]
 _CONST: TermKey = (0, 0, 0, 0)
@@ -47,15 +52,6 @@ _CONST: TermKey = (0, 0, 0, 0)
 
 class DomainError(ValueError):
     """Integrand is not finite on the domain, or not integrable as declared."""
-
-
-class NonConvergence(RuntimeError):
-    """Error estimate still above the target, or flagged by the integrator."""
-
-    def __init__(self, message: str, value: float, estimate: float):
-        super().__init__(message)
-        self.value = value
-        self.estimate = estimate
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +206,7 @@ class Radial:
             return self if other == 1 else Radial((key, c * other) for key, c in self.terms)
         if not isinstance(other, Radial):
             return NotImplemented
-        acc: dict = {}
-        for (b1, j1, a1, k1), c1 in self.terms:
-            for (b2, j2, a2, k2), c2 in other.terms:
-                if b1 and b2:
-                    raise DomainError(f"log(1+{_lin(b1)})*log(1+{_lin(b2)}) lies outside "
-                                      "the normal form (one log factor at most)")
-                b, c = b1 or b2, c1 * c2
-                for (j, a, k), w in _split(j1 + j2, a1, k1, a2, k2):
-                    key, v = (b, j, a, k), c if w == 1 else c * w
-                    acc[key] = acc[key] + v if key in acc else v
-        return Radial(acc)
+        return built(_mul_into({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -317,6 +303,33 @@ def _horner(weights: Dict[int, Fraction], low: int) -> tuple:
     return tuple(float(weights.get(p, 0)) for p in range(top, low - 1, -1))
 
 
+def _mul_into(acc: dict, terms1, terms2, q=1) -> dict:
+    """acc += q * (terms1 x terms2), acc mapping normal-form keys to integer
+    (numerator, denominator) pairs that nothing reduces until built(acc)."""
+    qn, qd = q.numerator, q.denominator
+    right = [(key, c.numerator * qn, c.denominator * qd) for key, c in terms2]
+    for (b1, j1, a1, k1), c1 in terms1:
+        n1, d1 = c1.numerator, c1.denominator
+        for (b2, j2, a2, k2), n2, d2 in right:
+            if b1 and b2:
+                raise DomainError(f"log(1+{_lin(b1)})*log(1+{_lin(b2)}) lies outside "
+                                  "the normal form (one log factor at most)")
+            b, num, den = b1 or b2, n1 * n2, d1 * d2
+            for (j, a, k), w in _split(j1 + j2, a1, k1, a2, k2):
+                p, d = (num, den) if w == 1 else (num * w.numerator, den * w.denominator)
+                p0, d0 = acc.get((b, j, a, k), (0, d))
+                acc[(b, j, a, k)] = (p0 + p, d) if d0 == d else (p0 * d + p * d0, d0 * d)
+    return acc
+
+
+def built(acc: dict) -> Radial:
+    """The Radial of a map that _mul_into filled; its terms are canonical as built."""
+    out = Radial.__new__(Radial)
+    out.terms = tuple(sorted((key, p // d if not p % d else Fraction(p, d))
+                             for key, (p, d) in acc.items() if p))
+    return out
+
+
 RADIAL_ZERO = Radial()
 RADIAL_ONE = Radial.term()
 
@@ -331,42 +344,8 @@ def linear(pairs) -> Radial:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature: the settings, the compactified integrand and the verdict
+# Quadrature: the compactified integrand and the verdict
 # ---------------------------------------------------------------------------
-
-SCHEMES = ("gauss_kronrod", "tanh_sinh")
-PASS_TOL_FACTOR = 10.0  # a quadrature passes within this multiple of its target
-
-
-class QuadratureConfig:
-    """Target tolerance and scheme of a half-line quadrature.  Immutable."""
-
-    def __init__(self, target_tol: float = 1e-10, scheme: str = "gauss_kronrod") -> None:
-        if not 0 < target_tol < math.inf:  # nan fails too
-            raise ValueError("target_tol must be positive and finite")
-        if scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
-        self.target_tol = target_tol
-        self.scheme = scheme
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.target_tol, self.scheme) == (other.target_tol, other.scheme)
-
-    def __hash__(self) -> int:
-        return hash((self.target_tol, self.scheme))
-
-    def __repr__(self) -> str:
-        return f"QuadratureConfig(target_tol={self.target_tol!r}, scheme={self.scheme!r})"
-
-    @property
-    def pass_tol(self) -> float:
-        return self.target_tol * PASS_TOL_FACTOR
-
-
-DEFAULT_CONFIG = QuadratureConfig()
-
 
 def _compactified(f: Radial, name: str = "") -> Callable[[Sequence[float]], List[float]]:
     """The integrand of f after u = t / (1 - t), on a panel of nodes t: the
@@ -418,8 +397,3 @@ def _stalled(f: Radial, name: str, value: float, estimate: float, cfg: Quadratur
     else:
         why = f"stalled at estimate {estimate:.3e} (target {cfg.target_tol:.1e})"
     return NonConvergence(f"{_label(f, name)}: {why}", value, estimate)
-
-
-def _fmt(x: float) -> str:
-    """A float as report text: 17 significant digits, which round-trip."""
-    return format(x, ".17g")

@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from hirzebruch_torsion import chow, forms
 from hirzebruch_torsion.chow import R_GENUS_DEGREE1, ChowClass, PipelineInconsistency
 from hirzebruch_torsion.constants import ExactConstant, log_2pi, log_rational
+from hirzebruch_torsion.forms import Form11
 from hirzebruch_torsion.radial import RADIAL_ONE, DomainError, Radial, _label
 
 
@@ -249,6 +250,75 @@ def omega_image(c: ChowClass) -> List[Tuple[ExactConstant, chow.FormT]]:
         if d:
             out.append((ExactConstant.atom(atom), d))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The ring product, one product at a time
+# ---------------------------------------------------------------------------
+
+
+def _curvature(n: int, variety: str, mono) -> chow.FormT:
+    """Curvature image of a reduced monomial, wedged from the catalog forms."""
+    i, j = mono
+    if variety == chow.BASE:
+        return (RADIAL_ONE, chow.base_top_form(n))[i]
+    factors = [forms.base_form(n)] * i + [forms.alpha_form(n)] * j
+    return forms.wedge(*factors) if len(factors) == 2 else (factors or [RADIAL_ONE])[0]
+
+
+def _wedge(f: chow.FormT, g: chow.FormT):
+    """f ^ g by Radial and forms arithmetic; None above the top degree."""
+    if isinstance(g, Radial):
+        f, g = g, f
+    if isinstance(f, Radial):
+        return f * g
+    return forms.wedge(f, g) if isinstance(f, Form11) and isinstance(g, Form11) else None
+
+
+def mul(a: ChowClass, b: ChowClass, degrees=None) -> ChowClass:
+    """The ring product as a sum of products formed one at a time.
+
+    Each product of a form by a monomial's curvature image, and each
+    a(f) * a(g) = a(dd^c f ^ g) (dd^c on the lower-degree factor, the mean
+    of both placements for two 0-forms), is a form of its own, made by
+    Radial and forms arithmetic and added to its slot; chow.mul instead sums
+    each slot in one map of integer pairs.
+    """
+    a, b = chow.reduce(a), chow.reduce(b)
+    n, variety = a.n, a.variety
+    top = chow.top_degree(variety)
+    keep = range(top + 1) if degrees is None else tuple(degrees)
+    poly = {}
+    for (i1, j1), c1 in a.poly.items():
+        for (i2, j2), c2 in b.poly.items():
+            if i1 + j1 + i2 + j2 in keep:
+                mono = (i1 + i2, j1 + j2)
+                poly[mono] = poly[mono] + c1 * c2 if mono in poly else c1 * c2
+    analytic = []
+
+    def add(degree, atom, coeff, form):
+        if degree in keep and form:
+            analytic.append((ExactConstant.atom(atom) * coeff, form))
+
+    for left, right in ((a, b), (b, a)):
+        for (degree, atom), form in left.forms.items():
+            for mono, coeff in right.poly.items():
+                add(degree + sum(mono), atom, coeff, _wedge(form, _curvature(n, variety, mono)))
+    for (d1, atom1), f1 in a.forms.items():
+        for (d2, atom2), f2 in b.forms.items():
+            (dl, fl), (dh, fh) = sorted(((d1, f1), (d2, f2)), key=lambda p: p[0])
+            ddc_l = chow._ddc(fl, n) if dl + dh <= top else None
+            if not ddc_l:
+                continue
+            if dl < dh:
+                w = _wedge(ddc_l, fh)
+            else:
+                ddc_h = chow._ddc(fh, n)
+                if not ddc_h:
+                    continue
+                w = Fraction(1, 2) * (_wedge(ddc_l, fh) + _wedge(ddc_h, fl))
+            add(dl + dh, atom1, ExactConstant.atom(atom2), w)
+    return chow.reduce(ChowClass(n, variety, poly, analytic))
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,44 @@ class TestMulInDegrees:
         assert mul(a, b, degrees=(1, 3)) == in_degrees(mul(a, b), (1, 3))
 
 
+@st.composite
+def chern_factors(draw):
+    """Two of c1, c2, the Todd class and e^-c1 of the tangent bundle of S_n,
+    for a random n <= 10^9."""
+    cc = arithmetic_chern_classes(draw(st.integers(0, 10**9)))
+    c1, c2 = cc.c1_tangent, cc.c2_tangent
+    c1sq = mul(c1, c1)
+    one, half = unit(cc.n), Fraction(1, 2)
+    td = add(add(one, scale(half, c1)), add(scale(Fraction(1, 12), add(c1sq, c2)),
+                                           scale(Fraction(1, 24), mul(c1, c2))))
+    exp_minus_c1 = add(sub(one, c1), sub(scale(half, c1sq), scale(Fraction(1, 6), mul(c1sq, c1))))
+    pool = (c1, c2, td, exp_minus_c1)
+    return draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+
+
+class TestMulSlots:
+    """chow.mul sums every product of a slot in one map of integer pairs; it
+    must give, slot by slot, the forms of the products formed one at a time."""
+
+    @staticmethod
+    def check(got, want):
+        assert got.poly == want.poly
+        assert got.forms == want.forms
+        assert list(got.forms) == list(want.forms)
+
+    @settings(max_examples=12, deadline=None)
+    @given(pair=chern_factors())
+    def test_all_degrees(self, pair):
+        a, b = pair
+        self.check(mul(a, b), oracles.mul(a, b))
+
+    @settings(max_examples=12, deadline=None)
+    @given(pair=chern_factors())
+    def test_degrees_one_and_three(self, pair):
+        a, b = pair
+        self.check(mul(a, b, degrees=(1, 3)), oracles.mul(a, b, degrees=(1, 3)))
+
+
 class TestPushforwardDeg:
     def test_masses_are_derived(self):
         # every top form carries its exact mass; one outside the constant
@@ -442,6 +480,13 @@ class TestTorsionForm:
         expected = (ec(1) + log_2pi()).scale(Fraction(1, 3)) \
             - ExactConstant.atom(ZETA_PRIME_M1, 4) - ExactConstant.atom(ZETA_M1, 2)
         assert got == expected
+
+    def test_relative_form_is_built_once(self, monkeypatch):
+        calls = []
+        c1_rel = forms.c1_rel
+        monkeypatch.setattr(forms, "c1_rel", lambda n: calls.append(n) or c1_rel(n))
+        torsion_form(arithmetic_chern_classes(3).c1_relative)
+        assert calls == [3]
 
     def test_genus_contribution(self):
         from hirzebruch_torsion.torsion import R_GENUS_DEGREE1

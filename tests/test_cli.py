@@ -281,7 +281,8 @@ class TestColdImports:
         code, loaded = modules_after(["constants"])
         assert code == 0
         assert "hirzebruch_torsion.constants" in loaded
-        assert not loaded & {f"hirzebruch_torsion.{m}" for m in ("chow", "forms", "torsion")}
+        assert not loaded & {f"hirzebruch_torsion.{m}"
+                             for m in ("chow", "forms", "radial", "torsion")}
 
     @pytest.mark.parametrize("argv", [["height", "--n", "3"], ["constants"]],
                              ids=["height", "constants"])

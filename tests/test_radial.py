@@ -409,7 +409,7 @@ def normal_forms(draw, bases, logs):
 
 
 class TestIntegralWeights:
-    """Sums and products hold integral weights as int, and equal the
+    """Sums, products and wedges hold integral weights as int, and equal the
     Fraction-only reference in terms, hash and text."""
 
     @staticmethod
@@ -422,7 +422,7 @@ class TestIntegralWeights:
             assert type(c) is (int if c.denominator == 1 else Fraction), got.terms
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), n=st.integers(0, 10**6), c=st.fractions(-4, 4, max_denominator=3))
+    @given(data=st.data(), n=st.integers(0, 10**9), c=st.fractions(-4, 4, max_denominator=3))
     def test_against_fraction_reference(self, data, n, c):
         bases = (1, 2, n + 1)
         f = data.draw(normal_forms(bases, (1, n + 1)))
@@ -437,7 +437,19 @@ class TestIntegralWeights:
         self.check(f * c, _reference_product(f, const))
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), n=st.integers(0, 10**6), c=st.fractions(-4, 4, max_denominator=3))
+    @given(data=st.data(), n=st.integers(0, 10**9))
+    def test_wedge_against_fraction_reference(self, data, n):
+        # both products of fx * gphi + fphi * gx are summed in one map
+        bases, logs = (1, 2, n + 1), (1, n + 1)
+        f, g = (forms.Form11(n, data.draw(normal_forms(bases, logs)),
+                             data.draw(normal_forms(bases, ()))) for _ in range(2))
+        acc = {}
+        for key, w in _reference_product(f.fx, g.fphi) + _reference_product(f.fphi, g.fx):
+            acc[key] = acc.get(key, 0) + w
+        self.check(forms.wedge(f, g).g, _reference_terms(acc))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 10**9), c=st.fractions(-4, 4, max_denominator=3))
     def test_term_against_fraction_reference(self, data, n, c):
         # u^j (1+au)^-k with j, k >= 1: the power of u divided out alone
         j, k = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
@@ -446,7 +458,7 @@ class TestIntegralWeights:
         self.check(Radial.term(c, j, a, k, b), _reference_terms(want))
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), n=st.integers(0, 10**6))
+    @given(data=st.data(), n=st.integers(0, 10**9))
     def test_derivative_against_fraction_reference(self, data, n):
         # the product rule, with d log(1+bu) = b (1+bu)^-1 split by the reference
         bases, logs = (1, 2, n + 1), (1, n + 1)
