@@ -12,9 +12,10 @@ reports for a tool stopped by a closed pipe; nothing is printed then).
 A process imports only what its command runs: constants and settings (the
 quadrature settings and the report text of a float) for every command;
 radial, forms, chow and torsion where the command uses them (height needs
-the ring but not torsion); the quadrature module (the rules and the evaluation
-kernels) only where something is integrated or evaluated in floats (table,
-integrals, verify and forms); and json only where JSON is written.
+the ring but not torsion); the kernels module (the evaluation kernels) only
+where something is evaluated in floats (table, integrals, verify and forms),
+and the quadrature module (the rules) only where something is integrated
+(all of these but forms); and json only where JSON is written.
 """
 
 from __future__ import annotations

@@ -209,7 +209,7 @@ class ExactConstant:
         norm = {atom: c if type(c) is Fraction else Fraction(c)
                 for atom, c in (coeffs or {}).items() if c}
         if len(norm) > 1:
-            norm = dict(sorted(norm.items(), key=lambda kv: kv[0].sort_key()))
+            norm = dict(sorted(norm.items(), key=_atom_order))
         self._coeffs: Dict[ConstantAtom, Fraction] = norm
 
     # -- constructors ------------------------------------------------------
@@ -250,20 +250,46 @@ class ExactConstant:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "ExactConstant") -> "ExactConstant":
-        merged = dict(self._coeffs)
-        for a, q in other._coeffs.items():
-            merged[a] = merged.get(a, Fraction(0)) + q
-        return ExactConstant(merged)
+        return self._plus(other, False)
 
     def __neg__(self) -> "ExactConstant":
-        return ExactConstant({a: -q for a, q in self._coeffs.items()})
+        return _normal({a: -q for a, q in self._coeffs.items()})
 
     def __sub__(self, other: "ExactConstant") -> "ExactConstant":
-        return self + (-other)
+        return self._plus(other, True)
+
+    def _plus(self, other: "ExactConstant", negate: bool) -> "ExactConstant":
+        """self + other, or self - other: the normal form is kept, so only a
+        new atom makes a sort."""
+        if not other._coeffs:
+            return self
+        if not self._coeffs and not negate:
+            return other
+        merged = dict(self._coeffs)
+        grown = False
+        for a, q in other._coeffs.items():
+            c = merged.get(a)
+            if c is None:
+                merged[a] = -q if negate else q
+                grown = True
+            else:
+                c = c - q if negate else c + q
+                if c:
+                    merged[a] = c
+                else:
+                    del merged[a]
+        if grown and len(merged) > 1:
+            merged = dict(sorted(merged.items(), key=_atom_order))
+        return _normal(merged)
 
     def scale(self, q: RationalLike) -> "ExactConstant":
-        q = Fraction(q)
-        return ExactConstant({a: c * q for a, c in self._coeffs.items()})
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        if q == 1:
+            return self
+        if not q:
+            return _normal({})
+        return _normal({a: c * q for a, c in self._coeffs.items()})
 
     def __mul__(self, other: Union["ExactConstant", RationalLike]) -> "ExactConstant":
         if isinstance(other, (int, Fraction)):
@@ -338,6 +364,17 @@ class ExactConstant:
         coeffs[ZETA_PRIME_M1] = Fraction(d.get("zeta_prime_m1", 0))
         coeffs[ZETA_M1] = Fraction(d.get("zeta_m1", 0))
         return ExactConstant(coeffs)
+
+
+def _atom_order(item: Tuple[ConstantAtom, Fraction]) -> Tuple[int, int]:
+    return item[0].sort_key()
+
+
+def _normal(coeffs: Dict[ConstantAtom, Fraction]) -> ExactConstant:
+    """The ExactConstant of coeffs, which are in normal form already."""
+    out = ExactConstant.__new__(ExactConstant)
+    out._coeffs = coeffs
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,13 @@ integrate the rational part, and one integration by parts turns
 log(1+bu)/(1+au)^k into a rational integrand.  A simple pole times a log
 would need a dilogarithm and is refused.
 
-Every product sums unreduced integer (numerator, denominator) pairs per key
-in one kernel, _mul_into, and built makes the Radial once, one gcd per key;
-Fraction stays in terms, mass and plan, and in sums and scalar products.
+Sums, differences, scalar multiples and linear combinations add unreduced
+integer (numerator, denominator) pairs per key in _add_into, and products in
+_mul_into, which shares its pair update; built then makes the Radial once,
+one gcd per key.  Fraction stays in terms, mass and plan.
 
 A Radial evaluates floats through its plan, the exact-to-float set-up of
-Horner sums per log factor, which the quadrature module compiles into a
+Horner sums per log factor, which the kernels module compiles into a
 kernel: straight-line Python generated once per shape of plan.  The kernel
 evaluates a panel, a list of points, in one call; Radial.fn is a one-point
 panel.
@@ -30,10 +31,11 @@ substitution u = t / (1 - t), which maps the half-line onto (0, 1).  In the t
 variable an integrand of decay order d behaves like (1-t)^(d-2) near 1, so
 adaptive Gauss-Kronrod (and tanh-sinh as an alternative) resolve the whole
 catalog without special endpoint treatment; each rule hands the kernel its
-nodes a panel at a time.  The rules and the kernels live in the quadrature
-module, which is imported on the first integration or evaluation, so a
-process that only computes exactly never compiles them; this module decides
-whether a result passed or stalled under the settings module's configuration.
+nodes a panel at a time.  The rules live in the quadrature module, imported
+on the first integration, and the kernels in the kernels module, imported on
+the first float evaluation, so a process that only computes exactly compiles
+neither; this module decides whether a result passed or stalled under the
+settings module's configuration.
 """
 
 from __future__ import annotations
@@ -183,16 +185,15 @@ class Radial:
             return self
         if not self.terms:
             return other
-        acc = dict(self.terms)
-        for key, c in other.terms:
-            _add_to(acc, key, c)
-        return Radial(acc)
+        return built(_add_into(_add_into({}, self.terms), other.terms))
 
     def __neg__(self) -> "Radial":
-        return Radial((key, -c) for key, c in self.terms)
+        return built(_add_into({}, self.terms, -1))
 
     def __sub__(self, other: "Radial") -> "Radial":
-        return self + (-other)
+        if not isinstance(other, Radial):
+            return NotImplemented
+        return built(_add_into(_add_into({}, self.terms), other.terms, -1))
 
     def __mul__(self, other):
         """Product with a rational or with another normal form; a constant
@@ -203,7 +204,7 @@ class Radial:
             elif len(self.terms) == 1 and self.terms[0][0] == _CONST:
                 self, other = other, self.terms[0][1]
         if isinstance(other, (int, Fraction)):
-            return self if other == 1 else Radial((key, c * other) for key, c in self.terms)
+            return self if other == 1 else built(_add_into({}, self.terms, other))
         if not isinstance(other, Radial):
             return NotImplemented
         return built(_mul_into({}, self.terms, other.terms))
@@ -262,7 +263,7 @@ class Radial:
 
     @cached_property
     def plan(self) -> tuple:
-        """The float plan of evaluation, (bases, groups), as quadrature.kernel
+        """The float plan of evaluation, (bases, groups), as kernels.kernel
         reads it.  Per log factor b: the powers of u and the simple poles over
         their common denominator prod (1+au), and a Horner sum in each
         1/(1+au) for the higher poles.  Cancellations that are exact in the
@@ -288,9 +289,9 @@ class Radial:
     @cached_property
     def fn(self) -> Callable[[float], float]:
         """Evaluator of a float u: a one-point panel of the kernel."""
-        from . import quadrature
+        from . import kernels
 
-        kernel = quadrature.kernel(self.plan)
+        kernel = kernels.kernel(self.plan)
         return lambda u: kernel((u,), None)[0]
 
     def __call__(self, u):
@@ -301,6 +302,20 @@ def _horner(weights: Dict[int, Fraction], low: int) -> tuple:
     """Float coefficients of the powers low..max, highest first."""
     top = max(weights, default=low - 1)
     return tuple(float(weights.get(p, 0)) for p in range(top, low - 1, -1))
+
+
+def _add_pair(acc: dict, key, p: int, d: int) -> None:
+    """acc[key] += p/d on an unreduced integer (numerator, denominator) pair."""
+    p0, d0 = acc.get(key, (0, d))
+    acc[key] = (p0 + p, d) if d0 == d else (p0 * d + p * d0, d0 * d)
+
+
+def _add_into(acc: dict, terms, q=1) -> dict:
+    """acc += q * terms, on the pairs of _mul_into."""
+    qn, qd = q.numerator, q.denominator
+    for key, c in terms:
+        _add_pair(acc, key, c.numerator * qn, c.denominator * qd)
+    return acc
 
 
 def _mul_into(acc: dict, terms1, terms2, q=1) -> dict:
@@ -317,13 +332,13 @@ def _mul_into(acc: dict, terms1, terms2, q=1) -> dict:
             b, num, den = b1 or b2, n1 * n2, d1 * d2
             for (j, a, k), w in _split(j1 + j2, a1, k1, a2, k2):
                 p, d = (num, den) if w == 1 else (num * w.numerator, den * w.denominator)
-                p0, d0 = acc.get((b, j, a, k), (0, d))
-                acc[(b, j, a, k)] = (p0 + p, d) if d0 == d else (p0 * d + p * d0, d0 * d)
+                _add_pair(acc, (b, j, a, k), p, d)
     return acc
 
 
 def built(acc: dict) -> Radial:
-    """The Radial of a map that _mul_into filled; its terms are canonical as built."""
+    """The Radial of a map that _add_into or _mul_into filled; its terms are
+    canonical as built."""
     out = Radial.__new__(Radial)
     out.terms = tuple(sorted((key, p // d if not p % d else Fraction(p, d))
                              for key, (p, d) in acc.items() if p))
@@ -338,9 +353,8 @@ def linear(pairs) -> Radial:
     """Rational linear combination sum q * f over (q, f) pairs."""
     acc: dict = {}
     for q, f in pairs:
-        for key, c in f.terms:
-            _add_to(acc, key, q * c)
-    return Radial(acc)
+        _add_into(acc, f.terms, q)
+    return built(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +366,9 @@ def _compactified(f: Radial, name: str = "") -> Callable[[Sequence[float]], List
     exact endpoint t = 1 (u = inf) carries no quadrature weight, for the
     transformed integrand tends to 0 for decay > 2 and stays bounded
     (integrably log-singular at worst) at decay 2."""
-    from . import quadrature
+    from . import kernels
 
-    kernel = quadrature.kernel(f.plan)
+    kernel = kernels.kernel(f.plan)
 
     def bad(u: float) -> DomainError:
         return DomainError(f"{_label(f, name)}: integrand not finite at u={u!r}")

@@ -241,6 +241,7 @@ def tau_p1() -> ExactConstant:
     return _direct_tau(ExactConstant.zero(), chow.todd(c1), _c1_times_one(c1))
 
 
+@cache
 def closed_tau_p1() -> ExactConstant:
     """(1 + log 2pi)/3 - 4 zeta'(-1) - 2 zeta(-1), stated closed form."""
     return (_rat(1) + log_2pi()).scale(Fraction(1, 3)) \

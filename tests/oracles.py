@@ -8,7 +8,8 @@ L2 norms and covolumes from exact L2 pairings.  The functions below are the
 hand-written values the package used before it derived them; the tests check
 the derivations against them.
 They call no `closed_*` function of the package.  The curvature image of a
-class, which only the tests read, lives here too.
+class, which only the tests read, lives here too, and so does the Fraction
+sum of radial functions that the integer-pair sums must reproduce.
 
 The interpretive evaluator at the end is the loop that read a radial
 function's float plan term by term before the package generated a kernel
@@ -347,6 +348,23 @@ def hodge_l2_closed_forms(n: int) -> Dict[str, ExactConstant]:
         "primitive_part_orthogonal_to_alpha": zero,
         "star_isometry_on_mixed_pair": zero,
     }
+
+
+# ---------------------------------------------------------------------------
+# Radial sums in Fraction weights
+# ---------------------------------------------------------------------------
+
+
+def fraction_linear(pairs) -> Radial:
+    """sum q * f over (q, f) pairs as the package added radial functions
+    before it summed integer pairs: Fraction weights in one dict, then the
+    Radial constructor, which drops the zero weights and holds the integral
+    ones as int."""
+    acc: dict = {}
+    for q, f in pairs:
+        for key, c in f.terms:
+            acc[key] = acc.get(key, 0) + q * Fraction(c)
+    return Radial(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,11 @@ class TestColdImports:
         assert code == 0
         assert "hirzebruch_torsion.quadrature" not in loaded
 
+    def test_forms_loads_the_kernels_but_not_the_rules(self):
+        code, loaded = modules_after(["forms", "--n", "3"])
+        assert code == 0 and "hirzebruch_torsion.kernels" in loaded
+        assert "hirzebruch_torsion.quadrature" not in loaded
+
     def test_integrating_command_loads_quadrature(self):
         code, loaded = modules_after(["integrals", "--n", "1"])
         assert code == 0 and "hirzebruch_torsion.quadrature" in loaded

@@ -96,6 +96,57 @@ class TestMul:
         assert z * ExactConstant.atom(ZETA_PRIME_M1) == z
 
 
+class TestNormalFormArithmetic:
+    """+, -, neg, scale and rational * build their normal form directly; it
+    equals what ExactConstant(dict) makes of the same value: the same atoms in
+    the same order, with Fraction coefficients."""
+
+    @staticmethod
+    def same(got: ExactConstant, coeffs: dict) -> None:
+        want = ExactConstant(coeffs)
+        assert [(a, type(q), q) for a, q in got._coeffs.items()] \
+            == [(a, type(q), q) for a, q in want._coeffs.items()]
+
+    def check(self, a: ExactConstant, b: ExactConstant, q) -> None:
+        x, y = a._coeffs, b._coeffs
+        self.same(a + b, {**x, **{t: x.get(t, 0) + c for t, c in y.items()}})
+        self.same(a - b, {**x, **{t: x.get(t, 0) - c for t, c in y.items()}})
+        self.same(-a, {t: -c for t, c in x.items()})
+        for s in (q, 0, 1, -1, 3):
+            scaled = {t: c * s for t, c in x.items()}
+            self.same(a.scale(s), scaled)
+            self.same(a * s, scaled)
+            self.same(s * a, scaled)
+            self.same(ExactConstant.rational(s) * a, scaled)
+
+    def test_200_random_cases(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            q = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            self.check(random_constant(rng), random_constant(rng), q)
+
+    def test_a_new_atom_enters_in_order(self):
+        # log(pi) sorts before log(2), and zeta'(-1) after it
+        a = log_rational(2)
+        for b in (ExactConstant.atom(LOG_PI), ExactConstant.atom(ZETA_PRIME_M1, -3),
+                  ExactConstant.rational(Fraction(1, 3))):
+            self.check(a, b, Fraction(2, 5))
+            self.check(b, a, Fraction(2, 5))
+
+    def test_cancellation_to_zero(self):
+        t = tau_p1_constant()
+        self.check(t, t, Fraction(-1, 2))
+        self.check(t, -t, Fraction(-1, 2))
+        assert (t - t).is_zero and (t + (-t)).is_zero
+        self.same(log_2pi() - ExactConstant.atom(LOG_PI), log_rational(2)._coeffs)
+
+    def test_scaling_by_zero_and_one(self):
+        t = tau_p1_constant()
+        assert t.scale(1) is t and t.scale(Fraction(1)) is t
+        assert t.scale(0).is_zero and t.scale(Fraction(0)).is_zero
+        self.check(ExactConstant.zero(), t, 0)
+
+
 class TestLogRational:
     def test_log_one(self):
         assert log_rational(1) == ExactConstant.zero()

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from hirzebruch_torsion import forms, quadrature, radial, torsion
+from hirzebruch_torsion import forms, kernels, quadrature, radial, torsion
 from hirzebruch_torsion.constants import ExactConstant, log_rational
 from hirzebruch_torsion.radial import (
     RADIAL_ONE,
@@ -209,19 +209,19 @@ class TestKernels:
 
     def test_a_fresh_n_generates_no_kernel(self):
         # the kernels are keyed on the plan's shape, which n does not change
-        quadrature._binder.cache_clear()
+        kernels._binder.cache_clear()
         for n in range(101):
             torsion.named_integrals(n, CFG)
             torsion.hodge_l2_checks(n, CFG)
             torsion.route_checks(n, CFG)
-        swept = quadrature._binder.cache_info()
+        swept = kernels._binder.cache_info()
         torsion.named_integrals(250, CFG)
         torsion.hodge_l2_checks(250, CFG)
         torsion.route_checks(250, CFG)
-        fresh = quadrature._binder.cache_info()
+        fresh = kernels._binder.cache_info()
         assert fresh.misses == swept.misses == swept.currsize <= 16
         assert fresh.hits > swept.hits
-        assert fresh.currsize <= fresh.maxsize == quadrature._KERNEL_SHAPES
+        assert fresh.currsize <= fresh.maxsize == kernels._KERNEL_SHAPES
 
     @pytest.mark.parametrize("scheme, u", [("gauss_kronrod", "0.013219203192174487"),
                                            ("tanh_sinh", "0.024922022305701886")])
@@ -478,6 +478,33 @@ class TestIntegralWeights:
                 for key, w in _reference_canon(j, poles).items():
                     acc[(0,) + key] = acc.get((0,) + key, 0) + b * c * w
         self.check(f.derivative(), _reference_terms(acc))
+
+
+class TestLinearArithmetic:
+    """+, binary and unary -, scalar * and linear sum integer pairs; each
+    equals the Fraction-dict oracle term for term: the same keys in the same
+    order, no zero weight, and integral weights held as int."""
+
+    @staticmethod
+    def typed(f: Radial) -> list:
+        return [(key, type(c), c) for key, c in f.terms]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 10**9), k=st.integers(-7, 7),
+           q=st.fractions(-6, 6, max_denominator=9))
+    def test_against_the_fraction_oracle(self, data, n, k, q):
+        bases, logs = (1, 2, n + 1), (1, n + 1)
+        f, g = (data.draw(normal_forms(bases, logs)) for _ in range(2))
+        half = Fraction(1, 2)
+        cases = [(f + g, [(1, f), (1, g)]), (f - g, [(1, f), (-1, g)]),
+                 (f - f, [(1, f), (-1, f)]), (-f, [(-1, f)]),
+                 (f * half + f * half, [(half, f), (half, f)])]
+        for s in (0, 1, -1, k, q):
+            cases += [(f * s, [(s, f)]), (s * f, [(s, f)])]
+        pairs = [(q, f), (k, g), (-q, f), (half, g)]
+        cases += [(radial.linear(pairs), pairs), (radial.linear([]), [])]
+        for got, pairs in cases:
+            assert self.typed(got) == self.typed(oracles.fraction_linear(pairs)), pairs
 
 
 # ---------------------------------------------------------------------------
