@@ -277,15 +277,13 @@ def add(a: ChowClass, b: ChowClass) -> ChowClass:
 
 
 def scale(q, a: ChowClass) -> ChowClass:
+    """q * a for a rational q; a constant with atoms is refused."""
     q = _ec(q)
-    if q.is_rational:
-        r = q.rational_part
-        slots = {s: r * f for s, f in a.forms.items()}
-    else:
-        slots = {}
-        for (_, atom), f in a.forms.items():
-            _accumulate(slots, ExactConstant.atom(atom) * q, f, a.variety)
-    return _assemble(a.n, a.variety, {m: c * q for m, c in a.poly.items()}, slots)
+    if not q.is_rational:
+        raise ChowError(f"scale takes a rational scalar, not {q}")
+    r = q.rational_part
+    return _assemble(a.n, a.variety, {m: c.scale(r) for m, c in a.poly.items()},
+                     {s: r * f for s, f in a.forms.items()})
 
 
 def sub(a: ChowClass, b: ChowClass) -> ChowClass:
@@ -541,10 +539,13 @@ def pushforward_deg(c: ChowClass, trace: Optional[list] = None) -> ExactConstant
 def pushforward_deg_numeric(c: ChowClass, cfg: QuadratureConfig = DEFAULT_CONFIG,
                             name: str = "") -> float:
     """Quadrature twin of pushforward_deg (half the numerically integrated
-    mass); name labels the quadratures in a NonConvergence message."""
-    total = 0.0  # a plain left fold: sum() compensates floats from Python 3.12
+    mass), each distinct form integrated once; name labels the quadratures
+    in a NonConvergence message."""
+    total, masses = 0.0, {}  # a plain left fold: sum() compensates floats from 3.12
     for (_, atom), form in _top_slots(c):
-        total += atom.value() * integrate_halfline(form.g, cfg, name=name)
+        if form not in masses:
+            masses[form] = integrate_halfline(form.g, cfg, name=name)
+        total += atom.value() * masses[form]
     return 0.5 * total
 
 

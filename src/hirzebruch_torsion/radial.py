@@ -29,13 +29,15 @@ panel.
 integrate_halfline integrates a Radial numerically after the compactifying
 substitution u = t / (1 - t), which maps the half-line onto (0, 1).  In the t
 variable an integrand of decay order d behaves like (1-t)^(d-2) near 1, so
-adaptive Gauss-Kronrod (and tanh-sinh as an alternative) resolve the whole
-catalog without special endpoint treatment; each rule hands the kernel its
-nodes a panel at a time.  The rules live in the quadrature module, imported
-on the first integration, and the kernels in the kernels module, imported on
-the first float evaluation, so a process that only computes exactly compiles
-neither; this module decides whether a result passed or stalled under the
-settings module's configuration.
+adaptive Gauss-Kronrod (and tanh-sinh as an alternative) need no special
+endpoint treatment; each rule hands the kernel its nodes a panel at a time.
+The pole of (1+(n+1)u)^-k sits at t = -1/n, so its features shrink as n
+grows: some integral of verify stalls from n = 400 under Gauss-Kronrod, and
+at n = 10^6 under tanh-sinh.  The rules live in the quadrature module,
+imported on the first integration, and the kernels in the kernels module,
+imported on the first float evaluation, so a process that only computes
+exactly compiles neither; this module decides whether a result passed or
+stalled under the settings module's configuration.
 """
 
 from __future__ import annotations

@@ -19,11 +19,11 @@ Both land on exact constants and must agree coefficient-by-coefficient;
 neither reads a stated closed form (closed_tau, closed_main_value,
 closed_tau_p1 and closed_height are the headline identities they are checked
 against).  Every named integral's exact mass, derived from its normal form,
-is re-derived by half-line quadrature; the report machinery records name,
-exact value, quadrature value, discrepancy, and verdict for each.  The
-height pipelines live in chow, which the height command loads without this
-module; height is bound here by import.  Each check takes a ruling index
-or its Surface record, and every check of one index reads one record.
+is re-derived by half-line quadrature through Surface.quadrature; a report
+row records name, exact value, quadrature value, discrepancy and verdict.
+The height pipelines live in chow, which the height command loads without
+this module; height is bound here by import.  Each check takes n or its
+Surface record, and the checks of one n share one record and its quadratures.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def closed_height(n: int) -> Fraction:
 class Surface:
     """What the checks of one ruling index n read, each derived once: the
     forms, the top generator alpha^2/(n+2) and the volume (the squared L2
-    norm of 1) on construction; the classes, the torsion form and the
-    secondary Todd parts on first use.  No record outlives its call."""
+    norm of 1) on construction; the classes, the torsion form, the secondary
+    Todd parts and each quadrature on first use.  No record outlives its call."""
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -85,6 +85,7 @@ class Surface:
         self.volume_form = Fraction(1, 2) * forms.wedge(self.alpha, self.alpha)
         self.top = Fraction(2, n + 2) * self.volume_form
         self.vol = _rational(self.volume_form.total_integral, "the volume", n)
+        self._quadratures: dict = {}
 
     @cached_property
     def chern_classes(self) -> ChernClasses:
@@ -103,6 +104,14 @@ class Surface:
         return (4 * log_ratio * forms.wedge(self.alpha, self.base),
                 log_ratio * forms.wedge(self.c1, self.c1_rel),
                 forms.wedge(self.c1, forms.bott_chern_c2(self.n)))
+
+    def quadrature(self, name: str, f: Radial, cfg: QuadratureConfig) -> float:
+        """The half-line integral of f under cfg, once per record and keyed by
+        the normal form; a failure is not stored, so each check that meets it
+        raises under its own label, "name, n=..."."""
+        if (f, cfg) not in self._quadratures:
+            self._quadratures[f, cfg] = integrate_halfline(f, cfg, name=f"{name}, n={self.n}")
+        return self._quadratures[f, cfg]
 
 
 def _surface(n: Union[int, Surface]) -> Surface:
@@ -196,7 +205,7 @@ def named_integrals(n: Union[int, Surface],
             ("bb_todd_total", Fraction(1, 24) * (bb_first + c1_bc_total).g),
             ("c1_squared", forms.wedge(s.c1, s.c1).g),
             ("c1rel_squared", forms.wedge(s.c1_rel, s.c1_rel).g)):
-        value = integrate_halfline(integrand, cfg, name=f"{name}, n={n}")
+        value = s.quadrature(name, integrand, cfg)
         out.append(NamedIntegral(name, n, integrand.mass, value, cfg.pass_tol))
     return out
 
@@ -341,9 +350,8 @@ def bb_quadrature_float(n: Union[int, Surface],
     """The fibration-route value with its two integrals done by quadrature."""
     s = _surface(n)
     first, c1_c1r_logR, c1_bc = s.secondary_todd_parts
-    bc_total = (integrate_halfline(first.g, cfg, name=f"bb_first_term, n={s.n}")
-                + integrate_halfline((c1_bc + c1_c1r_logR).g, cfg,
-                                     name=f"c1_bott_chern_total, n={s.n}")) / 24.0
+    bc_total = (s.quadrature("bb_first_term", first.g, cfg)
+                + s.quadrature("c1_bott_chern_total", (c1_bc + c1_c1r_logR).g, cfg)) / 24.0
     return tau_p1().to_float() + math.log(s.vol) + s.torsion_form.to_float() - bc_total
 
 
@@ -443,8 +451,8 @@ def appendix_checks(n: Union[int, Surface]) -> List[VerificationEntry]:
 
 def hodge_l2_checks(n: Union[int, Surface], cfg: QuadratureConfig = DEFAULT_CONFIG,
                     tol: float = 1e-8) -> List[VerificationEntry]:
-    """Star identities, decided exactly, and harmonic-generator norms against
-    their exact values."""
+    """Star identities, decided exactly (the isometry on the mixed pair is
+    one of densities), and harmonic-generator norms against exact values."""
     s = _surface(n)
     n, al, w_h = s.n, s.alpha, s.omega_h
     probe = forms.combine(n, [(Fraction(1, 3), al), (Fraction(-2), s.base),
@@ -457,9 +465,6 @@ def hodge_l2_checks(n: Union[int, Surface], cfg: QuadratureConfig = DEFAULT_CONF
                   forms.hodge_star(forms.hodge_star(probe)), probe),
     ]
 
-    def quadrature(name: str, density: Form22) -> float:
-        return integrate_halfline(density.g, cfg, name=f"{name}, n={n}")
-
     primitive = forms.combine(n, [(Fraction(1), w_h), (Fraction(-1, n + 2), al)])
     for name, density in (
             ("norm_sq_alpha", forms.l2_pairing(al, al)),
@@ -469,13 +474,10 @@ def hodge_l2_checks(n: Union[int, Surface], cfg: QuadratureConfig = DEFAULT_CONF
             ("harmonic_base_class_squared", forms.wedge(w_h, w_h)),
             ("primitive_part_orthogonal_to_alpha", forms.l2_pairing(al, primitive))):
         entries.append(VerificationEntry(name, n, density.total_integral,
-                                         quadrature(name, density), tol))
-    name = "star_isometry_on_mixed_pair"
-    starred = forms.l2_pairing(forms.hodge_star(al), forms.hodge_star(w_h))
-    plain = forms.l2_pairing(al, w_h)
-    entries.append(VerificationEntry(
-        name, n, starred.total_integral - plain.total_integral,
-        quadrature(name, starred) - quadrature(name, plain), tol))
+                                         s.quadrature(name, density.g, cfg), tol))
+    entries.append(_identity("star_isometry_on_mixed_pair", n,
+                             forms.l2_pairing(forms.hodge_star(al), forms.hodge_star(w_h)).g,
+                             forms.l2_pairing(al, w_h).g))
     return entries
 
 

@@ -317,6 +317,39 @@ class TestPushforwardDeg:
         assert pushforward_deg_numeric(c, CFG) == pytest.approx(
             exact.to_float(), abs=1e-9)
 
+    def test_numeric_route_integrates_each_form_once(self, monkeypatch):
+        # c1*c2 carries one top form under two atoms, and one more form
+        n = 3
+        cc = arithmetic_chern_classes(n)
+        c1c2 = mul(cc.c1_tangent, cc.c2_tangent)
+        tops = list(reduce(c1c2).forms.values())
+        calls = []
+        integrate = chow.integrate_halfline
+        monkeypatch.setattr(chow, "integrate_halfline",
+                            lambda f, cfg, name="": calls.append(f) or integrate(f, cfg, name))
+        value = pushforward_deg_numeric(c1c2, CFG)
+        assert len(tops) == 3 and len(set(tops)) == len(calls) == 2
+        assert value == pytest.approx(pushforward_deg(c1c2).to_float(), abs=1e-9)
+
+
+class TestScale:
+    def test_rational_scalars(self):
+        n = 2
+        c = add(gen_x(n), a_class(n, log_2pi(), forms.alpha_form(n)))
+        assert scale(Fraction(3, 2), c) == scale(ec(Fraction(3, 2)), c)
+        assert sub(scale(3, c), c) == add(c, c)
+        assert scale(0, c).is_zero
+
+    def test_a_transcendental_scalar_is_refused_by_name(self):
+        # scaling atom by atom would move each analytic slot to other atoms;
+        # the constant is named, and nothing is dropped silently
+        n = 2
+        c = add(gen_x(n), a_class(n, 1, forms.alpha_form(n)))
+        for q in (log_2pi(), ec(1) + log_rational(n + 1)):
+            with pytest.raises(chow.ChowError, match="rational scalar") as info:
+                scale(q, c)
+            assert str(q) in str(info.value)
+
 
 class TestPushforwardBase:
     def test_todd_degree_one_projects_to_unit(self):

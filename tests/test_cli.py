@@ -1,6 +1,7 @@
 """Command-line surface: outputs, formats, determinism, exit codes."""
 
 import ast
+import hashlib
 import json
 import subprocess
 import sys
@@ -90,6 +91,17 @@ class TestVerifyCommand:
                                "--height-range", "0")
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("scheme,digest", [
+        ("gauss_kronrod", "70e2fffbafa21231666d4365762231ad64085b4aeec65d0670fa39223ed17b15"),
+        ("tanh_sinh", "e0c33edd944068944068ae51b6c16df6c60d1d37ba4448c21cc9b2f68617844c")])
+    def test_report_bytes_are_pinned(self, scheme, digest):
+        # the same bytes under every supported Python, so the CI matrix
+        # checks that claim of the README
+        code, out, _ = run_cli("verify", "--n-list", "0,7,57", "--height-range", "2",
+                               "--format", "csv", "--scheme", scheme)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_nonpositive_tolerance_is_config_error(self):
         code, _, _ = run_cli("verify", "--n-list", "1", "--tol", "0")
@@ -290,6 +302,15 @@ class TestColdImports:
         code, loaded = modules_after(argv)
         assert code == 0
         assert not loaded & {"dataclasses", "inspect", "json"}
+
+    @pytest.mark.parametrize("argv", [["verify", "--n", "2"],
+                                      ["integrals", "--n", "2", "--scheme", "tanh_sinh"],
+                                      ["table", "--n-max", "2"]],
+                             ids=["verify", "integrals_tanh_sinh", "table"])
+    def test_integrating_commands_load_no_dataclasses(self, argv):
+        code, loaded = modules_after(argv)
+        assert code == 0 and "hirzebruch_torsion.quadrature" in loaded
+        assert "dataclasses" not in loaded
 
     @pytest.mark.parametrize("argv", [["height", "--n", "3"],
                                       ["height", "--n-max", "50", "--format", "csv"]],

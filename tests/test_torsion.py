@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hirzebruch_torsion import chow, constants, forms, quadrature, torsion
+from hirzebruch_torsion import chow, constants, forms, quadrature, radial, torsion
 from hirzebruch_torsion.chow import PipelineInconsistency
 from hirzebruch_torsion.constants import (
     ExactConstant,
@@ -21,6 +21,7 @@ from hirzebruch_torsion.radial import RADIAL_ZERO, NonConvergence, QuadratureCon
 import oracles
 
 CFG = QuadratureConfig()
+TS = QuadratureConfig(scheme="tanh_sinh")
 
 
 def genus_terms(n):
@@ -301,6 +302,77 @@ class TestRoutes:
         assert calls.count("alpha_form") < 24
 
 
+def counted_quadratures(monkeypatch):
+    """The (normal form, configuration, name) of every integrate_halfline
+    call that torsion or chow makes from now on."""
+    calls = []
+    for module in (torsion, chow):
+        integrate = module.integrate_halfline
+
+        def counted(f, cfg, name="", integrate=integrate):
+            calls.append((f, cfg, name))
+            return integrate(f, cfg, name)
+
+        monkeypatch.setattr(module, "integrate_halfline", counted)
+    return calls
+
+
+class TestRecordQuadrature:
+    """Route 3 integrates through Surface.quadrature: each normal form once
+    per record and configuration."""
+
+    def test_one_quadrature_per_distinct_integrand(self, monkeypatch):
+        # 15 distinct integrands through the record, and the two distinct
+        # top forms of c1*c2
+        calls = counted_quadratures(monkeypatch)
+        torsion.verify_all([7], CFG, height_range=0)
+        assert len(calls) == 17
+        assert len({(f, cfg) for f, cfg, _ in calls}) == 17
+
+    def test_a_record_integrates_under_each_configuration(self, monkeypatch):
+        s = torsion.Surface(3)
+        calls = counted_quadratures(monkeypatch)
+        gk = torsion.named_integrals(s, CFG)
+        ts = torsion.named_integrals(s, TS)
+        schemes = [cfg.scheme for _, cfg, _ in calls]
+        assert schemes == ["gauss_kronrod"] * 10 + ["tanh_sinh"] * 10
+        assert gk == torsion.named_integrals(3, CFG)
+        assert ts == torsion.named_integrals(3, TS)
+        assert [m.computed for m in gk] != [m.computed for m in ts]
+
+    def test_a_failed_quadrature_is_not_stored(self, monkeypatch):
+        # the rule stalls on the volume alone: its first check raises, and
+        # the second check of the same integrand integrates it again and
+        # raises under its own name; what converged stays stored
+        s = torsion.Surface(3)
+        probe = radial._compactified(s.volume_form.g)([0.5])
+        dqagse = quadrature._dqagse
+
+        def stall_on_the_volume(g, *args):
+            return (0.0, 1.0, 21, 0, 1) if g([0.5]) == probe else dqagse(g, *args)
+
+        calls = counted_quadratures(monkeypatch)
+        monkeypatch.setattr(quadrature, "_dqagse", stall_on_the_volume)
+        with pytest.raises(NonConvergence, match=r"^relative_form_wedge_alpha, n=3: "):
+            torsion.named_integrals(s, CFG)
+        with pytest.raises(NonConvergence, match=r"^norm_sq_h0_generator, n=3: "):
+            torsion.hodge_l2_checks(s, CFG)
+        monkeypatch.setattr(quadrature, "_dqagse", dqagse)
+        calls.clear()
+        assert all(e.passed for e in torsion.hodge_l2_checks(s, CFG))
+        assert [name for _, _, name in calls] == [
+            f"{name}, n=3" for name in ("norm_sq_h0_generator", "norm_sq_top_generator",
+                                        "harmonic_base_class_squared",
+                                        "primitive_part_orthogonal_to_alpha")]
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_rows_that_share_an_integrand_report_equal_values(self, n):
+        rows = {e.name: e.computed for e in torsion.verify_all([n], CFG, height_range=0).entries}
+        assert rows["fiber_mass_relative_form"] == rows["alpha_wedge_base"]
+        assert (rows["relative_form_wedge_alpha"] == rows["surface_volume"]
+                == rows["norm_sq_h0_generator"])
+
+
 class TestIndependence:
     """Neither exact route, nor the base torsion, nor the height, reads the
     package's stated closed forms."""
@@ -361,6 +433,20 @@ class TestGridAndHodgeSweeps:
         probe = forms.combine(n, [(Fraction(1, 3), al), (Fraction(-2), forms.base_form(n)),
                                   (Fraction(1, 7), forms.ddc_log_R(n))])
         assert forms.hodge_star(forms.hodge_star(probe)) == probe
+        assert (forms.l2_pairing(forms.hodge_star(al), forms.hodge_star(w_h))
+                == forms.l2_pairing(al, w_h))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 57, 10**6])
+    def test_the_mixed_star_pair_is_decided_exactly(self, n, monkeypatch):
+        # <*alpha, *w_H> = <alpha, w_H> holds pointwise, as densities: the
+        # row grades with tol 0 and integrates nothing
+        monkeypatch.setattr(quadrature, "gauss_kronrod", lambda g, target: (0.0, 0.0, ""))
+        calls = counted_quadratures(monkeypatch)
+        row = torsion.hodge_l2_checks(n, CFG)[-1]
+        assert row.name == "star_isometry_on_mixed_pair"
+        assert row.passed and row.tol == 0.0 and row.computed == row.abs_error == 0.0
+        assert not any(name.startswith("star_") for _, _, name in calls)
+        assert len(calls) == (3 if n == 0 else 6)
 
     def test_exact_rows_keep_their_names_and_order(self):
         assert [e.name for e in torsion.appendix_checks(3)] == [
