@@ -139,8 +139,8 @@ def combine(n: int, weighted: Sequence[Tuple[Fraction, Form11]]) -> Form11:
     """Rational linear combination of (1,1)-forms."""
     if any(form.n != n for _, form in weighted):
         raise ValueError("mixed ruling indices in linear combination")
-    return Form11(n, linear((Fraction(c), f.fx) for c, f in weighted),
-                  linear((Fraction(c), f.fphi) for c, f in weighted))
+    return Form11(n, linear((c, f.fx) for c, f in weighted),
+                  linear((c, f.fphi) for c, f in weighted))
 
 
 # -- named constructors ------------------------------------------------------

@@ -83,27 +83,25 @@ _EPMACH = 2.220446049250313e-16    # d1mach(4)
 _UFLOW = 2.2250738585072014e-308   # d1mach(1)
 _OFLOW = 1.7976931348623157e+308   # d1mach(2)
 
-# 21-point Kronrod abscissae (odd 0-based indices are the 10-point Gauss
-# nodes) and weights, and the Gauss weights
-_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
-_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821)
-_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
-
-# the _XGK indices in QUADPACK's order of evaluation, and the position in a
-# panel of each index's left node (its right node follows it)
-_XGK_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
-_XGK_LEFT = tuple(1 + 2 * _XGK_ORDER.index(j) for j in range(10))
+# 21-point Kronrod abscissae _Xj (odd j are the 10-point Gauss nodes) and
+# weights _Kj (_K10 at the centre), and the Gauss weights _Gj
+_X0, _X1, _X2, _X3, _X4, _X5, _X6, _X7, _X8, _X9 = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7, _K8, _K9, _K10 = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821)
+_G0, _G1, _G2, _G3, _G4 = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338)
 
 # scipy's message for each flag, up to its first comma or full stop
 _QAGS_REASONS = ("",
@@ -119,39 +117,42 @@ def _dqk21(f, a: float, b: float) -> Tuple[float, float, float, float]:
     """21-point Gauss-Kronrod rule on [a, b]: (result, abserr, resabs,
     resasc), the last two the integrals of |f| and of |f - mean|.  f gets the
     21 nodes in QUADPACK's order: the centre, the Gauss pairs, the Kronrod
-    pairs (each pair left node first)."""
+    pairs (each pair left node first).  The sums are QUADPACK's loops
+    unrolled, in their order: fc is the value at the centre, lj and rj those
+    at the left and right node of abscissa _Xj, and sj = lj + rj."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     dhlgth = abs(hlgth)
-    nodes = [centr]
-    for j in _XGK_ORDER:
-        absc = hlgth * _XGK[j]
-        nodes.append(centr - absc)
-        nodes.append(centr + absc)
-    fv = f(nodes)
-    resg = 0.0
-    fc = fv[0]
-    resk = _WGK[10] * fc
-    resabs = abs(resk)
-    for j in range(5):  # the Gauss pairs, whose sums also enter the Kronrod sums
-        jtw = 2 * j + 1
-        fval1 = fv[jtw]
-        fval2 = fv[jtw + 1]
-        fsum = fval1 + fval2
-        resg = resg + _WG[j] * fsum
-        resk = resk + _WGK[jtw] * fsum
-        resabs = resabs + _WGK[jtw] * (abs(fval1) + abs(fval2))
-    for jtwm1 in range(0, 10, 2):
-        fval1 = fv[11 + jtwm1]
-        fval2 = fv[12 + jtwm1]
-        fsum = fval1 + fval2
-        resk = resk + _WGK[jtwm1] * fsum
-        resabs = resabs + _WGK[jtwm1] * (abs(fval1) + abs(fval2))
+    d0, d1, d2, d3, d4 = hlgth * _X0, hlgth * _X1, hlgth * _X2, hlgth * _X3, hlgth * _X4
+    d5, d6, d7, d8, d9 = hlgth * _X5, hlgth * _X6, hlgth * _X7, hlgth * _X8, hlgth * _X9
+    (fc, l1, r1, l3, r3, l5, r5, l7, r7, l9, r9,
+     l0, r0, l2, r2, l4, r4, l6, r6, l8, r8) = f([
+         centr, centr - d1, centr + d1, centr - d3, centr + d3, centr - d5, centr + d5,
+         centr - d7, centr + d7, centr - d9, centr + d9, centr - d0, centr + d0,
+         centr - d2, centr + d2, centr - d4, centr + d4, centr - d6, centr + d6,
+         centr - d8, centr + d8])
+    s0, s1, s2, s3, s4 = l0 + r0, l1 + r1, l2 + r2, l3 + r3, l4 + r4
+    s5, s6, s7, s8, s9 = l5 + r5, l6 + r6, l7 + r7, l8 + r8, l9 + r9
+    # the loop's sum starts at 0.0, which turns a first term -0.0 into 0.0
+    resg = 0.0 + _G0 * s1 + _G1 * s3 + _G2 * s5 + _G3 * s7 + _G4 * s9
+    resk = (_K10 * fc + _K1 * s1 + _K3 * s3 + _K5 * s5 + _K7 * s7 + _K9 * s9
+            + _K0 * s0 + _K2 * s2 + _K4 * s4 + _K6 * s6 + _K8 * s8)
+    resabs = (abs(_K10 * fc) + _K1 * (abs(l1) + abs(r1)) + _K3 * (abs(l3) + abs(r3))
+              + _K5 * (abs(l5) + abs(r5)) + _K7 * (abs(l7) + abs(r7))
+              + _K9 * (abs(l9) + abs(r9)) + _K0 * (abs(l0) + abs(r0))
+              + _K2 * (abs(l2) + abs(r2)) + _K4 * (abs(l4) + abs(r4))
+              + _K6 * (abs(l6) + abs(r6)) + _K8 * (abs(l8) + abs(r8)))
     reskh = resk * 0.5
-    resasc = _WGK[10] * abs(fc - reskh)
-    for j in range(10):
-        left = _XGK_LEFT[j]
-        resasc = resasc + _WGK[j] * (abs(fv[left] - reskh) + abs(fv[left + 1] - reskh))
+    resasc = (_K10 * abs(fc - reskh) + _K0 * (abs(l0 - reskh) + abs(r0 - reskh))
+              + _K1 * (abs(l1 - reskh) + abs(r1 - reskh))
+              + _K2 * (abs(l2 - reskh) + abs(r2 - reskh))
+              + _K3 * (abs(l3 - reskh) + abs(r3 - reskh))
+              + _K4 * (abs(l4 - reskh) + abs(r4 - reskh))
+              + _K5 * (abs(l5 - reskh) + abs(r5 - reskh))
+              + _K6 * (abs(l6 - reskh) + abs(r6 - reskh))
+              + _K7 * (abs(l7 - reskh) + abs(r7 - reskh))
+              + _K8 * (abs(l8 - reskh) + abs(r8 - reskh))
+              + _K9 * (abs(l9 - reskh) + abs(r9 - reskh)))
     result = resk * hlgth
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth

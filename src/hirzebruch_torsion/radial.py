@@ -18,7 +18,9 @@ would need a dilogarithm and is refused.
 Sums, differences, scalar multiples and linear combinations add unreduced
 integer (numerator, denominator) pairs per key in _add_into, and products in
 _mul_into, which shares its pair update; built then makes the Radial once,
-one gcd per key.  Fraction stays in terms, mass and plan.
+one gcd per key.  The exact mass sums the same pairs and makes one Fraction
+per atom of the constant span, and the float plan builds its numerators as
+coefficient lists; Fraction stays in the terms and the partial-fraction rule.
 
 A Radial evaluates floats through its plan, the exact-to-float set-up of
 Horner sums per log factor, which the kernels module compiles into a
@@ -42,11 +44,12 @@ stalled under the settings module's configuration.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .constants import ExactConstant, log_rational
+from .constants import ONE, ExactConstant, _prime_logs
 from .settings import (DEFAULT_CONFIG, PASS_TOL_FACTOR, SCHEMES,  # noqa: F401 (re-exported)
                        NonConvergence, QuadratureConfig, _fmt)
 
@@ -151,7 +154,8 @@ class Radial:
         if not self.terms:
             return Fraction(0)
         if len(self.terms) == 1 and self.terms[0][0] == _CONST:
-            return Fraction(self.terms[0][1])
+            c = self.terms[0][1]
+            return c if type(c) is Fraction else Fraction(c)
         return None
 
     @property
@@ -170,6 +174,10 @@ class Radial:
         return isinstance(other, Radial) and self.terms == other.terms
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         return hash(self.terms)
 
     def __str__(self) -> str:
@@ -232,34 +240,31 @@ class Radial:
         """Exact integral over [0, inf), derived once per object.
 
         Pole powers k >= 2 give 1/(a(k-1)); simple poles give sum (c/a) log a
-        once their 1/u tails cancel; by parts,
+        once their 1/u tails c/a cancel; by parts,
         int log(1+bu) (1+au)^-k = b/(a(k-1)) int (1+bu)^-1 (1+au)^(1-k).
         """
-        rational: Dict[Tuple[int, int], Fraction] = {}
+        acc: dict = {}  # integer pairs: key 0 the rational part, a the coefficient of log a
         for key, c in self.terms:
             b, _, a, k = key
             if not k:
                 raise DomainError(f"{_term_str(key, c)} has no half-line mass (it does not decay)")
-            if not b:
-                _add_to(rational, (a, k), c)
-            elif k == 1:
+            if b and k == 1:
                 raise DomainError(f"{_term_str(key, c)}: a simple pole times a log has no "
                                   "mass in the constant span (it needs a dilogarithm)")
-            else:
-                for (_, aa, kk), w in _split(0, a, k - 1, b, 1):
-                    _add_to(rational, (aa, kk), c * w * Fraction(b, a * (k - 1)))
-        value, logs = Fraction(0), {}
-        for (a, k), c in rational.items():
-            if k == 1:
-                logs[a] = Fraction(c, a)
-            else:
-                value += Fraction(c, a * (k - 1))
-        if sum(logs.values()):
+            p, d, parts = c.numerator, c.denominator, (((0, a, k), 1),)
+            if b:
+                p, d, parts = p * b, d * a * (k - 1), _split(0, a, k - 1, b, 1)
+            for (_, aa, kk), w in parts:
+                _add_pair(acc, aa if kk == 1 else 0, p * w.numerator,
+                          d * w.denominator * aa * (kk - 1 or 1))
+        den = math.prod(d for a, (_, d) in acc.items() if a)
+        if sum(p * (den // d) for a, (p, d) in acc.items() if a):
             raise DomainError(f"{self} decays like 1/u: its half-line integral diverges")
-        out = ExactConstant.rational(value)
-        for a, w in logs.items():
-            out = out + log_rational(a).scale(w)
-        return out
+        atoms: dict = {}
+        for a, (p, d) in acc.items():
+            for atom, e in _prime_logs(a) if a else ((ONE, 1),):
+                _add_pair(atoms, atom, p * e, d)
+        return ExactConstant({atom: Fraction(p, d) for atom, (p, d) in atoms.items() if p})
 
     # -- evaluation ---------------------------------------------------------
 
@@ -278,13 +283,16 @@ class Radial:
         plan = []
         for b, g in sorted(groups.items()):
             simple = [a for a in bases if 1 in g.get(a, {})]
-            numerator = Radial({**{(0, j, 0, 0): c for j, c in g.get(0, {}).items()},
-                                **{(0, 0, a, 1): g[a][1] for a in simple}})
-            for a in simple:  # times prod (1 + au): a polynomial
-                numerator = numerator * Radial({(0, 0, 0, 0): 1, (0, 1, 0, 0): a})
+            d = math.prod(c.denominator for w in g.values() for c in w.values())
+            powers = g.get(0, {0: 0})  # d times the powers, then numerator/prod + c/(1+au)
+            numerator, prod = [_whole(powers.get(j, 0), d) for j in range(max(powers) + 1)], [1]
+            for a in simple:
+                numerator = _plus(_times_linear(numerator, a), _whole(g[a][1], d), prod)
+                prod = _times_linear(prod, a)
             higher = tuple((bases.index(a), _horner({k: c for k, c in g[a].items() if k > 1}, 2))
                            for a in bases if max(g.get(a, {0: 0})) > 1)
-            plan.append((float(b), _horner({j: c for (_, j, _, _), c in numerator.terms}, 0),
+            plan.append((float(b), _horner({j: c // d if not c % d else Fraction(c, d)
+                                            for j, c in enumerate(numerator) if c}, 0),  # as built
                          tuple(bases.index(a) for a in simple), higher))
         return tuple(float(a) for a in bases), tuple(plan)
 
@@ -304,6 +312,21 @@ def _horner(weights: Dict[int, Fraction], low: int) -> tuple:
     """Float coefficients of the powers low..max, highest first."""
     top = max(weights, default=low - 1)
     return tuple(float(weights.get(p, 0)) for p in range(top, low - 1, -1))
+
+
+def _whole(c, den: int) -> int:
+    """The integer c * den of a rational c whose denominator divides den."""
+    return c.numerator * (den // c.denominator)
+
+
+def _times_linear(p: list, a: int) -> list:
+    """The coefficients of p(u) (1 + au), lowest power first as in p."""
+    return [x + a * y for x, y in zip(p + [0], [0] + p)]
+
+
+def _plus(p: list, c, q: list) -> list:
+    """The coefficients of p + c q, lowest power first (len(q) <= len(p))."""
+    return [x + c * y for x, y in zip(p, q)] + p[len(q):]
 
 
 def _add_pair(acc: dict, key, p: int, d: int) -> None:

@@ -109,9 +109,11 @@ class Surface:
         """The half-line integral of f under cfg, once per record and keyed by
         the normal form; a failure is not stored, so each check that meets it
         raises under its own label, "name, n=..."."""
-        if (f, cfg) not in self._quadratures:
-            self._quadratures[f, cfg] = integrate_halfline(f, cfg, name=f"{name}, n={self.n}")
-        return self._quadratures[f, cfg]
+        key = f, cfg
+        value = self._quadratures.get(key)
+        if value is None:
+            value = self._quadratures[key] = integrate_halfline(f, cfg, name=f"{name}, n={self.n}")
+        return value
 
 
 def _surface(n: Union[int, Surface]) -> Surface:

@@ -8,8 +8,10 @@ L2 norms and covolumes from exact L2 pairings.  The functions below are the
 hand-written values the package used before it derived them; the tests check
 the derivations against them.
 They call no `closed_*` function of the package.  The curvature image of a
-class, which only the tests read, lives here too, and so does the Fraction
-sum of radial functions that the integer-pair sums must reproduce.
+class, which only the tests read, lives here too, and so do the Fraction
+sum of radial functions that the integer-pair sums must reproduce and the
+Fraction derivations of a normal form's exact mass and float plan that the
+integer ones must reproduce.
 
 The interpretive evaluator at the end is the loop that read a radial
 function's float plan term by term before the package generated a kernel
@@ -24,7 +26,8 @@ from hirzebruch_torsion import chow, forms
 from hirzebruch_torsion.chow import R_GENUS_DEGREE1, ChowClass, PipelineInconsistency
 from hirzebruch_torsion.constants import ExactConstant, log_2pi, log_rational
 from hirzebruch_torsion.forms import Form11
-from hirzebruch_torsion.radial import RADIAL_ONE, DomainError, Radial, _label
+from hirzebruch_torsion.radial import (RADIAL_ONE, DomainError, Radial, _add_to, _label,
+                                       _split, _term_str)
 
 
 def _rat(q) -> ExactConstant:
@@ -365,6 +368,63 @@ def fraction_linear(pairs) -> Radial:
         for key, c in f.terms:
             acc[key] = acc.get(key, 0) + q * Fraction(c)
     return Radial(acc)
+
+
+# ---------------------------------------------------------------------------
+# A normal form's exact mass and float plan in Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+
+def fraction_mass(f: Radial) -> ExactConstant:
+    """The exact half-line mass of f as Radial.mass derived it in Fractions,
+    with its refusals: no decay, a simple pole times a log, a 1/u tail."""
+    rational: Dict[Tuple[int, int], Fraction] = {}
+    for key, c in f.terms:
+        b, _, a, k = key
+        if not k:
+            raise DomainError(f"{_term_str(key, c)} has no half-line mass (it does not decay)")
+        if not b:
+            _add_to(rational, (a, k), c)
+        elif k == 1:
+            raise DomainError(f"{_term_str(key, c)}: a simple pole times a log has no "
+                              "mass in the constant span (it needs a dilogarithm)")
+        else:
+            for (_, aa, kk), w in _split(0, a, k - 1, b, 1):
+                _add_to(rational, (aa, kk), c * w * Fraction(b, a * (k - 1)))
+    value, logs = Fraction(0), {}
+    for (a, k), c in rational.items():
+        if k == 1:
+            logs[a] = Fraction(c, a)
+        else:
+            value += Fraction(c, a * (k - 1))
+    if sum(logs.values()):
+        raise DomainError(f"{f} decays like 1/u: its half-line integral diverges")
+    out = ExactConstant.rational(value)
+    for a, w in logs.items():
+        out = out + log_rational(a).scale(w)
+    return out
+
+
+def fraction_plan(f: Radial) -> tuple:
+    """The float plan of f as Radial.plan derived it: each log group's
+    numerator over prod (1+au) as a product of Radials."""
+    groups: Dict[int, Dict[int, Dict[int, Fraction]]] = {}
+    for (b, j, a, k), c in f.terms:
+        groups.setdefault(b, {}).setdefault(a, {})[k or j] = c
+    bases = sorted({a for g in groups.values() for a in g if a})
+    plan = []
+    for b, g in sorted(groups.items()):
+        simple = [a for a in bases if 1 in g.get(a, {})]
+        numerator = Radial({**{(0, j, 0, 0): c for j, c in g.get(0, {}).items()},
+                            **{(0, 0, a, 1): g[a][1] for a in simple}})
+        for a in simple:  # times prod (1 + au): a polynomial
+            numerator = numerator * Radial({(0, 0, 0, 0): 1, (0, 1, 0, 0): a})
+        higher = tuple((bases.index(a),
+                        tuple(_horner({k: c for k, c in g[a].items() if k > 1}, 2)))
+                       for a in bases if max(g.get(a, {0: 0})) > 1)
+        plan.append((float(b), tuple(_horner({j: c for (_, j, _, _), c in numerator.terms}, 0)),
+                     tuple(bases.index(a) for a in simple), higher))
+    return tuple(float(a) for a in bases), tuple(plan)
 
 
 # ---------------------------------------------------------------------------

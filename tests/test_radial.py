@@ -351,6 +351,82 @@ class TestMassProperties:
         assert abs(integrate_halfline(f, TS_CFG) - f.mass.to_float()) <= TS_CFG.pass_tol
 
 
+@st.composite
+def catalog_forms(draw, n):
+    """Sums of terms c u^j (1+au)^-k log(1+bu)^[b > 0] over the catalog's
+    pole bases 1 and n+1 and log bases 0, 1 and n+1, j <= 3 and k <= 4, and
+    at times a simple-pole pair whose 1/u tails cancel: some have a mass, the
+    rest meet each refusal."""
+    big = n + 1
+    q = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    f = Radial()
+    for _ in range(draw(st.integers(0, 4))):
+        f = f + Radial.term(draw(q), j=draw(st.integers(0, 3)),
+                            a=draw(st.sampled_from((1, big))), k=draw(st.integers(0, 4)),
+                            b=draw(st.sampled_from((0, 1, big))))
+    if draw(st.booleans()):
+        f = f + draw(q) * (Radial.term(a=1, k=1) - Radial.term(big, a=big, k=1))
+    return f
+
+
+def mass_or_refusal(derive, f):
+    """The exact mass that derive gives f and its text, or the refusal's text."""
+    try:
+        value = derive(f)
+    except DomainError as err:
+        return "refused", str(err)
+    return value, str(value)
+
+
+def hexed(plan):
+    """A plan with every float as its hex text, so that -0.0 differs from 0.0."""
+    if isinstance(plan, float):
+        return plan.hex()
+    return tuple(hexed(x) for x in plan) if isinstance(plan, tuple) else plan
+
+
+class TestIntegerDerivations:
+    """The exact mass and the float plan, summed on integers, against the
+    Fraction derivations they replace."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 10**9))
+    def test_mass_matches_the_fraction_derivation(self, data, n):
+        f = data.draw(integrands(n))
+        assert mass_or_refusal(lambda g: g.mass, f) == mass_or_refusal(oracles.fraction_mass, f)
+        assert f.mass == oracles.fraction_mass(f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 10**9))
+    def test_mass_and_refusals_match_the_fraction_derivation(self, data, n):
+        f = data.draw(catalog_forms(n))
+        assert mass_or_refusal(lambda g: g.mass, f) == mass_or_refusal(oracles.fraction_mass, f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 10**9))
+    def test_plan_matches_the_fraction_derivation(self, data, n):
+        f = data.draw(catalog_forms(n))
+        assert hexed(f.plan) == hexed(oracles.fraction_plan(f))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 100, 10**9])
+    def test_catalog_plans_match_the_fraction_derivation(self, n):
+        for _, f in catalog_radials(n):
+            assert hexed(f.plan) == hexed(oracles.fraction_plan(f))
+
+    @pytest.mark.parametrize("f, text", [
+        (Radial.term(2, j=1), "2*u has no half-line mass (it does not decay)"),
+        (Radial.term(a=1, k=1, b=3) + Radial.term(j=2),
+         "u^2 has no half-line mass (it does not decay)"),
+        (Radial.term(Fraction(1, 3), a=4, k=1, b=4) + Radial.term(a=1, k=2),
+         "1/3*log(1+4u)/(1+4u): a simple pole times a log has no mass in the constant span "
+         "(it needs a dilogarithm)"),
+        (Radial.term(a=1, k=2) + Radial.term(-2, a=5, k=1),
+         "1/(1+u)^2 - 2/(1+5u) decays like 1/u: its half-line integral diverges")])
+    def test_each_refusal_keeps_its_text(self, f, text):
+        assert mass_or_refusal(lambda g: g.mass, f) == ("refused", text)
+        assert mass_or_refusal(oracles.fraction_mass, f) == ("refused", text)
+
+
 def _reference_canon(j, poles):
     """u^j prod (1+au)^-k over the (a, k) of poles as canonical {(j, a, k):
     Fraction}, by the two identities of the normal form in plain Fractions:

@@ -329,6 +329,21 @@ class TestRecordQuadrature:
         assert len(calls) == 17
         assert len({(f, cfg) for f, cfg, _ in calls}) == 17
 
+    def test_a_repeated_quadrature_hashes_no_fraction(self, monkeypatch):
+        # the normal form keeps its hash, so a hit recomputes none of its
+        # Fraction weights' hashes
+        s = torsion.Surface(7)
+        f = s.secondary_todd_parts[2].g
+        assert any(type(c) is Fraction for _, c in f.terms)
+        value = s.quadrature("c1_bott_chern_c2", f, CFG)
+        calls = []
+        fraction_hash = Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__", lambda q: calls.append(q) or fraction_hash(q))
+        assert s.quadrature("c1_bott_chern_c2", f, CFG) == value
+        assert calls == []
+        hash(Fraction(1, 3))
+        assert len(calls) == 1
+
     def test_a_record_integrates_under_each_configuration(self, monkeypatch):
         s = torsion.Surface(3)
         calls = counted_quadratures(monkeypatch)
