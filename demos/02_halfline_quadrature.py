@@ -8,7 +8,9 @@ compactifies with u = t/(1-t) and integrates in plain Python, by adaptive
 Gauss-Kronrod (QUADPACK's QAGS) or by tanh-sinh (the double-exponential
 rule, halving its step level by level); this demo walks the standard
 catalog and sets the quadrature next to the exact mass and to a closed form
-typed in by hand, which checks both.
+typed in by hand, which checks both.  It calls integrate_halfline directly;
+the engine's checks reach it through one door, the per-n record
+torsion.Surface.quadrature, which integrates each normal form once.
 """
 
 import math
@@ -37,7 +39,7 @@ for k in range(2, 7):
 
 print("\nA logarithmic integrand, log((1+(n+1)u)/(1+u))/(1+u)^2 at n = 1:")
 n = 1
-h = forms.log_R(n) * forms.coeff_B()
+h = forms.log_R(n) * forms.B
 closed = (n + 1) / n * math.log(n + 1) - 1  # (n+1)/n log(n+1) - 1, typed in
 print(f"  normal form {h}")
 print(f"  closed form (n+1)/n log(n+1) - 1 = {closed:.15f}")

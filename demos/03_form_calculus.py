@@ -5,7 +5,8 @@ pulled-back base form and the normalized fiber element.  This demo builds the
 named catalog, checks the dd^c chain rule against its expanded coefficients,
 and computes the harmonic-generator norms: each is the exact mass of an L2
 pairing density (the direct route derives its L2 covolumes from these) and
-is re-derived by quadrature.
+is re-derived by quadrature.  The form calculus integrates nothing itself: a
+top form's numeric integral is the half-line quadrature of its coefficient g.
 """
 
 from hirzebruch_torsion import forms
@@ -34,7 +35,7 @@ pairs = [
 ]
 for name, w in pairs:
     print(f"  {name:<22s} exact={str(w.total_integral):<6s} "
-          f"quad={w.integrate(cfg): .12f}")
+          f"quad={integrate_halfline(w.g, cfg): .12f}")
 
 print("\nContraction against the reference metric:")
 lam = forms.lambda_contract(forms.omega_H(n))
@@ -48,10 +49,10 @@ wh = forms.omega_H(n)
 for label, density in (("|harmonic base class|^2", forms.l2_pairing(wh, wh)),
                        ("|alpha|^2", forms.l2_pairing(al, al)),
                        ("volume", forms.volume_form(n))):
-    print(f"  {label:<22s} = {density.integrate(cfg):.12f} "
+    print(f"  {label:<22s} = {integrate_halfline(density.g, cfg):.12f} "
           f"(exact {density.total_integral})")
 print(f"  integral of (harmonic base class)^2 = "
-      f"{forms.wedge(wh, wh).integrate(cfg): .2e} (exact 0: the square is exact)")
+      f"{integrate_halfline(forms.wedge(wh, wh).g, cfg): .2e} (exact 0: the square is exact)")
 
 print("\nQuotient metric from the adjoint formula, against the fiber part of alpha:")
 q = forms.quotient_metric()

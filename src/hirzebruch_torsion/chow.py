@@ -31,13 +31,15 @@ a(eta) * a(eta') = a(dd^c eta ^ eta') with dd^c on the lower-degree factor
 Below top degree the product is taken to be zero when either factor has
 vanishing dd^c, and two 0-forms take the average of both placements; in top
 degree only the mass counts, which by Stokes does not depend on the
-placement.  The pairing is flagged in the trace when it fires.  The ring
-is truncated at the arithmetic dimension: a product above it vanishes, so
-mixed-degree classes such as Todd classes and Chern characters multiply as
-whole classes, and a product can be asked for in chosen degrees only.
+placement.  The ring is truncated at the arithmetic dimension: a product
+above it vanishes, so mixed-degree classes such as Todd classes and Chern
+characters multiply as whole classes, and a product can be asked for in
+chosen degrees only.
 
-The degree map halves the exact total mass of the top-degree analytic part;
-no finite-place contributions are modeled, because every class produced by
+The degree map halves the exact total mass of the top-degree analytic part,
+read through top_slots (the ring is exact and integrates nothing; a check
+that wants the same degree by quadrature folds over the same slots); no
+finite-place contributions are modeled, because every class produced by
 the pipelines reduces to archimedean terms.  The height is such a degree,
 by two pipelines: of the second Segre class, and of the polarization cube.
 """
@@ -51,13 +53,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 from . import forms, radial
 from .constants import ZETA_M1, ZETA_PRIME_M1, ConstantAtom, ExactConstant, log_2pi
 from .forms import Form11, Form22
-from .radial import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    RADIAL_ONE,
-    Radial,
-    integrate_halfline,
-)
+from .radial import RADIAL_ONE, Radial
 
 SURFACE = "S_n"
 BASE = "P1"
@@ -85,7 +81,7 @@ class PipelineInconsistency(ChowError):
 def base_top_form(n: int) -> Form22:
     """The base Fubini-Study form as a top form of the base model, in the
     line's own radial variable: g = 1/(1+u)^2, of unit mass."""
-    return Form22(n, forms.coeff_B())
+    return Form22(n, forms.B)
 
 
 FormT = Union[Radial, Form11, Form22]
@@ -318,11 +314,10 @@ def _built(n: int, kind, maps) -> FormT:
     return parts[0] if kind is Radial else kind(n, *parts)
 
 
-def _product(n: int, *pieces) -> Optional[FormT]:
-    """The form sum q * (f ^ g) over the (f, g, q) pieces, or None when it vanishes."""
+def _product(n: int, f: FormT, g: FormT) -> Optional[FormT]:
+    """The form f ^ g, or None when it vanishes."""
     sums: dict = {}
-    for f, g, q in pieces:
-        _wedge_into(sums, None, f, g, q)
+    _wedge_into(sums, None, f, g, 1)
     return (sums and _built(n, *sums[None])) or None
 
 
@@ -334,9 +329,9 @@ def _mono_curvature(n: int, variety: str, mono: MonoT) -> Optional[FormT]:
         return (RADIAL_ONE, base_top_form(n), None)[min(i, 2)]
     acc: Optional[FormT] = RADIAL_ONE
     for _ in range(i):
-        acc = acc and _product(n, (acc, forms.base_form(n), 1))
+        acc = acc and _product(n, acc, forms.base_form(n))
     for _ in range(j):
-        acc = acc and _product(n, (acc, forms.alpha_form(n), 1))
+        acc = acc and _product(n, acc, forms.alpha_form(n))
     return acc
 
 
@@ -375,7 +370,7 @@ def _relation_image(n: int, mono: MonoT) -> Optional[FormT]:
     """The analytic side of the degree-2 relation times the curvature image
     of mono."""
     rest = _mono_curvature(n, SURFACE, mono)
-    return rest and _product(n, (forms.degree2_relation_rhs(n), rest, 1))
+    return rest and _product(n, forms.degree2_relation_rhs(n), rest)
 
 
 def _trace_step(trace: list, rule: str, before: str, after: str) -> None:
@@ -420,7 +415,7 @@ def reduce(c: ChowClass, trace: Optional[list] = None) -> ChowClass:
 # ---------------------------------------------------------------------------
 
 
-def mul(a: ChowClass, b: ChowClass, trace: Optional[list] = None,
+def mul(a: ChowClass, b: ChowClass,
         degrees: Optional[Iterable[int]] = None) -> ChowClass:
     """Intersection product in the given degrees, reduced to normal form.
 
@@ -434,8 +429,8 @@ def mul(a: ChowClass, b: ChowClass, trace: Optional[list] = None,
     """
     _check_compatible(a, b)
     same = a is b
-    a = reduce(a, trace)
-    b = a if same else reduce(b, trace)
+    a = reduce(a)
+    b = a if same else reduce(b)
     n, variety = a.n, a.variety
     top = top_degree(variety)
     keep = range(top + 1) if degrees is None else tuple(degrees)
@@ -469,17 +464,14 @@ def mul(a: ChowClass, b: ChowClass, trace: Optional[list] = None,
         for slot2, f2 in b.forms.items():
             if slot1[0] + slot2[0] not in keep:
                 continue
-            pieces = _ddc_wedges(slot1[0], f1, ddc_a.get(slot1), slot2[0], f2, ddc_b.get(slot2))
-            for f, g, q in pieces:
+            for f, g, q in _ddc_wedges(slot1[0], f1, ddc_a.get(slot1),
+                                       slot2[0], f2, ddc_b.get(slot2)):
                 _wedge_into(sums, (slot1[0] + slot2[0], slot1[1], slot2[1]), f, g, q)
-            w = trace is not None and _product(n, *pieces)
-            if w:
-                _trace_step(trace, "analytic_product", f"a({f1!r})*a({f2!r})", f"a({w!r})")
     slots: Dict[SlotT, FormT] = {}
     for (_, atom_f, atom_g), acc in sums.items():
         form = _built(n, *acc)
         _accumulate(slots, form and _atoms(atom_f, atom_g), form, variety)
-    return reduce(_assemble(n, variety, poly, slots), trace)
+    return reduce(_assemble(n, variety, poly, slots))
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +503,11 @@ def pushforward_base(c: ChowClass) -> ChowClass:
     return _assemble(c.n, BASE, poly, slots)
 
 
-def _top_slots(c: ChowClass, trace: Optional[list] = None):
-    """The (slot, form) items of the reduced class, all of top degree; a class
-    with any other part, or with a monomial that reduction left, is refused."""
+def top_slots(c: ChowClass, trace: Optional[list] = None):
+    """The (slot, form) items of the reduced class, all of top degree, in slot
+    order; a class with any other part, or with a monomial that reduction
+    left, is refused.  The degree map sums their exact masses, and a check
+    that integrates them by quadrature folds over the same items."""
     c = reduce(c, trace)
     top = top_degree(c.variety)
     if any(sum(m) != top for m in c.poly) or any(d != top for d, _ in c.forms):
@@ -525,28 +519,11 @@ def _top_slots(c: ChowClass, trace: Optional[list] = None):
 
 
 def pushforward_deg(c: ChowClass, trace: Optional[list] = None) -> ExactConstant:
-    """Arithmetic degree of a top-degree class: half the exact total mass.
-
-    pushforward_deg_numeric is the quadrature companion used for
-    cross-checks.
-    """
+    """Arithmetic degree of a top-degree class: half the exact total mass."""
     total = ExactConstant.zero()
-    for (_, atom), form in _top_slots(c, trace):
+    for (_, atom), form in top_slots(c, trace):
         total = total + ExactConstant.atom(atom) * form.total_integral
     return total.scale(Fraction(1, 2))
-
-
-def pushforward_deg_numeric(c: ChowClass, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                            name: str = "") -> float:
-    """Quadrature twin of pushforward_deg (half the numerically integrated
-    mass), each distinct form integrated once; name labels the quadratures
-    in a NonConvergence message."""
-    total, masses = 0.0, {}  # a plain left fold: sum() compensates floats from 3.12
-    for (_, atom), form in _top_slots(c):
-        if form not in masses:
-            masses[form] = integrate_halfline(form.g, cfg, name=name)
-        total += atom.value() * masses[form]
-    return 0.5 * total
 
 
 # ---------------------------------------------------------------------------

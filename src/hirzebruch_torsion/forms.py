@@ -20,9 +20,10 @@ which reproduces both catalog derivative formulas exactly; it is the single
 rule from which all curvature forms here are assembled.
 
 Every coefficient is a Radial normal form.  So forms are equal exactly when
-their coefficients are, the exact fiber and total integrals are derived
-properties (the exact mass of a coefficient), and quadrature re-derives the
-same numbers from the same objects.
+their coefficients are, and the exact fiber and total integrals are derived
+properties (the exact mass of a coefficient).  This module integrates
+nothing numerically: the torsion module's record re-derives the same numbers
+by quadrature of the same coefficients.
 """
 
 from __future__ import annotations
@@ -32,19 +33,11 @@ from functools import cached_property
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .constants import ExactConstant
-from .radial import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    RADIAL_ONE,
-    RADIAL_ZERO,
-    Radial,
-    _mul_into,
-    built,
-    integrate_halfline,
-    linear,
-)
+from .radial import RADIAL_ONE, RADIAL_ZERO, Radial, _mul_into, built, linear
 
 U = Radial.term(j=1)
+B = Radial.term(a=1, k=2)  # the fiber coefficient 1/(1+u)^2, of unit half-line mass
+B_INV = RADIAL_ONE + 2 * U + Radial.term(j=2)  # (1 + u)^2
 
 
 # ---------------------------------------------------------------------------
@@ -61,16 +54,6 @@ def ratio_R(n: int) -> Radial:
 def reciprocal_R(n: int) -> Radial:
     """1/R(u) = (1 + u)/(1 + (n+1)u)."""
     return Radial.term(Fraction(1, n + 1)) + Radial.term(Fraction(n, n + 1), a=n + 1, k=1)
-
-
-def coeff_B() -> Radial:
-    """Fiber coefficient 1/(1+u)^2, of unit half-line mass."""
-    return Radial.term(a=1, k=2)
-
-
-def reciprocal_B() -> Radial:
-    """(1 + u)^2."""
-    return RADIAL_ONE + 2 * U + Radial.term(j=2)
 
 
 def log_R(n: int) -> Radial:
@@ -150,7 +133,7 @@ def alpha_form(n: int) -> Form11:
     """Curvature of the tautological bundle: fx = (1+(n+1)u)/(1+u), fphi = 1/(1+u)^2."""
     if n < 0:
         raise ValueError("ruling index must be >= 0")
-    return Form11(n, ratio_R(n), coeff_B())
+    return Form11(n, ratio_R(n), B)
 
 
 def base_form(n: int) -> Form11:
@@ -166,7 +149,7 @@ def ratio_base_form(n: int) -> Form11:
 def omega_form(n: int) -> Form11:
     """Relative Fubini-Study form: the pure fiber form (0, 1/(1+u)^2), equal to
     alpha minus R(u) * base, with fiber pushforward 1."""
-    return Form11(n, RADIAL_ZERO, coeff_B())
+    return Form11(n, RADIAL_ZERO, B)
 
 
 def ddc(h: Radial, n: int) -> Form11:
@@ -186,7 +169,7 @@ def ddc_form11(form: Form11) -> "Form22":
     alpha are closed, so dd^c form = dd^c(fx - k R) ^ base + dd^c k ^ alpha.
     """
     n = form.n
-    k = form.fphi * reciprocal_B()
+    k = form.fphi * B_INV
     return Form22(n, ddc(form.fx - k * ratio_R(n), n).fphi
                   + wedge(ddc(k, n), alpha_form(n)).g)
 
@@ -264,9 +247,6 @@ class Form22:
         """Product with a rational or a radial 0-form."""
         return Form22(self.n, c * self.g)
 
-    def integrate(self, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-        return integrate_halfline(self.g, cfg)
-
 
 def wedge_into(acc: dict, a: Form11, b: Form11, q=1) -> dict:
     """acc += q * g of a ^ b, g = a.fx*b.fphi + a.fphi*b.fx, as _mul_into pairs."""
@@ -293,7 +273,7 @@ def volume_form(n: int) -> Form22:
 
 def lambda_contract(a: Form11) -> Radial:
     """Trace against the reference metric: fx/A + fphi/B pointwise."""
-    return a.fx * reciprocal_R(a.n) + a.fphi * reciprocal_B()
+    return a.fx * reciprocal_R(a.n) + a.fphi * B_INV
 
 
 def hodge_star(a: Form11) -> Form11:
@@ -309,7 +289,7 @@ def l2_pairing(a: Union[Form11, Form22], b: Union[Form11, Form22]) -> Form22:
         raise ValueError("mixed ruling indices in inner product")
     if isinstance(a, Form11):
         return wedge(a, hodge_star(b))
-    return Form22(a.n, a.g * b.g * reciprocal_R(a.n) * reciprocal_B())
+    return Form22(a.n, a.g * b.g * reciprocal_R(a.n) * B_INV)
 
 
 # ---------------------------------------------------------------------------

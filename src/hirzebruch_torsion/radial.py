@@ -162,13 +162,13 @@ class Radial:
     def integrable(self) -> bool:
         """Decays like u^-2 (times at most a log): no powers of u, and the 1/u
         tails of the simple poles cancel within each log factor."""
-        tails: Dict[int, Fraction] = {}
+        tails: dict = {}  # the integer pairs of _add_pair, per log factor b
         for (b, _, a, k), c in self.terms:
             if not k:
                 return False
             if k == 1:
-                _add_to(tails, b, Fraction(c, a))
-        return not any(tails.values())
+                _add_pair(tails, b, c.numerator, c.denominator * a)
+        return not any(p for p, _ in tails.values())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Radial) and self.terms == other.terms

@@ -141,7 +141,7 @@ def c2_tangent(n: int) -> ChowClass:
         ])
 
 
-def c1c2_pushforward(n: int, trace=None) -> ExactConstant:
+def c1c2_pushforward(n: int) -> ExactConstant:
     """Exact degree of the ring product c1*c2, checked against its closed form
     (n log(n+1) + 16 - 4n + 16 log 2pi)/2 before being returned.
 
@@ -150,7 +150,7 @@ def c1c2_pushforward(n: int, trace=None) -> ExactConstant:
     with sympy at n = 3), so no dilogarithm appears.
     """
     cc = chow.arithmetic_chern_classes(n)
-    value = chow.pushforward_deg(chow.mul(cc.c1_tangent, cc.c2_tangent, trace), trace)
+    value = chow.pushforward_deg(chow.mul(cc.c1_tangent, cc.c2_tangent))
     expected = (log_rational(n + 1).scale(n) + _rat(16 - 4 * n)
                 + log_2pi().scale(16)).scale(Fraction(1, 2))
     if value != expected:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hirzebruch_torsion import chow, forms
+from hirzebruch_torsion import chow, forms, torsion
 from hirzebruch_torsion.chow import (
     BASE,
     SURFACE,
@@ -23,17 +23,23 @@ from hirzebruch_torsion.chow import (
     mul,
     pushforward_base,
     pushforward_deg,
-    pushforward_deg_numeric,
     reduce,
     scale,
     segre_classes,
     sub,
+    top_slots,
     torsion_form,
     unit,
     zero_class,
 )
 from hirzebruch_torsion.constants import ExactConstant, log_2pi, log_rational
-from hirzebruch_torsion.radial import RADIAL_ONE, DomainError, QuadratureConfig, Radial
+from hirzebruch_torsion.radial import (
+    RADIAL_ONE,
+    DomainError,
+    QuadratureConfig,
+    Radial,
+    integrate_halfline,
+)
 
 import oracles
 
@@ -42,6 +48,15 @@ CFG = QuadratureConfig()
 
 def ec(x):
     return ExactConstant.rational(x)
+
+
+def quadrature_degree(c, cfg=CFG):
+    """Half the numerically integrated mass of a top-degree class, folded
+    left to right over its top slots."""
+    total = 0.0
+    for (_, atom), form in top_slots(c):
+        total += atom.value() * integrate_halfline(form.g, cfg)
+    return 0.5 * total
 
 
 class TestReduce:
@@ -297,7 +312,7 @@ class TestPushforwardDeg:
         # every top form carries its exact mass; one outside the constant
         # span (a simple pole times log R needs a dilogarithm) is refused
         n = 2
-        unit_mass = forms.Form22(n, forms.coeff_B())
+        unit_mass = forms.Form22(n, forms.B)
         assert pushforward_deg(a_class(n, 1, unit_mass)) == ec(Fraction(1, 2))
         dilog = forms.Form22(n, forms.log_R(n) * Radial.term(a=1, k=1)
                              * Radial.term(a=n + 1, k=1))
@@ -306,7 +321,7 @@ class TestPushforwardDeg:
 
     def test_rejects_mixed_degrees(self):
         n = 1
-        for degree_map in (pushforward_deg, pushforward_deg_numeric):
+        for degree_map in (pushforward_deg, top_slots):
             with pytest.raises(chow.ChowError):
                 degree_map(add(gen_x(n), ChowClass(n, SURFACE, {(1, 2): ec(1)})))
 
@@ -314,20 +329,20 @@ class TestPushforwardDeg:
         n = 3
         c = ChowClass(n, SURFACE, {(1, 2): ec(8), (2, 1): ec(-8 * (n + 1))})
         exact = pushforward_deg(c)
-        assert pushforward_deg_numeric(c, CFG) == pytest.approx(
-            exact.to_float(), abs=1e-9)
+        assert quadrature_degree(c) == pytest.approx(exact.to_float(), abs=1e-9)
 
     def test_numeric_route_integrates_each_form_once(self, monkeypatch):
-        # c1*c2 carries one top form under two atoms, and one more form
+        # c1*c2 carries one top form under two atoms, and one more form; the
+        # c1*c2 row integrates each through the record once
         n = 3
-        cc = arithmetic_chern_classes(n)
-        c1c2 = mul(cc.c1_tangent, cc.c2_tangent)
-        tops = list(reduce(c1c2).forms.values())
+        s = torsion.Surface(n)
+        c1c2 = s.c1c2
+        tops = [form for _, form in top_slots(c1c2)]
         calls = []
-        integrate = chow.integrate_halfline
-        monkeypatch.setattr(chow, "integrate_halfline",
+        integrate = torsion.integrate_halfline
+        monkeypatch.setattr(torsion, "integrate_halfline",
                             lambda f, cfg, name="": calls.append(f) or integrate(f, cfg, name))
-        value = pushforward_deg_numeric(c1c2, CFG)
+        value = torsion._degree_by_quadrature(s, "c1c2_product_quadrature", c1c2, CFG)
         assert len(tops) == 3 and len(set(tops)) == len(calls) == 2
         assert value == pytest.approx(pushforward_deg(c1c2).to_float(), abs=1e-9)
 
@@ -495,14 +510,8 @@ class TestC1C2:
     def test_generic_product_quadrature_crosscheck(self, n):
         exact = oracles.c1c2_pushforward(n).to_float()
         cc = arithmetic_chern_classes(n)
-        numeric = pushforward_deg_numeric(mul(cc.c1_tangent, cc.c2_tangent), CFG)
+        numeric = quadrature_degree(mul(cc.c1_tangent, cc.c2_tangent))
         assert numeric == pytest.approx(exact, abs=1e-8)
-
-    def test_analytic_pairing_is_flagged_in_trace(self):
-        trace = []
-        cc = arithmetic_chern_classes(2)
-        mul(cc.c1_tangent, cc.c2_tangent, trace)
-        assert any(t["rule"] == "analytic_product" for t in trace)
 
 
 class TestTorsionForm:

@@ -463,7 +463,7 @@ class TestDeterminism:
         ("integrals --n 0 --scheme tanh_sinh", "halfline_inverse_cube",
          "quad=0.50000000000000011"),
         ("verify --n 5", "c1c2_product_quadrature", "computed=17.182415204344903"),
-    ], ids=["tanh_sinh", "pushforward_deg_numeric"])
+    ], ids=["tanh_sinh", "c1c2_quadrature"])
     def test_float_sums_do_not_depend_on_the_interpreter(self, capsys, argv, name, value):
         # the quadrature sums fold left to right, where sum() compensates its
         # float additions from Python 3.12 on and would change these digits

@@ -111,7 +111,7 @@ class TestWedge:
     def test_alpha_squared_mass(self, n):
         w = wedge(alpha_form(n), alpha_form(n))
         assert w.total_integral == n + 2
-        assert w.integrate(CFG) == pytest.approx(n + 2, abs=1e-9)
+        assert integrate_halfline(w.g, CFG) == pytest.approx(n + 2, abs=1e-9)
 
     def test_base_wedge_base_vanishes(self):
         assert wedge(base_form(3), base_form(3)).is_zero_form
@@ -122,7 +122,7 @@ class TestWedge:
         oracle = Fraction(n + 1) - Fraction(n, 2)
         w = wedge(omega_form(n), alpha_form(n))
         assert w.total_integral == oracle == Fraction(n + 2, 2)
-        assert w.integrate(CFG) == pytest.approx(float(oracle), abs=1e-9)
+        assert integrate_halfline(w.g, CFG) == pytest.approx(float(oracle), abs=1e-9)
 
     def test_mismatched_indices_rejected(self):
         with pytest.raises(ValueError):
@@ -146,8 +146,8 @@ class TestWedge:
         for a, b in pairs:
             w = wedge(a, b)
             assert w.total_integral is not None, (a.key, b.key)
-            assert w.integrate(CFG) == pytest.approx(float(w.total_integral),
-                                                     abs=1e-9), (a.key, b.key)
+            assert integrate_halfline(w.g, CFG) == pytest.approx(float(w.total_integral),
+                                                                 abs=1e-9), (a.key, b.key)
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_degree2_relation_mass(self, n):
@@ -281,30 +281,31 @@ class TestLambdaAndStar:
 class TestL2:
     @pytest.mark.parametrize("n", [0, 1, 4, 9])
     def test_norms(self, n):
-        assert l2_pairing(alpha_form(n), alpha_form(n)).integrate(CFG) == pytest.approx(
-            n + 2, abs=1e-9)
-        assert l2_pairing(omega_H(n), omega_H(n)).integrate(CFG) == pytest.approx(
-            2 / (n + 2), abs=1e-9)
-        assert volume_form(n).integrate(CFG) == pytest.approx((n + 2) / 2, abs=1e-9)
+        density = l2_pairing(alpha_form(n), alpha_form(n))
+        assert integrate_halfline(density.g, CFG) == pytest.approx(n + 2, abs=1e-9)
+        density = l2_pairing(omega_H(n), omega_H(n))
+        assert integrate_halfline(density.g, CFG) == pytest.approx(2 / (n + 2), abs=1e-9)
+        assert integrate_halfline(volume_form(n).g, CFG) == pytest.approx((n + 2) / 2, abs=1e-9)
         top = Fraction(1, n + 2) * wedge(alpha_form(n), alpha_form(n))
-        assert l2_pairing(top, top).integrate(CFG) == pytest.approx(2 / (n + 2), abs=1e-9)
+        density = l2_pairing(top, top)
+        assert integrate_halfline(density.g, CFG) == pytest.approx(2 / (n + 2), abs=1e-9)
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_harmonic_base_class_pairings(self, n):
-        assert wedge(omega_H(n), alpha_form(n)).integrate(CFG) == pytest.approx(
-            1.0, abs=1e-9)
-        assert wedge(omega_H(n), omega_H(n)).integrate(CFG) == pytest.approx(
-            0.0, abs=1e-9)
+        density = wedge(omega_H(n), alpha_form(n))
+        assert integrate_halfline(density.g, CFG) == pytest.approx(1.0, abs=1e-9)
+        density = wedge(omega_H(n), omega_H(n))
+        assert integrate_halfline(density.g, CFG) == pytest.approx(0.0, abs=1e-9)
         primitive = combine(n, [(Fraction(1), omega_H(n)),
                                 (Fraction(-1, n + 2), alpha_form(n))])
-        assert l2_pairing(alpha_form(n), primitive).integrate(CFG) == pytest.approx(
-            0.0, abs=1e-9)
+        density = l2_pairing(alpha_form(n), primitive)
+        assert integrate_halfline(density.g, CFG) == pytest.approx(0.0, abs=1e-9)
 
     def test_star_isometry(self):
         n = 2
         a, b = alpha_form(n), omega_H(n)
-        lhs = l2_pairing(hodge_star(a), hodge_star(b)).integrate(CFG)
-        assert lhs == pytest.approx(l2_pairing(a, b).integrate(CFG), abs=2e-9)
+        lhs = integrate_halfline(l2_pairing(hodge_star(a), hodge_star(b)).g, CFG)
+        assert lhs == pytest.approx(integrate_halfline(l2_pairing(a, b).g, CFG), abs=2e-9)
 
 
 class TestDegree2RelationPointwise:

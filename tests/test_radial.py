@@ -46,7 +46,7 @@ class TestKnownValues:
 
     def test_log_ratio_integrand(self):
         # log((1+2u)/(1+u))/(1+u)^2 has mass 2 log 2 - 1
-        f = forms.log_R(1) * forms.coeff_B()
+        f = forms.log_R(1) * forms.B
         assert integrate_halfline(f, CFG) == pytest.approx(2 * math.log(2) - 1,
                                                            abs=1e-11)
 
@@ -66,7 +66,7 @@ class TestKnownValues:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         n = 3
-        f = forms.log_R(n) * forms.coeff_B()
+        f = forms.log_R(n) * forms.B
         oracle = float(mp.quad(
             lambda u: mp.log((1 + (n + 1) * u) / (1 + u)) / (1 + u) ** 2,
             [0, 1, mp.inf]))
@@ -282,7 +282,7 @@ class TestNormalForm:
         assert Radial.term(a=1, k=3).mass == ExactConstant.rational(Fraction(1, 2))
         # log(1+2u)/(1+u)^2 has mass 2 log 2, log R/(1+u)^2 at n = 1 has 2 log 2 - 1
         assert Radial.term(a=1, k=2, b=2).mass == log_rational(2).scale(2)
-        assert (forms.log_R(1) * forms.coeff_B()).mass == \
+        assert (forms.log_R(1) * forms.B).mass == \
             log_rational(2).scale(2) - ExactConstant.rational(1)
 
     def test_simple_pole_times_log_is_refused(self):
@@ -304,7 +304,7 @@ class TestNormalForm:
             integrate_halfline(Radial.term(a=1, k=1), CFG)
 
     def test_mass_is_derived_once_and_a_refusal_every_time(self):
-        f = forms.log_R(1) * forms.coeff_B()
+        f = forms.log_R(1) * forms.B
         assert f.mass is f.mass
         g = Radial.term(a=1, k=1)
         for _ in range(2):

@@ -1,8 +1,10 @@
 """Pipelines end to end: both torsion routes, heights, integrals, reports."""
 
+import ast
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +28,7 @@ TS = QuadratureConfig(scheme="tanh_sinh")
 
 def genus_terms(n):
     """The direct route's additive-genus corrections of the three twists."""
-    c1, products = torsion._todd_character_products(chow.arithmetic_chern_classes(n))
+    c1, products = torsion._todd_character_products(torsion.Surface(n))
     c1_one = torsion._c1_times_one(c1)
     return tuple(torsion._genus_term(product, c1_one) for product in products)
 
@@ -86,7 +88,7 @@ class TestClosedForms:
     def test_whole_products_match_the_graded_products(self, n):
         # Td ch multiplied as whole classes against the piecewise sum of the
         # graded pieces [Td]_i [ch]_{k-i}, in the two degrees the route reads
-        _, products = torsion._todd_character_products(chow.arithmetic_chern_classes(n))
+        _, products = torsion._todd_character_products(torsion.Surface(n))
         td, chs = oracles.graded_todd_and_characters(n)
         for product, ch in zip(products, chs):
             for k in (3, 1):
@@ -101,7 +103,7 @@ class TestClosedForms:
     def test_middle_twist_by_linearity(self, n):
         # Td + Td e^-c1 + Td (c1 c2 / 2 - c2) against the whole-class product
         # Td ch(Lambda^1), in the two degrees the route reads
-        _, products = torsion._todd_character_products(chow.arithmetic_chern_classes(n))
+        _, products = torsion._todd_character_products(torsion.Surface(n))
         whole = oracles.whole_middle_twist_product(n)
         for k in (1, 3):
             assert products[1].degree_part(k) == whole.degree_part(k)
@@ -301,20 +303,80 @@ class TestRoutes:
             assert calls.count(name) == 1, (name, calls.count(name))
         assert calls.count("alpha_form") < 24
 
+    def test_verify_takes_the_ring_products_of_main_theorem(self, monkeypatch):
+        # the c1*c2 row reads the record's c1*c2, which the direct route
+        # formed: the route checks of n take main_theorem's 12 ring products
+        torsion.tau_p1()
+        calls = []
+        mul = chow.mul
+        monkeypatch.setattr(chow, "mul", lambda *args, **kw: calls.append(1) or mul(*args, **kw))
+        torsion.main_theorem(5)
+        assert len(calls) == 12
+        calls.clear()
+        torsion.route_checks(5, CFG)
+        assert len(calls) == 12
+
 
 def counted_quadratures(monkeypatch):
     """The (normal form, configuration, name) of every integrate_halfline
-    call that torsion or chow makes from now on."""
+    call that torsion, the one module of the engine that integrates, makes
+    from now on."""
     calls = []
-    for module in (torsion, chow):
-        integrate = module.integrate_halfline
+    integrate = torsion.integrate_halfline
 
-        def counted(f, cfg, name="", integrate=integrate):
-            calls.append((f, cfg, name))
-            return integrate(f, cfg, name)
+    def counted(f, cfg, name=""):
+        calls.append((f, cfg, name))
+        return integrate(f, cfg, name)
 
-        monkeypatch.setattr(module, "integrate_halfline", counted)
+    monkeypatch.setattr(torsion, "integrate_halfline", counted)
     return calls
+
+
+def integrate_halfline_callers():
+    """(module file, enclosing qualified name) of every call of
+    integrate_halfline in the package source outside radial.py, read from
+    the syntax tree."""
+    found = []
+
+    def visit(node, scope, path):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "integrate_halfline":
+                found.append((path.name, ".".join(scope)))
+        inner = (scope + [node.name] if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner, path)
+
+    for path in sorted(Path(torsion.__file__).parent.glob("*.py")):
+        if path.name != "radial.py":
+            visit(ast.parse(path.read_text()), [], path)
+    return found
+
+
+QUADRATURE_NAMES = {"integrate_halfline", "QuadratureConfig", "DEFAULT_CONFIG", "quadrature"}
+
+
+class TestSingleIntegrator:
+    """The engine integrates through one door: Surface.quadrature."""
+
+    def test_the_record_is_the_only_caller(self):
+        assert integrate_halfline_callers() == [("torsion.py", "Surface.quadrature")]
+
+    @pytest.mark.parametrize("module", [forms, chow], ids=lambda m: m.__name__)
+    def test_the_exact_layers_bind_no_quadrature_name(self, module):
+        tree = ast.parse(Path(module.__file__).read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                names.add((node.asname or node.name).split(".")[0])
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert not names & QUADRATURE_NAMES
+        assert not QUADRATURE_NAMES & set(vars(module))
 
 
 class TestRecordQuadrature:
@@ -322,12 +384,14 @@ class TestRecordQuadrature:
     per record and configuration."""
 
     def test_one_quadrature_per_distinct_integrand(self, monkeypatch):
-        # 15 distinct integrands through the record, and the two distinct
-        # top forms of c1*c2
+        # 15 distinct integrands of the named, L2 and fibration-route
+        # checks, and the two distinct top forms of c1*c2, all through the
+        # record
         calls = counted_quadratures(monkeypatch)
         torsion.verify_all([7], CFG, height_range=0)
         assert len(calls) == 17
         assert len({(f, cfg) for f, cfg, _ in calls}) == 17
+        assert sum(name == "c1c2_product_quadrature, n=7" for _, _, name in calls) == 2
 
     def test_a_repeated_quadrature_hashes_no_fraction(self, monkeypatch):
         # the normal form keeps its hash, so a hit recomputes none of its
