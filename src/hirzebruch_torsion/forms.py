@@ -17,7 +17,9 @@ dd^c of a radial potential h(u) is the closed chain rule
     dd^c h = (n u h'(u)) * base + (h'(u) + u h''(u)) * phi,
 
 which reproduces both catalog derivative formulas exactly; it is the single
-rule from which all curvature forms here are assembled.
+rule from which all curvature forms here are assembled.  The Hodge star is
+the coefficient swap that its definition (Lambda a) * alpha - a reduces to:
+fphi * R/B on the base and fx * B/R on the fiber, where alpha = (R, B).
 
 Every coefficient is a Radial normal form.  So forms are equal exactly when
 their coefficients are, and the exact fiber and total integrals are derived
@@ -33,7 +35,7 @@ from functools import cached_property
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .constants import ExactConstant
-from .radial import RADIAL_ONE, RADIAL_ZERO, Radial, _mul_into, built, linear
+from .radial import RADIAL_ONE, RADIAL_ZERO, Radial, _mul_into, _split, built, linear
 
 U = Radial.term(j=1)
 B = Radial.term(a=1, k=2)  # the fiber coefficient 1/(1+u)^2, of unit half-line mass
@@ -54,6 +56,14 @@ def ratio_R(n: int) -> Radial:
 def reciprocal_R(n: int) -> Radial:
     """1/R(u) = (1 + u)/(1 + (n+1)u)."""
     return Radial.term(Fraction(1, n + 1)) + Radial.term(Fraction(n, n + 1), a=n + 1, k=1)
+
+
+def star_ratios(n: int) -> Tuple[Radial, Radial]:
+    """The factors of the Hodge star: R/B = (1 + u)(1 + (n+1)u) as its
+    polynomial, and B/R = 1/((1 + u)(1 + (n+1)u)) in partial fractions,
+    which merge to (1 + u)^-2 at n = 0."""
+    return (Radial({(0, 0, 0, 0): 1, (0, 1, 0, 0): n + 2, (0, 2, 0, 0): n + 1}),
+            Radial({(0,) + key: w for key, w in _split(0, 1, 1, n + 1, 1)}))
 
 
 def log_R(n: int) -> Radial:
@@ -112,10 +122,11 @@ class Form11:
 
     @cached_property
     def star(self) -> "Form11":
-        """Hodge star on real invariant (1,1)-forms, (Lambda a) * alpha - a,
-        derived once per object."""
-        return combine(self.n, [(Fraction(1), lambda_contract(self) * alpha_form(self.n)),
-                                (Fraction(-1), self)])
+        """Hodge star on real invariant (1,1)-forms, derived once per object:
+        (Lambda a) * alpha - a, with Lambda a = fx/R + fphi/B and alpha = (R, B),
+        is the coefficient swap (fphi * R/B) * base + (fx * B/R) * phi."""
+        r_over_b, b_over_r = star_ratios(self.n)
+        return Form11(self.n, self.fphi * r_over_b, self.fx * b_over_r)
 
 
 def combine(n: int, weighted: Sequence[Tuple[Fraction, Form11]]) -> Form11:
@@ -277,7 +288,8 @@ def lambda_contract(a: Form11) -> Radial:
 
 
 def hodge_star(a: Form11) -> Form11:
-    """Star on real invariant (1,1)-forms: (Lambda a) * alpha - a."""
+    """Star on real invariant (1,1)-forms: (Lambda a) * alpha - a, which is
+    (fphi * R/B) * base + (fx * B/R) * phi, since alpha = (R, B)."""
     return a.star
 
 

@@ -70,23 +70,45 @@ def closed_height(n: int) -> Fraction:
 
 
 class Surface:
-    """What the checks of one ruling index n read, each derived once: the
-    forms, the top generator alpha^2/(n+2) and the volume (the squared L2
-    norm of 1) on construction; the classes, the product c1*c2, the torsion
-    form, the secondary Todd parts and each quadrature on first use.  No
-    record outlives its call."""
+    """What the checks of one ruling index n read, each derived once: alpha
+    and the base form on construction; the other forms, the top generator
+    alpha^2/(n+2), the volume (the squared L2 norm of 1), the classes, the
+    product c1*c2, the torsion form, the secondary Todd parts and each
+    quadrature on first use.  No record outlives its call."""
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.alpha = forms.alpha_form(n)
         self.base = forms.base_form(n)
-        self.omega_h = forms.omega_H(n)
-        self.c1 = forms.c1_total(n)
-        self.c1_rel = forms.c1_rel(n)
-        self.volume_form = Fraction(1, 2) * forms.wedge(self.alpha, self.alpha)
-        self.top = Fraction(2, n + 2) * self.volume_form
-        self.vol = _rational(self.volume_form.total_integral, "the volume", n)
         self._quadratures: dict = {}
+
+    @cached_property
+    def omega_h(self) -> Form11:
+        return forms.omega_H(self.n)
+
+    @cached_property
+    def c1(self) -> Form11:
+        return forms.c1_total(self.n)
+
+    @cached_property
+    def c1_rel(self) -> Form11:
+        return forms.c1_rel(self.n)
+
+    @cached_property
+    def ddc_log_r(self) -> Form11:
+        return forms.ddc_log_R(self.n)
+
+    @cached_property
+    def volume_form(self) -> Form22:
+        return Fraction(1, 2) * forms.wedge(self.alpha, self.alpha)
+
+    @cached_property
+    def top(self) -> Form22:
+        return Fraction(2, self.n + 2) * self.volume_form
+
+    @cached_property
+    def vol(self) -> Fraction:
+        return _rational(self.volume_form.total_integral, "the volume", self.n)
 
     @cached_property
     def chern_classes(self) -> ChernClasses:
@@ -442,13 +464,13 @@ def appendix_checks(n: Union[int, Surface]) -> List[VerificationEntry]:
     s = _surface(n)
     n, al = s.n, s.alpha
     u = Radial.term(j=1)
-    dh = forms.ratio_R(n).derivative()
+    dh = al.fx.derivative()
     return [
         _identity("contraction_of_base_form", n,
                   forms.lambda_contract(s.base),
                   Radial.term(a=n + 1, k=1) + Radial.term(j=1, a=n + 1, k=1)),
         _identity("contraction_of_ddc_log_ratio", n,
-                  forms.lambda_contract(forms.ddc_log_R(n)),
+                  forms.lambda_contract(s.ddc_log_r),
                   Radial.term(n, a=n + 1, k=1) - Radial.term(n, j=1, a=n + 1, k=1)),
         _identity("contraction_of_harmonic_combination", n,
                   (n + 2) * forms.lambda_contract(s.omega_h), Radial.term(2)),
@@ -466,7 +488,7 @@ def hodge_l2_checks(n: Union[int, Surface], cfg: QuadratureConfig = DEFAULT_CONF
     s = _surface(n)
     n, al, w_h = s.n, s.alpha, s.omega_h
     probe = forms.combine(n, [(Fraction(1, 3), al), (Fraction(-2), s.base),
-                              (Fraction(1, 7), forms.ddc_log_R(n))])
+                              (Fraction(1, 7), s.ddc_log_r)])
     entries = [
         _identity("star_fixes_alpha", n, forms.hodge_star(al), al),
         _identity("star_of_harmonic_base_class", n, forms.hodge_star(w_h),

@@ -11,7 +11,8 @@ They call no `closed_*` function of the package.  The curvature image of a
 class, which only the tests read, lives here too, and so do the Fraction
 sum of radial functions that the integer-pair sums must reproduce and the
 Fraction derivations of a normal form's exact mass and float plan that the
-integer ones must reproduce.
+integer ones must reproduce, and the Hodge star by its definition, which the
+coefficient swap must reproduce.
 
 The interpretive evaluator at the end is the loop that read a radial
 function's float plan term by term before the package generated a kernel
@@ -351,6 +352,17 @@ def hodge_l2_closed_forms(n: int) -> Dict[str, ExactConstant]:
         "primitive_part_orthogonal_to_alpha": zero,
         "star_isometry_on_mixed_pair": zero,
     }
+
+
+# ---------------------------------------------------------------------------
+# The Hodge star by its definition
+# ---------------------------------------------------------------------------
+
+
+def hodge_star_by_contraction(a: Form11) -> Form11:
+    """(Lambda a) * alpha - a, as the package derived the star before it
+    swapped the coefficients."""
+    return forms.combine(a.n, [(1, forms.lambda_contract(a) * forms.alpha_form(a.n)), (-1, a)])
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from hirzebruch_torsion import forms
 from hirzebruch_torsion.forms import (
+    Form11,
     alpha_form,
     base_form,
     bott_chern_c2,
@@ -31,6 +35,7 @@ from hirzebruch_torsion.forms import (
     quotient_metric,
     ratio_R,
     ratio_base_form,
+    reciprocal_R,
     volume_form,
     wedge,
 )
@@ -276,6 +281,36 @@ class TestLambdaAndStar:
             want_fphi = 2 / (n + 2) * alpha_form(n).fphi(u) - omega_H(n).fphi(u)
             assert st.fx(u) == pytest.approx(want_fx, abs=1e-12)
             assert st.fphi(u) == pytest.approx(want_fphi, abs=1e-12)
+
+
+def random_combination(n: int, rng: random.Random) -> Form11:
+    """A rational combination of the catalog forms of n."""
+    return combine(n, [(Fraction(rng.randint(-9, 9), rng.randint(1, 5)), form)
+                       for form in forms.catalog(n).values()])
+
+
+class TestStarSwap:
+    """The star's coefficient swap against the definition it reduces to."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 400, 10**6])
+    def test_star_matches_its_definition(self, n):
+        rng = random.Random(n)
+        cases = list(forms.catalog(n).values()) + [random_combination(n, rng)
+                                                   for _ in range(6)]
+        for a in cases:
+            assert hodge_star(a) == oracles.hodge_star_by_contraction(a)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 400, 10**6])
+    def test_ratios_are_the_products_they_replace(self, n):
+        r_over_b, b_over_r = forms.star_ratios(n)
+        assert r_over_b == ratio_R(n) * forms.B_INV
+        assert b_over_r == forms.B * reciprocal_R(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 10**9), seed=st.integers(0, 2**32 - 1))
+    def test_star_matches_its_definition_at_any_n(self, n, seed):
+        a = random_combination(n, random.Random(seed))
+        assert hodge_star(a) == oracles.hodge_star_by_contraction(a)
 
 
 class TestL2:

@@ -556,17 +556,18 @@ class TestGridAndHodgeSweeps:
 
     def test_each_star_is_derived_once_per_form(self, monkeypatch):
         # 11 stars of 6 distinct forms: alpha, the harmonic base class and
-        # its star, the probe and its star, and the primitive part
-        contractions = []
-        contract = forms.lambda_contract
+        # its star, the probe and its star, and the primitive part; each
+        # derivation builds the star's two ratios once
+        derivations = []
+        ratios = forms.star_ratios
 
-        def counted(a):
-            contractions.append(a)
-            return contract(a)
+        def counted(n):
+            derivations.append(n)
+            return ratios(n)
 
-        monkeypatch.setattr(forms, "lambda_contract", counted)
+        monkeypatch.setattr(forms, "star_ratios", counted)
         torsion.hodge_l2_checks(3, CFG)
-        assert len(contractions) == 6
+        assert derivations == [3] * 6
 
     def test_quadratures_are_named(self, monkeypatch):
         # a quadrature that never meets its target names the check and n
@@ -578,6 +579,47 @@ class TestGridAndHodgeSweeps:
         monkeypatch.setattr(torsion, "bb_quadrature_float", lambda s, cfg: 0.0)
         with pytest.raises(NonConvergence, match=r"^c1c2_product_quadrature, n=3: "):
             torsion.route_checks(3, CFG)
+
+
+def counted_builders(monkeypatch) -> dict:
+    """Calls, from now on, of the builders route 3's set-up goes through,
+    by name."""
+    calls: dict = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for name in ("alpha_form", "c1_total", "c1_rel", "omega_H"):
+        monkeypatch.setattr(forms, name, counted(name, getattr(forms, name)))
+    mul_into = counted("_mul_into", radial._mul_into)
+    for module in (radial, forms):  # forms binds _mul_into by name
+        monkeypatch.setattr(module, "_mul_into", mul_into)
+    monkeypatch.setattr(Radial, "term", staticmethod(counted("term", Radial.term)))
+    return calls
+
+
+class TestSetUpBudget:
+    """Route 3's set-up: each check's record derives only the forms that the
+    check reads, and the star builds no alpha."""
+
+    def test_quad_checks_item(self, monkeypatch):
+        # both checks of n on records of their own, as each is called alone
+        calls = counted_builders(monkeypatch)
+        torsion.named_integrals(7, CFG)
+        torsion.hodge_l2_checks(7, CFG)
+        assert calls["alpha_form"] <= 4
+        assert calls["term"] <= 21
+        assert calls["_mul_into"] <= 50
+        for name in ("c1_total", "c1_rel", "omega_H"):
+            assert calls.get(name, 0) <= 1, name
+
+    def test_hodge_checks_build_no_first_chern_form(self, monkeypatch):
+        calls = counted_builders(monkeypatch)
+        torsion.hodge_l2_checks(7, CFG)
+        assert "c1_total" not in calls and "c1_rel" not in calls
 
 
 class TestUntracedRunsRenderNothing:
