@@ -12,11 +12,15 @@ model (arithmetic dimension 2).
 
 The analytic part is held as one form per degree and constant atom, summed
 in the normal form of the coefficients, so equally assembled classes have
-equal parts whatever the order of assembly; a product sums each slot in the
-integer pairs of radial._mul_into and builds its form once.  In top degree
-a(g) depends only on the mass of g (every exact form integrates to 0), so
-top-degree parts compare by their exact mass.  Classes compare, and test
-for zero, by their normal forms.
+equal parts whatever the order of assembly.  Each slot is summed in integer
+(numerator, denominator) pairs and built once: a product's wedges, with the
+curvature images of its monomials, in those of radial._mul_into; the
+relation and curvature images of a rewrite, and the terms of a linear
+combination (linear, which add, sub and scale call), in those of
+radial._add_into.  A slot that one form fills alone, with weight 1, keeps
+that form.  In top degree a(g) depends only on the mass of g (every exact
+form integrates to 0), so top-degree parts compare by their exact mass.
+Classes compare, and test for zero, by their normal forms.
 
 The rewrite system reduces every polynomial to the normal form with
 exponents at most 1 in each generator:
@@ -51,7 +55,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from . import forms, radial
-from .constants import ZETA_M1, ZETA_PRIME_M1, ConstantAtom, ExactConstant, log_2pi
+from .constants import ONE, ZETA_M1, ZETA_PRIME_M1, ConstantAtom, ExactConstant, log_2pi
 from .forms import Form11, Form22
 from .radial import RADIAL_ONE, Radial
 
@@ -116,21 +120,42 @@ def _render_mono(mono: MonoT) -> str:
     return "*".join(bits) or "1"
 
 
-def _accumulate(slots: Dict[SlotT, FormT], coeff: ExactConstant, form,
-                variety: str) -> None:
-    """slots += a(coeff * form), split over the atoms of coeff."""
-    if not form:
-        return
-    degree = _form_degree(form, variety)
-    for atom, q in coeff.coeffs.items():
-        term = form if q == 1 else q * form
-        prev = slots.get((degree, atom))
-        slots[(degree, atom)] = term if prev is None else prev + term
+def _parts(form: FormT) -> tuple:
+    """The radial coefficients of a form."""
+    return ((form,) if isinstance(form, Radial) else (form.fx, form.fphi)
+            if isinstance(form, Form11) else (form.g,))
 
 
-@lru_cache(maxsize=256)
-def _atoms(a: ConstantAtom, b: ConstantAtom) -> ExactConstant:
-    return ExactConstant.atom(a) * ExactConstant.atom(b)
+def _fill(fills: dict, coeff: ExactConstant, form, variety: str) -> None:
+    """fills += a(coeff * form): one (q, form) fill of the slot (degree, atom)
+    per atom of coeff; a vanishing form fills nothing."""
+    if form:
+        degree = _form_degree(form, variety)
+        for atom, q in coeff.items():
+            fills.setdefault((degree, atom), []).append((q, form))
+
+
+def _built(n: int, kind, maps) -> FormT:
+    parts = [radial.built(m) for m in maps]
+    return parts[0] if kind is Radial else kind(n, *parts)
+
+
+def _summed(n: int, fills: dict) -> Dict[SlotT, FormT]:
+    """The form of each slot, the sum of q * form over its fills, summed in
+    the integer pairs of radial._add_into and built once; a form that fills
+    its slot alone with q = 1 is kept as it is."""
+    out: Dict[SlotT, FormT] = {}
+    for slot, items in fills.items():
+        q, form = items[0]
+        if len(items) == 1 and q == 1:
+            out[slot] = form
+            continue
+        maps = [{} for _ in _parts(form)]
+        for q, form in items:
+            for m, part in zip(maps, _parts(form)):
+                radial._add_into(m, part.terms, q)
+        out[slot] = _built(n, type(form), maps)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +183,10 @@ class ChowClass:
             if not coeff.is_zero:
                 norm_poly[mono] = coeff
         self.poly = {m: norm_poly[m] for m in sorted(norm_poly)}
-        slots: Dict[SlotT, FormT] = {}
+        fills: dict = {}
         for coeff, form in analytic or ():
-            _accumulate(slots, _ec(coeff), form, variety)
-        self.forms = _clean(slots)
+            _fill(fills, _ec(coeff), form, variety)
+        self.forms = _clean(_summed(n, fills))
 
     # -- inspection ---------------------------------------------------------
 
@@ -261,15 +286,27 @@ def a_class(n: int, coeff, form: FormT, variety: str = SURFACE) -> ChowClass:
     return ChowClass(n, variety, analytic=[(_ec(coeff), form)])
 
 
+def linear(pairs: Iterable[Tuple[Union[int, Fraction], ChowClass]]) -> ChowClass:
+    """The rational linear combination sum q * c over (q, class) pairs, at
+    least one, in one pass: each coefficient is summed once and each slot is
+    built once, and a slot that one pair alone fills, with q = 1, keeps its
+    form."""
+    pairs = list(pairs)
+    first = pairs[0][1]
+    poly: Dict[MonoT, ExactConstant] = {}
+    fills: dict = {}
+    for q, c in pairs:
+        _check_compatible(first, c)
+        for m, coeff in c.poly.items():
+            coeff = coeff.scale(q)
+            poly[m] = poly[m] + coeff if m in poly else coeff
+        for slot, form in c.forms.items():
+            fills.setdefault(slot, []).append((q, form))
+    return _assemble(first.n, first.variety, poly, _summed(first.n, fills))
+
+
 def add(a: ChowClass, b: ChowClass) -> ChowClass:
-    _check_compatible(a, b)
-    poly = dict(a.poly)
-    for m, c in b.poly.items():
-        poly[m] = poly.get(m, _ec(0)) + c
-    slots = dict(a.forms)
-    for s, f in b.forms.items():
-        slots[s] = slots[s] + f if s in slots else f
-    return _assemble(a.n, a.variety, poly, slots)
+    return linear([(1, a), (1, b)])
 
 
 def scale(q, a: ChowClass) -> ChowClass:
@@ -277,13 +314,11 @@ def scale(q, a: ChowClass) -> ChowClass:
     q = _ec(q)
     if not q.is_rational:
         raise ChowError(f"scale takes a rational scalar, not {q}")
-    r = q.rational_part
-    return _assemble(a.n, a.variety, {m: c.scale(r) for m, c in a.poly.items()},
-                     {s: r * f for s, f in a.forms.items()})
+    return linear([(q.rational_part, a)])
 
 
 def sub(a: ChowClass, b: ChowClass) -> ChowClass:
-    return add(a, scale(-1, b))
+    return linear([(1, a), (-1, b)])
 
 
 def _check_compatible(a: ChowClass, b: ChowClass) -> None:
@@ -303,15 +338,9 @@ def _wedge_into(sums: dict, slot, f: FormT, g: FormT, q) -> None:
     if isinstance(f, Form11) and isinstance(g, Form11):
         forms.wedge_into(sums.setdefault(slot, (Form22, [{}]))[1][0], f, g, q)
     elif isinstance(f, Radial):
-        parts = ((g,) if isinstance(g, Radial) else (g.fx, g.fphi) if isinstance(g, Form11)
-                 else (g.g,))
+        parts = _parts(g)
         for m, part in zip(sums.setdefault(slot, (type(g), [{} for _ in parts]))[1], parts):
             radial._mul_into(m, f.terms, part.terms, q)
-
-
-def _built(n: int, kind, maps) -> FormT:
-    parts = [radial.built(m) for m in maps]
-    return parts[0] if kind is Radial else kind(n, *parts)
 
 
 def _product(n: int, f: FormT, g: FormT) -> Optional[FormT]:
@@ -323,16 +352,17 @@ def _product(n: int, f: FormT, g: FormT) -> Optional[FormT]:
 
 @lru_cache(maxsize=16)
 def _mono_curvature(n: int, variety: str, mono: MonoT) -> Optional[FormT]:
-    """Curvature image of a generator monomial (None when it vanishes)."""
+    """Curvature image of a generator monomial (None when it vanishes); a
+    product of generators wedges the image of one factor less with the
+    generator's own entry."""
     i, j = mono
     if variety == BASE:
         return (RADIAL_ONE, base_top_form(n), None)[min(i, 2)]
-    acc: Optional[FormT] = RADIAL_ONE
-    for _ in range(i):
-        acc = acc and _product(n, acc, forms.base_form(n))
-    for _ in range(j):
-        acc = acc and _product(n, acc, forms.alpha_form(n))
-    return acc
+    if i + j <= 1:
+        return forms.base_form(n) if i else forms.alpha_form(n) if j else RADIAL_ONE
+    rest, last = ((i - 1, j), (1, 0)) if i else ((0, j - 1), (0, 1))
+    rest = _mono_curvature(n, variety, rest)
+    return rest and _product(n, rest, _mono_curvature(n, variety, last))
 
 
 def _ddc(form: FormT, n: int) -> Optional[FormT]:
@@ -369,8 +399,10 @@ def _ddc_wedges(deg_f: int, f: FormT, df: Optional[FormT],
 def _relation_image(n: int, mono: MonoT) -> Optional[FormT]:
     """The analytic side of the degree-2 relation times the curvature image
     of mono."""
+    if mono == (0, 0):
+        return forms.degree2_relation_rhs(n)
     rest = _mono_curvature(n, SURFACE, mono)
-    return rest and _product(n, forms.degree2_relation_rhs(n), rest)
+    return rest and _product(n, _relation_image(n, (0, 0)), rest)
 
 
 def _trace_step(trace: list, rule: str, before: str, after: str) -> None:
@@ -385,7 +417,7 @@ def reduce(c: ChowClass, trace: Optional[list] = None) -> ChowClass:
     if all(i <= 1 and j <= 1 for i, j in c.poly):
         return c
     out_poly: Dict[MonoT, ExactConstant] = {}
-    slots = dict(c.forms)
+    fills: dict = {}
     stack: List[Tuple[MonoT, ExactConstant]] = list(c.poly.items())
     while stack:
         (i, j), coeff = stack.pop()
@@ -393,20 +425,25 @@ def reduce(c: ChowClass, trace: Optional[list] = None) -> ChowClass:
             continue
         if c.variety == SURFACE and j >= 2:
             stack.append(((i + 1, j - 1), coeff * Fraction(c.n + 2)))
-            _accumulate(slots, coeff, _relation_image(c.n, (i, j - 2)), c.variety)
+            _fill(fills, coeff, _relation_image(c.n, (i, j - 2)), c.variety)
             if trace is not None:
                 _trace_step(trace, "alpha_square", _render_mono((i, j)),
                             f"({c.n}+2)*{_render_mono((i + 1, j - 1))} "
                             f"+ a(relation_rhs*{_render_mono((i, j - 2))})")
         elif i >= 2:
             # a(base form ^ the image of x^(i-2) a^j), the image of x^(i-1) a^j
-            _accumulate(slots, coeff, _mono_curvature(c.n, c.variety, (i - 1, j)), c.variety)
+            _fill(fills, coeff, _mono_curvature(c.n, c.variety, (i - 1, j)), c.variety)
             if trace is not None:
                 _trace_step(trace, "x_square", _render_mono((i, j)),
                             f"a(base*{_render_mono((i - 2, j))})")
         else:
             prev = out_poly.get((i, j))
             out_poly[(i, j)] = coeff + prev if prev else coeff
+    slots = dict(c.forms)  # only the slots that rewriting filled are rebuilt
+    for slot, items in fills.items():
+        if slot in slots:
+            items.append((1, slots[slot]))
+    slots.update(_summed(c.n, fills))
     return _assemble(c.n, c.variety, out_poly, slots)
 
 
@@ -443,18 +480,19 @@ def mul(a: ChowClass, b: ChowClass,
             coeff = c1 * c2
             prev = poly.get(mono)
             poly[mono] = coeff + prev if prev else coeff
-    # sums: (degree, atom, atom) -> (form type, one radial._mul_into map per
-    # radial coefficient); the atoms multiply once the form is nonzero
+    # sums: the slot of _pair_slot -> (form type, one radial._mul_into map
+    # per radial coefficient); each monomial's curvature image is wedged
+    # with the weight of each atom of its coefficient
     sums: dict = {}
     for left, right in ((a, b), (b, a)):
-        curvature: Dict[SlotT, FormT] = {}
-        for mono, coeff in right.poly.items():
-            _accumulate(curvature, coeff, _mono_curvature(n, variety, mono), variety)
+        images = [(sum(mono), _mono_curvature(n, variety, mono), coeff)
+                  for mono, coeff in right.poly.items()]
         for (deg_f, atom_f), form in left.forms.items():
-            for (deg_c, atom_c), curv in curvature.items():
-                # a curvature image in slot degree d is a (d-1, d-1)-form
-                if deg_f + deg_c - 1 in keep:
-                    _wedge_into(sums, (deg_f + deg_c - 1, atom_f, atom_c), form, curv, 1)
+            for deg_c, image, coeff in images:
+                if image and deg_f + deg_c in keep:
+                    for atom_c, q in coeff.items():
+                        _wedge_into(sums, _pair_slot(deg_f + deg_c, atom_f, atom_c),
+                                    form, image, q)
     # dd^c once per form that can carry it: a lower-degree factor of a
     # product within the top degree, so of degree at most top / 2
     ddc_a = {slot: _ddc(f, n) for slot, f in a.forms.items() if 2 * slot[0] <= top}
@@ -466,12 +504,21 @@ def mul(a: ChowClass, b: ChowClass,
                 continue
             for f, g, q in _ddc_wedges(slot1[0], f1, ddc_a.get(slot1),
                                        slot2[0], f2, ddc_b.get(slot2)):
-                _wedge_into(sums, (slot1[0] + slot2[0], slot1[1], slot2[1]), f, g, q)
+                _wedge_into(sums, _pair_slot(slot1[0] + slot2[0], slot1[1], slot2[1]), f, g, q)
     slots: Dict[SlotT, FormT] = {}
-    for (_, atom_f, atom_g), acc in sums.items():
-        form = _built(n, *acc)
-        _accumulate(slots, form and _atoms(atom_f, atom_g), form, variety)
+    for slot, (kind, maps) in sums.items():
+        if len(slot) == 2:
+            slots[slot] = _built(n, kind, maps)
+        elif any(p for m in maps for p, _ in m.values()):
+            ExactConstant.atom(slot[1]) * ExactConstant.atom(slot[2])  # raises NonRationalProduct
     return reduce(_assemble(n, variety, poly, slots))
+
+
+def _pair_slot(degree: int, a: ConstantAtom, b: ConstantAtom) -> tuple:
+    """The slot of a product of terms of atoms a and b: (degree, a * b) when
+    one atom is 1, else (degree, a, b), whose sum must vanish, for a product
+    of two transcendental atoms lies outside the span."""
+    return (degree, b) if a is ONE else (degree, a) if b is ONE else (degree, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -491,16 +538,15 @@ def pushforward_base(c: ChowClass) -> ChowClass:
         mono = (i, 0)  # projection formula; fiber degree of alpha is 1
         prev = poly.get(mono)
         poly[mono] = coeff + prev if prev else coeff
-    slots: Dict[SlotT, FormT] = {}
+    fills: dict = {}
     for (degree, atom), form in c.forms.items():
         # 0-forms push to degree -2; the rest by their exact fiber masses
         if degree == 2:
-            _accumulate(slots, ExactConstant.atom(atom) * form.fiber_integral, RADIAL_ONE,
-                        BASE)
+            _fill(fills, ExactConstant.atom(atom) * form.fiber_integral, RADIAL_ONE, BASE)
         elif degree == 3:
-            _accumulate(slots, ExactConstant.atom(atom) * form.total_integral,
-                        base_top_form(c.n), BASE)
-    return _assemble(c.n, BASE, poly, slots)
+            _fill(fills, ExactConstant.atom(atom) * form.total_integral,
+                  base_top_form(c.n), BASE)
+    return _assemble(c.n, BASE, poly, _summed(c.n, fills))
 
 
 def top_slots(c: ChowClass, trace: Optional[list] = None):
@@ -545,14 +591,13 @@ def arithmetic_chern_classes(n: int) -> ChernClasses:
     """The classes of 0 -> T_rel -> T S_n -> pi^* T_P1 -> 0: c1 and c2 of the
     tangent bundle by the Whitney formula, corrected by the Bott-Chern class
     of the two metrics."""
-    l2pi, x = log_2pi(), gen_x(n)
-    c1rel = add(sub(scale(2, gen_alpha(n)), scale(n + 2, x)),
-                a_class(n, l2pi, RADIAL_ONE))
-    c1base = add(scale(2, x),
-                 ChowClass(n, SURFACE, analytic=[(_ec(-1), forms.log_R(n)),
-                                                 (l2pi, RADIAL_ONE)]))
-    c2tan = sub(mul(c1rel, c1base), a_class(n, 1, forms.bott_chern_c2(n)))
-    return ChernClasses(n, c1rel, c1base, add(c1rel, c1base), c2tan)
+    l2pi = log_2pi()
+    c1rel = ChowClass(n, SURFACE, {(0, 1): _ec(2), (1, 0): _ec(-(n + 2))},
+                      [(l2pi, RADIAL_ONE)])
+    c1base = ChowClass(n, SURFACE, {(1, 0): _ec(2)},
+                       [(_ec(-1), forms.log_R(n)), (l2pi, RADIAL_ONE)])
+    c2tan = linear([(1, mul(c1rel, c1base)), (-1, a_class(n, 1, forms.bott_chern_c2(n)))])
+    return ChernClasses(n, c1rel, c1base, linear([(1, c1rel), (1, c1base)]), c2tan)
 
 
 def euler_sequence_chern(n: int) -> Tuple[ChowClass, ChowClass]:
@@ -616,8 +661,8 @@ def todd(c1: ChowClass) -> ChowClass:
     """Arithmetic Todd class of a metrized line bundle with first Chern class
     c1: 1 + c1/2 + c1^2/12 (the cubic coefficient of x/(1-e^-x) is 0, and
     higher powers vanish above the arithmetic dimension)."""
-    return add(add(unit(c1.n, c1.variety), scale(Fraction(1, 2), c1)),
-               scale(Fraction(1, 12), mul(c1, c1)))
+    return linear([(1, unit(c1.n, c1.variety)), (Fraction(1, 2), c1),
+                   (Fraction(1, 12), mul(c1, c1))])
 
 
 def torsion_form(c1_relative: ChowClass) -> ExactConstant:
@@ -632,7 +677,7 @@ def torsion_form(c1_relative: ChowClass) -> ExactConstant:
     r_class = a_class(n, R_GENUS_DEGREE1, rel)
     r_pushed = pushforward_base(mul(td, r_class))
 
-    result = sub(sub(pushed, r_pushed), unit(n, BASE))
+    result = linear([(1, pushed), (-1, r_pushed), (-1, unit(n, BASE))])
     if result.poly:
         raise PipelineInconsistency(
             f"torsion form kept polynomial terms {list(result.poly)}")

@@ -16,6 +16,8 @@ Values are immutable and all operations are pure.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Tuple, Union
@@ -117,16 +119,36 @@ def _factor(m: int) -> Dict[int, int]:
 # ---------------------------------------------------------------------------
 
 _KIND_RANK = {"one": 0, "log_pi": 1, "log_prime": 2, "zeta_prime_m1": 3, "zeta_m1": 4}
+_ATOMS = weakref.WeakValueDictionary()  # (kind, prime) -> the live atom
+_ATOMS_LOCK = threading.Lock()
+
+
+def _interned(kind: str, prime: int) -> ConstantAtom:
+    """The live atom of a valid (kind, prime), made and entered in the table
+    when there is none."""
+    with _ATOMS_LOCK:
+        atom = _ATOMS.get((kind, prime))
+        if atom is None:
+            atom = object.__new__(ConstantAtom)
+            atom.kind, atom.prime = kind, prime
+            _ATOMS[(kind, prime)] = atom
+        return atom
 
 
 class ConstantAtom:
     """One basis element: the rational unit, log(pi), log(p), zeta'(-1) or zeta(-1).
 
-    Immutable.  Atoms key every coefficient map, so the hash is computed once."""
+    Immutable and interned: the constructor returns the one live atom of each
+    (kind, prime), held by a weak table that is filled under a lock, so atoms
+    compare and hash by identity (in C) and an atom no longer referenced
+    leaves the table.  Copies and pickles resolve to the same atom."""
 
-    __slots__ = ("kind", "prime", "_hash")
+    __slots__ = ("kind", "prime", "__weakref__")
 
-    def __init__(self, kind: str, prime: int = 0) -> None:
+    def __new__(cls, kind: str, prime: int = 0) -> ConstantAtom:
+        atom = _ATOMS.get((kind, prime))
+        if atom is not None:
+            return atom
         if kind not in _KIND_RANK:
             raise ValueError(f"unknown atom kind {kind!r}")
         if kind == "log_prime":
@@ -134,17 +156,10 @@ class ConstantAtom:
                 raise ValueError(f"log_prime atom needs a prime argument, got {prime}")
         elif prime:
             raise ValueError(f"{kind} atom carries no prime")
-        self.kind = kind
-        self.prime = prime
-        self._hash = hash((kind, prime))
+        return _interned(kind, prime)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ConstantAtom:
-            return NotImplemented
-        return self.kind == other.kind and self.prime == other.prime
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return ConstantAtom, (self.kind, self.prime)
 
     def __repr__(self) -> str:
         return f"ConstantAtom(kind={self.kind!r}, prime={self.prime!r})"
@@ -185,9 +200,7 @@ def log_prime_atom(p: int) -> ConstantAtom:
 
 def _factored_log_prime(p: int) -> ConstantAtom:
     """log(p) for a p that _factor returned, so proven prime already."""
-    atom = ConstantAtom.__new__(ConstantAtom)
-    atom.kind, atom.prime, atom._hash = "log_prime", p, hash(("log_prime", p))
-    return atom
+    return _ATOMS.get(("log_prime", p)) or _interned("log_prime", p)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +244,10 @@ class ExactConstant:
     @property
     def coeffs(self) -> Dict[ConstantAtom, Fraction]:
         return dict(self._coeffs)
+
+    def items(self):
+        """The (atom, coefficient) pairs in atom order, a view without a copy."""
+        return self._coeffs.items()
 
     def coefficient(self, a: ConstantAtom) -> Fraction:
         return self._coeffs.get(a, Fraction(0))

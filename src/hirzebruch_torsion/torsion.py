@@ -325,16 +325,13 @@ def _todd_character_products(s: Surface) -> Tuple[ChowClass, List[ChowClass]]:
     c1, c2, c1c2 = s.chern_classes.c1_tangent, s.chern_classes.c2_tangent, s.c1c2
     c1sq = chow.mul(c1, c1)
     c13 = chow.mul(c1sq, c1)
-    half, one = Fraction(1, 2), chow.unit(s.n)
-    td = chow.add(chow.add(one, chow.scale(half, c1)),
-                  chow.add(chow.scale(Fraction(1, 12), chow.add(c1sq, c2)),
-                           chow.scale(Fraction(1, 24), c1c2)))
-    exp_minus_c1 = chow.add(chow.sub(one, c1),
-                            chow.sub(chow.scale(half, c1sq), chow.scale(Fraction(1, 6), c13)))
+    half, twelfth, one = Fraction(1, 2), Fraction(1, 12), chow.unit(s.n)
+    td = chow.linear([(1, one), (half, c1), (twelfth, c1sq), (twelfth, c2),
+                      (Fraction(1, 24), c1c2)])
+    exp_minus_c1 = chow.linear([(1, one), (-1, c1), (half, c1sq), (Fraction(-1, 6), c13)])
     top = chow.mul(td, exp_minus_c1, degrees=(1, 3))
-    middle = chow.add(chow.add(td, top), chow.mul(td, chow.sub(chow.scale(half, c1c2), c2),
-                                                  degrees=(1, 3)))
-    return c1, [td, middle, top]
+    twist = chow.mul(td, chow.linear([(half, c1c2), (-1, c2)]), degrees=(1, 3))
+    return c1, [td, chow.linear([(1, td), (1, top), (1, twist)]), top]
 
 
 def tau_route_rr(n: Union[int, Surface]) -> Tuple[ExactConstant, ExactConstant, ExactConstant]:

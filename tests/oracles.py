@@ -8,11 +8,13 @@ L2 norms and covolumes from exact L2 pairings.  The functions below are the
 hand-written values the package used before it derived them; the tests check
 the derivations against them.
 They call no `closed_*` function of the package.  The curvature image of a
-class, which only the tests read, lives here too, and so do the Fraction
-sum of radial functions that the integer-pair sums must reproduce and the
-Fraction derivations of a normal form's exact mass and float plan that the
-integer ones must reproduce, and the Hodge star by its definition, which the
-coefficient swap must reproduce.
+class, which only the tests read, lives here too, and so do the ring
+product formed one product at a time and the linear combination folded one
+class at a time, which the slot sums of the ring must reproduce, the
+Fraction sum of radial functions that the integer-pair sums must reproduce
+and the Fraction derivations of a normal form's exact mass and float plan
+that the integer ones must reproduce, and the Hodge star by its definition,
+which the coefficient swap must reproduce.
 
 The interpretive evaluator at the end is the loop that read a radial
 function's float plan term by term before the package generated a kernel
@@ -324,6 +326,30 @@ def mul(a: ChowClass, b: ChowClass, degrees=None) -> ChowClass:
                 w = Fraction(1, 2) * (_wedge(ddc_l, fh) + _wedge(ddc_h, fl))
             add(dl + dh, atom1, ExactConstant.atom(atom2), w)
     return chow.reduce(ChowClass(n, variety, poly, analytic))
+
+
+def linear_by_chain(pairs) -> ChowClass:
+    """sum q * c over (q, class) pairs as the ring folded it before
+    chow.linear: each class scaled on its own, then added left to right,
+    every step a class of its own whose forms are made by Radial and forms
+    arithmetic."""
+    acc = None
+    for q, c in pairs:
+        poly = {m: coeff.scale(q) for m, coeff in c.poly.items()}
+        slots = {s: q * f for s, f in c.forms.items()}
+        if acc is not None:
+            if (acc.n, acc.variety) != (c.n, c.variety):
+                raise chow.ChowError("incompatible classes")
+            summed = dict(acc.poly)
+            for m, coeff in poly.items():
+                summed[m] = summed.get(m, _rat(0)) + coeff
+            poly = summed
+            summed = dict(acc.forms)
+            for s, f in slots.items():
+                summed[s] = summed[s] + f if s in summed else f
+            slots = summed
+        acc = chow._assemble(c.n, c.variety, poly, slots)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ from hirzebruch_torsion.chow import (
     unit,
     zero_class,
 )
-from hirzebruch_torsion.constants import ExactConstant, log_2pi, log_rational
+from hirzebruch_torsion.constants import (LOG_PI, ONE, ExactConstant, NonRationalProduct,
+                                          log_2pi, log_rational)
 from hirzebruch_torsion.radial import (
     RADIAL_ONE,
     DomainError,
@@ -231,17 +232,23 @@ def in_degrees(c, degrees):
 
 
 @st.composite
-def mixed_classes(draw, n, transcendental=False):
+def mixed_classes(draw, n, transcendental=False, transcendental_poly=False):
     """A surface class with monomials of degree 0 to 3 and analytic terms of
     every degree, not necessarily in normal form; its analytic terms carry
-    log 2pi when transcendental (the span is linear in such atoms, so only
-    one factor of a product may)."""
+    log 2pi when transcendental, and its monomials log 3 or log 2pi when
+    transcendental_poly (the span is linear in such atoms, so only one
+    factor of a product may)."""
     al = forms.alpha_form(n)
     pool = [RADIAL_ONE, forms.log_R(n), forms.ratio_R(n), al,
             forms.bott_chern_c2(n), forms.wedge(al, forms.base_form(n))]
     coeffs = st.fractions(-6, 6, max_denominator=4).map(ec)
     monos = st.sampled_from([(i, j) for i in range(4) for j in range(4) if i + j <= 3])
-    poly = draw(st.dictionaries(monos, coeffs, max_size=4))
+    poly_coeffs = coeffs
+    if transcendental_poly:
+        logs = st.builds(lambda q, c: c.scale(q), st.fractions(-6, 6, max_denominator=4),
+                         st.sampled_from([log_rational(3), log_2pi()]))
+        poly_coeffs = st.one_of(coeffs, logs)
+    poly = draw(st.dictionaries(monos, poly_coeffs, max_size=4))
     if transcendental:
         coeffs = st.one_of(coeffs, st.just(log_2pi()))
     analytic = draw(st.lists(st.tuples(coeffs, st.sampled_from(pool)), max_size=4))
@@ -305,6 +312,97 @@ class TestMulSlots:
     def test_degrees_one_and_three(self, pair):
         a, b = pair
         self.check(mul(a, b, degrees=(1, 3)), oracles.mul(a, b, degrees=(1, 3)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.sampled_from(RULING_INDICES),
+           degrees=st.sampled_from([None, (1, 3), (2,)]))
+    def test_transcendental_monomials(self, data, n, degrees):
+        # each monomial's image is wedged with the rational weight of each
+        # atom of its coefficient
+        a = data.draw(mixed_classes(n, transcendental=True, transcendental_poly=True))
+        b = data.draw(mixed_classes(n))
+        self.check(mul(a, b, degrees), oracles.mul(a, b, degrees))
+        self.check(mul(b, a, degrees), oracles.mul(b, a, degrees))
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_two_transcendental_factors_of_a_vanishing_form(self, n):
+        log3_x = ChowClass(n, SURFACE, {(1, 0): log_rational(3)})
+        base = a_class(n, log_2pi(), forms.base_form(n))  # base ^ base = 0
+        assert mul(log3_x, base).is_zero and mul(base, log3_x).is_zero
+        # a constant 0-form has no dd^c, and two 0-forms need both
+        constant, log_r = a_class(n, log_2pi(), RADIAL_ONE), forms.log_R(n)
+        assert mul(constant, a_class(n, log_rational(3), log_r)).is_zero
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_two_transcendental_factors_of_a_nonzero_form(self, n):
+        log3_x = ChowClass(n, SURFACE, {(1, 0): log_rational(3)})
+        with pytest.raises(NonRationalProduct):
+            mul(log3_x, a_class(n, log_2pi(), forms.alpha_form(n)))
+        with pytest.raises(NonRationalProduct):
+            mul(a_class(n, log_2pi(), forms.omega_form(n)), log3_x)
+        with pytest.raises(NonRationalProduct):  # a(log 2) x = a(log 2 base)
+            mul(a_class(n, log_rational(2), RADIAL_ONE), log3_x)
+        if n:  # log R and its dd^c vanish at n = 0
+            log_r = forms.log_R(n)
+            with pytest.raises(NonRationalProduct):
+                mul(a_class(n, log_2pi(), log_r), a_class(n, log_rational(3), log_r))
+
+
+def linear_inputs(n):
+    """The (q, class) pairs of the direct route's linear combinations at n:
+    the Todd class, e^-c1, the middle twist's factor and the middle twist."""
+    cc = arithmetic_chern_classes(n)
+    c1, c2 = cc.c1_tangent, cc.c2_tangent
+    c1sq = mul(c1, c1)
+    c13, c1c2, one = mul(c1sq, c1), mul(c1, c2), unit(n)
+    half, twelfth = Fraction(1, 2), Fraction(1, 12)
+    td = [(1, one), (half, c1), (twelfth, c1sq), (twelfth, c2), (Fraction(1, 24), c1c2)]
+    exp_minus_c1 = [(1, one), (-1, c1), (half, c1sq), (Fraction(-1, 6), c13)]
+    factor = [(half, c1c2), (-1, c2)]
+    td_class = chow.linear(td)
+    top = mul(td_class, chow.linear(exp_minus_c1), degrees=(1, 3))
+    twist = mul(td_class, chow.linear(factor), degrees=(1, 3))
+    return [td, exp_minus_c1, factor, [(1, td_class), (1, top), (1, twist)]]
+
+
+class TestLinear:
+    """chow.linear sums each slot once; it must give the class that the
+    scale-and-add fold gave, in its slot and monomial order."""
+
+    @staticmethod
+    def check(pairs):
+        got, want = chow.linear(pairs), oracles.linear_by_chain(pairs)
+        assert (got.n, got.variety) == (want.n, want.variety)
+        assert got.poly == want.poly and list(got.poly) == list(want.poly)
+        assert got.forms == want.forms and list(got.forms) == list(want.forms)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 400, 10**6])
+    def test_direct_route_inputs(self, n):
+        for pairs in linear_inputs(n):
+            self.check(pairs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.sampled_from(RULING_INDICES))
+    def test_mixed_classes(self, data, n):
+        qs = st.one_of(st.just(1), st.fractions(-6, 6, max_denominator=4))
+        pairs = data.draw(st.lists(st.tuples(qs, mixed_classes(n, transcendental=True,
+                                                              transcendental_poly=True)),
+                                   min_size=1, max_size=5))
+        self.check(pairs)
+
+    def test_a_slot_filled_once_keeps_its_form(self):
+        n = 3
+        a = a_class(n, 1, forms.alpha_form(n))
+        b = a_class(n, log_2pi(), forms.bott_chern_c2(n))
+        got = chow.linear([(1, a), (2, b)])
+        assert got.forms[(2, ONE)] is a.forms[(2, ONE)]
+        assert got.forms[(2, LOG_PI)] == Fraction(2) * b.forms[(2, LOG_PI)]
+
+    def test_incompatible_classes_are_refused(self):
+        with pytest.raises(chow.ChowError, match="incompatible classes"):
+            chow.linear([(1, unit(1)), (1, unit(2))])
+        with pytest.raises(chow.ChowError, match="incompatible classes"):
+            chow.linear([(1, unit(1)), (1, unit(1, BASE))])
 
 
 class TestPushforwardDeg:

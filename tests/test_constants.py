@@ -1,6 +1,11 @@
 """Exact-constant arithmetic: normal forms, evaluation, serialization, laws."""
 
+import copy
+import gc
+import pickle
 import random
+import re
+import threading
 from fractions import Fraction
 
 import pytest
@@ -47,6 +52,72 @@ class TestAtoms:
         atoms = [ZETA_M1, log_prime_atom(5), ONE, log_prime_atom(2), LOG_PI]
         keys = [a.sort_key() for a in sorted(atoms, key=lambda a: a.sort_key())]
         assert keys == sorted(keys)
+
+
+class TestInternedAtoms:
+    """One live atom per (kind, prime), compared and hashed by identity."""
+
+    def test_every_door_gives_the_same_atom(self):
+        atom = C.ConstantAtom("log_prime", 7)
+        assert log_prime_atom(7) is atom
+        assert C._factored_log_prime(7) is atom
+        (parsed, _), = ExactConstant.from_json_dict({"rational": "0",
+                                                      "log_atoms": {"7": "2"}}).items()
+        assert parsed is atom
+        assert C.ConstantAtom("one") is ONE and C.ConstantAtom("log_pi") is LOG_PI
+        assert C.ConstantAtom.__eq__ is object.__eq__
+        assert C.ConstantAtom.__hash__ is object.__hash__
+
+    def test_copies_and_pickles_keep_the_identity(self):
+        for atom in (ONE, LOG_PI, ZETA_PRIME_M1, ZETA_M1, log_prime_atom(7)):
+            assert copy.copy(atom) is atom
+            assert copy.deepcopy(atom) is atom
+            assert pickle.loads(pickle.dumps(atom)) is atom
+        c = log_rational(Fraction(7, 12))
+        assert pickle.loads(pickle.dumps(c)) == c and copy.deepcopy(c) == c
+
+    @pytest.mark.parametrize("args, message", [
+        (("bogus",), "unknown atom kind 'bogus'"),
+        (("log_prime", 8), "log_prime atom needs a prime argument, got 8"),
+        (("log_prime",), "log_prime atom needs a prime argument, got 0"),
+        (("log_pi", 3), "log_pi atom carries no prime"),
+    ])
+    def test_invalid_atoms_are_refused_as_before(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            C.ConstantAtom(*args)
+
+    def test_concurrent_creation_gives_one_atom(self):
+        p = 999999893
+        assert ("log_prime", p) not in C._ATOMS  # a prime no other test makes
+        start, made = threading.Barrier(8), []
+
+        def create(i):
+            start.wait()
+            made.append(C.ConstantAtom("log_prime", p) if i % 2 else C._factored_log_prime(p))
+
+        threads = [threading.Thread(target=create, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(made) == 8 and all(a is made[0] for a in made)
+
+    def test_the_table_keeps_no_atom_alive(self):
+        key = ("log_prime", 999999929)
+        atom = C.ConstantAtom(*key)
+        assert C._ATOMS[key] is atom
+        del atom
+        gc.collect()
+        assert key not in C._ATOMS
+
+
+class TestItems:
+    def test_items_read_the_coefficients_and_coeffs_copies_them(self):
+        c = log_rational(Fraction(7, 12)) + ExactConstant.atom(ZETA_M1, 3)
+        assert list(c.items()) == list(c.coeffs.items())
+        copied = c.coeffs
+        copied[ONE] = Fraction(1)
+        assert ONE not in c.coeffs and c.coeffs is not c.coeffs
 
 
 class TestAdd:

@@ -622,6 +622,41 @@ class TestSetUpBudget:
         assert "c1_total" not in calls and "c1_rel" not in calls
 
 
+class TestRingBudget:
+    """The ring sums each slot once and builds it once: the builds and
+    catalog forms of one main_theorem, on average over n = 20..39."""
+
+    def test_main_theorem(self, monkeypatch):
+        torsion.main_theorem(3)  # the n-free tables are filled once per process
+        calls: dict = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kw)
+            return wrapper
+
+        built = counted("built", radial.built)
+        for module in (radial, forms):  # forms binds built by name
+            monkeypatch.setattr(module, "built", built)
+        monkeypatch.setattr(chow.ChowClass, "__init__",
+                            counted("ChowClass", chow.ChowClass.__init__))
+        for name in ("_assemble", "mul"):
+            monkeypatch.setattr(chow, name, counted(name, getattr(chow, name)))
+        for name in ("alpha_form", "degree2_relation_rhs"):
+            monkeypatch.setattr(forms, name, counted(name, getattr(forms, name)))
+        ns = range(20, 40)
+        for n in ns:
+            torsion.main_theorem(n)
+        per_call = {name: count / len(ns) for name, count in calls.items()}
+        assert per_call["built"] <= 225
+        assert per_call["ChowClass"] <= 55
+        assert per_call["_assemble"] <= 45
+        assert per_call["mul"] <= 12
+        assert per_call["alpha_form"] <= 6
+        assert per_call["degree2_relation_rhs"] <= 1
+
+
 class TestUntracedRunsRenderNothing:
     def test_no_normal_form_is_rendered(self, monkeypatch):
         def refuse(self):
