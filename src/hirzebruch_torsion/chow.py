@@ -10,17 +10,20 @@ radial 0-form, an invariant (1,1)-form, or a top form.  Classes live either
 on the surface model (arithmetic dimension 3) or on the base projective-line
 model (arithmetic dimension 2).
 
-The analytic part is held as one form per degree and constant atom, summed
+The analytic part is held as one form per degree and ring constant, summed
 in the normal form of the coefficients, so equally assembled classes have
-equal parts whatever the order of assembly.  Each slot is summed in integer
-(numerator, denominator) pairs and built once: a product's wedges, with the
-curvature images of its monomials, in those of radial._mul_into; the
-relation and curvature images of a rewrite, and the terms of a linear
-combination (linear, which add, sub and scale call), in those of
-radial._add_into.  A slot that one form fills alone, with weight 1, keeps
-that form.  In top degree a(g) depends only on the mass of g (every exact
-form integrates to 0), so top-degree parts compare by their exact mass.
-Classes compare, and test for zero, by their normal forms.
+equal parts whatever the order of assembly.  The ring constants are the
+atoms with log(2 pi) for log(pi) and R1 = 2 zeta'(-1) + zeta(-1) for
+zeta'(-1), keyed by the atoms they replace: the pipelines attach forms to no
+other constants, so each such form is wedged and built once.  Each slot is
+summed in integer (numerator, denominator) pairs and built once: a product's
+wedges, with the curvature images of its monomials, in those of
+radial._mul_into; the relation and curvature images of a rewrite, and the
+terms of a linear combination (linear, which add, sub and scale call), in
+those of radial._add_into.  A slot that one form fills alone, with weight 1,
+keeps that form.  In top degree a(g) depends only on the mass of g (every
+exact form integrates to 0), so top-degree parts compare by their exact
+mass.  Classes compare, and test for zero, by their normal forms.
 
 The rewrite system reduces every polynomial to the normal form with
 exponents at most 1 in each generator:
@@ -41,8 +44,8 @@ characters multiply as whole classes, and a product can be asked for in
 chosen degrees only.
 
 The degree map halves the exact total mass of the top-degree analytic part,
-read through top_slots (the ring is exact and integrates nothing; a check
-that wants the same degree by quadrature folds over the same slots); no
+summed over the ring's slots (the ring is exact and integrates nothing; a
+check that wants the same degree by quadrature folds over top_slots); no
 finite-place contributions are modeled, because every class produced by
 the pipelines reduces to archimedean terms.  The height is such a degree,
 by two pipelines: of the second Segre class, and of the polarization cube.
@@ -55,7 +58,8 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from . import forms, radial
-from .constants import ONE, ZETA_M1, ZETA_PRIME_M1, ConstantAtom, ExactConstant, log_2pi
+from .constants import (LOG_PI, ONE, ZETA_M1, ZETA_PRIME_M1, ConstantAtom, ExactConstant,
+                        log_2pi, log_prime_atom)
 from .forms import Form11, Form22
 from .radial import RADIAL_ONE, Radial
 
@@ -66,8 +70,11 @@ BASE = "P1"
 # torsion routes correct by it.
 R_GENUS_DEGREE1 = ExactConstant.atom(ZETA_PRIME_M1, 2) + ExactConstant.atom(ZETA_M1)
 
+# The constants of the slot keys that _key_constant does not build from the atom.
+_KEY_CONSTANT = {ONE: ExactConstant.rational(1), LOG_PI: log_2pi(), ZETA_PRIME_M1: R_GENUS_DEGREE1}
+
 MonoT = Tuple[int, int]  # exponents of (xhat, ahat)
-SlotT = Tuple[int, ConstantAtom]  # (degree, atom) of an analytic part
+SlotT = Tuple[int, ConstantAtom]  # (degree, ring constant key) of an analytic part
 
 
 class ChowError(Exception):
@@ -126,13 +133,29 @@ def _parts(form: FormT) -> tuple:
             if isinstance(form, Form11) else (form.g,))
 
 
+def _ring_items(coeff: ExactConstant):
+    """The (key, q) pairs of coeff in the ring constants, by the triangular
+    change log(pi) = log(2 pi) - log(2), zeta'(-1) = (R1 - zeta(-1)) / 2."""
+    c = coeff.coeffs
+    if LOG_PI in c or ZETA_PRIME_M1 in c:
+        lp, zp = c.get(LOG_PI, 0), Fraction(c.get(ZETA_PRIME_M1, 0), 2)
+        coeff -= ExactConstant({log_prime_atom(2): lp, ZETA_PRIME_M1: zp, ZETA_M1: zp})
+    return coeff.items()
+
+
+def _key_constant(key: ConstantAtom, q=1) -> ExactConstant:
+    """q times the constant that key stands for: log(2 pi), R1 or the atom."""
+    c = _KEY_CONSTANT.get(key)
+    return ExactConstant.atom(key, q) if c is None else c.scale(q)
+
+
 def _fill(fills: dict, coeff: ExactConstant, form, variety: str) -> None:
-    """fills += a(coeff * form): one (q, form) fill of the slot (degree, atom)
-    per atom of coeff; a vanishing form fills nothing."""
+    """fills += a(coeff * form): one (q, form) fill of the slot (degree, key)
+    per ring constant of coeff; a vanishing form fills nothing."""
     if form:
         degree = _form_degree(form, variety)
-        for atom, q in coeff.items():
-            fills.setdefault((degree, atom), []).append((q, form))
+        for key, q in _ring_items(coeff):
+            fills.setdefault((degree, key), []).append((q, form))
 
 
 def _built(n: int, kind, maps) -> FormT:
@@ -173,20 +196,15 @@ class ChowClass:
                  analytic: Optional[Iterable[Tuple[ExactConstant, FormT]]] = None):
         if variety not in (SURFACE, BASE):
             raise ValueError(f"unknown variety tag {variety!r}")
-        self.n = n
-        self.variety = variety
-        norm_poly: Dict[MonoT, ExactConstant] = {}
-        for mono, coeff in (poly or {}).items():
-            coeff = _ec(coeff)
-            if variety == BASE and mono[1]:
-                raise ValueError("the base model has no tautological generator")
-            if not coeff.is_zero:
-                norm_poly[mono] = coeff
-        self.poly = {m: norm_poly[m] for m in sorted(norm_poly)}
+        poly = {m: _ec(coeff) for m, coeff in (poly or {}).items()}
+        if variety == BASE and any(j for _, j in poly):
+            raise ValueError("the base model has no tautological generator")
+        self.n, self.variety = n, variety
+        self.poly = {m: poly[m] for m in sorted(poly) if not poly[m].is_zero}
         fills: dict = {}
         for coeff, form in analytic or ():
             _fill(fills, _ec(coeff), form, variety)
-        self.forms = _clean(_summed(n, fills))
+        self.forms = _clean(_summed(n, fills)) if fills else {}
 
     # -- inspection ---------------------------------------------------------
 
@@ -209,14 +227,14 @@ class ChowClass:
     @property
     def analytic(self) -> Tuple[Tuple[ExactConstant, FormT], ...]:
         """The analytic part as (constant, form) pairs, one per distinct form,
-        the constant collecting every atom that carries the form; a constant
-        0-form, or a top form of nonzero rational mass, is shown as that value
-        times the unit form."""
+        the constant collecting every ring constant that carries the form (so
+        log(2 pi) and R1 show as such); a constant 0-form, or a top form of
+        nonzero rational mass, is shown as that value times the unit form."""
         merged: Dict[FormT, ExactConstant] = {}
-        for (_, atom), form in self.forms.items():
+        for (_, key), form in self.forms.items():
             q = _content(form)
             form = form if q == 1 else (1 / q) * form
-            c = ExactConstant.atom(atom, q)
+            c = _key_constant(key, q)
             merged[form] = merged[form] + c if form in merged else c
         return tuple((c, f) for f, c in merged.items() if not c.is_zero)
 
@@ -258,7 +276,10 @@ def _clean(slots: Dict[SlotT, FormT]) -> Dict[SlotT, FormT]:
 
 def _assemble(n: int, variety: str, poly: Dict[MonoT, ExactConstant],
               slots: Dict[SlotT, FormT]) -> ChowClass:
-    out = ChowClass(n, variety, poly)
+    """The class of summed parts, made directly: monomials sorted, zeros dropped."""
+    out = ChowClass.__new__(ChowClass)
+    out.n, out.variety = n, variety
+    out.poly = {m: poly[m] for m in sorted(poly) if not poly[m].is_zero}
     out.forms = _clean(slots)
     return out
 
@@ -482,16 +503,16 @@ def mul(a: ChowClass, b: ChowClass,
             poly[mono] = coeff + prev if prev else coeff
     # sums: the slot of _pair_slot -> (form type, one radial._mul_into map
     # per radial coefficient); each monomial's curvature image is wedged
-    # with the weight of each atom of its coefficient
+    # with the weight of each ring constant of its coefficient
     sums: dict = {}
     for left, right in ((a, b), (b, a)):
-        images = [(sum(mono), _mono_curvature(n, variety, mono), coeff)
+        images = [(sum(mono), _mono_curvature(n, variety, mono), _ring_items(coeff))
                   for mono, coeff in right.poly.items()]
-        for (deg_f, atom_f), form in left.forms.items():
-            for deg_c, image, coeff in images:
+        for (deg_f, key_f), form in left.forms.items():
+            for deg_c, image, ring_items in images:
                 if image and deg_f + deg_c in keep:
-                    for atom_c, q in coeff.items():
-                        _wedge_into(sums, _pair_slot(deg_f + deg_c, atom_f, atom_c),
+                    for key_c, q in ring_items:
+                        _wedge_into(sums, _pair_slot(deg_f + deg_c, key_f, key_c),
                                     form, image, q)
     # dd^c once per form that can carry it: a lower-degree factor of a
     # product within the top degree, so of degree at most top / 2
@@ -510,7 +531,7 @@ def mul(a: ChowClass, b: ChowClass,
         if len(slot) == 2:
             slots[slot] = _built(n, kind, maps)
         elif any(p for m in maps for p, _ in m.values()):
-            ExactConstant.atom(slot[1]) * ExactConstant.atom(slot[2])  # raises NonRationalProduct
+            _key_constant(slot[1]) * _key_constant(slot[2])  # raises NonRationalProduct
     return reduce(_assemble(n, variety, poly, slots))
 
 
@@ -531,29 +552,22 @@ def pushforward_base(c: ChowClass) -> ChowClass:
     if c.variety != SURFACE:
         raise ChowError("pushforward_base expects a surface class")
     c = reduce(c)
-    poly: Dict[MonoT, ExactConstant] = {}
-    for (i, j), coeff in c.poly.items():
-        if j == 0:
-            continue  # pullback monomials push to zero
-        mono = (i, 0)  # projection formula; fiber degree of alpha is 1
-        prev = poly.get(mono)
-        poly[mono] = coeff + prev if prev else coeff
+    # pullback monomials push to zero; by the projection formula x^i a goes
+    # to x^i (alpha has fiber degree 1), one monomial each in normal form
+    poly = {(i, 0): coeff for (i, j), coeff in c.poly.items() if j}
     fills: dict = {}
-    for (degree, atom), form in c.forms.items():
+    for (degree, key), form in c.forms.items():
         # 0-forms push to degree -2; the rest by their exact fiber masses
         if degree == 2:
-            _fill(fills, ExactConstant.atom(atom) * form.fiber_integral, RADIAL_ONE, BASE)
+            _fill(fills, _key_constant(key) * form.fiber_integral, RADIAL_ONE, BASE)
         elif degree == 3:
-            _fill(fills, ExactConstant.atom(atom) * form.total_integral,
+            _fill(fills, _key_constant(key) * form.total_integral,
                   base_top_form(c.n), BASE)
     return _assemble(c.n, BASE, poly, _summed(c.n, fills))
 
 
-def top_slots(c: ChowClass, trace: Optional[list] = None):
-    """The (slot, form) items of the reduced class, all of top degree, in slot
-    order; a class with any other part, or with a monomial that reduction
-    left, is refused.  The degree map sums their exact masses, and a check
-    that integrates them by quadrature folds over the same items."""
+def _top_forms(c: ChowClass, trace: Optional[list]):
+    """The ring's items of the reduced class, refused unless all of top degree."""
     c = reduce(c, trace)
     top = top_degree(c.variety)
     if any(sum(m) != top for m in c.poly) or any(d != top for d, _ in c.forms):
@@ -564,11 +578,22 @@ def top_slots(c: ChowClass, trace: Optional[list] = None):
     return c.forms.items()
 
 
+def top_slots(c: ChowClass, trace: Optional[list] = None):
+    """The items of _top_forms with one slot per atom, in atom order, each form
+    re-summed exactly; a check by quadrature of the degree folds over these."""
+    fills: dict = {}
+    for (degree, key), form in _top_forms(c, trace):
+        for atom, q in _key_constant(key).items():
+            fills.setdefault((degree, atom), []).append((q, form))
+    return _clean(_summed(c.n, fills)).items()
+
+
 def pushforward_deg(c: ChowClass, trace: Optional[list] = None) -> ExactConstant:
-    """Arithmetic degree of a top-degree class: half the exact total mass."""
+    """Arithmetic degree of a top-degree class: half the exact total mass,
+    summed over the ring's own slots."""
     total = ExactConstant.zero()
-    for (_, atom), form in top_slots(c, trace):
-        total = total + ExactConstant.atom(atom) * form.total_integral
+    for (_, key), form in _top_forms(c, trace):
+        total = total + _key_constant(key) * form.total_integral
     return total.scale(Fraction(1, 2))
 
 
@@ -690,9 +715,9 @@ def torsion_form(c1_relative: ChowClass) -> ExactConstant:
         raise PipelineInconsistency(
             f"the squared relative class has mass {rel_sq}, not 0")
     value = ExactConstant.zero()
-    for (degree, atom), form in result.forms.items():
+    for (degree, key), form in result.forms.items():
         if degree == 1:
             if form.const_value is None:
                 raise PipelineInconsistency("degree-1 part is not a constant multiple")
-            value = value + ExactConstant.atom(atom, form.const_value)
+            value = value + _key_constant(key, form.const_value)
     return value

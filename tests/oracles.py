@@ -11,6 +11,7 @@ They call no `closed_*` function of the package.  The curvature image of a
 class, which only the tests read, lives here too, and so do the ring
 product formed one product at a time and the linear combination folded one
 class at a time, which the slot sums of the ring must reproduce, the
+top slots folded one atom at a time, which top_slots must reproduce, the
 Fraction sum of radial functions that the integer-pair sums must reproduce
 and the Fraction derivations of a normal form's exact mass and float plan
 that the integer ones must reproduce, and the Hodge star by its definition,
@@ -252,10 +253,10 @@ def omega_image(c: ChowClass) -> List[Tuple[ExactConstant, chow.FormT]]:
         form = chow._mono_curvature(c.n, c.variety, mono)
         if form is not None:
             out.append((coeff, form))
-    for (_, atom), form in c.forms.items():
+    for (_, key), form in c.forms.items():
         d = chow._ddc(form, c.n)
         if d:
-            out.append((ExactConstant.atom(atom), d))
+            out.append((chow._key_constant(key), d))
     return out
 
 
@@ -305,7 +306,7 @@ def mul(a: ChowClass, b: ChowClass, degrees=None) -> ChowClass:
 
     def add(degree, atom, coeff, form):
         if degree in keep and form:
-            analytic.append((ExactConstant.atom(atom) * coeff, form))
+            analytic.append((chow._key_constant(atom) * coeff, form))
 
     for left, right in ((a, b), (b, a)):
         for (degree, atom), form in left.forms.items():
@@ -324,7 +325,7 @@ def mul(a: ChowClass, b: ChowClass, degrees=None) -> ChowClass:
                 if not ddc_h:
                     continue
                 w = Fraction(1, 2) * (_wedge(ddc_l, fh) + _wedge(ddc_h, fl))
-            add(dl + dh, atom1, ExactConstant.atom(atom2), w)
+            add(dl + dh, atom1, chow._key_constant(atom2), w)
     return chow.reduce(ChowClass(n, variety, poly, analytic))
 
 
@@ -350,6 +351,28 @@ def linear_by_chain(pairs) -> ChowClass:
             slots = summed
         acc = chow._assemble(c.n, c.variety, poly, slots)
     return acc
+
+
+def per_atom_forms(pairs) -> Dict:
+    """The (constant, form) pairs of one degree folded by atom: the form of
+    each atom is the sum of q * form over the pairs whose constant carries
+    it with weight q, by Radial and forms arithmetic; vanishing sums are
+    dropped, and the atoms come in atom order."""
+    out: Dict = {}
+    for coeff, form in pairs:
+        for atom, q in coeff.items():
+            term = q * form
+            out[atom] = out[atom] + term if atom in out else term
+    return {a: out[a] for a in sorted(out, key=lambda a: a.sort_key()) if out[a]}
+
+
+def prime_top_slots(c: ChowClass) -> List[Tuple[chow.SlotT, chow.FormT]]:
+    """The top-degree (slot, form) items of c as the ring held them when it
+    kept one slot per atom: the analytic pairs of the reduced class folded
+    by atom, in atom order."""
+    c = chow.reduce(c)
+    top = chow.top_degree(c.variety)
+    return [((top, atom), form) for atom, form in per_atom_forms(c.analytic).items()]
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ from hirzebruch_torsion.chow import (
     unit,
     zero_class,
 )
-from hirzebruch_torsion.constants import (LOG_PI, ONE, ExactConstant, NonRationalProduct,
-                                          log_2pi, log_rational)
+from hirzebruch_torsion.constants import (LOG_PI, ONE, ZETA_M1, ZETA_PRIME_M1, ExactConstant,
+                                          NonRationalProduct, log_2pi, log_prime_atom,
+                                          log_rational)
 from hirzebruch_torsion.radial import (
     RADIAL_ONE,
     DomainError,
@@ -403,6 +404,53 @@ class TestLinear:
             chow.linear([(1, unit(1)), (1, unit(2))])
         with pytest.raises(chow.ChowError, match="incompatible classes"):
             chow.linear([(1, unit(1)), (1, unit(1, BASE))])
+
+
+class TestRingBasis:
+    """The ring keys its slots by the constants the pipelines attach forms
+    to: log 2pi under LOG_PI and R1 = 2 zeta'(-1) + zeta(-1) under
+    ZETA_PRIME_M1; a class still gives back the constants it was made of."""
+
+    ATOMS = [ONE, LOG_PI, log_prime_atom(2), log_prime_atom(3), ZETA_PRIME_M1, ZETA_M1]
+
+    @staticmethod
+    def pool(n):
+        al = forms.alpha_form(n)
+        return [RADIAL_ONE, forms.log_R(n), forms.ratio_R(n), al, forms.bott_chern_c2(n),
+                forms.wedge(al, forms.base_form(n))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([0, 1, 7, 10**6]))
+    def test_round_trip(self, data, n):
+        qs = data.draw(st.lists(st.fractions(-6, 6, max_denominator=4),
+                                min_size=len(self.ATOMS), max_size=len(self.ATOMS)))
+        c = ExactConstant(dict(zip(self.ATOMS, qs)))
+        form = data.draw(st.sampled_from(self.pool(n)))
+        got = ChowClass(n, SURFACE, analytic=[(c, form)]).analytic
+        assert oracles.per_atom_forms(got) == oracles.per_atom_forms([(c, form)])
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_one_slot_per_constant(self, n):
+        al = forms.alpha_form(n)
+        for const, key in ((log_2pi(), LOG_PI), (chow.R_GENUS_DEGREE1, ZETA_PRIME_M1)):
+            c = ChowClass(n, SURFACE, analytic=[
+                (const, RADIAL_ONE), (const.scale(3), al),
+                (const, forms.wedge(al, forms.base_form(n)))])
+            assert list(c.forms) == [(1, key), (2, key), (3, key)]
+        s = torsion.Surface(n)
+        assert [key for _, key in s.chern_classes.c1_tangent.forms] == [ONE, LOG_PI][n == 0:]
+        assert [key for _, key in s.c1c2.forms] == [ONE, LOG_PI]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 57, 400, 10**6])
+    def test_top_slots_are_the_prime_atom_items(self, n):
+        c1c2 = torsion.Surface(n).c1c2
+        got, want = list(top_slots(c1c2)), oracles.prime_top_slots(c1c2)
+        assert [slot for slot, _ in got] == [slot for slot, _ in want]
+        assert got == want
+        total = ExactConstant.zero()
+        for (_, atom), form in want:
+            total = total + ExactConstant.atom(atom) * form.total_integral
+        assert pushforward_deg(c1c2) == total.scale(Fraction(1, 2))
 
 
 class TestPushforwardDeg:

@@ -70,6 +70,15 @@ class TestTorsionCommand:
         assert code == 0
         assert "tau_P1" not in out and "zeta'(-1)" in out
 
+    def test_large_n_bytes_are_pinned(self):
+        # the golden outputs stop at n = 20; these bytes pin the exact routes
+        # and their JSON at n = 10^6, 10^9 and 10^18
+        code, out, _ = run_cli("torsion", "--n-list", "1000000,1000000000,1000000000000000000",
+                               "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "89ccd246f5b1926cf372f88dee7b10bf0f90aa509ad40b400fa3a4c32581b1f1")
+
 
 class TestVerifyCommand:
     def test_passes_and_exit_zero(self):

@@ -623,8 +623,10 @@ class TestSetUpBudget:
 
 
 class TestRingBudget:
-    """The ring sums each slot once and builds it once: the builds and
-    catalog forms of one main_theorem, on average over n = 20..39."""
+    """The ring sums each slot once and builds it once, and holds one slot
+    per ring constant, so a form under log 2pi or R1 is wedged once: the
+    builds, wedges and catalog forms of one main_theorem, on average over
+    n = 20..39."""
 
     def test_main_theorem(self, monkeypatch):
         torsion.main_theorem(3)  # the n-free tables are filled once per process
@@ -641,7 +643,7 @@ class TestRingBudget:
             monkeypatch.setattr(module, "built", built)
         monkeypatch.setattr(chow.ChowClass, "__init__",
                             counted("ChowClass", chow.ChowClass.__init__))
-        for name in ("_assemble", "mul"):
+        for name in ("_assemble", "mul", "_wedge_into"):
             monkeypatch.setattr(chow, name, counted(name, getattr(chow, name)))
         for name in ("alpha_form", "degree2_relation_rhs"):
             monkeypatch.setattr(forms, name, counted(name, getattr(forms, name)))
@@ -649,10 +651,11 @@ class TestRingBudget:
         for n in ns:
             torsion.main_theorem(n)
         per_call = {name: count / len(ns) for name, count in calls.items()}
-        assert per_call["built"] <= 225
-        assert per_call["ChowClass"] <= 55
+        assert per_call["built"] <= 160
+        assert per_call["ChowClass"] <= 10
         assert per_call["_assemble"] <= 45
         assert per_call["mul"] <= 12
+        assert per_call["_wedge_into"] <= 85
         assert per_call["alpha_form"] <= 6
         assert per_call["degree2_relation_rhs"] <= 1
 
