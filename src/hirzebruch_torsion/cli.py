@@ -5,7 +5,8 @@ invocations produce byte-identical output.  Exit codes: 0 success, 1 a
 verification failed, 2 bad configuration (a ruling index whose floats
 overflow, such as --n 10**400 for forms, integrals or verify, included, and
 one whose logarithms need prime factors beyond the bounded factorization,
-such as --n 10**400 for torsion or table), 3 quadrature failed to converge,
+such as --n 10**400 for torsion or table, and a --grid-points or
+--height-range above MAX_COUNT), 3 quadrature failed to converge,
 141 the reader closed standard output early (128 + SIGPIPE, as a shell
 reports for a tool stopped by a closed pipe; nothing is printed then).
 
@@ -34,6 +35,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_BROKEN_PIPE = 141
+
+MAX_COUNT = 10**6  # the largest --grid-points and --height-range
 
 
 def format_exact(c: ExactConstant, expand_tau: bool = False) -> str:
@@ -211,6 +214,9 @@ def cmd_verify(args) -> int:
         print("error: --tol must be positive and finite and --height-range nonnegative",
               file=sys.stderr)
         return EXIT_CONFIG
+    if args.height_range > MAX_COUNT:
+        print(f"error: --height-range must be at most {MAX_COUNT}", file=sys.stderr)
+        return EXIT_CONFIG
     report = torsion.verify_all(_parse_n_list(args), cfg, tol=args.tol,
                                 height_range=args.height_range)
     if args.format == "json":
@@ -252,6 +258,9 @@ def cmd_forms(args) -> int:
     if not 0 < args.u_min < args.u_max < math.inf or args.grid_points < 2:
         print("error: need 0 < u-min < u-max < inf and at least 2 grid points",
               file=sys.stderr)
+        return EXIT_CONFIG
+    if args.grid_points > MAX_COUNT:
+        print(f"error: --grid-points must be at most {MAX_COUNT}", file=sys.stderr)
         return EXIT_CONFIG
     # a geometric grid, as numpy's geomspace: exact endpoints, 10^y between
     lo = math.log10(args.u_min)

@@ -192,6 +192,7 @@ ONE = ConstantAtom("one")
 LOG_PI = ConstantAtom("log_pi")
 ZETA_PRIME_M1 = ConstantAtom("zeta_prime_m1")
 ZETA_M1 = ConstantAtom("zeta_m1")
+_NO_COEFFICIENT = Fraction(0)  # immutable, so every miss returns this one
 
 
 def log_prime_atom(p: int) -> ConstantAtom:
@@ -250,7 +251,7 @@ class ExactConstant:
         return self._coeffs.items()
 
     def coefficient(self, a: ConstantAtom) -> Fraction:
-        return self._coeffs.get(a, Fraction(0))
+        return self._coeffs.get(a, _NO_COEFFICIENT)
 
     @property
     def is_zero(self) -> bool:
@@ -262,7 +263,7 @@ class ExactConstant:
 
     @property
     def rational_part(self) -> Fraction:
-        return self._coeffs.get(ONE, Fraction(0))
+        return self._coeffs.get(ONE, _NO_COEFFICIENT)
 
     # -- arithmetic --------------------------------------------------------
 

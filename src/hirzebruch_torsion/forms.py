@@ -31,7 +31,7 @@ by quadrature of the same coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .constants import ExactConstant
@@ -163,8 +163,12 @@ def omega_form(n: int) -> Form11:
     return Form11(n, RADIAL_ZERO, B)
 
 
+@lru_cache(maxsize=32)
 def ddc(h: Radial, n: int) -> Form11:
-    """dd^c of a radial 0-form by the normal-frame chain rule."""
+    """dd^c of a radial 0-form by the normal-frame chain rule, derived once
+    per (normal form, n) among the last 32: the ring takes dd^c of the same
+    few potentials (+-log R, +-log R / 2) in each product, and a Form11 is
+    immutable, so the callers share it."""
     u_dh = U * h.derivative()
     return Form11(n, n * u_dh, u_dh.derivative())
 

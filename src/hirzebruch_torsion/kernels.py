@@ -3,9 +3,10 @@
 kernel turns the float plan of a radial function (radial.Radial.plan) into
 its panel evaluator: straight-line Python generated once per shape of plan
 and bound to the plan's numbers, doing the float operations of the plan in
-its order.  Radial.fn and the integrands of radial.integrate_halfline run
-these kernels; this module imports nothing from the package, and only a
-process that evaluates a radial function as a float loads it.
+its order, each log factor's Horner chain as one expression.  Radial.fn and
+the integrands of radial.integrate_halfline run these kernels; this module
+imports nothing from the package, and only a process that evaluates a
+radial function as a float loads it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 # Horner sum h in x = 1/(1+au) times x*x; the function is the sum of the
 # groups, each times log1p(b u) when b is not 0.  A kernel does these float
 # operations in this order, so it returns the floats of the loop that reads
-# the plan term by term.
+# the plan term by term.  Each partial sum v or h is read once, so the
+# kernel writes a group's chain as one nested expression, which rounds the
+# same operations on the same operands as the statements it replaces.
 
 Plan = Tuple[tuple, tuple]
 Kernel = Callable[[Sequence[float], Optional[Callable[[float], Exception]]], List[float]]
@@ -90,18 +93,14 @@ def _binder(shape: tuple) -> Callable[..., Kernel]:
         b = param() if log else ""
         v = "0.0"
         for _ in range(terms):
-            lines.append(f"v = {v} * u + {param()}")
-            v = "v"
+            v = f"({v} * u + {param()})"
         for i in simple:
-            lines.append(f"v = {v} * x{i}")
-            v = "v"
+            v = f"({v} * x{i})"
         for i, length in higher:
             h = "0.0"
             for _ in range(length):
-                lines.append(f"h = {h} * x{i} + {param()}")
-                h = "h"
-            lines.append(f"v = {v} + {h} * x{i} * x{i}")
-            v = "v"
+                h = f"({h} * x{i} + {param()})"
+            v = f"({v} + {h} * x{i} * x{i})"
         lines.append(f"w = {w} + {v} * log1p({b} * u)" if log else f"w = {w} + {v}")
         w = "w"
     if w != "w":

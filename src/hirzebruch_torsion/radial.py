@@ -20,13 +20,15 @@ integer (numerator, denominator) pairs per key in _add_into, and products in
 _mul_into, which shares its pair update; built then makes the Radial once,
 one gcd per key.  The exact mass sums the same pairs and makes one Fraction
 per atom of the constant span, and the float plan builds its numerators as
-coefficient lists; Fraction stays in the terms and the partial-fraction rule.
+integer coefficient lists; Fraction stays in the terms and the
+partial-fraction rule.
 
 A Radial evaluates floats through its plan, the exact-to-float set-up of
-Horner sums per log factor, which the kernels module compiles into a
-kernel: straight-line Python generated once per shape of plan.  The kernel
-evaluates a panel, a list of points, in one call; Radial.fn is a one-point
-panel.
+Horner sums per log factor, made in one pass over the sorted terms, each
+float a correctly rounded integer division.  The kernels module compiles
+the plan into a kernel: straight-line Python generated once per shape of
+plan.  The kernel evaluates a panel, a list of points, in one call;
+Radial.fn is a one-point panel.
 
 integrate_halfline integrates a Radial numerically after the compactifying
 substitution u = t / (1 - t), which maps the half-line onto (0, 1).  In the t
@@ -275,25 +277,39 @@ class Radial:
         their common denominator prod (1+au), and a Horner sum in each
         1/(1+au) for the higher poles.  Cancellations that are exact in the
         terms (a zero at u = 0, tails that cancel at large u) then stay exact
-        in floating point."""
-        groups: Dict[int, Dict[int, Dict[int, Fraction]]] = {}
+        in floating point.
+
+        One pass over the terms, sorted by (b, j, a, k), gathers each log
+        group in order; each numerator float is one correctly rounded
+        integer division by d, the product of the group's denominators."""
+        bases = sorted({key[2] for key, _ in self.terms if key[2]})
+        groups: list = []  # per log factor: [b, d, {j: c}, [(a, c)] simple, {a: {k: c}} higher]
         for (b, j, a, k), c in self.terms:
-            groups.setdefault(b, {}).setdefault(a, {})[k or j] = c
-        bases = sorted({a for g in groups.values() for a in g if a})
+            if not groups or groups[-1][0] != b:
+                groups.append([b, 1, {}, [], {}])
+            group = groups[-1]
+            group[1] *= c.denominator
+            if not k:
+                group[2][j] = c
+            elif k == 1:
+                group[3].append((a, c))
+            else:
+                group[4].setdefault(a, {})[k] = c
         plan = []
-        for b, g in sorted(groups.items()):
-            simple = [a for a in bases if 1 in g.get(a, {})]
-            d = math.prod(c.denominator for w in g.values() for c in w.values())
-            powers = g.get(0, {0: 0})  # d times the powers, then numerator/prod + c/(1+au)
-            numerator, prod = [_whole(powers.get(j, 0), d) for j in range(max(powers) + 1)], [1]
-            for a in simple:
-                numerator = _plus(_times_linear(numerator, a), _whole(g[a][1], d), prod)
+        for b, d, powers, simple, higher in groups:
+            numerator = [_whole(powers.get(j, 0), d) for j in range(max(powers, default=0) + 1)]
+            prod = [1]
+            for a, c in simple:  # numerator/prod + c/(1+au)
+                numerator = _plus(_times_linear(numerator, a), _whole(c, d), prod)
                 prod = _times_linear(prod, a)
-            higher = tuple((bases.index(a), _horner({k: c for k, c in g[a].items() if k > 1}, 2))
-                           for a in bases if max(g.get(a, {0: 0})) > 1)
-            plan.append((float(b), _horner({j: c // d if not c % d else Fraction(c, d)
-                                            for j, c in enumerate(numerator) if c}, 0),  # as built
-                         tuple(bases.index(a) for a in simple), higher))
+            while numerator and not numerator[-1]:
+                numerator.pop()
+            higher = tuple((bases.index(a), _horner(ks, 2)) for a, ks in higher.items())
+            # an exact quotient converts as an int: the same float, and on
+            # overflow the same OverflowError text, which the CLI prints
+            plan.append((float(b), tuple(c / d if c % d else float(c // d)
+                                         for c in reversed(numerator)),
+                         tuple(bases.index(a) for a, _ in simple), higher))
         return tuple(float(a) for a in bases), tuple(plan)
 
     @cached_property

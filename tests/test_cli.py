@@ -171,6 +171,16 @@ class TestFormsCommand:
         assert code == 2
         assert "unknown form" in err
 
+    @pytest.mark.parametrize("argv, digest", [
+        ("forms --n 3", "324ff651f92ac54d0e32ea6095d65fe7cab69a27e36705aa5135943b95dc0ed7"),
+        ("forms --n 1000000 --form c1_tangent",
+         "69f7f8572004a8f5951e1e8797b5bcad37d81e36b96b276c5eb446cc42e8ee73")],
+        ids=["catalog", "large_n"])
+    def test_grid_bytes_are_pinned(self, capsys, argv, digest):
+        # the evaluation kernels' floats, through the default u-grid
+        assert cli.main(argv.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestTraceAndErrors:
     def test_closed_pipe_exits_141_quietly(self):
@@ -422,6 +432,16 @@ class TestConfigErrors:
         code, out, err = run_cli(*argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("forms", "--n", "1", "--grid-points", str(10**6 + 1)), "--grid-points"),
+        (("verify", "--n", "1", "--height-range", str(10**6 + 1)), "--height-range"),
+    ], ids=["grid_points", "height_range"])
+    def test_counts_above_the_bound(self, argv, flag):
+        # refused before any row is made
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be at most 1000000\n"
 
     @pytest.mark.parametrize("argv", [
         ("forms", "--n", str(10**400), "--form", "alpha"),

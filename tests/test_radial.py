@@ -207,6 +207,23 @@ class TestKernels:
         us = ts + [t / (1.0 - t) for t in ts if t < 1.0] + [math.inf]
         assert [f.fn(u).hex() for u in us] == [fn(u).hex() for u in us]
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 100, 10**6])
+    def test_every_route3_integrand(self, n, monkeypatch):
+        # each integrand that route 3 integrates at n, on a fixed panel of
+        # nodes and on their u, bit for bit
+        rng = random.Random(n)
+        ts = [0.0, 1.0, 1.0 - 2.0**-53, 2.0**-40] + [i / 64 for i in range(1, 64)] \
+            + [rng.random() for _ in range(64)]
+        us = [t / (1.0 - t) for t in ts if t < 1.0] + [1e300, math.inf]
+        integrands = route3_integrands(n, monkeypatch)
+        assert len(integrands) == (5 if n == 0 else 16)
+        for f, (_, name) in integrands.items():
+            g = oracles.interpretive_compactified(f, name)
+            assert [v.hex() for v in radial._compactified(f, name)(ts)] == \
+                [g(t).hex() for t in ts], name
+            fn = oracles.interpretive_evaluator(f.terms)
+            assert [f.fn(u).hex() for u in us] == [fn(u).hex() for u in us], name
+
     def test_a_fresh_n_generates_no_kernel(self):
         # the kernels are keyed on the plan's shape, which n does not change
         kernels._binder.cache_clear()
@@ -407,6 +424,20 @@ class TestIntegerDerivations:
     def test_plan_matches_the_fraction_derivation(self, data, n):
         f = data.draw(catalog_forms(n))
         assert hexed(f.plan) == hexed(oracles.fraction_plan(f))
+
+    @pytest.mark.parametrize("f, text", [
+        (Radial.term(10**400, j=1) + Radial.term(a=1, k=2), "int too large to convert to float"),
+        (Radial.term(Fraction(10**400, 3), j=1), "integer division result too large for a float"),
+        (Radial.term(Fraction(10**400, 3), a=1, k=3),
+         "integer division result too large for a float"),
+        (Radial.term(10**400, a=1, k=1) - Radial.term(10**400, a=2, k=1),
+         "int too large to convert to float")])
+    def test_an_overflow_keeps_its_text(self, f, text):
+        # the CLI prints the OverflowError's text (exit 2)
+        for plan in (lambda g: g.plan, oracles.fraction_plan):
+            with pytest.raises(OverflowError) as err:
+                plan(f)
+            assert str(err.value) == text
 
     @pytest.mark.parametrize("n", [0, 1, 7, 100, 10**9])
     def test_catalog_plans_match_the_fraction_derivation(self, n):

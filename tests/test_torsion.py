@@ -546,6 +546,27 @@ class TestGridAndHodgeSweeps:
         # alpha - base = (1 - 1/(1+u)) base + 1/(1+u)^2 phi: three unit weights
         assert not e.passed and e.abs_error == 3.0
 
+    def test_a_side_equal_to_the_first_builds_no_difference(self, monkeypatch):
+        alpha, twin = forms.alpha_form(3), forms.alpha_form(3)
+        made = []
+        built = radial.built
+        for module in (radial, forms):  # forms binds built by name
+            monkeypatch.setattr(module, "built", lambda acc: made.append(acc) or built(acc))
+        e = torsion._identity("equal_forms", 3, alpha, twin, alpha)
+        assert e.passed and e.computed == 0.0
+        e = torsion._identity("equal_radials", 3, alpha.fx, twin.fx)
+        assert e.passed and e.computed == 0.0
+        assert made == []
+        # a failing identity keeps its residual, the differences of the
+        # sides that are not equal to the first: alpha - base has three unit
+        # weights and alpha - omega = R base has 2 + 1 at n = 1
+        a = forms.alpha_form(1)
+        e = torsion._identity("two_failing", 1, a, forms.base_form(1), a, forms.omega_form(1))
+        assert not e.passed and e.computed == 6.0
+        third = Radial.term(Fraction(1, 3), a=1, k=2)
+        e = torsion._identity("one_failing", 4, third, Radial.term(a=5, k=3), third)
+        assert not e.passed and e.computed == 1.3333333333333333
+
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_hodge_checks(self, n):
         entries = torsion.hodge_l2_checks(n, CFG)
@@ -658,6 +679,13 @@ class TestRingBudget:
         assert per_call["_wedge_into"] <= 85
         assert per_call["alpha_form"] <= 6
         assert per_call["degree2_relation_rhs"] <= 1
+
+    def test_dd_c_is_derived_once_per_potential(self):
+        # the products take dd^c of +-log R and +-log R / 2 only, each once
+        for n in range(20, 40):
+            forms.ddc.cache_clear()
+            torsion.main_theorem(n)
+            assert forms.ddc.cache_info().misses == 4, n
 
 
 class TestUntracedRunsRenderNothing:
