@@ -35,9 +35,11 @@ with the analytic remainder wedged against the curvature image of whatever
 monomial multiplies the relation.  Products of analytic terms use
 a(eta) * a(eta') = a(dd^c eta ^ eta') with dd^c on the lower-degree factor
 (representatives differ by im d' + im d'', which every degree map kills).
-Below top degree the product is taken to be zero when either factor has
-vanishing dd^c, and two 0-forms take the average of both placements; in top
-degree only the mass counts, which by Stokes does not depend on the
+Analytic terms have degree at least 1, so within the arithmetic dimension
+that lower factor is always a 0-form: dd^c is taken of 0-forms only (on
+the base line, a top form), and a constant has none, so its products with
+analytic terms vanish.  Two 0-forms take the average of both placements;
+in top degree only the mass counts, which by Stokes does not depend on the
 placement.  The ring is truncated at the arithmetic dimension: a product
 above it vanishes, so mixed-degree classes such as Todd classes and Chern
 characters multiply as whole classes, and a product can be asked for in
@@ -287,10 +289,6 @@ def _assemble(n: int, variety: str, poly: Dict[MonoT, ExactConstant],
 # -- builders ----------------------------------------------------------------
 
 
-def zero_class(n: int, variety: str = SURFACE) -> ChowClass:
-    return ChowClass(n, variety)
-
-
 def unit(n: int, variety: str = SURFACE) -> ChowClass:
     return ChowClass(n, variety, {(0, 0): _ec(1)})
 
@@ -384,31 +382,6 @@ def _mono_curvature(n: int, variety: str, mono: MonoT) -> Optional[FormT]:
     rest, last = ((i - 1, j), (1, 0)) if i else ((0, j - 1), (0, 1))
     rest = _mono_curvature(n, variety, rest)
     return rest and _product(n, rest, _mono_curvature(n, variety, last))
-
-
-def _ddc(form: FormT, n: int) -> Optional[FormT]:
-    """dd^c of an analytic term's form; None for constant 0-forms and top
-    forms, where it vanishes."""
-    if isinstance(form, Radial):
-        return None if form.const_value is not None else forms.ddc(form, n)
-    if isinstance(form, Form11):
-        return forms.ddc_form11(form)
-    return None
-
-
-def _ddc_wedges(deg_f: int, f: FormT, df: Optional[FormT],
-                deg_g: int, g: FormT, dg: Optional[FormT]) -> tuple:
-    """The (dd^c form, form, weight) wedges that sum to the form of
-    a(f) * a(g) = a(dd^c f ^ g); df and dg are dd^c f and dd^c g, read only
-    when that factor carries dd^c.  dd^c falls on the lower-degree factor:
-    in top degree only the mass counts, by Stokes the same wherever dd^c
-    falls.  Two 0-forms take the mean of both placements (zero unless both
-    carry dd^c), so that the product commutes."""
-    if deg_f > deg_g:
-        f, df, g, dg, deg_f, deg_g = g, dg, f, df, deg_g, deg_f
-    if deg_f < deg_g:
-        return ((df, g, 1),) if df else ()
-    return ((df, g, Fraction(1, 2)), (dg, f, Fraction(1, 2))) if df and dg else ()
 
 
 # ---------------------------------------------------------------------------
@@ -514,18 +487,22 @@ def mul(a: ChowClass, b: ChowClass,
                     for key_c, q in ring_items:
                         _wedge_into(sums, _pair_slot(deg_f + deg_c, key_f, key_c),
                                     form, image, q)
-    # dd^c once per form that can carry it: a lower-degree factor of a
-    # product within the top degree, so of degree at most top / 2
-    ddc_a = {slot: _ddc(f, n) for slot, f in a.forms.items() if 2 * slot[0] <= top}
-    ddc_b = ddc_a if same else {slot: _ddc(f, n) for slot, f in b.forms.items()
-                                if 2 * slot[0] <= top}
+    ddc_a = _zero_form_ddcs(a)
+    ddc_b = ddc_a if same else _zero_form_ddcs(b)
     for slot1, f1 in a.forms.items():
         for slot2, f2 in b.forms.items():
-            if slot1[0] + slot2[0] not in keep:
+            d1, d2 = slot1[0], slot2[0]
+            if d1 + d2 not in keep:
                 continue
-            for f, g, q in _ddc_wedges(slot1[0], f1, ddc_a.get(slot1),
-                                       slot2[0], f2, ddc_b.get(slot2)):
-                _wedge_into(sums, _pair_slot(slot1[0] + slot2[0], slot1[1], slot2[1]), f, g, q)
+            slot = _pair_slot(d1 + d2, slot1[1], slot2[1])
+            df, dg = ddc_a.get(slot1), ddc_b.get(slot2)
+            if d1 == d2 and df and dg:
+                _wedge_into(sums, slot, df, f2, Fraction(1, 2))
+                _wedge_into(sums, slot, dg, f1, Fraction(1, 2))
+            elif d1 < d2 and df:
+                _wedge_into(sums, slot, df, f2, 1)
+            elif d1 > d2 and dg:
+                _wedge_into(sums, slot, dg, f1, 1)
     slots: Dict[SlotT, FormT] = {}
     for slot, (kind, maps) in sums.items():
         if len(slot) == 2:
@@ -533,6 +510,13 @@ def mul(a: ChowClass, b: ChowClass,
         elif any(p for m in maps for p, _ in m.values()):
             _key_constant(slot[1]) * _key_constant(slot[2])  # raises NonRationalProduct
     return reduce(_assemble(n, variety, poly, slots))
+
+
+def _zero_form_ddcs(c: ChowClass) -> dict:
+    """dd^c of each non-constant 0-form of c, by slot: the chain rule's (1,1)-form
+    on the surface, its phi part h' + u h'' (the line's own) as a base top form."""
+    out = {s: forms.ddc(f, c.n) for s, f in c.forms.items() if s[0] == 1 and f.const_value is None}
+    return out if c.variety == SURFACE else {s: Form22(c.n, d.fphi) for s, d in out.items()}
 
 
 def _pair_slot(degree: int, a: ConstantAtom, b: ConstantAtom) -> tuple:
@@ -578,11 +562,11 @@ def _top_forms(c: ChowClass, trace: Optional[list]):
     return c.forms.items()
 
 
-def top_slots(c: ChowClass, trace: Optional[list] = None):
+def top_slots(c: ChowClass):
     """The items of _top_forms with one slot per atom, in atom order, each form
     re-summed exactly; a check by quadrature of the degree folds over these."""
     fills: dict = {}
-    for (degree, key), form in _top_forms(c, trace):
+    for (degree, key), form in _top_forms(c, None):
         for atom, q in _key_constant(key).items():
             fills.setdefault((degree, atom), []).append((q, form))
     return _clean(_summed(c.n, fills)).items()

@@ -9,9 +9,12 @@ such as --n 10**400 for torsion or table, and a --grid-points or
 --height-range above MAX_COUNT), 3 quadrature failed to converge,
 141 the reader closed standard output early (128 + SIGPIPE, as a shell
 reports for a tool stopped by a closed pipe; nothing is printed then).
+A command refuses a bad flag value with ConfigError, which main reports,
+as it does the factorization limit, as one "error: ..." line and exit 2.
 
 A process imports only what its command runs: constants and settings (the
-quadrature settings and the report text of a float) for every command;
+value protocol, the quadrature settings and the report text of a float)
+for every command;
 radial, forms, chow and torsion where the command uses them (height needs
 the ring but not torsion); the kernels module (the evaluation kernels) only
 where something is evaluated in floats (table, integrals, verify and forms),
@@ -39,6 +42,10 @@ EXIT_BROKEN_PIPE = 141
 MAX_COUNT = 10**6  # the largest --grid-points and --height-range
 
 
+class ConfigError(Exception):
+    """Bad configuration, which main reports as one error line and exit 2."""
+
+
 def format_exact(c: ExactConstant, expand_tau: bool = False) -> str:
     """Canonical human-readable form, folding the base-line torsion when possible."""
     if expand_tau:
@@ -64,24 +71,19 @@ def _parse_n_list(args) -> List[int]:
         try:
             values = [int(s) for s in args.n_list.split(",") if s != ""]
         except ValueError as exc:  # names the token that is not an integer
-            print(f"error: --n-list: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_CONFIG)
+            raise ConfigError(f"--n-list: {exc}")
         if not values or any(v < 0 for v in values):
-            print("error: ruling indices must be integers >= 0", file=sys.stderr)
-            raise SystemExit(EXIT_CONFIG)
+            raise ConfigError("ruling indices must be integers >= 0")
         return values
     if getattr(args, "n_max", None) is not None:
         if args.n_max < 0:
-            print("error: --n-max must be >= 0", file=sys.stderr)
-            raise SystemExit(EXIT_CONFIG)
+            raise ConfigError("--n-max must be >= 0")
         return list(range(args.n_max + 1))
     if getattr(args, "n", None) is not None:
         if args.n < 0:
-            print("error: --n must be >= 0", file=sys.stderr)
-            raise SystemExit(EXIT_CONFIG)
+            raise ConfigError("--n must be >= 0")
         return [args.n]
-    print("error: one of --n / --n-list / --n-max is required", file=sys.stderr)
-    raise SystemExit(EXIT_CONFIG)
+    raise ConfigError("one of --n / --n-list / --n-max is required")
 
 
 def _print_json(value, file=None) -> None:
@@ -94,8 +96,7 @@ def _quad_config(args) -> QuadratureConfig:
     try:
         return QuadratureConfig(target_tol=args.quad_tol, scheme=args.scheme)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+        raise ConfigError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +212,9 @@ def cmd_verify(args) -> int:
 
     cfg = _quad_config(args)
     if not 0 < args.tol < math.inf or args.height_range < 0:
-        print("error: --tol must be positive and finite and --height-range nonnegative",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--tol must be positive and finite and --height-range nonnegative")
     if args.height_range > MAX_COUNT:
-        print(f"error: --height-range must be at most {MAX_COUNT}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--height-range must be at most {MAX_COUNT}")
     report = torsion.verify_all(_parse_n_list(args), cfg, tol=args.tol,
                                 height_range=args.height_range)
     if args.format == "json":
@@ -253,15 +251,11 @@ def cmd_forms(args) -> int:
     from . import forms
 
     if args.n < 0:
-        print("error: --n must be >= 0", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--n must be >= 0")
     if not 0 < args.u_min < args.u_max < math.inf or args.grid_points < 2:
-        print("error: need 0 < u-min < u-max < inf and at least 2 grid points",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("need 0 < u-min < u-max < inf and at least 2 grid points")
     if args.grid_points > MAX_COUNT:
-        print(f"error: --grid-points must be at most {MAX_COUNT}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--grid-points must be at most {MAX_COUNT}")
     # a geometric grid, as numpy's geomspace: exact endpoints, 10^y between
     lo = math.log10(args.u_min)
     step = (math.log10(args.u_max) - lo) / (args.grid_points - 1)
@@ -270,9 +264,7 @@ def cmd_forms(args) -> int:
     cat = forms.catalog(args.n)
     if args.form is not None:
         if args.form not in cat:
-            print(f"error: unknown form {args.form!r}; catalog: "
-                  f"{', '.join(sorted(cat))}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"unknown form {args.form!r}; catalog: {', '.join(sorted(cat))}")
         rows = [(u, *cat[args.form].evaluate(u)) for u in us]
         print("u,fx,fphi")
         for u, fx, fphi in rows:
@@ -384,7 +376,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OverflowError as exc:
         print(f"error: a value is too large for floating point ({exc})", file=sys.stderr)
         return EXIT_CONFIG
-    except FactorizationLimit as exc:
+    except (ConfigError, FactorizationLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _chow_error() as exc:

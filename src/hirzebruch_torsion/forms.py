@@ -36,6 +36,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from .constants import ExactConstant
 from .radial import RADIAL_ONE, RADIAL_ZERO, Radial, _mul_into, _split, built, linear
+from .settings import Value
 
 U = Radial.term(j=1)
 B = Radial.term(a=1, k=2)  # the fiber coefficient 1/(1+u)^2, of unit half-line mass
@@ -66,8 +67,10 @@ def star_ratios(n: int) -> Tuple[Radial, Radial]:
             Radial({(0,) + key: w for key, w in _split(0, 1, 1, n + 1, 1)}))
 
 
+@lru_cache(maxsize=4)
 def log_R(n: int) -> Radial:
-    """log of the quotient-metric ratio; identically 0 in the split case n = 0."""
+    """log of the quotient-metric ratio; identically 0 in the split case n = 0.
+    Built once per n among the last 4, and shared by every caller."""
     return Radial.term(b=n + 1) - Radial.term(b=1)
 
 
@@ -76,25 +79,16 @@ def log_R(n: int) -> Radial:
 # ---------------------------------------------------------------------------
 
 
-class Form11:
+class Form11(Value):
     """Invariant (1,1)-form: fx * base + fphi * phi at a normal-frame point.
     Immutable."""
+
+    fields = ("n", "fx", "fphi")
 
     def __init__(self, n: int, fx: Radial, fphi: Radial) -> None:
         self.n = n
         self.fx = fx
         self.fphi = fphi
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.fx, self.fphi) == (other.n, other.fx, other.fphi)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.fx, self.fphi))
-
-    def __repr__(self) -> str:
-        return f"Form11(n={self.n!r}, fx={self.fx!r}, fphi={self.fphi!r})"
 
     @property
     def fiber_integral(self) -> ExactConstant:
@@ -223,24 +217,15 @@ def omega_H(n: int) -> Form11:
 # ---------------------------------------------------------------------------
 
 
-class Form22:
+class Form22(Value):
     """Invariant top form g(u) * base ^ phi; total integral = half-line mass of g.
     Immutable."""
+
+    fields = ("n", "g")
 
     def __init__(self, n: int, g: Radial) -> None:
         self.n = n
         self.g = g
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.g) == (other.n, other.g)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.g))
-
-    def __repr__(self) -> str:
-        return f"Form22(n={self.n!r}, g={self.g!r})"
 
     @property
     def total_integral(self) -> ExactConstant:

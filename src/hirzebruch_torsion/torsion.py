@@ -59,6 +59,7 @@ from .radial import (
     _fmt,
     integrate_halfline,
 )
+from .settings import Value
 
 
 def _rat(q) -> ExactConstant:
@@ -155,10 +156,12 @@ def _surface(n: Union[int, Surface]) -> Surface:
 # ---------------------------------------------------------------------------
 
 
-class VerificationEntry:
+class VerificationEntry(Value):
     """One graded check of computed against an exact value; its float
     expected value and error are derived, and by default it passes within
     tol.  Immutable."""
+
+    fields = ("name", "n", "expected", "computed", "tol", "passed")
 
     def __init__(self, name: str, n: Optional[int], expected: ExactConstant,
                  computed: float, tol: float, passed: Optional[bool] = None) -> None:
@@ -168,21 +171,6 @@ class VerificationEntry:
         self.computed = computed
         self.tol = tol
         self.passed = self.abs_error <= tol if passed is None else passed
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.n, self.expected, self.computed, self.tol, self.passed)
-                == (other.name, other.n, other.expected, other.computed, other.tol,
-                    other.passed))
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.n, self.expected, self.computed, self.tol, self.passed))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(name={self.name!r}, n={self.n!r}, "
-                f"expected={self.expected!r}, computed={self.computed!r}, "
-                f"tol={self.tol!r}, passed={self.passed!r})")
 
     @property
     def expected_float(self) -> float:
@@ -416,7 +404,8 @@ def closed_tau(n: int) -> ExactConstant:
 
 def main_theorem(n: Union[int, Surface]) -> TorsionResult:
     """Both routes from one record, so from one build of the Chern classes
-    and one volume, exact equality asserted, plus the stated main identity."""
+    and one volume, exact equality asserted, plus Serre duality (the middle
+    twist 0, the top twist minus the untwisted) and the stated main identity."""
     s = _surface(n)
     n = s.n
     tau_rr, tau1, tau2 = tau_route_rr(s)
@@ -424,6 +413,9 @@ def main_theorem(n: Union[int, Surface]) -> TorsionResult:
     if tau_rr != tau_bb:
         raise PipelineInconsistency(
             f"routes disagree at n={n}: direct {tau_rr} vs fibration {tau_bb}")
+    if not tau1.is_zero or tau2 != -tau_rr:
+        raise PipelineInconsistency(
+            f"Serre duality fails at n={n}: middle twist {tau1}, top twist {tau2}")
     tau_closed = closed_tau(n)
     if tau_rr != tau_closed:
         raise PipelineInconsistency(
@@ -550,17 +542,12 @@ def route_checks(n: Union[int, Surface], cfg: QuadratureConfig = DEFAULT_CONFIG,
 # ---------------------------------------------------------------------------
 
 
-class VerificationReport:
+class VerificationReport(Value):
+    fields = ("entries",)
+    __hash__ = None  # its entries are a list
+
     def __init__(self, entries: List[VerificationEntry]) -> None:
         self.entries = entries
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"VerificationReport(entries={self.entries!r})"
 
     @property
     def all_passed(self) -> bool:

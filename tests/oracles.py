@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from hirzebruch_torsion import chow, forms
 from hirzebruch_torsion.chow import R_GENUS_DEGREE1, ChowClass, PipelineInconsistency
 from hirzebruch_torsion.constants import ExactConstant, log_2pi, log_rational
-from hirzebruch_torsion.forms import Form11
+from hirzebruch_torsion.forms import Form11, Form22
 from hirzebruch_torsion.radial import (RADIAL_ONE, DomainError, Radial, _add_to, _label,
                                        _split, _term_str)
 
@@ -198,7 +198,7 @@ def graded_todd_and_characters(n: int) -> Tuple[List[ChowClass], List[List[ChowC
     c1sq = chow.mul(c1, c1)
     c13 = chow.mul(c1sq, c1)
     c1c2 = chow.mul(c1, c2)
-    unit, zero = chow.unit(n), chow.zero_class(n)
+    unit, zero = chow.unit(n), ChowClass(n, chow.SURFACE)
     td = [unit, chow.scale(Fraction(1, 2), c1),
           chow.scale(Fraction(1, 12), chow.add(c1sq, c2)),
           chow.scale(Fraction(1, 24), c1c2)]
@@ -231,7 +231,7 @@ def whole_middle_twist_product(n: int) -> ChowClass:
 
 def graded_product(td: Sequence[ChowClass], ch: Sequence[ChowClass], k: int) -> ChowClass:
     """[Td ch]_k as the sum of the piecewise products [Td]_i [ch]_{k-i}."""
-    out = chow.zero_class(td[0].n, td[0].variety)
+    out = ChowClass(td[0].n, td[0].variety)
     for i in range(k + 1):
         out = chow.add(out, chow.mul(td[i], ch[k - i]))
     return out
@@ -246,6 +246,23 @@ def height(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _ddc(form: chow.FormT, n: int, variety: str):
+    """dd^c of an analytic term's form by the general rule: of a 0-form h
+    (None for a constant; on the base line the top form h' + u h''), of a
+    (1,1)-form (a top form), and None for a top form.  chow.mul only ever
+    meets 0-forms."""
+    if isinstance(form, Radial):
+        if form.const_value is not None:
+            return None
+        if variety == chow.BASE:
+            dh = form.derivative()
+            return Form22(n, dh + Radial.term(j=1) * dh.derivative())
+        return forms.ddc(form, n)
+    if isinstance(form, Form11):
+        return forms.ddc_form11(form)
+    return None
+
+
 def omega_image(c: ChowClass) -> List[Tuple[ExactConstant, chow.FormT]]:
     """Curvature image of a class: generator curvatures plus dd^c of a-parts."""
     out: List[Tuple[ExactConstant, chow.FormT]] = []
@@ -254,7 +271,7 @@ def omega_image(c: ChowClass) -> List[Tuple[ExactConstant, chow.FormT]]:
         if form is not None:
             out.append((coeff, form))
     for (_, key), form in c.forms.items():
-        d = chow._ddc(form, c.n)
+        d = _ddc(form, c.n, c.variety)
         if d:
             out.append((chow._key_constant(key), d))
     return out
@@ -315,13 +332,13 @@ def mul(a: ChowClass, b: ChowClass, degrees=None) -> ChowClass:
     for (d1, atom1), f1 in a.forms.items():
         for (d2, atom2), f2 in b.forms.items():
             (dl, fl), (dh, fh) = sorted(((d1, f1), (d2, f2)), key=lambda p: p[0])
-            ddc_l = chow._ddc(fl, n) if dl + dh <= top else None
+            ddc_l = _ddc(fl, n, variety) if dl + dh <= top else None
             if not ddc_l:
                 continue
             if dl < dh:
                 w = _wedge(ddc_l, fh)
             else:
-                ddc_h = chow._ddc(fh, n)
+                ddc_h = _ddc(fh, n, variety)
                 if not ddc_h:
                     continue
                 w = Fraction(1, 2) * (_wedge(ddc_l, fh) + _wedge(ddc_h, fl))

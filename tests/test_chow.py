@@ -1,8 +1,10 @@
 """Ring engine: rewriting, products, pushforwards, characteristic pipelines."""
 
+import ast
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +32,6 @@ from hirzebruch_torsion.chow import (
     top_slots,
     torsion_form,
     unit,
-    zero_class,
 )
 from hirzebruch_torsion.constants import (LOG_PI, ONE, ZETA_M1, ZETA_PRIME_M1, ExactConstant,
                                           NonRationalProduct, log_2pi, log_prime_atom,
@@ -212,6 +213,17 @@ class TestMul:
             a, b, c = (rng.choice(pool) for _ in range(3))
             assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
+    def test_dd_c_is_taken_of_zero_forms_only(self):
+        # within the arithmetic dimension the lower-degree factor of a
+        # product is a 0-form, so the ring has no dd^c of (1,1)- or top forms
+        tree = ast.parse(Path(chow.__file__).read_text())
+        called = {node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "forms"}
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "ddc" in called and "ddc_form11" not in called
+        assert not {"_ddc", "_ddc_wedges"} & defined
+
     def test_products_above_the_top_degree_vanish(self):
         n = 1
         quad = ChowClass(n, SURFACE, {(2, 2): ec(1)})
@@ -226,7 +238,7 @@ RULING_INDICES = [0, 1, 7, 57, 10**6, 10**9]
 
 def in_degrees(c, degrees):
     """The sum of the degree parts of c in the given degrees."""
-    out = zero_class(c.n, c.variety)
+    out = ChowClass(c.n, c.variety)
     for k in degrees:
         out = add(out, c.degree_part(k))
     return out
@@ -278,6 +290,22 @@ class TestMulInDegrees:
 
 
 @st.composite
+def base_classes(draw, n, transcendental=False):
+    """A class of the base model with monomials of degree 0 to 2 and analytic
+    terms of both degrees: constant and non-constant 0-forms and top forms;
+    its analytic terms carry log 2pi when transcendental."""
+    pool = [RADIAL_ONE, forms.log_R(n), forms.ratio_R(n), Radial.term(a=1, k=1),
+            chow.base_top_form(n), Radial.term(3) * chow.base_top_form(n)]
+    coeffs = st.fractions(-6, 6, max_denominator=4).map(ec)
+    poly = draw(st.dictionaries(st.sampled_from([(0, 0), (1, 0), (2, 0)]), coeffs,
+                                max_size=3))
+    if transcendental:
+        coeffs = st.one_of(coeffs, st.just(log_2pi()))
+    analytic = draw(st.lists(st.tuples(coeffs, st.sampled_from(pool)), max_size=4))
+    return ChowClass(n, BASE, poly, analytic)
+
+
+@st.composite
 def chern_factors(draw):
     """Two of c1, c2, the Todd class and e^-c1 of the tangent bundle of S_n,
     for a random n <= 10^9."""
@@ -324,6 +352,18 @@ class TestMulSlots:
         b = data.draw(mixed_classes(n))
         self.check(mul(a, b, degrees), oracles.mul(a, b, degrees))
         self.check(mul(b, a, degrees), oracles.mul(b, a, degrees))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.sampled_from(RULING_INDICES),
+           degrees=st.one_of(st.none(), st.sets(st.integers(0, 3))))
+    def test_base_classes(self, data, n, degrees):
+        # two 0-forms meet in the base's top degree, and a 0-form meets a
+        # top form above it
+        a = data.draw(base_classes(n, transcendental=True))
+        b = data.draw(base_classes(n))
+        self.check(mul(a, b, degrees), oracles.mul(a, b, degrees))
+        self.check(mul(b, a, degrees), oracles.mul(b, a, degrees))
+        self.check(mul(b, b, degrees), oracles.mul(b, b, degrees))
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_two_transcendental_factors_of_a_vanishing_form(self, n):

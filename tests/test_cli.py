@@ -474,6 +474,33 @@ class TestConfigErrors:
         assert code == 2
         assert err.startswith("error: --n-list") and "'a'" in err
 
+    @pytest.mark.parametrize("argv", [
+        "height", "height --n -3", "height --n-max -1", "height --n-list a",
+        "height --n-list ,", "verify --n-list a,b", "torsion --n -1",
+        "integrals --n 1 --quad-tol 0", "integrals --n 1 --quad-tol nan",
+        "integrals --n 1 --quad-tol inf", "table --n 1 --quad-tol nan",
+        "verify --n 1 --tol 0", "verify --n 1 --tol inf", "verify --n 1 --tol nan",
+        "verify --n 1 --height-range -1", f"verify --n 1 --height-range {10**6 + 1}",
+        "forms --n -1", "forms --n 1 --u-min nan", "forms --n 1 --u-max inf",
+        "forms --n 1 --grid-points 1", f"forms --n 1 --grid-points {10**6 + 1}",
+        "forms --n 1 --form nope",
+        pytest.param(f"forms --n {10**400} --form alpha", id="forms --n 10**400"),
+        pytest.param(f"integrals --n {10**400}", id="integrals --n 10**400"),
+        pytest.param(f"torsion --n {10**24}", id="torsion --n 10**24"),
+    ])
+    def test_main_returns_two_with_one_error_line(self, capsys, argv):
+        # in process: main reports the error, it does not raise SystemExit
+        assert cli.main(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", ["frobnicate", "torsion --n 3 --n-list 4",
+                                      "table --scheme simpson"])
+    def test_argparse_refusals_still_raise(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv.split())
+        assert info.value.code == 2 and capsys.readouterr().out == ""
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self):

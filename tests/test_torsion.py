@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hirzebruch_torsion import chow, constants, forms, quadrature, radial, torsion
 from hirzebruch_torsion.chow import PipelineInconsistency
@@ -19,6 +19,7 @@ from hirzebruch_torsion.constants import (
     log_rational,
 )
 from hirzebruch_torsion.radial import RADIAL_ZERO, NonConvergence, QuadratureConfig, Radial
+from hirzebruch_torsion.settings import Value
 
 import oracles
 
@@ -228,6 +229,28 @@ class TestRoutes:
             tau, tau1, tau2 = torsion.tau_route_rr(n)
             assert tau1 == ExactConstant.zero()
             assert tau2 == -tau
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(0, 10**18))
+    @example(n=10**6)
+    @example(n=10**9)
+    @example(n=10**18)
+    def test_main_theorem_checks_serre_duality(self, n):
+        # an n whose n + 1 or n + 2 lies beyond the bounded factorization is
+        # refused by name, before any check
+        try:
+            res = torsion.main_theorem(n)
+        except constants.FactorizationLimit:
+            assume(False)
+        assert res.tau_omega1.is_zero and res.tau_omega2 == -res.tau_rr
+
+    def test_a_duality_failure_is_refused(self, monkeypatch):
+        route_rr = torsion.tau_route_rr
+        for bend in (lambda t: (t[0], t[1] + log_2pi(), t[2]),
+                     lambda t: (t[0], t[1], t[2] + log_2pi())):
+            monkeypatch.setattr(torsion, "tau_route_rr", lambda s, b=bend: b(route_rr(s)))
+            with pytest.raises(PipelineInconsistency, match="^Serre duality fails at n=3"):
+                torsion.main_theorem(3)
 
     def test_split_case_is_twice_the_base_torsion(self):
         res = torsion.main_theorem(0)
@@ -687,6 +710,18 @@ class TestRingBudget:
             torsion.main_theorem(n)
             assert forms.ddc.cache_info().misses == 4, n
 
+    def test_log_ratio_is_built_once_per_n(self):
+        # the ring, ddc_log_R and the record's secondary Todd parts share one
+        # log R, in main_theorem and in a route-3 record pair alike
+        for n in range(20, 40):
+            forms.log_R.cache_clear()
+            torsion.main_theorem(n)
+            assert forms.log_R.cache_info().misses == 1, n
+            forms.log_R.cache_clear()
+            torsion.named_integrals(n, CFG)
+            torsion.hodge_l2_checks(n, CFG)
+            assert forms.log_R.cache_info().misses == 1, n
+
 
 class TestUntracedRunsRenderNothing:
     def test_no_normal_form_is_rendered(self, monkeypatch):
@@ -713,6 +748,42 @@ class TestGrowthSanity:
         for n in range(56, 80):
             v = n * math.log(n + 1) / 24 - n / 6
             assert v > 0, n
+
+
+class TestValueProtocol:
+    """The value classes compare, hash and show by their fields, through
+    settings.Value; the hashes and reprs are those they wrote out by hand."""
+
+    def test_each_class_names_its_fields(self):
+        for cls in (QuadratureConfig, forms.Form11, forms.Form22, torsion.VerificationEntry,
+                    torsion.VerificationReport):
+            assert issubclass(cls, Value)
+            for method in ("__eq__", "__repr__"):
+                assert method not in vars(cls), (cls, method)
+
+    def test_a_subclass_with_equal_fields_is_unequal(self):
+        fields = ("c1_squared", 2, ExactConstant.rational(8), 8.0, 1e-9)
+        entry, named = torsion.VerificationEntry(*fields), torsion.NamedIntegral(*fields)
+        assert entry == torsion.VerificationEntry(*fields)
+        assert entry != named and named != entry
+        assert hash(named) == hash(entry)
+
+    def test_hashes(self):
+        assert hash(QuadratureConfig()) == hash((1e-10, "gauss_kronrod"))
+        assert hash(forms.base_form(2)) == hash((2, radial.RADIAL_ONE, RADIAL_ZERO))
+        with pytest.raises(TypeError):
+            hash(torsion.VerificationReport([]))
+
+    def test_reprs(self):
+        entry = torsion.VerificationEntry("x", None, ExactConstant.rational(1), 0.5, 1.0)
+        assert repr(QuadratureConfig(1e-9, "tanh_sinh")) == \
+            "QuadratureConfig(target_tol=1e-09, scheme='tanh_sinh')"
+        assert repr(forms.omega_form(1)) == "Form11(n=1, fx=0, fphi=1/(1+u)^2)"
+        assert repr(forms.Form22(0, forms.B)) == "Form22(n=0, g=1/(1+u)^2)"
+        assert repr(entry) == ("VerificationEntry(name='x', n=None, expected=ExactConstant(1), "
+                               "computed=0.5, tol=1.0, passed=True)")
+        assert repr(torsion.VerificationReport([entry])) == \
+            f"VerificationReport(entries=[{entry!r}])"
 
 
 class TestReports:
