@@ -16,11 +16,11 @@ equal parts whatever the order of assembly.  The ring constants are the
 atoms with log(2 pi) for log(pi) and R1 = 2 zeta'(-1) + zeta(-1) for
 zeta'(-1), keyed by the atoms they replace: the pipelines attach forms to no
 other constants, so each such form is wedged and built once.  Each slot is
-summed in integer (numerator, denominator) pairs and built once: a product's
-wedges, with the curvature images of its monomials, in those of
-radial._mul_into; the relation and curvature images of a rewrite, and the
-terms of a linear combination (linear, which add, sub and scale call), in
-those of radial._add_into.  A slot that one form fills alone, with weight 1,
+summed in integer (numerator, denominator) pairs and built once: a product
+sums its wedges and curvature images in radial._mul_into's maps and rewrites
+its own xhat^2 and ahat^2 monomials into them (_normalised, shared with
+reduce); a rewrite and linear (which add, sub and scale call) sum in
+radial._add_into's pairs.  A slot that one form fills alone, with weight 1,
 keeps that form.  In top degree a(g) depends only on the mass of g (every
 exact form integrates to 0), so top-degree parts compare by their exact
 mass.  Classes compare, and test for zero, by their normal forms.
@@ -178,7 +178,7 @@ def _summed(n: int, fills: dict) -> Dict[SlotT, FormT]:
         maps = [{} for _ in _parts(form)]
         for q, form in items:
             for m, part in zip(maps, _parts(form)):
-                radial._add_into(m, part.terms, q)
+                radial._add_into(m, part.triples, q)
         out[slot] = _built(n, type(form), maps)
     return out
 
@@ -359,7 +359,7 @@ def _wedge_into(sums: dict, slot, f: FormT, g: FormT, q) -> None:
     elif isinstance(f, Radial):
         parts = _parts(g)
         for m, part in zip(sums.setdefault(slot, (type(g), [{} for _ in parts]))[1], parts):
-            radial._mul_into(m, f.terms, part.terms, q)
+            radial._mul_into(m, f.triples, part.triples, q)
 
 
 def _product(n: int, f: FormT, g: FormT) -> Optional[FormT]:
@@ -410,35 +410,49 @@ def reduce(c: ChowClass, trace: Optional[list] = None) -> ChowClass:
     immutable), with nothing added to the trace."""
     if all(i <= 1 and j <= 1 for i, j in c.poly):
         return c
+    return _normalised(c.n, c.variety, c.poly, dict(c.forms), {}, trace)
+
+
+def _normalised(n: int, variety: str, poly: Dict[MonoT, ExactConstant],
+                slots: Dict[SlotT, FormT], sums: dict, trace: Optional[list] = None) -> ChowClass:
+    """The class of poly, built slots and a product's sums (see mul), each monomial
+    with an exponent above 1 rewritten into the sums' pair maps or a slot's form."""
     out_poly: Dict[MonoT, ExactConstant] = {}
     fills: dict = {}
-    stack: List[Tuple[MonoT, ExactConstant]] = list(c.poly.items())
+    stack: List[Tuple[MonoT, ExactConstant]] = list(poly.items())
     while stack:
         (i, j), coeff = stack.pop()
         if coeff.is_zero:
             continue
-        if c.variety == SURFACE and j >= 2:
-            stack.append(((i + 1, j - 1), coeff * Fraction(c.n + 2)))
-            _fill(fills, coeff, _relation_image(c.n, (i, j - 2)), c.variety)
+        if variety == SURFACE and j >= 2:
+            stack.append(((i + 1, j - 1), coeff * Fraction(n + 2)))
+            _fill(fills, coeff, _relation_image(n, (i, j - 2)), variety)
             if trace is not None:
                 _trace_step(trace, "alpha_square", _render_mono((i, j)),
-                            f"({c.n}+2)*{_render_mono((i + 1, j - 1))} "
+                            f"({n}+2)*{_render_mono((i + 1, j - 1))} "
                             f"+ a(relation_rhs*{_render_mono((i, j - 2))})")
         elif i >= 2:
             # a(base form ^ the image of x^(i-2) a^j), the image of x^(i-1) a^j
-            _fill(fills, coeff, _mono_curvature(c.n, c.variety, (i - 1, j)), c.variety)
+            _fill(fills, coeff, _mono_curvature(n, variety, (i - 1, j)), variety)
             if trace is not None:
                 _trace_step(trace, "x_square", _render_mono((i, j)),
                             f"a(base*{_render_mono((i - 2, j))})")
         else:
             prev = out_poly.get((i, j))
             out_poly[(i, j)] = coeff + prev if prev else coeff
-    slots = dict(c.forms)  # only the slots that rewriting filled are rebuilt
     for slot, items in fills.items():
-        if slot in slots:
+        if slot in slots:  # only the slots that rewriting filled are rebuilt
             items.append((1, slots[slot]))
-    slots.update(_summed(c.n, fills))
-    return _assemble(c.n, c.variety, out_poly, slots)
+    for slot, (kind, maps) in sums.items():
+        if len(slot) == 2:
+            for q, form in fills.pop(slot, ()):
+                for m, part in zip(maps, _parts(form)):
+                    radial._add_into(m, part.triples, q)
+            slots[slot] = _built(n, kind, maps)
+        elif any(p for m in maps for p, _ in m.values()):
+            _key_constant(slot[1]) * _key_constant(slot[2])  # raises NonRationalProduct
+    slots.update(_summed(n, fills))
+    return _assemble(n, variety, out_poly, slots)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +469,9 @@ def mul(a: ChowClass, b: ChowClass,
     parts of the asked degrees are formed: monomials by the sum of their
     exponents, a form times a curvature image, and two analytic terms, by the
     degree of the result.  Reduction keeps degrees, so the product equals
-    those degree parts of the whole product.  A square mul(c, c) reduces c
-    and takes its dd^c once.
+    those degree parts of the whole product; it rewrites into the same maps,
+    so each slot is built once.  A square mul(c, c) reduces c and takes its
+    dd^c once.
     """
     _check_compatible(a, b)
     same = a is b
@@ -503,13 +518,7 @@ def mul(a: ChowClass, b: ChowClass,
                 _wedge_into(sums, slot, df, f2, 1)
             elif d1 > d2 and dg:
                 _wedge_into(sums, slot, dg, f1, 1)
-    slots: Dict[SlotT, FormT] = {}
-    for slot, (kind, maps) in sums.items():
-        if len(slot) == 2:
-            slots[slot] = _built(n, kind, maps)
-        elif any(p for m in maps for p, _ in m.values()):
-            _key_constant(slot[1]) * _key_constant(slot[2])  # raises NonRationalProduct
-    return reduce(_assemble(n, variety, poly, slots))
+    return _normalised(n, variety, poly, {}, sums)
 
 
 def _zero_form_ddcs(c: ChowClass) -> dict:

@@ -51,20 +51,21 @@ B_INV = RADIAL_ONE + 2 * U + Radial.term(j=2)  # (1 + u)^2
 def ratio_R(n: int) -> Radial:
     """Quotient-metric ratio R(u) = (1 + (n+1)u)/(1 + u), the base coefficient
     of alpha; identically 1 in the split case n = 0."""
-    return Radial.term(n + 1) - Radial.term(n, a=1, k=1)
+    return Radial({(0, 0, 0, 0): n + 1, (0, 0, 1, 1): -n})
 
 
 def reciprocal_R(n: int) -> Radial:
     """1/R(u) = (1 + u)/(1 + (n+1)u)."""
-    return Radial.term(Fraction(1, n + 1)) + Radial.term(Fraction(n, n + 1), a=n + 1, k=1)
+    return Radial({(0, 0, 0, 0): Fraction(1, n + 1), (0, 0, n + 1, 1): Fraction(n, n + 1)})
 
 
+@lru_cache(maxsize=4)
 def star_ratios(n: int) -> Tuple[Radial, Radial]:
     """The factors of the Hodge star: R/B = (1 + u)(1 + (n+1)u) as its
     polynomial, and B/R = 1/((1 + u)(1 + (n+1)u)) in partial fractions,
-    which merge to (1 + u)^-2 at n = 0."""
+    which merge to (1 + u)^-2 at n = 0.  Built once per n among the last 4."""
     return (Radial({(0, 0, 0, 0): 1, (0, 1, 0, 0): n + 2, (0, 2, 0, 0): n + 1}),
-            Radial({(0,) + key: w for key, w in _split(0, 1, 1, n + 1, 1)}))
+            built({(0,) + key: (p, d) for key, p, d in _split(0, 1, 1, n + 1, 1)}))
 
 
 @lru_cache(maxsize=4)
@@ -185,7 +186,7 @@ def ddc_form11(form: Form11) -> "Form22":
 
 def bott_chern_c2(n: int) -> Form11:
     """Secondary class of the two fibration metrics: pure base form, no fiber part."""
-    return Form11(n, Radial.term(n, a=n + 1, k=1) - Radial.term(n, a=1, k=1), RADIAL_ZERO)
+    return Form11(n, Radial([((0, 0, n + 1, 1), n), ((0, 0, 1, 1), -n)]), RADIAL_ZERO)
 
 
 def c1_rel(n: int) -> Form11:
@@ -250,8 +251,8 @@ class Form22(Value):
 
 def wedge_into(acc: dict, a: Form11, b: Form11, q=1) -> dict:
     """acc += q * g of a ^ b, g = a.fx*b.fphi + a.fphi*b.fx, as _mul_into pairs."""
-    _mul_into(acc, a.fx.terms, b.fphi.terms, q)
-    return _mul_into(acc, a.fphi.terms, b.fx.terms, q)
+    _mul_into(acc, a.fx.triples, b.fphi.triples, q)
+    return _mul_into(acc, a.fphi.triples, b.fx.triples, q)
 
 
 def wedge(a: Form11, b: Form11) -> Form22:

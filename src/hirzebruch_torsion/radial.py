@@ -15,13 +15,15 @@ integrate the rational part, and one integration by parts turns
 log(1+bu)/(1+au)^k into a rational integrand.  A simple pole times a log
 would need a dilogarithm and is refused.
 
-Sums, differences, scalar multiples and linear combinations add unreduced
-integer (numerator, denominator) pairs per key in _add_into, and products in
-_mul_into, which shares its pair update; built then makes the Radial once,
-one gcd per key.  The exact mass sums the same pairs and makes one Fraction
-per atom of the constant span, and the float plan builds its numerators as
-integer coefficient lists; Fraction stays in the terms and the
-partial-fraction rule.
+The arithmetic runs on integers.  A Radial holds its terms as sorted,
+reduced (key, p, d) triples, and _split's one table holds partial fractions
+as triples too.  Sums, differences, scalar multiples and linear combinations
+add unreduced integer (numerator, denominator) pairs per key in _add_into,
+and products in _mul_into; built then makes the Radial once, one gcd per
+key.  The exact mass sums the same pairs and makes one Fraction per atom of
+the constant span, and the float plan builds integer numerators.  Fraction
+stays at the boundary: the weights given to the constructor and Radial.term,
+the terms view, const_value and the texts.
 
 A Radial evaluates floats through its plan, the exact-to-float set-up of
 Horner sums per log factor, made in one pass over the sorted terms, each
@@ -49,6 +51,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .constants import ONE, ExactConstant, _prime_logs
@@ -68,39 +71,40 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _add_to(acc: dict, key, weight) -> None:
-    if key in acc:
-        acc[key] += weight
-    else:
-        acc[key] = weight
+def _add_pair(acc: dict, key, p: int, d: int) -> None:
+    """acc[key] += p/d on an unreduced integer (numerator, denominator) pair."""
+    p0, d0 = acc.get(key, (0, d))
+    acc[key] = (p0 + p, d) if d0 == d else (p0 * d + p * d0, d0 * d)
 
 
-def _weighted(pairs) -> tuple:
-    """(key, weight) pairs without the zero weights, integral ones as int."""
-    return tuple((key, w.numerator if w.denominator == 1 else w) for key, w in pairs if w)
+def _reduced(acc: dict) -> tuple:
+    """Sorted triples (key, p, d) of a map of pairs with d > 0: one gcd each, no zeros."""
+    return tuple(sorted((key, p // g, d // g) for key, (p, d) in acc.items()
+                        if p and (g := gcd(p, d))))
 
 
 @lru_cache(maxsize=256)
 def _split(j: int, a: int, k: int, b: int = 0, q: int = 0) -> tuple:
-    """u^j (1+au)^-k (1+bu)^-q as canonical ((j, a, k), weight) pairs.
+    """u^j (1+au)^-k (1+bu)^-q as canonical triples ((j, a, k), p, d).
 
-    Equal bases merge; while two distinct poles remain, one exponent drops
-    by 1 = (b (1+au) - a (1+bu)) / (b - a); then j drops by
+    Equal bases merge; while two distinct poles a < b remain, one exponent
+    drops by 1 = (b (1+au) - a (1+bu)) / (b - a); then j drops by
     u = ((1+au) - 1) / a."""
     if q and (not k or a == b):
         a, k, q = b, k + q, 0
     if q:
-        parts = ((Fraction(b, b - a), (j, a, k - 1, b, q)),
-                 (Fraction(-a, b - a), (j, a, k, b, q - 1)))
+        if a > b:
+            a, k, b, q = b, q, a, k
+        parts = ((b, b - a, (j, a, k - 1, b, q)), (-a, b - a, (j, a, k, b, q - 1)))
     elif j and k:
-        parts = ((Fraction(1, a), (j - 1, a, k - 1)), (Fraction(-1, a), (j - 1, a, k)))
+        parts = ((1, a, (j - 1, a, k - 1)), (-1, a, (j - 1, a, k)))
     else:
-        return (((j, a, k) if k else (j, 0, 0), 1),)
+        return (((j, a, k) if k else (j, 0, 0), 1, 1),)
     acc: dict = {}
-    for w, args in parts:
-        for key, v in _split(*args):
-            _add_to(acc, key, w * v)
-    return _weighted(acc.items())
+    for wp, wd, args in parts:
+        for key, p, d in _split(*args):
+            _add_pair(acc, key, wp * p, wd * d)
+    return _reduced(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -122,65 +126,91 @@ def _term_str(key: TermKey, c) -> str:
     return ("" if c == 1 else "-" if c == -1 else f"{c}*") + num + den
 
 
+def _weight(p: int, d: int):
+    """The rational p/d of a reduced pair, an integral one as int."""
+    return p if d == 1 else Fraction(p, d)
+
+
+def _is_key(key) -> bool:
+    """Whether key is a canonical (b, j, a, k) of integers: b >= 0, and a
+    power of u (a = k = 0 <= j) or a pole power (j = 0, a >= 1, k >= 1)."""
+    return (isinstance(key, tuple) and len(key) == 4 and all(type(x) is int for x in key)
+            and key[0] >= 0 and (key[2] == key[3] == 0 <= key[1] or key[1] == 0 < min(key[2:])))
+
+
 class Radial:
     """A radial function in normal form: a sum of weighted terms
     u^j (1+au)^-k log(1+bu)^[b > 0], keyed by (b, j, a, k).
 
-    Canonical: rational weights, none zero, the integral ones held as int;
-    every term is a power of u (k = 0, stored with a = 0) or a pole power
-    (j = 0, k >= 1); b = 0 means no log factor.  Partial fractions over distinct pole bases are unique,
-    so equal functions have equal terms, and the terms are the key.
+    Canonical: every term is a power of u (k = 0, stored with a = 0) or a
+    pole power (j = 0, k >= 1); b = 0 means no log factor.  The weights are
+    held as sorted triples (key, p, d), p/d reduced with d > 0 and p != 0.
+    Partial fractions over distinct pole bases are unique, so equal functions
+    have equal triples, and the triples are the key.
     """
 
     def __init__(self, terms=()):
-        """terms: a mapping or pairs from canonical keys to weights."""
-        items = terms.items() if isinstance(terms, dict) else terms
-        self.terms: Tuple[Tuple[TermKey, Fraction], ...] = tuple(sorted(_weighted(items)))
+        """terms: a mapping or pairs from canonical keys to int or Fraction
+        weights, summed per key.  A key outside the normal form raises
+        ValueError (Radial.term splits into it), any other weight TypeError."""
+        acc: dict = {}
+        for key, c in terms.items() if isinstance(terms, dict) else terms:
+            if not _is_key(key):
+                raise ValueError(f"{key!r} is not a key (b, j, a, k) of the normal form")
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"the weight of {key!r} is not an int or a Fraction: {c!r}")
+            _add_pair(acc, key, c.numerator, c.denominator)
+        self.triples: Tuple[Tuple[TermKey, int, int], ...] = _reduced(acc)
 
     @staticmethod
     def term(c=1, j: int = 0, a: int = 0, k: int = 0, b: int = 0) -> "Radial":
         """The single term c u^j (1+au)^-k log(1+bu)^[b > 0] (a > 0 when k > 0)."""
-        return Radial({(b,) + key: c * w for key, w in _split(j, a, k)})
+        return built({(b,) + key: (c.numerator * p, c.denominator * d)
+                      for key, p, d in _split(j, a, k)})
 
     # -- inspection ---------------------------------------------------------
 
     @property
+    def terms(self) -> tuple:
+        """The (key, weight) pairs, integral weights as int, made on each read."""
+        return tuple((key, _weight(p, d)) for key, p, d in self.triples)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.triples
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.triples)
 
     @property
     def const_value(self) -> Optional[Fraction]:
-        if not self.terms:
+        if not self.triples:
             return Fraction(0)
-        if len(self.terms) == 1 and self.terms[0][0] == _CONST:
-            c = self.terms[0][1]
-            return c if type(c) is Fraction else Fraction(c)
+        if len(self.triples) == 1 and self.triples[0][0] == _CONST:
+            return Fraction(*self.triples[0][1:])
         return None
 
     @property
     def integrable(self) -> bool:
         """Decays like u^-2 (times at most a log): no powers of u, and the 1/u
         tails of the simple poles cancel within each log factor."""
-        tails: dict = {}  # the integer pairs of _add_pair, per log factor b
-        for (b, _, a, k), c in self.terms:
+        tails: dict = {}  # integer pairs per log factor b
+        for (b, _, a, k), p, d in self.triples:
             if not k:
                 return False
             if k == 1:
-                _add_pair(tails, b, c.numerator, c.denominator * a)
+                _add_pair(tails, b, p, d * a)
         return not any(p for p, _ in tails.values())
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Radial) and self.terms == other.terms
+        return isinstance(other, Radial) and self.triples == other.triples
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash(self.terms)
+        return hash(self.triples)
 
     def __str__(self) -> str:
         text = " + ".join(_term_str(key, c) for key, c in self.terms) or "0"
@@ -193,47 +223,47 @@ class Radial:
     def __add__(self, other: "Radial") -> "Radial":
         if not isinstance(other, Radial):
             return NotImplemented
-        if not other.terms:
+        if not other.triples:
             return self
-        if not self.terms:
+        if not self.triples:
             return other
-        return built(_add_into(_add_into({}, self.terms), other.terms))
+        return built(_add_into(_add_into({}, self.triples), other.triples))
 
     def __neg__(self) -> "Radial":
-        return built(_add_into({}, self.terms, -1))
+        return built(_add_into({}, self.triples, -1))
 
     def __sub__(self, other: "Radial") -> "Radial":
         if not isinstance(other, Radial):
             return NotImplemented
-        return built(_add_into(_add_into({}, self.terms), other.terms, -1))
+        return built(_add_into(_add_into({}, self.triples), other.triples, -1))
 
     def __mul__(self, other):
         """Product with a rational or with another normal form; a constant
         normal form multiplies as its rational."""
         if isinstance(other, Radial):
-            if len(other.terms) == 1 and other.terms[0][0] == _CONST:
-                other = other.terms[0][1]
-            elif len(self.terms) == 1 and self.terms[0][0] == _CONST:
-                self, other = other, self.terms[0][1]
+            if len(other.triples) == 1 and other.triples[0][0] == _CONST:
+                other = _weight(*other.triples[0][1:])
+            elif len(self.triples) == 1 and self.triples[0][0] == _CONST:
+                self, other = other, _weight(*self.triples[0][1:])
         if isinstance(other, (int, Fraction)):
-            return self if other == 1 else built(_add_into({}, self.terms, other))
+            return self if other == 1 else built(_add_into({}, self.triples, other))
         if not isinstance(other, Radial):
             return NotImplemented
-        return built(_mul_into({}, self.terms, other.terms))
+        return built(_mul_into({}, self.triples, other.triples))
 
     __rmul__ = __mul__
 
     def derivative(self) -> "Radial":
         acc: dict = {}
-        for (b, j, a, k), c in self.terms:
+        for (b, j, a, k), p, d in self.triples:
             if k:
-                _add_to(acc, (b, 0, a, k + 1), -k * a * c)
+                _add_pair(acc, (b, 0, a, k + 1), -k * a * p, d)
             elif j:
-                _add_to(acc, (b, j - 1, 0, 0), j * c)
+                _add_pair(acc, (b, j - 1, 0, 0), j * p, d)
             if b:  # d log(1+bu) = b (1+bu)^-1
-                for (jj, aa, kk), w in _split(j, a, k, b, 1):
-                    _add_to(acc, (0, jj, aa, kk), b * c * w)
-        return Radial(acc)
+                for (jj, aa, kk), wp, wd in _split(j, a, k, b, 1):
+                    _add_pair(acc, (0, jj, aa, kk), b * p * wp, d * wd)
+        return built(acc)
 
     # -- exact mass ---------------------------------------------------------
 
@@ -246,19 +276,19 @@ class Radial:
         int log(1+bu) (1+au)^-k = b/(a(k-1)) int (1+bu)^-1 (1+au)^(1-k).
         """
         acc: dict = {}  # integer pairs: key 0 the rational part, a the coefficient of log a
-        for key, c in self.terms:
+        for key, p, d in self.triples:
             b, _, a, k = key
             if not k:
-                raise DomainError(f"{_term_str(key, c)} has no half-line mass (it does not decay)")
+                raise DomainError(f"{_term_str(key, _weight(p, d))} has no half-line mass "
+                                  "(it does not decay)")
             if b and k == 1:
-                raise DomainError(f"{_term_str(key, c)}: a simple pole times a log has no "
-                                  "mass in the constant span (it needs a dilogarithm)")
-            p, d, parts = c.numerator, c.denominator, (((0, a, k), 1),)
+                raise DomainError(f"{_term_str(key, _weight(p, d))}: a simple pole times a log "
+                                  "has no mass in the constant span (it needs a dilogarithm)")
+            parts = (((0, a, k), 1, 1),)
             if b:
                 p, d, parts = p * b, d * a * (k - 1), _split(0, a, k - 1, b, 1)
-            for (_, aa, kk), w in parts:
-                _add_pair(acc, aa if kk == 1 else 0, p * w.numerator,
-                          d * w.denominator * aa * (kk - 1 or 1))
+            for (_, aa, kk), wp, wd in parts:
+                _add_pair(acc, aa if kk == 1 else 0, p * wp, d * wd * aa * (kk - 1 or 1))
         den = math.prod(d for a, (_, d) in acc.items() if a)
         if sum(p * (den // d) for a, (p, d) in acc.items() if a):
             raise DomainError(f"{self} decays like 1/u: its half-line integral diverges")
@@ -279,37 +309,38 @@ class Radial:
         terms (a zero at u = 0, tails that cancel at large u) then stay exact
         in floating point.
 
-        One pass over the terms, sorted by (b, j, a, k), gathers each log
+        One pass over the triples, sorted by (b, j, a, k), gathers each log
         group in order; each numerator float is one correctly rounded
-        integer division by d, the product of the group's denominators."""
-        bases = sorted({key[2] for key, _ in self.terms if key[2]})
-        groups: list = []  # per log factor: [b, d, {j: c}, [(a, c)] simple, {a: {k: c}} higher]
-        for (b, j, a, k), c in self.terms:
+        integer division by den, the product of the group's denominators."""
+        bases = sorted({key[2] for key, _, _ in self.triples if key[2]})
+        groups: list = []  # per log factor: [b, den, {j: pair}, [(a, p, d)], {a: {k: pair}}]
+        for (b, j, a, k), p, d in self.triples:
             if not groups or groups[-1][0] != b:
                 groups.append([b, 1, {}, [], {}])
             group = groups[-1]
-            group[1] *= c.denominator
+            group[1] *= d
             if not k:
-                group[2][j] = c
+                group[2][j] = p, d
             elif k == 1:
-                group[3].append((a, c))
+                group[3].append((a, p, d))
             else:
-                group[4].setdefault(a, {})[k] = c
+                group[4].setdefault(a, {})[k] = p, d
         plan = []
-        for b, d, powers, simple, higher in groups:
-            numerator = [_whole(powers.get(j, 0), d) for j in range(max(powers, default=0) + 1)]
+        for b, den, powers, simple, higher in groups:
+            numerator = [p * (den // d) for p, d in
+                         (powers.get(j, (0, 1)) for j in range(max(powers, default=0) + 1))]
             prod = [1]
-            for a, c in simple:  # numerator/prod + c/(1+au)
-                numerator = _plus(_times_linear(numerator, a), _whole(c, d), prod)
+            for a, p, d in simple:  # numerator/prod + (p/d)/(1+au)
+                numerator = _plus(_times_linear(numerator, a), p * (den // d), prod)
                 prod = _times_linear(prod, a)
             while numerator and not numerator[-1]:
                 numerator.pop()
             higher = tuple((bases.index(a), _horner(ks, 2)) for a, ks in higher.items())
             # an exact quotient converts as an int: the same float, and on
             # overflow the same OverflowError text, which the CLI prints
-            plan.append((float(b), tuple(c / d if c % d else float(c // d)
+            plan.append((float(b), tuple(c / den if c % den else float(c // den)
                                          for c in reversed(numerator)),
-                         tuple(bases.index(a) for a, _ in simple), higher))
+                         tuple(bases.index(a) for a, _, _ in simple), higher))
         return tuple(float(a) for a in bases), tuple(plan)
 
     @cached_property
@@ -324,15 +355,11 @@ class Radial:
         return self.fn(u)
 
 
-def _horner(weights: Dict[int, Fraction], low: int) -> tuple:
-    """Float coefficients of the powers low..max, highest first."""
+def _horner(weights: Dict[int, Tuple[int, int]], low: int) -> tuple:
+    """Float coefficients of the powers low..max of reduced pairs, highest first."""
     top = max(weights, default=low - 1)
-    return tuple(float(weights.get(p, 0)) for p in range(top, low - 1, -1))
-
-
-def _whole(c, den: int) -> int:
-    """The integer c * den of a rational c whose denominator divides den."""
-    return c.numerator * (den // c.denominator)
+    return tuple((float(p) if d == 1 else p / d) for p, d in
+                 (weights.get(e, (0, 1)) for e in range(top, low - 1, -1)))
 
 
 def _times_linear(p: list, a: int) -> list:
@@ -345,44 +372,37 @@ def _plus(p: list, c, q: list) -> list:
     return [x + c * y for x, y in zip(p, q)] + p[len(q):]
 
 
-def _add_pair(acc: dict, key, p: int, d: int) -> None:
-    """acc[key] += p/d on an unreduced integer (numerator, denominator) pair."""
-    p0, d0 = acc.get(key, (0, d))
-    acc[key] = (p0 + p, d) if d0 == d else (p0 * d + p * d0, d0 * d)
-
-
-def _add_into(acc: dict, terms, q=1) -> dict:
-    """acc += q * terms, on the pairs of _mul_into."""
+def _add_into(acc: dict, triples, q=1) -> dict:
+    """acc += q * triples, for a rational q, on the pairs of _mul_into."""
     qn, qd = q.numerator, q.denominator
-    for key, c in terms:
-        _add_pair(acc, key, c.numerator * qn, c.denominator * qd)
+    for key, p, d in triples:
+        _add_pair(acc, key, p * qn, d * qd)
     return acc
 
 
-def _mul_into(acc: dict, terms1, terms2, q=1) -> dict:
-    """acc += q * (terms1 x terms2), acc mapping normal-form keys to integer
-    (numerator, denominator) pairs that nothing reduces until built(acc)."""
+def _mul_into(acc: dict, triples1, triples2, q=1) -> dict:
+    """acc += q * (triples1 x triples2), acc mapping normal-form keys to
+    integer (numerator, denominator) pairs that nothing reduces until
+    built(acc)."""
     qn, qd = q.numerator, q.denominator
-    right = [(key, c.numerator * qn, c.denominator * qd) for key, c in terms2]
-    for (b1, j1, a1, k1), c1 in terms1:
-        n1, d1 = c1.numerator, c1.denominator
-        for (b2, j2, a2, k2), n2, d2 in right:
+    if qn != qd:
+        triples2 = [(key, p * qn, d * qd) for key, p, d in triples2]
+    for (b1, j1, a1, k1), p1, d1 in triples1:
+        for (b2, j2, a2, k2), p2, d2 in triples2:
             if b1 and b2:
                 raise DomainError(f"log(1+{_lin(b1)})*log(1+{_lin(b2)}) lies outside "
                                   "the normal form (one log factor at most)")
-            b, num, den = b1 or b2, n1 * n2, d1 * d2
-            for (j, a, k), w in _split(j1 + j2, a1, k1, a2, k2):
-                p, d = (num, den) if w == 1 else (num * w.numerator, den * w.denominator)
-                _add_pair(acc, (b, j, a, k), p, d)
+            b, num, den = b1 or b2, p1 * p2, d1 * d2
+            for (j, a, k), wp, wd in _split(j1 + j2, a1, k1, a2, k2):
+                _add_pair(acc, (b, j, a, k), num * wp, den * wd)
     return acc
 
 
 def built(acc: dict) -> Radial:
-    """The Radial of a map that _add_into or _mul_into filled; its terms are
-    canonical as built."""
+    """The Radial of a map that _add_into or _mul_into filled, with one gcd
+    per key; its triples are canonical as built."""
     out = Radial.__new__(Radial)
-    out.terms = tuple(sorted((key, p // d if not p % d else Fraction(p, d))
-                             for key, (p, d) in acc.items() if p))
+    out.triples = _reduced(acc)
     return out
 
 
@@ -394,7 +414,7 @@ def linear(pairs) -> Radial:
     """Rational linear combination sum q * f over (q, f) pairs."""
     acc: dict = {}
     for q, f in pairs:
-        _add_into(acc, f.terms, q)
+        _add_into(acc, f.triples, q)
     return built(acc)
 
 

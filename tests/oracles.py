@@ -30,8 +30,8 @@ from hirzebruch_torsion import chow, forms
 from hirzebruch_torsion.chow import R_GENUS_DEGREE1, ChowClass, PipelineInconsistency
 from hirzebruch_torsion.constants import ExactConstant, log_2pi, log_rational
 from hirzebruch_torsion.forms import Form11, Form22
-from hirzebruch_torsion.radial import (RADIAL_ONE, DomainError, Radial, _add_to, _label,
-                                       _split, _term_str)
+from hirzebruch_torsion.radial import (RADIAL_ONE, DomainError, Radial, _label, _split,
+                                       _term_str)
 
 
 def _rat(q) -> ExactConstant:
@@ -453,6 +453,10 @@ def fraction_linear(pairs) -> Radial:
 # ---------------------------------------------------------------------------
 
 
+def _add_to(acc: dict, key, weight) -> None:
+    acc[key] = acc[key] + weight if key in acc else weight
+
+
 def fraction_mass(f: Radial) -> ExactConstant:
     """The exact half-line mass of f as Radial.mass derived it in Fractions,
     with its refusals: no decay, a simple pole times a log, a 1/u tail."""
@@ -467,8 +471,8 @@ def fraction_mass(f: Radial) -> ExactConstant:
             raise DomainError(f"{_term_str(key, c)}: a simple pole times a log has no "
                               "mass in the constant span (it needs a dilogarithm)")
         else:
-            for (_, aa, kk), w in _split(0, a, k - 1, b, 1):
-                _add_to(rational, (aa, kk), c * w * Fraction(b, a * (k - 1)))
+            for (_, aa, kk), p, d in _split(0, a, k - 1, b, 1):
+                _add_to(rational, (aa, kk), c * Fraction(p * b, d * a * (k - 1)))
     value, logs = Fraction(0), {}
     for (a, k), c in rational.items():
         if k == 1:

@@ -8,6 +8,7 @@ normal form.
 
 import math
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -328,6 +329,25 @@ class TestNormalForm:
             with pytest.raises(DomainError):
                 g.mass
 
+    def test_the_constructor_sums_repeated_keys(self):
+        key = (0, 0, 1, 2)
+        assert Radial([(key, 1), (key, 2)]) == Radial({key: 3})
+        assert Radial([(key, 1), (key, -1)]) == RADIAL_ZERO
+        assert Radial([(key, Fraction(1, 2)), (key, Fraction(1, 2))]).terms == ((key, 1),)
+
+    @pytest.mark.parametrize("key", [(0, 1, 1, 1), (0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0),
+                                     (0, -1, 0, 0), (0, 0, -1, 1), (0, 0, 0), (0, 1.0, 0, 0)])
+    def test_the_constructor_refuses_a_key_outside_the_normal_form(self, key):
+        # u/(1+u) is (0, 1, 1, 1) before its split: Radial.term splits it
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            Radial({key: 1})
+        assert Radial.term(j=1, a=1, k=1) == RADIAL_ONE - Radial.term(a=1, k=1)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, "1", None, 1j])
+    def test_the_constructor_refuses_a_weight_that_is_not_rational(self, c):
+        with pytest.raises(TypeError, match=r"^the weight of \(0, 0, 0, 0\) is not an int or a "):
+            Radial({(0, 0, 0, 0): c})
+
 
 @st.composite
 def integrands(draw, n):
@@ -517,12 +537,12 @@ def normal_forms(draw, bases, logs):
 
 class TestIntegralWeights:
     """Sums, products and wedges hold integral weights as int, and equal the
-    Fraction-only reference in terms, hash and text."""
+    Fraction-only reference in terms and text, and in hash as a normal form."""
 
     @staticmethod
     def check(got, want):
         assert got.terms == want
-        assert hash(got) == hash(want)
+        assert hash(got) == hash(Radial(want))  # equal normal forms hash equally
         text = " + ".join(radial._term_str(key, c) for key, c in want) or "0"
         assert str(got) == text.replace("+ -", "- ")
         for _, c in got.terms:
@@ -585,6 +605,36 @@ class TestIntegralWeights:
                 for key, w in _reference_canon(j, poles).items():
                     acc[(0,) + key] = acc.get((0,) + key, 0) + b * c * w
         self.check(f.derivative(), _reference_terms(acc))
+
+
+def assert_canonical(f: Radial) -> None:
+    """Sorted, unique, canonical keys and reduced integer triples, which the
+    constructor rebuilds from the terms view."""
+    keys = [key for key, _, _ in f.triples]
+    assert keys == sorted(set(keys)), f.triples
+    for (b, j, a, k), p, d in f.triples:
+        assert all(type(x) is int for x in (b, j, a, k, p, d)), f.triples
+        assert b >= 0 and (a == k == 0 <= j or j == 0 and a >= 1 and k >= 1), f.triples
+        assert p != 0 and d > 0 and math.gcd(p, d) == 1, f.triples
+    assert Radial(f.terms) == f
+
+
+class TestTriples:
+    """Every operation builds its normal form as reduced triples."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 10**9), q=st.fractions(-6, 6, max_denominator=9))
+    def test_every_built_normal_form_is_canonical(self, data, n, q):
+        bases, logs = (1, 2, n + 1), (1, n + 1)
+        f, g = data.draw(normal_forms(bases, logs)), data.draw(normal_forms(bases, ()))
+        j, k = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        a, b = data.draw(st.sampled_from(bases)), data.draw(st.sampled_from((0,) + logs))
+        term = Radial.term(q, j, a, k, b)
+        h = forms.Form11(n, g, f)
+        for r in (f, g, term, f + g, f - g, f - f, -f, f * g, g * f, f * q, q * g, g * term,
+                  f.derivative(), term.derivative(), radial.linear([(q, f), (-q, f), (1, g)]),
+                  forms.wedge(h, h).g):
+            assert_canonical(r)
 
 
 class TestLinearArithmetic:

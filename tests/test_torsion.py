@@ -625,6 +625,18 @@ class TestGridAndHodgeSweeps:
             torsion.route_checks(3, CFG)
 
 
+def counted_fractions(monkeypatch) -> list:
+    """The Fraction constructions, from now on, one entry each."""
+    made, new = [], Fraction.__new__
+
+    def counting(cls, *args, **kw):
+        made.append(cls)
+        return new(cls, *args, **kw)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return made
+
+
 def counted_builders(monkeypatch) -> dict:
     """Calls, from now on, of the builders route 3's set-up goes through,
     by name."""
@@ -660,6 +672,26 @@ class TestSetUpBudget:
         for name in ("c1_total", "c1_rel", "omega_H"):
             assert calls.get(name, 0) <= 1, name
 
+    def test_fractions_per_quad_checks_item(self, monkeypatch):
+        # the radial core runs on integer triples: a Fraction is made only at
+        # its boundary, one per atom of each exact mass
+        torsion.named_integrals(3, CFG)
+        torsion.hodge_l2_checks(3, CFG)
+        made = counted_fractions(monkeypatch)
+        ns = range(20, 40)
+        for n in ns:
+            torsion.named_integrals(n, CFG)
+            torsion.hodge_l2_checks(n, CFG)
+        assert len(made) / len(ns) <= 50
+
+    def test_star_ratios_are_built_once_per_n(self):
+        # the 6 star derivations of a record pair share one R/B and B/R
+        for n in range(20, 40):
+            forms.star_ratios.cache_clear()
+            torsion.named_integrals(n, CFG)
+            torsion.hodge_l2_checks(n, CFG)
+            assert forms.star_ratios.cache_info().misses == 1, n
+
     def test_hodge_checks_build_no_first_chern_form(self, monkeypatch):
         calls = counted_builders(monkeypatch)
         torsion.hodge_l2_checks(7, CFG)
@@ -668,9 +700,10 @@ class TestSetUpBudget:
 
 class TestRingBudget:
     """The ring sums each slot once and builds it once, and holds one slot
-    per ring constant, so a form under log 2pi or R1 is wedged once: the
-    builds, wedges and catalog forms of one main_theorem, on average over
-    n = 20..39."""
+    per ring constant, so a form under log 2pi or R1 is wedged once; a
+    product rewrites its own monomials into its slot sums, so it reduces
+    only its factors: the builds, reductions, wedges and catalog forms of
+    one main_theorem, on average over n = 20..39."""
 
     def test_main_theorem(self, monkeypatch):
         torsion.main_theorem(3)  # the n-free tables are filled once per process
@@ -687,7 +720,7 @@ class TestRingBudget:
             monkeypatch.setattr(module, "built", built)
         monkeypatch.setattr(chow.ChowClass, "__init__",
                             counted("ChowClass", chow.ChowClass.__init__))
-        for name in ("_assemble", "mul", "_wedge_into"):
+        for name in ("_assemble", "mul", "reduce", "_wedge_into"):
             monkeypatch.setattr(chow, name, counted(name, getattr(chow, name)))
         for name in ("alpha_form", "degree2_relation_rhs"):
             monkeypatch.setattr(forms, name, counted(name, getattr(forms, name)))
@@ -695,13 +728,25 @@ class TestRingBudget:
         for n in ns:
             torsion.main_theorem(n)
         per_call = {name: count / len(ns) for name, count in calls.items()}
-        assert per_call["built"] <= 160
+        # Radial.term and derivative build through radial.built too (10 of the 124)
+        assert per_call["built"] <= 124
         assert per_call["ChowClass"] <= 10
-        assert per_call["_assemble"] <= 45
+        assert per_call["_assemble"] <= 33
+        assert per_call["reduce"] <= 33
         assert per_call["mul"] <= 12
         assert per_call["_wedge_into"] <= 85
         assert per_call["alpha_form"] <= 6
         assert per_call["degree2_relation_rhs"] <= 1
+
+    def test_fractions_per_main_theorem(self, monkeypatch):
+        # Fraction only at the radial core's boundary; the rest are the exact
+        # constants' own
+        torsion.main_theorem(3)
+        made = counted_fractions(monkeypatch)
+        ns = range(20, 40)
+        for n in ns:
+            torsion.main_theorem(n)
+        assert len(made) / len(ns) <= 265
 
     def test_dd_c_is_derived_once_per_potential(self):
         # the products take dd^c of +-log R and +-log R / 2 only, each once
