@@ -61,7 +61,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from . import forms, radial
 from .constants import (LOG_PI, ONE, ZETA_M1, ZETA_PRIME_M1, ConstantAtom, ExactConstant,
-                        log_2pi, log_prime_atom)
+                        _add_pair, _of_pairs, log_2pi, log_prime_atom)
 from .forms import Form11, Form22
 from .radial import RADIAL_ONE, Radial
 
@@ -135,14 +135,17 @@ def _parts(form: FormT) -> tuple:
             if isinstance(form, Form11) else (form.g,))
 
 
-def _ring_items(coeff: ExactConstant):
-    """The (key, q) pairs of coeff in the ring constants, by the triangular
+def _ring_items(coeff: ExactConstant) -> tuple:
+    """The triples (key, p, d) of coeff in the ring constants, by the triangular
     change log(pi) = log(2 pi) - log(2), zeta'(-1) = (R1 - zeta(-1)) / 2."""
-    c = coeff.coeffs
-    if LOG_PI in c or ZETA_PRIME_M1 in c:
-        lp, zp = c.get(LOG_PI, 0), Fraction(c.get(ZETA_PRIME_M1, 0), 2)
-        coeff -= ExactConstant({log_prime_atom(2): lp, ZETA_PRIME_M1: zp, ZETA_M1: zp})
-    return coeff.items()
+    acc = {a: (p, d) for a, p, d in coeff.triples}
+    if LOG_PI not in acc and ZETA_PRIME_M1 not in acc:
+        return coeff.triples
+    (lp, ld), (zp, zd) = acc.get(LOG_PI, (0, 1)), acc.get(ZETA_PRIME_M1, (0, 1))
+    acc[ZETA_PRIME_M1] = zp, 2 * zd
+    _add_pair(acc, log_prime_atom(2), -lp, ld)
+    _add_pair(acc, ZETA_M1, -zp, 2 * zd)
+    return _of_pairs(acc).triples
 
 
 def _key_constant(key: ConstantAtom, q=1) -> ExactConstant:
@@ -152,12 +155,12 @@ def _key_constant(key: ConstantAtom, q=1) -> ExactConstant:
 
 
 def _fill(fills: dict, coeff: ExactConstant, form, variety: str) -> None:
-    """fills += a(coeff * form): one (q, form) fill of the slot (degree, key)
-    per ring constant of coeff; a vanishing form fills nothing."""
+    """fills += a(coeff * form): one (p, d, form) fill of the slot (degree, key)
+    per ring constant of coeff, of weight p/d; a vanishing form fills nothing."""
     if form:
         degree = _form_degree(form, variety)
-        for key, q in _ring_items(coeff):
-            fills.setdefault((degree, key), []).append((q, form))
+        for key, p, d in _ring_items(coeff):
+            fills.setdefault((degree, key), []).append((p, d, form))
 
 
 def _built(n: int, kind, maps) -> FormT:
@@ -166,19 +169,19 @@ def _built(n: int, kind, maps) -> FormT:
 
 
 def _summed(n: int, fills: dict) -> Dict[SlotT, FormT]:
-    """The form of each slot, the sum of q * form over its fills, summed in
+    """The form of each slot, the sum of p/d * form over its fills, summed in
     the integer pairs of radial._add_into and built once; a form that fills
-    its slot alone with q = 1 is kept as it is."""
+    its slot alone with weight 1 is kept as it is."""
     out: Dict[SlotT, FormT] = {}
     for slot, items in fills.items():
-        q, form = items[0]
-        if len(items) == 1 and q == 1:
+        p, d, form = items[0]
+        if len(items) == 1 and p == d:
             out[slot] = form
             continue
         maps = [{} for _ in _parts(form)]
-        for q, form in items:
+        for p, d, form in items:
             for m, part in zip(maps, _parts(form)):
-                radial._add_into(m, part.triples, q)
+                radial._add_into(m, part.triples, p, d)
         out[slot] = _built(n, type(form), maps)
     return out
 
@@ -320,7 +323,7 @@ def linear(pairs: Iterable[Tuple[Union[int, Fraction], ChowClass]]) -> ChowClass
             coeff = coeff.scale(q)
             poly[m] = poly[m] + coeff if m in poly else coeff
         for slot, form in c.forms.items():
-            fills.setdefault(slot, []).append((q, form))
+            fills.setdefault(slot, []).append((q.numerator, q.denominator, form))
     return _assemble(first.n, first.variety, poly, _summed(first.n, fills))
 
 
@@ -350,22 +353,22 @@ def _check_compatible(a: ChowClass, b: ChowClass) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _wedge_into(sums: dict, slot, f: FormT, g: FormT, q) -> None:
-    """sums[slot] += q * (f ^ g) within the top degree (see mul for sums)."""
+def _wedge_into(sums: dict, slot, f: FormT, g: FormT, p: int, d: int) -> None:
+    """sums[slot] += p/d * (f ^ g) within the top degree (see mul for sums)."""
     if isinstance(g, Radial):
         f, g = g, f
     if isinstance(f, Form11) and isinstance(g, Form11):
-        forms.wedge_into(sums.setdefault(slot, (Form22, [{}]))[1][0], f, g, q)
+        forms.wedge_into(sums.setdefault(slot, (Form22, [{}]))[1][0], f, g, p, d)
     elif isinstance(f, Radial):
         parts = _parts(g)
         for m, part in zip(sums.setdefault(slot, (type(g), [{} for _ in parts]))[1], parts):
-            radial._mul_into(m, f.triples, part.triples, q)
+            radial._mul_into(m, f.triples, part.triples, p, d)
 
 
 def _product(n: int, f: FormT, g: FormT) -> Optional[FormT]:
     """The form f ^ g, or None when it vanishes."""
     sums: dict = {}
-    _wedge_into(sums, None, f, g, 1)
+    _wedge_into(sums, None, f, g, 1, 1)
     return (sums and _built(n, *sums[None])) or None
 
 
@@ -425,7 +428,7 @@ def _normalised(n: int, variety: str, poly: Dict[MonoT, ExactConstant],
         if coeff.is_zero:
             continue
         if variety == SURFACE and j >= 2:
-            stack.append(((i + 1, j - 1), coeff * Fraction(n + 2)))
+            stack.append(((i + 1, j - 1), coeff.scale(n + 2)))
             _fill(fills, coeff, _relation_image(n, (i, j - 2)), variety)
             if trace is not None:
                 _trace_step(trace, "alpha_square", _render_mono((i, j)),
@@ -442,12 +445,12 @@ def _normalised(n: int, variety: str, poly: Dict[MonoT, ExactConstant],
             out_poly[(i, j)] = coeff + prev if prev else coeff
     for slot, items in fills.items():
         if slot in slots:  # only the slots that rewriting filled are rebuilt
-            items.append((1, slots[slot]))
+            items.append((1, 1, slots[slot]))
     for slot, (kind, maps) in sums.items():
         if len(slot) == 2:
-            for q, form in fills.pop(slot, ()):
+            for p, d, form in fills.pop(slot, ()):
                 for m, part in zip(maps, _parts(form)):
-                    radial._add_into(m, part.triples, q)
+                    radial._add_into(m, part.triples, p, d)
             slots[slot] = _built(n, kind, maps)
         elif any(p for m in maps for p, _ in m.values()):
             _key_constant(slot[1]) * _key_constant(slot[2])  # raises NonRationalProduct
@@ -499,9 +502,9 @@ def mul(a: ChowClass, b: ChowClass,
         for (deg_f, key_f), form in left.forms.items():
             for deg_c, image, ring_items in images:
                 if image and deg_f + deg_c in keep:
-                    for key_c, q in ring_items:
+                    for key_c, p, d in ring_items:
                         _wedge_into(sums, _pair_slot(deg_f + deg_c, key_f, key_c),
-                                    form, image, q)
+                                    form, image, p, d)
     ddc_a = _zero_form_ddcs(a)
     ddc_b = ddc_a if same else _zero_form_ddcs(b)
     for slot1, f1 in a.forms.items():
@@ -512,19 +515,20 @@ def mul(a: ChowClass, b: ChowClass,
             slot = _pair_slot(d1 + d2, slot1[1], slot2[1])
             df, dg = ddc_a.get(slot1), ddc_b.get(slot2)
             if d1 == d2 and df and dg:
-                _wedge_into(sums, slot, df, f2, Fraction(1, 2))
-                _wedge_into(sums, slot, dg, f1, Fraction(1, 2))
+                _wedge_into(sums, slot, df, f2, 1, 2)
+                _wedge_into(sums, slot, dg, f1, 1, 2)
             elif d1 < d2 and df:
-                _wedge_into(sums, slot, df, f2, 1)
+                _wedge_into(sums, slot, df, f2, 1, 1)
             elif d1 > d2 and dg:
-                _wedge_into(sums, slot, dg, f1, 1)
+                _wedge_into(sums, slot, dg, f1, 1, 1)
     return _normalised(n, variety, poly, {}, sums)
 
 
 def _zero_form_ddcs(c: ChowClass) -> dict:
-    """dd^c of each non-constant 0-form of c, by slot: the chain rule's (1,1)-form
-    on the surface, its phi part h' + u h'' (the line's own) as a base top form."""
-    out = {s: forms.ddc(f, c.n) for s, f in c.forms.items() if s[0] == 1 and f.const_value is None}
+    """dd^c of each 0-form of c with a term off the constant key, by slot: the chain
+    rule's (1,1)-form on the surface, its phi part h' + u h'' as a base top form."""
+    out = {s: forms.ddc(f, c.n) for s, f in c.forms.items()
+           if s[0] == 1 and any(key != radial._CONST for key, _, _ in f.triples)}
     return out if c.variety == SURFACE else {s: Form22(c.n, d.fphi) for s, d in out.items()}
 
 
@@ -576,8 +580,8 @@ def top_slots(c: ChowClass):
     re-summed exactly; a check by quadrature of the degree folds over these."""
     fills: dict = {}
     for (degree, key), form in _top_forms(c, None):
-        for atom, q in _key_constant(key).items():
-            fills.setdefault((degree, atom), []).append((q, form))
+        for atom, p, d in _key_constant(key).triples:
+            fills.setdefault((degree, atom), []).append((p, d, form))
     return _clean(_summed(c.n, fills)).items()
 
 
@@ -587,7 +591,7 @@ def pushforward_deg(c: ChowClass, trace: Optional[list] = None) -> ExactConstant
     total = ExactConstant.zero()
     for (_, key), form in _top_forms(c, trace):
         total = total + _key_constant(key) * form.total_integral
-    return total.scale(Fraction(1, 2))
+    return total._scaled(1, 2)
 
 
 # ---------------------------------------------------------------------------

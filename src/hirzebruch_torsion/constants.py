@@ -10,7 +10,14 @@ decidable by normal form: log(2*pi), log(n+1), log((n+2)/2) all reduce to
 prime logarithms plus log(pi).  zeta(-1) is kept as an atom for display even
 though it equals -1/12; numerical evaluation substitutes the exact rational.
 
-Values are immutable and all operations are pure.
+The arithmetic runs on integers.  An ExactConstant holds its terms as
+sorted, reduced (atom, p, d) triples; sums, differences, scalings and
+rational products add and multiply integer (numerator, denominator) pairs,
+one gcd per atom (_add_pair and _reduced, which the radial masses and the
+ring's weights share).  Fraction stays at the boundary: the coefficients
+given to the constructor, the items, coeffs, coefficient and rational_part
+views made on each read, and the text and JSON output.  Values are
+immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import threading
 import weakref
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 RationalLike = Union[int, Fraction]
@@ -210,21 +218,22 @@ def _factored_log_prime(p: int) -> ConstantAtom:
 
 
 class ExactConstant:
-    """A finite Q-linear combination of atoms, stored in normal form.
+    """A finite Q-linear combination of atoms: triples (atom, p, d) in atom
+    order, each coefficient p/d reduced with d > 0 and p != 0.  Equal values
+    have equal triples, under the working assumption that the atoms are
+    Q-linearly independent.  The constructor, rational, atom and scale take
+    int or Fraction coefficients and refuse any other with TypeError."""
 
-    Normal form: no zero coefficients, atoms canonically ordered.  Equality is
-    coefficient-wise, sound under the working assumption that the atoms are
-    Q-linearly independent.
-    """
-
-    __slots__ = ("_coeffs",)
+    __slots__ = ("triples",)
 
     def __init__(self, coeffs: Mapping[ConstantAtom, RationalLike] | None = None):
-        norm = {atom: c if type(c) is Fraction else Fraction(c)
-                for atom, c in (coeffs or {}).items() if c}
-        if len(norm) > 1:
-            norm = dict(sorted(norm.items(), key=_atom_order))
-        self._coeffs: Dict[ConstantAtom, Fraction] = norm
+        acc = {}
+        for atom, c in (coeffs or {}).items():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"the coefficient of {atom.label()} is not an int or a "
+                                f"Fraction: {c!r}")
+            acc[atom] = c.numerator, c.denominator
+        self.triples: Tuple[Tuple[ConstantAtom, int, int], ...] = _reduced(acc, _atom_order)
 
     # -- constructors ------------------------------------------------------
 
@@ -234,109 +243,104 @@ class ExactConstant:
 
     @staticmethod
     def rational(q: RationalLike) -> "ExactConstant":
-        return ExactConstant({ONE: Fraction(q)})
+        return ExactConstant({ONE: q})
 
     @staticmethod
     def atom(a: ConstantAtom, q: RationalLike = 1) -> "ExactConstant":
-        return ExactConstant({a: Fraction(q)})
+        return ExactConstant({a: q})
 
     # -- inspection --------------------------------------------------------
 
     @property
     def coeffs(self) -> Dict[ConstantAtom, Fraction]:
-        return dict(self._coeffs)
+        """The coefficients by atom in atom order, a new dict on each read."""
+        return dict(self.items())
 
-    def items(self):
-        """The (atom, coefficient) pairs in atom order, a view without a copy."""
-        return self._coeffs.items()
+    def items(self) -> Tuple[Tuple[ConstantAtom, Fraction], ...]:
+        """The (atom, coefficient) pairs in atom order, made on each read."""
+        return tuple((a, Fraction(p, d)) for a, p, d in self.triples)
 
     def coefficient(self, a: ConstantAtom) -> Fraction:
-        return self._coeffs.get(a, _NO_COEFFICIENT)
+        return next((Fraction(p, d) for atom, p, d in self.triples if atom is a), _NO_COEFFICIENT)
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.triples
 
     @property
     def is_rational(self) -> bool:
-        return all(a == ONE for a in self._coeffs)
+        t = self.triples
+        return not t or (len(t) == 1 and t[0][0] is ONE)
 
     @property
     def rational_part(self) -> Fraction:
-        return self._coeffs.get(ONE, _NO_COEFFICIENT)
+        return self.coefficient(ONE)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "ExactConstant") -> "ExactConstant":
-        return self._plus(other, False)
+        return self._plus(other, 1)
 
     def __neg__(self) -> "ExactConstant":
-        return _normal({a: -q for a, q in self._coeffs.items()})
+        return _normal(tuple((a, -p, d) for a, p, d in self.triples))
 
     def __sub__(self, other: "ExactConstant") -> "ExactConstant":
-        return self._plus(other, True)
+        return self._plus(other, -1)
 
-    def _plus(self, other: "ExactConstant", negate: bool) -> "ExactConstant":
-        """self + other, or self - other: the normal form is kept, so only a
-        new atom makes a sort."""
-        if not other._coeffs:
+    def _plus(self, other: "ExactConstant", sign: int) -> "ExactConstant":
+        """self + sign * other, summed in integer pairs per atom."""
+        if not other.triples:
             return self
-        if not self._coeffs and not negate:
+        if not self.triples and sign == 1:
             return other
-        merged = dict(self._coeffs)
-        grown = False
-        for a, q in other._coeffs.items():
-            c = merged.get(a)
-            if c is None:
-                merged[a] = -q if negate else q
-                grown = True
-            else:
-                c = c - q if negate else c + q
-                if c:
-                    merged[a] = c
-                else:
-                    del merged[a]
-        if grown and len(merged) > 1:
-            merged = dict(sorted(merged.items(), key=_atom_order))
-        return _normal(merged)
+        acc = {a: (p, d) for a, p, d in self.triples}
+        for a, p, d in other.triples:
+            _add_pair(acc, a, sign * p, d)
+        return _of_pairs(acc)
 
     def scale(self, q: RationalLike) -> "ExactConstant":
         if not isinstance(q, (int, Fraction)):
-            q = Fraction(q)
-        if q == 1:
+            raise TypeError(f"the scalar is not an int or a Fraction: {q!r}")
+        return self._scaled(q.numerator, q.denominator)
+
+    def _scaled(self, qp: int, qd: int) -> "ExactConstant":
+        """self * qp/qd, for a reduced pair with qd > 0."""
+        if qp == qd:
             return self
-        if not q:
-            return _normal({})
-        return _normal({a: c * q for a, c in self._coeffs.items()})
+        if not qp:
+            return _normal(())
+        return _normal(tuple((a, p * qp // g, d * qd // g) for a, p, d in self.triples
+                             if (g := gcd(p * qp, d * qd))))
 
     def __mul__(self, other: Union["ExactConstant", RationalLike]) -> "ExactConstant":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, ExactConstant):
+            return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
         if self.is_rational:
-            return other.scale(self.rational_part)
-        if other.is_rational:
-            return self.scale(other.rational_part)
-        raise NonRationalProduct(
-            f"product of non-rational constants ({self}) * ({other}); "
-            "results of the pipelines are linear in transcendental atoms"
-        )
+            self, other = other, self
+        if not other.is_rational:
+            raise NonRationalProduct(
+                f"product of non-rational constants ({self}) * ({other}); "
+                "results of the pipelines are linear in transcendental atoms"
+            )
+        return self._scaled(*other.triples[0][1:]) if other.triples else _normal(())
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.rational_part == other
-        return isinstance(other, ExactConstant) and self._coeffs == other._coeffs
+            return self.triples == (((ONE, other.numerator, other.denominator),) if other else ())
+        return isinstance(other, ExactConstant) and self.triples == other.triples
 
     def __hash__(self) -> int:
         if self.is_rational:
             return hash(self.rational_part)  # equal rationals hash alike
-        return hash(tuple(self._coeffs.items()))
+        return hash(self.triples)
 
     # -- evaluation / io ----------------------------------------------------
 
     def to_float(self) -> float:
-        return math.fsum(float(q) * a.value() for a, q in self._coeffs.items())
+        # p / d is float(Fraction(p, d)), and on overflow raises its error
+        return math.fsum(p / d * a.value() for a, p, d in self.triples)
 
     __float__ = to_float
 
@@ -344,15 +348,15 @@ class ExactConstant:
         if self.is_zero:
             return "0"
         parts = []
-        for a, q in self._coeffs.items():
-            mag = abs(q)
-            if a == ONE:
-                body = str(mag)
-            elif mag == 1:
+        for a, p, d in self.triples:
+            mag = str(Fraction(abs(p), d))
+            if a is ONE:
+                body = mag
+            elif mag == "1":
                 body = a.label()
             else:
                 body = f"{mag}*{a.label()}"
-            parts.append(("- " if q < 0 else "+ ") + body)
+            parts.append(("- " if p < 0 else "+ ") + body)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
@@ -360,17 +364,13 @@ class ExactConstant:
         return f"ExactConstant({self})"
 
     def to_json_dict(self) -> dict:
-        log_atoms: Dict[str, str] = {}
-        for a, q in self._coeffs.items():
-            if a.kind == "log_pi":
-                log_atoms["pi"] = str(q)
-            elif a.kind == "log_prime":
-                log_atoms[str(a.prime)] = str(q)
+        text = {a: str(q) for a, q in self.items()}
         return {
-            "rational": str(self.rational_part),
-            "log_atoms": log_atoms,
-            "zeta_prime_m1": str(self.coefficient(ZETA_PRIME_M1)),
-            "zeta_m1": str(self.coefficient(ZETA_M1)),
+            "rational": text.get(ONE, "0"),
+            "log_atoms": {"pi" if a is LOG_PI else str(a.prime): q for a, q in text.items()
+                          if a.kind in ("log_pi", "log_prime")},
+            "zeta_prime_m1": text.get(ZETA_PRIME_M1, "0"),
+            "zeta_m1": text.get(ZETA_M1, "0"),
         }
 
     @staticmethod
@@ -384,15 +384,33 @@ class ExactConstant:
         return ExactConstant(coeffs)
 
 
-def _atom_order(item: Tuple[ConstantAtom, Fraction]) -> Tuple[int, int]:
-    return item[0].sort_key()
+def _add_pair(acc: dict, key, p: int, d: int) -> None:
+    """acc[key] += p/d on an unreduced integer (numerator, denominator) pair."""
+    p0, d0 = acc.get(key, (0, d))
+    acc[key] = (p0 + p, d) if d0 == d else (p0 * d + p * d0, d0 * d)
 
 
-def _normal(coeffs: Dict[ConstantAtom, Fraction]) -> ExactConstant:
-    """The ExactConstant of coeffs, which are in normal form already."""
+def _reduced(acc: dict, order=None) -> tuple:
+    """The triples (key, p, d) of a map of pairs with d > 0, one gcd each and
+    no zeros, sorted (by the key function order when given)."""
+    return tuple(sorted(((key, p // g, d // g) for key, (p, d) in acc.items()
+                         if p and (g := gcd(p, d))), key=order))
+
+
+def _atom_order(triple: tuple) -> Tuple[int, int]:
+    return triple[0].sort_key()
+
+
+def _normal(triples: tuple) -> ExactConstant:
+    """The ExactConstant of triples that are canonical already."""
     out = ExactConstant.__new__(ExactConstant)
-    out._coeffs = coeffs
+    out.triples = triples
     return out
+
+
+def _of_pairs(acc: dict) -> ExactConstant:
+    """The ExactConstant of a map from atoms to unreduced pairs (p, d), d > 0."""
+    return _normal(_reduced(acc, _atom_order))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +427,8 @@ def _prime_logs(m: int) -> Tuple[Tuple[ConstantAtom, int], ...]:
 
 def log_rational(q: RationalLike) -> ExactConstant:
     """Decompose log(q) for q > 0 into prime-log atoms."""
-    q = Fraction(q)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     if q <= 0:
         raise ValueError(f"log_rational needs a positive rational, got {q}")
     # numerator and denominator are coprime: no prime is in both

@@ -124,8 +124,8 @@ class Form11(Value):
         return Form11(self.n, self.fphi * r_over_b, self.fx * b_over_r)
 
 
-def combine(n: int, weighted: Sequence[Tuple[Fraction, Form11]]) -> Form11:
-    """Rational linear combination of (1,1)-forms."""
+def combine(n: int, weighted: Sequence[Tuple[Union[int, Fraction], Form11]]) -> Form11:
+    """Rational linear combination of (1,1)-forms, int or Fraction weights."""
     if any(form.n != n for _, form in weighted):
         raise ValueError("mixed ruling indices in linear combination")
     return Form11(n, linear((c, f.fx) for c, f in weighted),
@@ -191,26 +191,23 @@ def bott_chern_c2(n: int) -> Form11:
 
 def c1_rel(n: int) -> Form11:
     """First Chern form of the relative tangent bundle: 2*alpha - (n+2)*base."""
-    return combine(n, [(Fraction(2), alpha_form(n)), (Fraction(-(n + 2)), base_form(n))])
+    return combine(n, [(2, alpha_form(n)), (-(n + 2), base_form(n))])
 
 
 def c1_total(n: int) -> Form11:
     """First Chern form of the full tangent bundle: 2*alpha - n*base - dd^c log R."""
-    return combine(n, [(Fraction(2), alpha_form(n)), (Fraction(-n), base_form(n)),
-                       (Fraction(-1), ddc_log_R(n))])
+    return combine(n, [(2, alpha_form(n)), (-n, base_form(n)), (-1, ddc_log_R(n))])
 
 
 def degree2_relation_rhs(n: int) -> Form11:
     """Analytic side of the degree-2 ring relation: alpha - (n+1)*base - R*base."""
-    return combine(n, [(Fraction(1), alpha_form(n)),
-                       (Fraction(-(n + 1)), base_form(n)),
-                       (Fraction(-1), ratio_base_form(n))])
+    return combine(n, [(1, alpha_form(n)), (-(n + 1), base_form(n)),
+                       (-1, ratio_base_form(n))])
 
 
 def omega_H(n: int) -> Form11:
     """Harmonic representative of the pulled-back base class."""
-    return combine(n, [(Fraction(1), base_form(n)),
-                       (Fraction(-1, n + 2), ddc_log_R(n))])
+    return combine(n, [(1, base_form(n)), (Fraction(-1, n + 2), ddc_log_R(n))])
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +246,10 @@ class Form22(Value):
         return Form22(self.n, c * self.g)
 
 
-def wedge_into(acc: dict, a: Form11, b: Form11, q=1) -> dict:
-    """acc += q * g of a ^ b, g = a.fx*b.fphi + a.fphi*b.fx, as _mul_into pairs."""
-    _mul_into(acc, a.fx.triples, b.fphi.triples, q)
-    return _mul_into(acc, a.fphi.triples, b.fx.triples, q)
+def wedge_into(acc: dict, a: Form11, b: Form11, qn: int = 1, qd: int = 1) -> dict:
+    """acc += qn/qd * g of a ^ b, g = a.fx*b.fphi + a.fphi*b.fx, as _mul_into pairs."""
+    _mul_into(acc, a.fx.triples, b.fphi.triples, qn, qd)
+    return _mul_into(acc, a.fphi.triples, b.fx.triples, qn, qd)
 
 
 def wedge(a: Form11, b: Form11) -> Form22:

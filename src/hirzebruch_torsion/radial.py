@@ -19,11 +19,12 @@ The arithmetic runs on integers.  A Radial holds its terms as sorted,
 reduced (key, p, d) triples, and _split's one table holds partial fractions
 as triples too.  Sums, differences, scalar multiples and linear combinations
 add unreduced integer (numerator, denominator) pairs per key in _add_into,
-and products in _mul_into; built then makes the Radial once, one gcd per
-key.  The exact mass sums the same pairs and makes one Fraction per atom of
-the constant span, and the float plan builds integer numerators.  Fraction
-stays at the boundary: the weights given to the constructor and Radial.term,
-the terms view, const_value and the texts.
+and products in _mul_into, each times an integer weight pair; built then
+makes the Radial once, one gcd per key (the constants module's _add_pair
+and _reduced, which its ExactConstant shares).  The exact mass sums the same
+pairs into the triples of an ExactConstant, and the float plan builds
+integer numerators.  Fraction stays at the boundary: the weights given to
+the constructor and Radial.term, the terms view, const_value and the texts.
 
 A Radial evaluates floats through its plan, the exact-to-float set-up of
 Horner sums per log factor, made in one pass over the sorted terms, each
@@ -51,10 +52,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .constants import ONE, ExactConstant, _prime_logs
+from .constants import ONE, ExactConstant, _add_pair, _of_pairs, _prime_logs, _reduced
 from .settings import (DEFAULT_CONFIG, PASS_TOL_FACTOR, SCHEMES,  # noqa: F401 (re-exported)
                        NonConvergence, QuadratureConfig, _fmt)
 
@@ -69,18 +69,6 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 # The partial-fraction rule
 # ---------------------------------------------------------------------------
-
-
-def _add_pair(acc: dict, key, p: int, d: int) -> None:
-    """acc[key] += p/d on an unreduced integer (numerator, denominator) pair."""
-    p0, d0 = acc.get(key, (0, d))
-    acc[key] = (p0 + p, d) if d0 == d else (p0 * d + p * d0, d0 * d)
-
-
-def _reduced(acc: dict) -> tuple:
-    """Sorted triples (key, p, d) of a map of pairs with d > 0: one gcd each, no zeros."""
-    return tuple(sorted((key, p // g, d // g) for key, (p, d) in acc.items()
-                        if p and (g := gcd(p, d))))
 
 
 @lru_cache(maxsize=256)
@@ -131,11 +119,17 @@ def _weight(p: int, d: int):
     return p if d == 1 else Fraction(p, d)
 
 
-def _is_key(key) -> bool:
-    """Whether key is a canonical (b, j, a, k) of integers: b >= 0, and a
-    power of u (a = k = 0 <= j) or a pole power (j = 0, a >= 1, k >= 1)."""
-    return (isinstance(key, tuple) and len(key) == 4 and all(type(x) is int for x in key)
-            and key[0] >= 0 and (key[2] == key[3] == 0 <= key[1] or key[1] == 0 < min(key[2:])))
+def _checked(key, c) -> Tuple[int, int]:
+    """The integer pair of the weight c of key.  A key that is not a canonical
+    (b, j, a, k) of integers, b >= 0 and a power of u (a = k = 0 <= j) or a
+    pole power (j = 0, a >= 1, k >= 1), raises ValueError; a weight that is
+    not an int or Fraction raises TypeError."""
+    if not (isinstance(key, tuple) and len(key) == 4 and all(type(x) is int for x in key)
+            and key[0] >= 0 and (key[2] == key[3] == 0 <= key[1] or key[1] == 0 < min(key[2:]))):
+        raise ValueError(f"{key!r} is not a key (b, j, a, k) of the normal form")
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"the weight of {key!r} is not an int or a Fraction: {c!r}")
+    return c.numerator, c.denominator
 
 
 class Radial:
@@ -155,18 +149,17 @@ class Radial:
         ValueError (Radial.term splits into it), any other weight TypeError."""
         acc: dict = {}
         for key, c in terms.items() if isinstance(terms, dict) else terms:
-            if not _is_key(key):
-                raise ValueError(f"{key!r} is not a key (b, j, a, k) of the normal form")
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"the weight of {key!r} is not an int or a Fraction: {c!r}")
-            _add_pair(acc, key, c.numerator, c.denominator)
+            _add_pair(acc, key, *_checked(key, c))
         self.triples: Tuple[Tuple[TermKey, int, int], ...] = _reduced(acc)
 
     @staticmethod
     def term(c=1, j: int = 0, a: int = 0, k: int = 0, b: int = 0) -> "Radial":
-        """The single term c u^j (1+au)^-k log(1+bu)^[b > 0] (a > 0 when k > 0)."""
-        return built({(b,) + key: (c.numerator * p, c.denominator * d)
-                      for key, p, d in _split(j, a, k)})
+        """The single term c u^j (1+au)^-k log(1+bu)^[b > 0] (a > 0 when k > 0),
+        checked as the constructor checks its keys (b, 0, a, k) and (b, j, 0, 0)."""
+        if k:
+            _checked((b, 0, a, k), c)
+        cn, cd = _checked((b, j, 0, 0), c)
+        return built({(b,) + key: (cn * p, cd * d) for key, p, d in _split(j, a, k)})
 
     # -- inspection ---------------------------------------------------------
 
@@ -240,16 +233,17 @@ class Radial:
     def __mul__(self, other):
         """Product with a rational or with another normal form; a constant
         normal form multiplies as its rational."""
-        if isinstance(other, Radial):
-            if len(other.triples) == 1 and other.triples[0][0] == _CONST:
-                other = _weight(*other.triples[0][1:])
-            elif len(self.triples) == 1 and self.triples[0][0] == _CONST:
-                self, other = other, _weight(*self.triples[0][1:])
         if isinstance(other, (int, Fraction)):
-            return self if other == 1 else built(_add_into({}, self.triples, other))
-        if not isinstance(other, Radial):
+            p, d = other.numerator, other.denominator
+        elif not isinstance(other, Radial):
             return NotImplemented
-        return built(_mul_into({}, self.triples, other.triples))
+        elif len(other.triples) == 1 and other.triples[0][0] == _CONST:
+            _, p, d = other.triples[0]
+        elif len(self.triples) == 1 and self.triples[0][0] == _CONST:
+            self, (_, p, d) = other, self.triples[0]
+        else:
+            return built(_mul_into({}, self.triples, other.triples))
+        return self if p == d else built(_add_into({}, self.triples, p, d))
 
     __rmul__ = __mul__
 
@@ -296,7 +290,7 @@ class Radial:
         for a, (p, d) in acc.items():
             for atom, e in _prime_logs(a) if a else ((ONE, 1),):
                 _add_pair(atoms, atom, p * e, d)
-        return ExactConstant({atom: Fraction(p, d) for atom, (p, d) in atoms.items() if p})
+        return _of_pairs(atoms)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -372,19 +366,17 @@ def _plus(p: list, c, q: list) -> list:
     return [x + c * y for x, y in zip(p, q)] + p[len(q):]
 
 
-def _add_into(acc: dict, triples, q=1) -> dict:
-    """acc += q * triples, for a rational q, on the pairs of _mul_into."""
-    qn, qd = q.numerator, q.denominator
+def _add_into(acc: dict, triples, qn: int = 1, qd: int = 1) -> dict:
+    """acc += qn/qd * triples, for integers qn and qd > 0, on the pairs of _mul_into."""
     for key, p, d in triples:
         _add_pair(acc, key, p * qn, d * qd)
     return acc
 
 
-def _mul_into(acc: dict, triples1, triples2, q=1) -> dict:
-    """acc += q * (triples1 x triples2), acc mapping normal-form keys to
-    integer (numerator, denominator) pairs that nothing reduces until
-    built(acc)."""
-    qn, qd = q.numerator, q.denominator
+def _mul_into(acc: dict, triples1, triples2, qn: int = 1, qd: int = 1) -> dict:
+    """acc += qn/qd * (triples1 x triples2), for integers qn and qd > 0, acc
+    mapping normal-form keys to integer (numerator, denominator) pairs that
+    nothing reduces until built(acc)."""
     if qn != qd:
         triples2 = [(key, p * qn, d * qd) for key, p, d in triples2]
     for (b1, j1, a1, k1), p1, d1 in triples1:
@@ -414,7 +406,7 @@ def linear(pairs) -> Radial:
     """Rational linear combination sum q * f over (q, f) pairs."""
     acc: dict = {}
     for q, f in pairs:
-        _add_into(acc, f.triples, q)
+        _add_into(acc, f.triples, q.numerator, q.denominator)
     return built(acc)
 
 

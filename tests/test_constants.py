@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import math
 import pickle
 import random
 import re
@@ -9,6 +10,7 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hirzebruch_torsion import constants as C
 from hirzebruch_torsion.constants import (
@@ -22,6 +24,7 @@ from hirzebruch_torsion.constants import (
     log_prime_atom,
     log_rational,
 )
+from hirzebruch_torsion.radial import Radial
 
 # Independent reference: (1 + log 2pi)/3 - 4 zeta'(-1) - 2 zeta(-1), evaluated
 # with 40-digit arithmetic out of band.
@@ -175,11 +178,11 @@ class TestNormalFormArithmetic:
     @staticmethod
     def same(got: ExactConstant, coeffs: dict) -> None:
         want = ExactConstant(coeffs)
-        assert [(a, type(q), q) for a, q in got._coeffs.items()] \
-            == [(a, type(q), q) for a, q in want._coeffs.items()]
+        assert [(a, type(q), q) for a, q in got.coeffs.items()] \
+            == [(a, type(q), q) for a, q in want.coeffs.items()]
 
     def check(self, a: ExactConstant, b: ExactConstant, q) -> None:
-        x, y = a._coeffs, b._coeffs
+        x, y = a.coeffs, b.coeffs
         self.same(a + b, {**x, **{t: x.get(t, 0) + c for t, c in y.items()}})
         self.same(a - b, {**x, **{t: x.get(t, 0) - c for t, c in y.items()}})
         self.same(-a, {t: -c for t, c in x.items()})
@@ -209,13 +212,73 @@ class TestNormalFormArithmetic:
         self.check(t, t, Fraction(-1, 2))
         self.check(t, -t, Fraction(-1, 2))
         assert (t - t).is_zero and (t + (-t)).is_zero
-        self.same(log_2pi() - ExactConstant.atom(LOG_PI), log_rational(2)._coeffs)
+        self.same(log_2pi() - ExactConstant.atom(LOG_PI), log_rational(2).coeffs)
 
     def test_scaling_by_zero_and_one(self):
         t = tau_p1_constant()
         assert t.scale(1) is t and t.scale(Fraction(1)) is t
         assert t.scale(0).is_zero and t.scale(Fraction(0)).is_zero
         self.check(ExactConstant.zero(), t, 0)
+
+
+class TestBoundary:
+    """A coefficient enters as an int or a Fraction, and nothing else."""
+
+    @pytest.mark.parametrize("c", [0.1, 1.0, "1/3", None, 1j])
+    def test_a_coefficient_that_is_not_rational_is_refused(self, c):
+        # a float was taken at its binary value: 0.1 became 3602879701896397/2^55
+        for make in (lambda: ExactConstant({ONE: c}), lambda: ExactConstant.rational(c),
+                     lambda: ExactConstant.atom(LOG_PI, c), lambda: log_2pi().scale(c)):
+            with pytest.raises(TypeError, match="is not an int or a Fraction"):
+                make()
+        with pytest.raises(TypeError):
+            log_2pi() * c
+
+    def test_json_text_is_parsed_by_from_json_dict(self):
+        d = {"rational": "1/3", "log_atoms": {"pi": "-2", "5": "3/4"}, "zeta_m1": "7"}
+        c = ExactConstant.from_json_dict(d)
+        assert c == ExactConstant({ONE: Fraction(1, 3), LOG_PI: -2,
+                                   log_prime_atom(5): Fraction(3, 4), ZETA_M1: 7})
+        assert c.to_json_dict() == {**d, "zeta_prime_m1": "0"}
+
+
+def assert_canonical(c: ExactConstant) -> None:
+    """Triples in atom order, reduced integers with d > 0 and p != 0, which the
+    constructor rebuilds from the coeffs view; a rational hashes like its Fraction."""
+    keys = [a.sort_key() for a, _, _ in c.triples]
+    assert keys == sorted(set(keys)), c.triples
+    for a, p, d in c.triples:
+        assert isinstance(a, C.ConstantAtom) and type(p) is int and type(d) is int, c.triples
+        assert p != 0 and d > 0 and math.gcd(p, d) == 1, c.triples
+    assert ExactConstant(c.coeffs) == c
+    if c.is_rational:
+        assert c == c.rational_part and hash(c) == hash(c.rational_part)
+
+
+ATOMS = [ONE, LOG_PI, log_prime_atom(2), log_prime_atom(3), log_prime_atom(7),
+         ZETA_PRIME_M1, ZETA_M1]
+RATIONALS = st.fractions(-30, 30, max_denominator=12)
+CONSTANTS = st.dictionaries(st.sampled_from(ATOMS), RATIONALS | st.integers(-5, 5),
+                            max_size=5).map(ExactConstant)
+
+
+class TestTriples:
+    """Every operation builds its constant as canonical triples."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=CONSTANTS, b=CONSTANTS, q=RATIONALS, data=st.data(),
+           r=st.fractions(Fraction(1, 500), 500, max_denominator=500))
+    def test_every_constant_is_canonical(self, a, b, q, r, data):
+        pole, k = data.draw(st.sampled_from((1, 2, 6, 10))), data.draw(st.integers(2, 4))
+        log = data.draw(st.sampled_from((0, 1, 3, 10)))
+        f = (Radial.term(q, a=pole, k=k, b=log) + Radial.term(a=1, k=1)
+             - Radial.term(pole, a=pole, k=1))
+        rational = ExactConstant.rational(q)
+        for c in (a, b, a + b, a - b, b - b, -a, a.scale(q), a.scale(0), a.scale(-1), a * q,
+                  q * b, rational * a, b * rational, rational * rational, f.mass,
+                  log_rational(r), log_rational(r) - a,
+                  ExactConstant.from_json_dict(a.to_json_dict())):
+            assert_canonical(c)
 
 
 class TestLogRational:

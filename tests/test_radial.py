@@ -348,6 +348,22 @@ class TestNormalForm:
         with pytest.raises(TypeError, match=r"^the weight of \(0, 0, 0, 0\) is not an int or a "):
             Radial({(0, 0, 0, 0): c})
 
+    def test_a_term_refuses_a_pole_inside_the_half_line(self):
+        # (1 - u)^-2 has its pole at u = 1
+        with pytest.raises(ValueError, match=re.escape("(0, 0, -1, 2) is not a key")):
+            Radial.term(1, a=-1, k=2)
+
+    def test_a_term_refuses_a_pole_power_without_a_base(self):
+        with pytest.raises(ValueError, match=re.escape("(0, 0, 0, 2) is not a key")):
+            Radial.term(1, a=0, k=2)
+        with pytest.raises(ValueError, match=re.escape("(0, -1, 0, 0) is not a key")):
+            Radial.term(1, j=-1, a=1, k=1)  # u^-1 would not end its split
+
+    def test_a_term_refuses_a_weight_that_is_not_rational(self):
+        with pytest.raises(TypeError, match=r"^the weight of \(0, 0, 1, 2\) is not an int or a "):
+            Radial.term(0.5, a=1, k=2)
+        assert Radial.term(Fraction(1, 2), a=1, k=2) == Radial({(0, 0, 1, 2): Fraction(1, 2)})
+
 
 @st.composite
 def integrands(draw, n):

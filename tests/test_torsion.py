@@ -673,8 +673,8 @@ class TestSetUpBudget:
             assert calls.get(name, 0) <= 1, name
 
     def test_fractions_per_quad_checks_item(self, monkeypatch):
-        # the radial core runs on integer triples: a Fraction is made only at
-        # its boundary, one per atom of each exact mass
+        # the radial core and its exact masses run on integers: a Fraction
+        # is made only where the checks write a rational weight or value
         torsion.named_integrals(3, CFG)
         torsion.hodge_l2_checks(3, CFG)
         made = counted_fractions(monkeypatch)
@@ -682,7 +682,7 @@ class TestSetUpBudget:
         for n in ns:
             torsion.named_integrals(n, CFG)
             torsion.hodge_l2_checks(n, CFG)
-        assert len(made) / len(ns) <= 50
+        assert len(made) / len(ns) <= 30
 
     def test_star_ratios_are_built_once_per_n(self):
         # the 6 star derivations of a record pair share one R/B and B/R
@@ -739,14 +739,23 @@ class TestRingBudget:
         assert per_call["degree2_relation_rhs"] <= 1
 
     def test_fractions_per_main_theorem(self, monkeypatch):
-        # Fraction only at the radial core's boundary; the rest are the exact
-        # constants' own
+        # the radial core, the exact constants and the ring's weights run on
+        # integers: a Fraction is made only at their boundaries
         torsion.main_theorem(3)
         made = counted_fractions(monkeypatch)
         ns = range(20, 40)
         for n in ns:
             torsion.main_theorem(n)
-        assert len(made) / len(ns) <= 265
+        assert len(made) / len(ns) <= 60
+
+    def test_fractions_per_height(self, monkeypatch):
+        # one Fraction, the height itself as the rational part of the degree
+        torsion.height(3)
+        made = counted_fractions(monkeypatch)
+        ns = range(20, 40)
+        for n in ns:
+            torsion.height(n)
+        assert len(made) / len(ns) <= 2
 
     def test_dd_c_is_derived_once_per_potential(self):
         # the products take dd^c of +-log R and +-log R / 2 only, each once
