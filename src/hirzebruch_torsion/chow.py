@@ -61,7 +61,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from . import forms, radial
 from .constants import (LOG_PI, ONE, ZETA_M1, ZETA_PRIME_M1, ConstantAtom, ExactConstant,
-                        _add_pair, _of_pairs, log_2pi, log_prime_atom)
+                        _add_pair, _pair, log_2pi, log_prime_atom)
 from .forms import Form11, Form22
 from .radial import RADIAL_ONE, Radial
 
@@ -81,10 +81,6 @@ SlotT = Tuple[int, ConstantAtom]  # (degree, ring constant key) of an analytic p
 
 class ChowError(Exception):
     """Base error for the intersection engine."""
-
-
-class IncompleteReduction(ChowError):
-    """A top-degree class kept a non-analytic monomial after rewriting."""
 
 
 class PipelineInconsistency(ChowError):
@@ -145,7 +141,7 @@ def _ring_items(coeff: ExactConstant) -> tuple:
     acc[ZETA_PRIME_M1] = zp, 2 * zd
     _add_pair(acc, log_prime_atom(2), -lp, ld)
     _add_pair(acc, ZETA_M1, -zp, 2 * zd)
-    return _of_pairs(acc).triples
+    return ExactConstant._made(acc).triples
 
 
 def _key_constant(key: ConstantAtom, q=1) -> ExactConstant:
@@ -319,11 +315,12 @@ def linear(pairs: Iterable[Tuple[Union[int, Fraction], ChowClass]]) -> ChowClass
     fills: dict = {}
     for q, c in pairs:
         _check_compatible(first, c)
+        qp, qd = _pair(q, "the weight")
         for m, coeff in c.poly.items():
-            coeff = coeff.scale(q)
+            coeff = coeff._scaled(qp, qd)
             poly[m] = poly[m] + coeff if m in poly else coeff
         for slot, form in c.forms.items():
-            fills.setdefault(slot, []).append((q.numerator, q.denominator, form))
+            fills.setdefault(slot, []).append((qp, qd, form))
     return _assemble(first.n, first.variety, poly, _summed(first.n, fills))
 
 
@@ -567,11 +564,9 @@ def _top_forms(c: ChowClass, trace: Optional[list]):
     """The ring's items of the reduced class, refused unless all of top degree."""
     c = reduce(c, trace)
     top = top_degree(c.variety)
+    # reduced exponents are at most 1: a class that passes has no monomial left
     if any(sum(m) != top for m in c.poly) or any(d != top for d, _ in c.forms):
         raise ChowError("pushforward_deg expects a homogeneous top-degree class")
-    if c.poly:
-        raise IncompleteReduction(
-            f"non-analytic monomials {list(c.poly)} survived reduction")
     return c.forms.items()
 
 

@@ -10,14 +10,15 @@ decidable by normal form: log(2*pi), log(n+1), log((n+2)/2) all reduce to
 prime logarithms plus log(pi).  zeta(-1) is kept as an atom for display even
 though it equals -1/12; numerical evaluation substitutes the exact rational.
 
-The arithmetic runs on integers.  An ExactConstant holds its terms as
-sorted, reduced (atom, p, d) triples; sums, differences, scalings and
-rational products add and multiply integer (numerator, denominator) pairs,
-one gcd per atom (_add_pair and _reduced, which the radial masses and the
-ring's weights share).  Fraction stays at the boundary: the coefficients
-given to the constructor, the items, coeffs, coefficient and rational_part
-views made on each read, and the text and JSON output.  Values are
-immutable and all operations are pure.
+The engine's exact coefficient arithmetic lives here, once, on integers:
+a Combination (an ExactConstant, keyed by atoms, or a radial.Radial, keyed
+by normal-form terms) holds sorted, reduced (key, p, d) triples, and sums
+them in unreduced (numerator, denominator) pairs with one gcd per key
+(_add_pair and _reduced, which the radial masses and the ring's weights
+share).  A rational enters as an int or a Fraction, or raises TypeError.
+Fraction stays at the boundary: the coefficients given to the constructor,
+the items, coeffs, coefficient and rational_part views made on each read,
+and the text and JSON output.  Values are immutable; operations are pure.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import weakref
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -213,27 +214,116 @@ def _factored_log_prime(p: int) -> ConstantAtom:
 
 
 # ---------------------------------------------------------------------------
-# ExactConstant
+# Combination and ExactConstant
 # ---------------------------------------------------------------------------
 
 
-class ExactConstant:
-    """A finite Q-linear combination of atoms: triples (atom, p, d) in atom
-    order, each coefficient p/d reduced with d > 0 and p != 0.  Equal values
-    have equal triples, under the working assumption that the atoms are
-    Q-linearly independent.  The constructor, rational, atom and scale take
-    int or Fraction coefficients and refuse any other with TypeError."""
+def _add_pair(acc: dict, key, p: int, d: int) -> None:
+    """acc[key] += p/d on an unreduced integer (numerator, denominator) pair."""
+    p0, d0 = acc.get(key, (0, d))
+    acc[key] = (p0 + p, d) if d0 == d else (p0 * d + p * d0, d0 * d)
+
+
+def _reduced(acc: dict, order=None) -> tuple:
+    """The triples (key, p, d) of a map of pairs with d > 0, one gcd each and
+    no zeros, sorted (by the key function order when given)."""
+    return tuple(sorted(((key, p // g, d // g) for key, (p, d) in acc.items()
+                         if p and (g := gcd(p, d))), key=order))
+
+
+def _pair(q, what: str) -> Tuple[int, int]:
+    """The integer pair of an int or Fraction q, named what if it is neither."""
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"{what} is not an int or a Fraction: {q!r}")
+    return q.numerator, q.denominator
+
+
+class Combination:
+    """A finite Q-linear combination of keys as sorted triples (key, p, d),
+    each p/d reduced with d > 0 and p != 0, so equal values have equal
+    triples; sums, differences, negation and rational multiples.  A subclass
+    gives _checked, the pair of one coefficient given to the constructor (a
+    TypeError for any but an int or a Fraction), and _order, the sort key of
+    a triple (None: by key); _made may make its values its own way."""
 
     __slots__ = ("triples",)
+    _order = None
 
-    def __init__(self, coeffs: Mapping[ConstantAtom, RationalLike] | None = None):
-        acc = {}
-        for atom, c in (coeffs or {}).items():
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"the coefficient of {atom.label()} is not an int or a "
-                                f"Fraction: {c!r}")
-            acc[atom] = c.numerator, c.denominator
-        self.triples: Tuple[Tuple[ConstantAtom, int, int], ...] = _reduced(acc, _atom_order)
+    def __init__(self, terms=()):
+        """terms: a mapping or pairs from keys to int or Fraction
+        coefficients, summed per key."""
+        acc: dict = {}
+        for key, c in terms.items() if hasattr(terms, "items") else terms:
+            _add_pair(acc, key, *self._checked(key, c))
+        self.triples: tuple = _reduced(acc, self._order)
+
+    @classmethod
+    def _normal(cls, triples: tuple):
+        """The value of triples that are canonical already."""
+        out = cls.__new__(cls)
+        out.triples = triples
+        return out
+
+    @classmethod
+    def _made(cls, acc: dict):
+        """The value of a map from keys to unreduced pairs (p, d), d > 0."""
+        return cls._normal(_reduced(acc, cls._order))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.triples
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.triples == other.triples
+
+    def __add__(self, other):
+        return self._plus(other, 1) if type(other) is type(self) else NotImplemented
+
+    def __sub__(self, other):
+        return self._plus(other, -1) if type(other) is type(self) else NotImplemented
+
+    def __neg__(self):
+        return self._normal(tuple((key, -p, d) for key, p, d in self.triples))
+
+    def _plus(self, other: "Combination", sign: int):
+        """self + sign * other, summed in integer pairs per key."""
+        if not other.triples:
+            return self
+        if not self.triples and sign == 1:
+            return other
+        acc = {key: (p, d) for key, p, d in self.triples}
+        for key, p, d in other.triples:
+            _add_pair(acc, key, sign * p, d)
+        return self._made(acc)
+
+    def _scaled(self, qp: int, qd: int):
+        """self * qp/qd, for a reduced pair with qd > 0."""
+        if qp == qd:
+            return self
+        if not qp:
+            return self._normal(())
+        return self._normal(tuple((key, p * qp // g, d * qd // g) for key, p, d in self.triples
+                                  if (g := gcd(p * qp, d * qd))))
+
+
+class ExactConstant(Combination):
+    """A finite Q-linear combination of atoms: triples (atom, p, d) in atom
+    order.  Equal values have equal triples, under the working assumption
+    that the atoms are Q-linearly independent.  The constructor, rational,
+    atom and scale take int or Fraction coefficients and refuse any other
+    with TypeError."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _checked(atom: ConstantAtom, c) -> Tuple[int, int]:
+        if isinstance(c, (int, Fraction)):
+            return c.numerator, c.denominator
+        raise TypeError(f"the coefficient of {atom.label()} is not an int or a Fraction: {c!r}")
+
+    @staticmethod
+    def _order(triple: tuple) -> Tuple[int, int]:
+        return triple[0].sort_key()
 
     # -- constructors ------------------------------------------------------
 
@@ -243,11 +333,12 @@ class ExactConstant:
 
     @staticmethod
     def rational(q: RationalLike) -> "ExactConstant":
-        return ExactConstant({ONE: q})
+        return ExactConstant.atom(ONE, q)
 
     @staticmethod
     def atom(a: ConstantAtom, q: RationalLike = 1) -> "ExactConstant":
-        return ExactConstant({a: q})
+        p, d = ExactConstant._checked(a, q)  # one reduced pair is canonical as it is
+        return ExactConstant._normal(((a, p, d),) if p else ())
 
     # -- inspection --------------------------------------------------------
 
@@ -264,10 +355,6 @@ class ExactConstant:
         return next((Fraction(p, d) for atom, p, d in self.triples if atom is a), _NO_COEFFICIENT)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.triples
-
-    @property
     def is_rational(self) -> bool:
         t = self.triples
         return not t or (len(t) == 1 and t[0][0] is ONE)
@@ -278,39 +365,8 @@ class ExactConstant:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "ExactConstant") -> "ExactConstant":
-        return self._plus(other, 1)
-
-    def __neg__(self) -> "ExactConstant":
-        return _normal(tuple((a, -p, d) for a, p, d in self.triples))
-
-    def __sub__(self, other: "ExactConstant") -> "ExactConstant":
-        return self._plus(other, -1)
-
-    def _plus(self, other: "ExactConstant", sign: int) -> "ExactConstant":
-        """self + sign * other, summed in integer pairs per atom."""
-        if not other.triples:
-            return self
-        if not self.triples and sign == 1:
-            return other
-        acc = {a: (p, d) for a, p, d in self.triples}
-        for a, p, d in other.triples:
-            _add_pair(acc, a, sign * p, d)
-        return _of_pairs(acc)
-
     def scale(self, q: RationalLike) -> "ExactConstant":
-        if not isinstance(q, (int, Fraction)):
-            raise TypeError(f"the scalar is not an int or a Fraction: {q!r}")
-        return self._scaled(q.numerator, q.denominator)
-
-    def _scaled(self, qp: int, qd: int) -> "ExactConstant":
-        """self * qp/qd, for a reduced pair with qd > 0."""
-        if qp == qd:
-            return self
-        if not qp:
-            return _normal(())
-        return _normal(tuple((a, p * qp // g, d * qd // g) for a, p, d in self.triples
-                             if (g := gcd(p * qp, d * qd))))
+        return self._scaled(*_pair(q, "the scalar"))
 
     def __mul__(self, other: Union["ExactConstant", RationalLike]) -> "ExactConstant":
         if not isinstance(other, ExactConstant):
@@ -322,14 +378,14 @@ class ExactConstant:
                 f"product of non-rational constants ({self}) * ({other}); "
                 "results of the pipelines are linear in transcendental atoms"
             )
-        return self._scaled(*other.triples[0][1:]) if other.triples else _normal(())
+        return self._scaled(*other.triples[0][1:]) if other.triples else self._normal(())
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             return self.triples == (((ONE, other.numerator, other.denominator),) if other else ())
-        return isinstance(other, ExactConstant) and self.triples == other.triples
+        return Combination.__eq__(self, other)
 
     def __hash__(self) -> int:
         if self.is_rational:
@@ -384,35 +440,6 @@ class ExactConstant:
         return ExactConstant(coeffs)
 
 
-def _add_pair(acc: dict, key, p: int, d: int) -> None:
-    """acc[key] += p/d on an unreduced integer (numerator, denominator) pair."""
-    p0, d0 = acc.get(key, (0, d))
-    acc[key] = (p0 + p, d) if d0 == d else (p0 * d + p * d0, d0 * d)
-
-
-def _reduced(acc: dict, order=None) -> tuple:
-    """The triples (key, p, d) of a map of pairs with d > 0, one gcd each and
-    no zeros, sorted (by the key function order when given)."""
-    return tuple(sorted(((key, p // g, d // g) for key, (p, d) in acc.items()
-                         if p and (g := gcd(p, d))), key=order))
-
-
-def _atom_order(triple: tuple) -> Tuple[int, int]:
-    return triple[0].sort_key()
-
-
-def _normal(triples: tuple) -> ExactConstant:
-    """The ExactConstant of triples that are canonical already."""
-    out = ExactConstant.__new__(ExactConstant)
-    out.triples = triples
-    return out
-
-
-def _of_pairs(acc: dict) -> ExactConstant:
-    """The ExactConstant of a map from atoms to unreduced pairs (p, d), d > 0."""
-    return _normal(_reduced(acc, _atom_order))
-
-
 # ---------------------------------------------------------------------------
 # Logarithms of rationals
 # ---------------------------------------------------------------------------
@@ -426,14 +453,13 @@ def _prime_logs(m: int) -> Tuple[Tuple[ConstantAtom, int], ...]:
 
 
 def log_rational(q: RationalLike) -> ExactConstant:
-    """Decompose log(q) for q > 0 into prime-log atoms."""
-    if not isinstance(q, (int, Fraction)):
-        q = Fraction(q)
-    if q <= 0:
+    """Decompose log(q) for q > 0, an int or a Fraction, into prime-log atoms."""
+    p, d = _pair(q, "the argument of log_rational")
+    if p <= 0:
         raise ValueError(f"log_rational needs a positive rational, got {q}")
     # numerator and denominator are coprime: no prime is in both
-    coeffs = dict(_prime_logs(q.numerator))
-    coeffs.update((atom, -e) for atom, e in _prime_logs(q.denominator))
+    coeffs = dict(_prime_logs(p))
+    coeffs.update((atom, -e) for atom, e in _prime_logs(d))
     return ExactConstant(coeffs)
 
 

@@ -15,14 +15,13 @@ integrate the rational part, and one integration by parts turns
 log(1+bu)/(1+au)^k into a rational integrand.  A simple pole times a log
 would need a dilogarithm and is refused.
 
-The arithmetic runs on integers.  A Radial holds its terms as sorted,
-reduced (key, p, d) triples, and _split's one table holds partial fractions
-as triples too.  Sums, differences, scalar multiples and linear combinations
-add unreduced integer (numerator, denominator) pairs per key in _add_into,
-and products in _mul_into, each times an integer weight pair; built then
-makes the Radial once, one gcd per key (the constants module's _add_pair
-and _reduced, which its ExactConstant shares).  The exact mass sums the same
-pairs into the triples of an ExactConstant, and the float plan builds
+The arithmetic runs on integers (see the constants module): a Radial is a
+constants.Combination of reduced (key, p, d) triples, which gives its sums,
+differences, negation and rational multiples, and _split's one table holds
+partial fractions as triples too.  _add_into (linear combinations) and
+_mul_into (products) add unreduced integer pairs per key, each times an
+integer weight pair, and built makes the Radial once, one gcd per key; the
+exact mass sums the same pairs into an ExactConstant, and the plan builds
 integer numerators.  Fraction stays at the boundary: the weights given to
 the constructor and Radial.term, the terms view, const_value and the texts.
 
@@ -54,7 +53,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .constants import ONE, ExactConstant, _add_pair, _of_pairs, _prime_logs, _reduced
+from .constants import ONE, Combination, ExactConstant, _add_pair, _pair, _prime_logs, _reduced
 from .settings import (DEFAULT_CONFIG, PASS_TOL_FACTOR, SCHEMES,  # noqa: F401 (re-exported)
                        NonConvergence, QuadratureConfig, _fmt)
 
@@ -132,25 +131,27 @@ def _checked(key, c) -> Tuple[int, int]:
     return c.numerator, c.denominator
 
 
-class Radial:
+class Radial(Combination):
     """A radial function in normal form: a sum of weighted terms
     u^j (1+au)^-k log(1+bu)^[b > 0], keyed by (b, j, a, k).
 
     Canonical: every term is a power of u (k = 0, stored with a = 0) or a
     pole power (j = 0, k >= 1); b = 0 means no log factor.  The weights are
-    held as sorted triples (key, p, d), p/d reduced with d > 0 and p != 0.
-    Partial fractions over distinct pole bases are unique, so equal functions
-    have equal triples, and the triples are the key.
+    held as triples (key, p, d) sorted by key, as a constants.Combination
+    holds them, which also gives the sums, differences and rational
+    multiples.  Partial fractions over distinct pole bases are unique, so
+    equal functions have equal triples, and the triples are the key.
+
+    The constructor takes a mapping or pairs from canonical keys to int or
+    Fraction weights, summed per key.  A key outside the normal form raises
+    ValueError (Radial.term splits into it), any other weight TypeError.
     """
 
-    def __init__(self, terms=()):
-        """terms: a mapping or pairs from canonical keys to int or Fraction
-        weights, summed per key.  A key outside the normal form raises
-        ValueError (Radial.term splits into it), any other weight TypeError."""
-        acc: dict = {}
-        for key, c in terms.items() if isinstance(terms, dict) else terms:
-            _add_pair(acc, key, *_checked(key, c))
-        self.triples: Tuple[Tuple[TermKey, int, int], ...] = _reduced(acc)
+    _checked = staticmethod(_checked)
+
+    @staticmethod
+    def _made(acc: dict) -> "Radial":
+        return built(acc)  # by its module name, where the budget tests count builds
 
     @staticmethod
     def term(c=1, j: int = 0, a: int = 0, k: int = 0, b: int = 0) -> "Radial":
@@ -167,10 +168,6 @@ class Radial:
     def terms(self) -> tuple:
         """The (key, weight) pairs, integral weights as int, made on each read."""
         return tuple((key, _weight(p, d)) for key, p, d in self.triples)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.triples
 
     def __bool__(self) -> bool:
         return bool(self.triples)
@@ -195,9 +192,6 @@ class Radial:
                 _add_pair(tails, b, p, d * a)
         return not any(p for p, _ in tails.values())
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Radial) and self.triples == other.triples
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -213,23 +207,6 @@ class Radial:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: "Radial") -> "Radial":
-        if not isinstance(other, Radial):
-            return NotImplemented
-        if not other.triples:
-            return self
-        if not self.triples:
-            return other
-        return built(_add_into(_add_into({}, self.triples), other.triples))
-
-    def __neg__(self) -> "Radial":
-        return built(_add_into({}, self.triples, -1))
-
-    def __sub__(self, other: "Radial") -> "Radial":
-        if not isinstance(other, Radial):
-            return NotImplemented
-        return built(_add_into(_add_into({}, self.triples), other.triples, -1))
-
     def __mul__(self, other):
         """Product with a rational or with another normal form; a constant
         normal form multiplies as its rational."""
@@ -243,7 +220,7 @@ class Radial:
             self, (_, p, d) = other, self.triples[0]
         else:
             return built(_mul_into({}, self.triples, other.triples))
-        return self if p == d else built(_add_into({}, self.triples, p, d))
+        return self._scaled(p, d)
 
     __rmul__ = __mul__
 
@@ -290,7 +267,7 @@ class Radial:
         for a, (p, d) in acc.items():
             for atom, e in _prime_logs(a) if a else ((ONE, 1),):
                 _add_pair(atoms, atom, p * e, d)
-        return _of_pairs(atoms)
+        return ExactConstant._made(atoms)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -393,9 +370,7 @@ def _mul_into(acc: dict, triples1, triples2, qn: int = 1, qd: int = 1) -> dict:
 def built(acc: dict) -> Radial:
     """The Radial of a map that _add_into or _mul_into filled, with one gcd
     per key; its triples are canonical as built."""
-    out = Radial.__new__(Radial)
-    out.triples = _reduced(acc)
-    return out
+    return Radial._normal(_reduced(acc))
 
 
 RADIAL_ZERO = Radial()
@@ -403,10 +378,11 @@ RADIAL_ONE = Radial.term()
 
 
 def linear(pairs) -> Radial:
-    """Rational linear combination sum q * f over (q, f) pairs."""
+    """Rational linear combination sum q * f over (q, f) pairs, int or
+    Fraction weights q."""
     acc: dict = {}
     for q, f in pairs:
-        _add_into(acc, f.triples, q.numerator, q.denominator)
+        _add_into(acc, f.triples, *_pair(q, "the weight"))
     return built(acc)
 
 

@@ -14,7 +14,6 @@ from hirzebruch_torsion.chow import (
     BASE,
     SURFACE,
     ChowClass,
-    IncompleteReduction,
     PipelineInconsistency,
     a_class,
     add,

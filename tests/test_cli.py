@@ -191,7 +191,8 @@ class TestTraceAndErrors:
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert proc.stdout.readline().startswith(b"PASS")
         proc.stdout.close()
-        err = proc.stderr.read().decode()
+        with proc.stderr:
+            err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 141
         assert "Traceback" not in err and err == ""
 

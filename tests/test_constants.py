@@ -8,10 +8,12 @@ import random
 import re
 import threading
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hirzebruch_torsion import chow, forms, radial
 from hirzebruch_torsion import constants as C
 from hirzebruch_torsion.constants import (
     ExactConstant,
@@ -24,7 +26,7 @@ from hirzebruch_torsion.constants import (
     log_prime_atom,
     log_rational,
 )
-from hirzebruch_torsion.radial import Radial
+from hirzebruch_torsion.radial import RADIAL_ONE, Radial
 
 # Independent reference: (1 + log 2pi)/3 - 4 zeta'(-1) - 2 zeta(-1), evaluated
 # with 40-digit arithmetic out of band.
@@ -226,9 +228,14 @@ class TestBoundary:
 
     @pytest.mark.parametrize("c", [0.1, 1.0, "1/3", None, 1j])
     def test_a_coefficient_that_is_not_rational_is_refused(self, c):
-        # a float was taken at its binary value: 0.1 became 3602879701896397/2^55
+        # a float was taken at its binary value: 0.1 became 3602879701896397/2^55,
+        # and a weight of linear or combine ended in AttributeError
+        a_form = chow.a_class(3, 1, RADIAL_ONE)
         for make in (lambda: ExactConstant({ONE: c}), lambda: ExactConstant.rational(c),
-                     lambda: ExactConstant.atom(LOG_PI, c), lambda: log_2pi().scale(c)):
+                     lambda: ExactConstant.atom(LOG_PI, c), lambda: log_2pi().scale(c),
+                     lambda: log_rational(c), lambda: radial.linear([(c, RADIAL_ONE)]),
+                     lambda: chow.linear([(c, a_form)]),
+                     lambda: forms.combine(3, [(c, forms.alpha_form(3))])):
             with pytest.raises(TypeError, match="is not an int or a Fraction"):
                 make()
         with pytest.raises(TypeError):
@@ -240,6 +247,32 @@ class TestBoundary:
         assert c == ExactConstant({ONE: Fraction(1, 3), LOG_PI: -2,
                                    log_prime_atom(5): Fraction(3, 4), ZETA_M1: 7})
         assert c.to_json_dict() == {**d, "zeta_prime_m1": "0"}
+
+
+class TestOneArithmetic:
+    """The constants and the normal forms share one copy of the arithmetic on
+    their triples, constants.Combination's."""
+
+    def test_each_class_inherits_the_triple_arithmetic(self):
+        for cls in (ExactConstant, Radial):
+            assert issubclass(cls, C.Combination)
+            for method in ("__add__", "__sub__", "__neg__", "_plus", "_scaled", "is_zero"):
+                assert method not in vars(cls), (cls, method)
+
+    def test_one_constructor_sums_a_mapping_or_pairs(self):
+        key = (0, 1, 0, 0)
+        for cls, k in ((ExactConstant, LOG_PI), (Radial, key)):
+            want = cls({k: 3})
+            assert cls(MappingProxyType({k: 3})) == want
+            assert cls([(k, 1), (k, Fraction(2))]) == want
+            assert cls([(k, 1), (k, -1)]).is_zero
+
+    def test_a_value_equals_and_sums_only_its_own_class(self):
+        assert ExactConstant() != Radial() and Radial() != ExactConstant()
+        with pytest.raises(TypeError):
+            ExactConstant.rational(1) + RADIAL_ONE
+        with pytest.raises(TypeError):
+            RADIAL_ONE - ExactConstant.rational(1)
 
 
 def assert_canonical(c: ExactConstant) -> None:
