@@ -15,15 +15,15 @@ in the normal form of the coefficients, so equally assembled classes have
 equal parts whatever the order of assembly.  The ring constants are the
 atoms with log(2 pi) for log(pi) and R1 = 2 zeta'(-1) + zeta(-1) for
 zeta'(-1), keyed by the atoms they replace: the pipelines attach forms to no
-other constants, so each such form is wedged and built once.  Each slot is
-summed in integer (numerator, denominator) pairs and built once: a product
-sums its wedges and curvature images in radial._mul_into's maps and rewrites
-its own xhat^2 and ahat^2 monomials into them (_normalised, shared with
-reduce); a rewrite and linear (which add, sub and scale call) sum in
-radial._add_into's pairs.  A slot that one form fills alone, with weight 1,
-keeps that form.  In top degree a(g) depends only on the mass of g (every
-exact form integrates to 0), so top-degree parts compare by their exact
-mass.  Classes compare, and test for zero, by their normal forms.
+other constants, so each such form is wedged and built once.  Every slot is
+summed through one accumulator (_add): a slot that one form gives alone,
+with weight 1, keeps that form; any other is summed in integer (numerator,
+denominator) pair maps (_maps), by radial._add_into and _mul_into, and built
+once (_finished).  The constructor, linear, the rewrite of reduce and mul, a
+product's wedges, the pushforward and top_slots all sum through it.  In top
+degree a(g) depends only on the mass of g (every exact form integrates to
+0), so top-degree parts compare by their exact mass.  Classes compare, and
+test for zero, by their normal forms.
 
 The rewrite system reduces every polynomial to the normal form with
 exponents at most 1 in each generator:
@@ -32,9 +32,10 @@ exponents at most 1 in each generator:
     ahat^2            -> (n+2) xhat ahat + a(alpha - (n+1) base - R * base)
 
 with the analytic remainder wedged against the curvature image of whatever
-monomial multiplies the relation.  Products of analytic terms use
-a(eta) * a(eta') = a(dd^c eta ^ eta') with dd^c on the lower-degree factor
-(representatives differ by im d' + im d'', which every degree map kills).
+monomial multiplies the relation.  One rule multiplies every term by an
+analytic one, a(eta) * y = a(eta ^ omega(y)), so a(eta) * a(eta') =
+a(eta ^ dd^c eta') with dd^c on the lower-degree factor (representatives
+differ by im d' + im d'', which every degree map kills).
 Analytic terms have degree at least 1, so within the arithmetic dimension
 that lower factor is always a 0-form: dd^c is taken of 0-forms only (on
 the base line, a top form), and a constant has none, so its products with
@@ -63,7 +64,7 @@ from . import forms, radial
 from .constants import (LOG_PI, ONE, ZETA_M1, ZETA_PRIME_M1, ConstantAtom, ExactConstant,
                         _add_pair, _pair, log_2pi, log_prime_atom)
 from .forms import Form11, Form22
-from .radial import RADIAL_ONE, Radial
+from .radial import RADIAL_ONE, RADIAL_ZERO, Radial
 
 SURFACE = "S_n"
 BASE = "P1"
@@ -150,36 +151,50 @@ def _key_constant(key: ConstantAtom, q=1) -> ExactConstant:
     return ExactConstant.atom(key, q) if c is None else c.scale(q)
 
 
-def _fill(fills: dict, coeff: ExactConstant, form, variety: str) -> None:
-    """fills += a(coeff * form): one (p, d, form) fill of the slot (degree, key)
-    per ring constant of coeff, of weight p/d; a vanishing form fills nothing."""
+def _add(acc: dict, slot, p: int, d: int, form: FormT) -> None:
+    """acc[slot] += p/d * form.  acc maps each slot to the form that first
+    gave it with weight 1, kept as it is, or to _maps's integer-pair maps."""
+    if p == d and slot not in acc:
+        acc[slot] = form
+    else:
+        for m, part in zip(_maps(acc, slot, type(form)), _parts(form)):
+            radial._add_into(m, part.triples, p, d)
+
+
+def _maps(acc: dict, slot, kind) -> list:
+    """The pair maps of acc[slot], one per radial coefficient of kind, made
+    on first use with the slot's kept form folded in."""
+    entry = acc.get(slot)
+    if type(entry) is not tuple:
+        parts = (RADIAL_ZERO,) * (2 if kind is Form11 else 1) if entry is None else _parts(entry)
+        entry = acc[slot] = kind, [{key: (p, d) for key, p, d in part.triples} for part in parts]
+    return entry[1]
+
+
+def _fill(acc: dict, coeff: ExactConstant, form, variety: str) -> None:
+    """acc += a(coeff * form): p/d * form in the slot (degree, key) of each
+    ring constant of coeff; a vanishing form adds nothing."""
     if form:
         degree = _form_degree(form, variety)
         for key, p, d in _ring_items(coeff):
-            fills.setdefault((degree, key), []).append((p, d, form))
+            _add(acc, (degree, key), p, d, form)
 
 
-def _built(n: int, kind, maps) -> FormT:
-    parts = [radial.built(m) for m in maps]
-    return parts[0] if kind is Radial else kind(n, *parts)
-
-
-def _summed(n: int, fills: dict) -> Dict[SlotT, FormT]:
-    """The form of each slot, the sum of p/d * form over its fills, summed in
-    the integer pairs of radial._add_into and built once; a form that fills
-    its slot alone with weight 1 is kept as it is."""
+def _finished(n: int, acc: dict) -> Dict[SlotT, FormT]:
+    """The nonzero forms of acc in slot order, each map built once; a slot of
+    two transcendental atoms (see _pair_slot) must sum to 0."""
     out: Dict[SlotT, FormT] = {}
-    for slot, items in fills.items():
-        p, d, form = items[0]
-        if len(items) == 1 and p == d:
-            out[slot] = form
-            continue
-        maps = [{} for _ in _parts(form)]
-        for p, d, form in items:
-            for m, part in zip(maps, _parts(form)):
-                radial._add_into(m, part.triples, p, d)
-        out[slot] = _built(n, type(form), maps)
-    return out
+    for slot, entry in acc.items():
+        if type(entry) is tuple:
+            kind, maps = entry
+            if len(slot) == 3:
+                if any(p for m in maps for p, _ in m.values()):
+                    _key_constant(slot[1]) * _key_constant(slot[2])  # raises NonRationalProduct
+                continue
+            parts = [radial.built(m) for m in maps]
+            entry = parts[0] if kind is Radial else kind(n, *parts)
+        out[slot] = entry
+    return {s: out[s] for s in sorted(out, key=lambda s: (s[0], s[1].sort_key())) if out[s]}
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +217,10 @@ class ChowClass:
             raise ValueError("the base model has no tautological generator")
         self.n, self.variety = n, variety
         self.poly = {m: poly[m] for m in sorted(poly) if not poly[m].is_zero}
-        fills: dict = {}
+        acc: dict = {}
         for coeff, form in analytic or ():
-            _fill(fills, _ec(coeff), form, variety)
-        self.forms = _clean(_summed(n, fills)) if fills else {}
+            _fill(acc, _ec(coeff), form, variety)
+        self.forms = _finished(n, acc) if acc else {}
 
     # -- inspection ---------------------------------------------------------
 
@@ -270,18 +285,13 @@ def _content(form: FormT) -> Fraction:
     return value or Fraction(1)
 
 
-def _clean(slots: Dict[SlotT, FormT]) -> Dict[SlotT, FormT]:
-    return {s: slots[s] for s in sorted(slots, key=lambda s: (s[0], s[1].sort_key()))
-            if slots[s]}
-
-
-def _assemble(n: int, variety: str, poly: Dict[MonoT, ExactConstant],
-              slots: Dict[SlotT, FormT]) -> ChowClass:
-    """The class of summed parts, made directly: monomials sorted, zeros dropped."""
+def _assemble(n: int, variety: str, poly: Dict[MonoT, ExactConstant], acc: dict) -> ChowClass:
+    """The class of summed parts, made directly: monomials sorted, zeros
+    dropped, and the slots of an accumulator (see _add) finished."""
     out = ChowClass.__new__(ChowClass)
     out.n, out.variety = n, variety
     out.poly = {m: poly[m] for m in sorted(poly) if not poly[m].is_zero}
-    out.forms = _clean(slots)
+    out.forms = _finished(n, acc)
     return out
 
 
@@ -312,7 +322,7 @@ def linear(pairs: Iterable[Tuple[Union[int, Fraction], ChowClass]]) -> ChowClass
     pairs = list(pairs)
     first = pairs[0][1]
     poly: Dict[MonoT, ExactConstant] = {}
-    fills: dict = {}
+    acc: dict = {}
     for q, c in pairs:
         _check_compatible(first, c)
         qp, qd = _pair(q, "the weight")
@@ -320,8 +330,8 @@ def linear(pairs: Iterable[Tuple[Union[int, Fraction], ChowClass]]) -> ChowClass
             coeff = coeff._scaled(qp, qd)
             poly[m] = poly[m] + coeff if m in poly else coeff
         for slot, form in c.forms.items():
-            fills.setdefault(slot, []).append((qp, qd, form))
-    return _assemble(first.n, first.variety, poly, _summed(first.n, fills))
+            _add(acc, slot, qp, qd, form)
+    return _assemble(first.n, first.variety, poly, acc)
 
 
 def add(a: ChowClass, b: ChowClass) -> ChowClass:
@@ -350,23 +360,21 @@ def _check_compatible(a: ChowClass, b: ChowClass) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _wedge_into(sums: dict, slot, f: FormT, g: FormT, p: int, d: int) -> None:
-    """sums[slot] += p/d * (f ^ g) within the top degree (see mul for sums)."""
+def _wedge_into(acc: dict, slot, f: FormT, g: FormT, p: int, d: int) -> None:
+    """acc[slot] += p/d * (f ^ g) within the top degree, in the slot's maps."""
     if isinstance(g, Radial):
         f, g = g, f
     if isinstance(f, Form11) and isinstance(g, Form11):
-        forms.wedge_into(sums.setdefault(slot, (Form22, [{}]))[1][0], f, g, p, d)
+        forms.wedge_into(_maps(acc, slot, Form22)[0], f, g, p, d)
     elif isinstance(f, Radial):
-        parts = _parts(g)
-        for m, part in zip(sums.setdefault(slot, (type(g), [{} for _ in parts]))[1], parts):
+        for m, part in zip(_maps(acc, slot, type(g)), _parts(g)):
             radial._mul_into(m, f.triples, part.triples, p, d)
 
 
-def _product(n: int, f: FormT, g: FormT) -> Optional[FormT]:
-    """The form f ^ g, or None when it vanishes."""
-    sums: dict = {}
-    _wedge_into(sums, None, f, g, 1, 1)
-    return (sums and _built(n, *sums[None])) or None
+def _product(f: FormT, g: FormT) -> Optional[FormT]:
+    """The form f ^ g of two curvature images, or None when it vanishes:
+    within the top degree only two (1,1)-forms have a product."""
+    return (forms.wedge(f, g) or None) if isinstance(f, Form11) and isinstance(g, Form11) else None
 
 
 @lru_cache(maxsize=16)
@@ -381,7 +389,7 @@ def _mono_curvature(n: int, variety: str, mono: MonoT) -> Optional[FormT]:
         return forms.base_form(n) if i else forms.alpha_form(n) if j else RADIAL_ONE
     rest, last = ((i - 1, j), (1, 0)) if i else ((0, j - 1), (0, 1))
     rest = _mono_curvature(n, variety, rest)
-    return rest and _product(n, rest, _mono_curvature(n, variety, last))
+    return rest and _product(rest, _mono_curvature(n, variety, last))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +404,7 @@ def _relation_image(n: int, mono: MonoT) -> Optional[FormT]:
     if mono == (0, 0):
         return forms.degree2_relation_rhs(n)
     rest = _mono_curvature(n, SURFACE, mono)
-    return rest and _product(n, _relation_image(n, (0, 0)), rest)
+    return rest and _product(_relation_image(n, (0, 0)), rest)
 
 
 def _trace_step(trace: list, rule: str, before: str, after: str) -> None:
@@ -410,15 +418,14 @@ def reduce(c: ChowClass, trace: Optional[list] = None) -> ChowClass:
     immutable), with nothing added to the trace."""
     if all(i <= 1 and j <= 1 for i, j in c.poly):
         return c
-    return _normalised(c.n, c.variety, c.poly, dict(c.forms), {}, trace)
+    return _normalised(c.n, c.variety, c.poly, dict(c.forms), trace)
 
 
-def _normalised(n: int, variety: str, poly: Dict[MonoT, ExactConstant],
-                slots: Dict[SlotT, FormT], sums: dict, trace: Optional[list] = None) -> ChowClass:
-    """The class of poly, built slots and a product's sums (see mul), each monomial
-    with an exponent above 1 rewritten into the sums' pair maps or a slot's form."""
+def _normalised(n: int, variety: str, poly: Dict[MonoT, ExactConstant], acc: dict,
+                trace: Optional[list] = None) -> ChowClass:
+    """The class of poly and the slots of acc (see _add), each monomial with an
+    exponent above 1 rewritten into acc."""
     out_poly: Dict[MonoT, ExactConstant] = {}
-    fills: dict = {}
     stack: List[Tuple[MonoT, ExactConstant]] = list(poly.items())
     while stack:
         (i, j), coeff = stack.pop()
@@ -426,33 +433,21 @@ def _normalised(n: int, variety: str, poly: Dict[MonoT, ExactConstant],
             continue
         if variety == SURFACE and j >= 2:
             stack.append(((i + 1, j - 1), coeff.scale(n + 2)))
-            _fill(fills, coeff, _relation_image(n, (i, j - 2)), variety)
+            _fill(acc, coeff, _relation_image(n, (i, j - 2)), variety)
             if trace is not None:
                 _trace_step(trace, "alpha_square", _render_mono((i, j)),
                             f"({n}+2)*{_render_mono((i + 1, j - 1))} "
                             f"+ a(relation_rhs*{_render_mono((i, j - 2))})")
         elif i >= 2:
             # a(base form ^ the image of x^(i-2) a^j), the image of x^(i-1) a^j
-            _fill(fills, coeff, _mono_curvature(n, variety, (i - 1, j)), variety)
+            _fill(acc, coeff, _mono_curvature(n, variety, (i - 1, j)), variety)
             if trace is not None:
                 _trace_step(trace, "x_square", _render_mono((i, j)),
                             f"a(base*{_render_mono((i - 2, j))})")
         else:
             prev = out_poly.get((i, j))
             out_poly[(i, j)] = coeff + prev if prev else coeff
-    for slot, items in fills.items():
-        if slot in slots:  # only the slots that rewriting filled are rebuilt
-            items.append((1, 1, slots[slot]))
-    for slot, (kind, maps) in sums.items():
-        if len(slot) == 2:
-            for p, d, form in fills.pop(slot, ()):
-                for m, part in zip(maps, _parts(form)):
-                    radial._add_into(m, part.triples, p, d)
-            slots[slot] = _built(n, kind, maps)
-        elif any(p for m in maps for p, _ in m.values()):
-            _key_constant(slot[1]) * _key_constant(slot[2])  # raises NonRationalProduct
-    slots.update(_summed(n, fills))
-    return _assemble(n, variety, out_poly, slots)
+    return _assemble(n, variety, out_poly, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -489,36 +484,27 @@ def mul(a: ChowClass, b: ChowClass,
             coeff = c1 * c2
             prev = poly.get(mono)
             poly[mono] = coeff + prev if prev else coeff
-    # sums: the slot of _pair_slot -> (form type, one radial._mul_into map
-    # per radial coefficient); each monomial's curvature image is wedged
-    # with the weight of each ring constant of its coefficient
-    sums: dict = {}
-    for left, right in ((a, b), (b, a)):
-        images = [(sum(mono), _mono_curvature(n, variety, mono), _ring_items(coeff))
-                  for mono, coeff in right.poly.items()]
+    # a(eta) * y = a(eta ^ omega(y)) for each form eta of one factor and term y
+    # of the other: a monomial's image weighted by each ring constant of its
+    # coefficient; a 0-form's dd^c whole against a form of higher degree, half
+    # against a non-constant 0-form (which gives the other half), none against
+    # a constant one
+    acc: dict = {}
+    ddc_a = _zero_form_ddcs(a)
+    ddc_b = ddc_a if same else _zero_form_ddcs(b)
+    for left, ddc_left, right, ddc_right in ((a, ddc_a, b, ddc_b), (b, ddc_b, a, ddc_a)):
+        monos = [(sum(mono), _mono_curvature(n, variety, mono), _ring_items(coeff))
+                 for mono, coeff in right.poly.items()]
         for (deg_f, key_f), form in left.forms.items():
+            share = 1 if deg_f > 1 else 2 if (deg_f, key_f) in ddc_left else 0
+            images = monos + [(1, ddc, ((key, 1, share),))
+                              for (_, key), ddc in ddc_right.items()] if share else monos
             for deg_c, image, ring_items in images:
                 if image and deg_f + deg_c in keep:
                     for key_c, p, d in ring_items:
-                        _wedge_into(sums, _pair_slot(deg_f + deg_c, key_f, key_c),
+                        _wedge_into(acc, _pair_slot(deg_f + deg_c, key_f, key_c),
                                     form, image, p, d)
-    ddc_a = _zero_form_ddcs(a)
-    ddc_b = ddc_a if same else _zero_form_ddcs(b)
-    for slot1, f1 in a.forms.items():
-        for slot2, f2 in b.forms.items():
-            d1, d2 = slot1[0], slot2[0]
-            if d1 + d2 not in keep:
-                continue
-            slot = _pair_slot(d1 + d2, slot1[1], slot2[1])
-            df, dg = ddc_a.get(slot1), ddc_b.get(slot2)
-            if d1 == d2 and df and dg:
-                _wedge_into(sums, slot, df, f2, 1, 2)
-                _wedge_into(sums, slot, dg, f1, 1, 2)
-            elif d1 < d2 and df:
-                _wedge_into(sums, slot, df, f2, 1, 1)
-            elif d1 > d2 and dg:
-                _wedge_into(sums, slot, dg, f1, 1, 1)
-    return _normalised(n, variety, poly, {}, sums)
+    return _normalised(n, variety, poly, acc)
 
 
 def _zero_form_ddcs(c: ChowClass) -> dict:
@@ -531,9 +517,11 @@ def _zero_form_ddcs(c: ChowClass) -> dict:
 
 def _pair_slot(degree: int, a: ConstantAtom, b: ConstantAtom) -> tuple:
     """The slot of a product of terms of atoms a and b: (degree, a * b) when
-    one atom is 1, else (degree, a, b), whose sum must vanish, for a product
-    of two transcendental atoms lies outside the span."""
-    return (degree, b) if a is ONE else (degree, a) if b is ONE else (degree, a, b)
+    one atom is 1, else (degree, a, b) in atom order, whose sum must vanish,
+    for a product of two transcendental atoms lies outside the span."""
+    if a is ONE or b is ONE:
+        return degree, b if a is ONE else a
+    return (degree, a, b) if a.sort_key() <= b.sort_key() else (degree, b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -549,15 +537,15 @@ def pushforward_base(c: ChowClass) -> ChowClass:
     # pullback monomials push to zero; by the projection formula x^i a goes
     # to x^i (alpha has fiber degree 1), one monomial each in normal form
     poly = {(i, 0): coeff for (i, j), coeff in c.poly.items() if j}
-    fills: dict = {}
+    acc: dict = {}
     for (degree, key), form in c.forms.items():
         # 0-forms push to degree -2; the rest by their exact fiber masses
         if degree == 2:
-            _fill(fills, _key_constant(key) * form.fiber_integral, RADIAL_ONE, BASE)
+            _fill(acc, _key_constant(key) * form.fiber_integral, RADIAL_ONE, BASE)
         elif degree == 3:
-            _fill(fills, _key_constant(key) * form.total_integral,
+            _fill(acc, _key_constant(key) * form.total_integral,
                   base_top_form(c.n), BASE)
-    return _assemble(c.n, BASE, poly, _summed(c.n, fills))
+    return _assemble(c.n, BASE, poly, acc)
 
 
 def _top_forms(c: ChowClass, trace: Optional[list]):
@@ -573,11 +561,11 @@ def _top_forms(c: ChowClass, trace: Optional[list]):
 def top_slots(c: ChowClass):
     """The items of _top_forms with one slot per atom, in atom order, each form
     re-summed exactly; a check by quadrature of the degree folds over these."""
-    fills: dict = {}
+    acc: dict = {}
     for (degree, key), form in _top_forms(c, None):
         for atom, p, d in _key_constant(key).triples:
-            fills.setdefault((degree, atom), []).append((p, d, form))
-    return _clean(_summed(c.n, fills)).items()
+            _add(acc, (degree, atom), p, d, form)
+    return _finished(c.n, acc).items()
 
 
 def pushforward_deg(c: ChowClass, trace: Optional[list] = None) -> ExactConstant:

@@ -5,8 +5,8 @@ invocations produce byte-identical output.  Exit codes: 0 success, 1 a
 verification failed, 2 bad configuration (a ruling index whose floats
 overflow, such as --n 10**400 for forms, integrals or verify, included, and
 one whose logarithms need prime factors beyond the bounded factorization,
-such as --n 10**400 for torsion or table, and a --grid-points or
---height-range above MAX_COUNT), 3 quadrature failed to converge,
+such as --n 10**400 for torsion or table, and a --grid-points,
+--height-range or --n-max above MAX_COUNT), 3 quadrature failed to converge,
 141 the reader closed standard output early (128 + SIGPIPE, as a shell
 reports for a tool stopped by a closed pipe; nothing is printed then).
 A command refuses a bad flag value with ConfigError, which main reports,
@@ -31,7 +31,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from .constants import ExactConstant, FactorizationLimit, ZETA_M1, ZETA_PRIME_M1, atom_table
-from .settings import DEFAULT_CONFIG, SCHEMES, NonConvergence, QuadratureConfig, _fmt
+from .settings import CHECK_TOL, DEFAULT_CONFIG, SCHEMES, NonConvergence, QuadratureConfig, _fmt
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -39,7 +39,7 @@ EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_BROKEN_PIPE = 141
 
-MAX_COUNT = 10**6  # the largest --grid-points and --height-range
+MAX_COUNT = 10**6  # the largest --grid-points, --height-range and --n-max
 
 
 class ConfigError(Exception):
@@ -78,6 +78,8 @@ def _parse_n_list(args) -> List[int]:
     if getattr(args, "n_max", None) is not None:
         if args.n_max < 0:
             raise ConfigError("--n-max must be >= 0")
+        if args.n_max > MAX_COUNT:
+            raise ConfigError(f"--n-max must be at most {MAX_COUNT}")
         return list(range(args.n_max + 1))
     if getattr(args, "n", None) is not None:
         if args.n < 0:
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="full invariant suite; nonzero exit on failure")
     add_n_flags(p, with_max=True)
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float, default=CHECK_TOL,
                    help="pass tolerance for float cross-checks (default 1e-8)")
     p.add_argument("--height-range", type=int, default=20,
                    help="check heights for n = 0..this (default 20)")

@@ -4,6 +4,7 @@ re-exports them."""
 
 SCHEMES = ("gauss_kronrod", "tanh_sinh")
 PASS_TOL_FACTOR = 10.0  # a quadrature passes within this multiple of its target
+CHECK_TOL = 1e-8  # the default pass tolerance of the float cross-checks (verify --tol)
 
 
 class NonConvergence(RuntimeError):

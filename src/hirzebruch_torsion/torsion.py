@@ -59,7 +59,7 @@ from .radial import (
     _fmt,
     integrate_halfline,
 )
-from .settings import Value
+from .settings import CHECK_TOL, Value
 
 
 def _rat(q) -> ExactConstant:
@@ -472,7 +472,7 @@ def appendix_checks(n: Union[int, Surface]) -> List[VerificationEntry]:
 
 
 def hodge_l2_checks(n: Union[int, Surface], cfg: QuadratureConfig = DEFAULT_CONFIG,
-                    tol: float = 1e-8) -> List[VerificationEntry]:
+                    tol: float = CHECK_TOL) -> List[VerificationEntry]:
     """Star identities, decided exactly (the isometry on the mixed pair is
     one of densities), and harmonic-generator norms against exact values."""
     s = _surface(n)
@@ -515,7 +515,7 @@ def _degree_by_quadrature(s: Surface, name: str, c: ChowClass,
 
 
 def route_checks(n: Union[int, Surface], cfg: QuadratureConfig = DEFAULT_CONFIG,
-                 tol: float = 1e-8) -> List[VerificationEntry]:
+                 tol: float = CHECK_TOL) -> List[VerificationEntry]:
     """Exact route agreement plus the numeric cross-checks of both pipelines,
     from the record that main_theorem reads: its c1*c2 serves the c1*c2 row,
     and its torsion form the exact row and the quadrature row."""
@@ -577,7 +577,7 @@ class VerificationReport(Value):
 
 
 def verify_all(ns: Sequence[int], cfg: QuadratureConfig = DEFAULT_CONFIG,
-               tol: float = 1e-8, height_range: int = 20) -> VerificationReport:
+               tol: float = CHECK_TOL, height_range: int = 20) -> VerificationReport:
     """The full invariant suite over a list of ruling indices, one record each."""
     entries: List[VerificationEntry] = []
     for n in ns:

@@ -223,6 +223,22 @@ class TestMul:
         assert "ddc" in called and "ddc_form11" not in called
         assert not {"_ddc", "_ddc_wedges"} & defined
 
+    def test_one_accumulator_and_one_product_rule(self):
+        # every slot is summed through one accumulator, mul wedges each form
+        # with each curvature image in one loop, and curvature images
+        # multiply by the forms calculus's own wedge
+        tree = ast.parse(Path(chow.__file__).read_text())
+        defined = {node.name: node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)}
+        assert not {"_summed", "_built"} & set(defined)
+
+        def calls(function, callee):
+            return [node for node in ast.walk(defined[function])
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) == callee]
+
+        assert len(calls("mul", "_wedge_into")) == 1
+        assert calls("_product", "forms.wedge")
+
     def test_products_above_the_top_degree_vanish(self):
         n = 1
         quad = ChowClass(n, SURFACE, {(2, 2): ec(1)})

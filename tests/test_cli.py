@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hirzebruch_torsion import chow, cli, quadrature, torsion
+from hirzebruch_torsion import chow, cli, quadrature, settings, torsion
 from hirzebruch_torsion.constants import ExactConstant, log_rational
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -437,7 +437,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize("argv, flag", [
         (("forms", "--n", "1", "--grid-points", str(10**6 + 1)), "--grid-points"),
         (("verify", "--n", "1", "--height-range", str(10**6 + 1)), "--height-range"),
-    ], ids=["grid_points", "height_range"])
+        (("height", "--n-max", str(10**6 + 1)), "--n-max"),
+    ], ids=["grid_points", "height_range", "n_max"])
     def test_counts_above_the_bound(self, argv, flag):
         # refused before any row is made
         code, out, err = run_cli(*argv)
@@ -488,12 +489,23 @@ class TestConfigErrors:
         pytest.param(f"forms --n {10**400} --form alpha", id="forms --n 10**400"),
         pytest.param(f"integrals --n {10**400}", id="integrals --n 10**400"),
         pytest.param(f"torsion --n {10**24}", id="torsion --n 10**24"),
+        # --n-max is bounded before its range is made
+        "height --n-max 1000000000000", "verify --n-max 1000000000000",
+        "height --n-max 9223372036854775808",
+        pytest.param(f"table --n-max {10**20}", id="table --n-max 10**20"),
     ])
     def test_main_returns_two_with_one_error_line(self, capsys, argv):
         # in process: main reports the error, it does not raise SystemExit
         assert cli.main(argv.split()) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_help_states_the_default_tolerance(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "float cross-checks (default 1e-8)" in help_text
+        assert float("1e-8") == settings.CHECK_TOL
 
     @pytest.mark.parametrize("argv", ["frobnicate", "torsion --n 3 --n-list 4",
                                       "table --scheme simpson"])
